@@ -35,7 +35,8 @@
 //! [`render::render_scene`] + [`passes::evaluate`] run them decoupled so a
 //! sweep renders each render key exactly once and fans out evaluation-only
 //! jobs (signature width, compare distance, refresh, queue depths, cache
-//! geometry) over the shared log.
+//! geometry) over the shared log, and [`share::evaluate_shared`] computes
+//! each technique pass once per distinct input among those jobs.
 //!
 //! # Modules
 //!
@@ -43,6 +44,8 @@
 //!   [`render::RenderLog`] artifact.
 //! * [`passes`] — Stage B: the [`passes::TechniquePass`] trait, the
 //!   built-in passes and the [`passes::Evaluation`] driver.
+//! * [`share`] — Stage B work sharing: each pass section computed once per
+//!   distinct input among the cells of one render log.
 //! * [`signature`] — the Signature Unit (Compute/Accumulate CRC units,
 //!   OT queue, constants bitmap) and the Signature Buffer.
 //! * [`redundancy`] — ground-truth tile classification (Figs. 2, 15a).
@@ -86,6 +89,7 @@ pub mod record;
 pub mod redundancy;
 pub mod relog;
 pub mod render;
+pub mod share;
 pub mod signature;
 pub mod sim;
 pub mod te;
@@ -98,6 +102,7 @@ pub use render::{
     chunk_ranges, render_chunk, render_chunk_with, render_scene, render_scene_chunked,
     stitch_chunks, RenderChunk, RenderLog, Renderer,
 };
+pub use share::{evaluate_shared, SectionKey, SectionTable, SharedEval};
 pub use signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 pub use sim::{RunReport, Scene, SimOptions, Simulator, TechniqueReport};
 pub use te::TransactionElimination;

@@ -25,6 +25,13 @@
 //! [`Evaluation::with_passes`]. A pass that depends on another pass's
 //! per-tile verdict (as the classifier depends on RE) reads it from
 //! [`TileCtx`] — order in the stack is evaluation order.
+//!
+//! # Sharing work between evaluations
+//!
+//! Each built-in pass declares, as `share_key`, the [`SimOptions`] fields
+//! it reads. Evaluations of one log that agree on those fields compute the
+//! same pass output, so [`crate::share::evaluate_shared`] runs each
+//! distinct pass once among the cells of a render key.
 
 use re_gpu::stats::{GeometryStats, TileStats};
 use re_timing::energy::EnergyModel;
@@ -34,6 +41,7 @@ use crate::memo::FragmentMemo;
 use crate::record::Event;
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
+use crate::share::SectionKey;
 use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
 use crate::te::TransactionElimination;
@@ -162,6 +170,13 @@ impl BaselinePass {
             frame_raster_mark: 0,
         }
     }
+
+    /// The options the baseline reads: the timing config alone.
+    pub fn share_key(opts: &SimOptions) -> SectionKey {
+        SectionKey::Baseline {
+            timing: opts.timing,
+        }
+    }
 }
 
 impl TechniquePass for BaselinePass {
@@ -231,6 +246,18 @@ impl RePass {
             false_positives: 0,
             frame_skip_mark: 0,
             frame_raster_mark: 0,
+        }
+    }
+
+    /// The options RE reads, which the [`RedundancyPass`] after it shares
+    /// through [`TileCtx::inputs_eq`]: timing, compare distance, signature
+    /// width and refresh period.
+    pub fn share_key(opts: &SimOptions) -> SectionKey {
+        SectionKey::Re {
+            timing: opts.timing,
+            compare_distance: opts.compare_distance,
+            sig_bits: opts.sig_bits,
+            refresh_period: opts.refresh_period,
         }
     }
 }
@@ -312,7 +339,8 @@ impl TechniquePass for RePass {
 }
 
 /// Ground-truth tile classification (Figs. 2 and 15a) — consumes the RE
-/// verdict published in [`TileCtx`].
+/// verdict published in [`TileCtx`], so it shares RE's
+/// [`share_key`](RePass::share_key).
 #[derive(Default)]
 pub struct RedundancyPass {
     classes: TileClassCounts,
@@ -369,6 +397,14 @@ impl TePass {
             tcfg: opts.timing,
             machine: Machine::new(opts.timing),
             te: TransactionElimination::new(tile_count, opts.compare_distance),
+        }
+    }
+
+    /// The options TE reads: timing and compare distance.
+    pub fn share_key(opts: &SimOptions) -> SectionKey {
+        SectionKey::Te {
+            timing: opts.timing,
+            compare_distance: opts.compare_distance,
         }
     }
 }
@@ -428,6 +464,13 @@ impl MemoPass {
             current: vec![Vec::new(); tile_count as usize],
         }
     }
+
+    /// The options memoization reads: the LUT capacity alone.
+    pub fn share_key(opts: &SimOptions) -> SectionKey {
+        SectionKey::Memo {
+            memo_kb: opts.memo_kb,
+        }
+    }
 }
 
 impl TechniquePass for MemoPass {
@@ -468,7 +511,9 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
 ///
 /// Incremental by design — [`crate::Simulator::run`] feeds frames as Stage A
 /// produces them (memory stays bounded to one frame), while the sweep
-/// engine replays a complete shared [`RenderLog`] many times.
+/// engine evaluates a complete shared [`RenderLog`] through
+/// [`crate::share::evaluate_shared`], which drives one `Evaluation` over
+/// the passes a cell has to compute itself.
 pub struct Evaluation {
     opts: SimOptions,
     tile_count: u32,
@@ -555,28 +600,12 @@ impl Evaluation {
     /// Settles every pass and assembles the report.
     pub fn finish(self, name: &str) -> RunReport {
         // One completed evaluation, however it was driven (simulator,
-        // in-memory replay, or streamed `.relog`), and one pass execution
-        // per stack entry — the registry counters behind the sweep's
-        // `metrics.json`.
+        // in-memory replay, streamed `.relog`, or the sections one sweep
+        // cell computes), and one pass execution per stack entry — the
+        // registry counters behind the sweep's `metrics.json`.
         re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
         re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.passes.len() as u64);
-        let mut report = RunReport {
-            name: name.to_owned(),
-            frames: self.per_frame.len(),
-            tile_count: self.tile_count,
-            baseline: TechniqueReport::default(),
-            re: TechniqueReport::default(),
-            te: TechniqueReport::default(),
-            memo: crate::memo::MemoStats::default(),
-            classes: TileClassCounts::default(),
-            equal_tiles_dist1: 0,
-            classified_dist1: 0,
-            false_positives: 0,
-            su_stats: SignatureUnitStats::default(),
-            te_stats: crate::te::TeStats::default(),
-            re_frames_disabled: 0,
-            per_frame: self.per_frame,
-        };
+        let mut report = RunReport::empty(name, self.tile_count, self.per_frame);
         for pass in self.passes {
             pass.finish(&mut report);
         }

@@ -56,8 +56,10 @@
 //!
 //! [`RelogReader`] decodes one [`FrameLog`] at a time from any
 //! [`io::Read`], so a consumer holds at most one frame's events in memory
-//! regardless of log length — the bound the sweep engine relies on when a
-//! render key's log is replayed from disk by many evaluation jobs.
+//! regardless of log length ([`evaluate_reader`] evaluates a stream that
+//! way). The sweep engine instead decodes a cached log whole, once per
+//! render key ([`RelogReader::into_log`]), and shares it among the key's
+//! cells.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -920,6 +922,23 @@ impl<R: Read> RelogReader<R> {
     pub fn verify_frames(&mut self) -> io::Result<()> {
         while self.next_payload()?.is_some() {}
         Ok(())
+    }
+
+    /// Decodes every remaining frame into a whole [`RenderLog`], one frame
+    /// record at a time, so no buffer ever holds the whole stream.
+    ///
+    /// # Errors
+    /// As [`next_frame`](Self::next_frame).
+    pub fn into_log(mut self) -> io::Result<RenderLog> {
+        let mut frames = Vec::new();
+        while let Some(frame) = self.next_frame()? {
+            frames.push(frame);
+        }
+        Ok(RenderLog {
+            name: self.header.name,
+            config: self.header.config,
+            frames,
+        })
     }
 }
 

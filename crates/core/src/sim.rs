@@ -173,6 +173,29 @@ pub struct FrameSample {
 }
 
 impl RunReport {
+    /// A report over `per_frame`'s frames with every technique section
+    /// empty: what [`crate::passes::Evaluation::finish`] fills pass by pass
+    /// and [`crate::share::evaluate_shared`] section by section.
+    pub(crate) fn empty(name: &str, tile_count: u32, per_frame: Vec<FrameSample>) -> Self {
+        RunReport {
+            name: name.to_owned(),
+            frames: per_frame.len(),
+            tile_count,
+            baseline: TechniqueReport::default(),
+            re: TechniqueReport::default(),
+            te: TechniqueReport::default(),
+            memo: MemoStats::default(),
+            classes: TileClassCounts::default(),
+            equal_tiles_dist1: 0,
+            classified_dist1: 0,
+            false_positives: 0,
+            su_stats: SignatureUnitStats::default(),
+            te_stats: TeStats::default(),
+            re_frames_disabled: 0,
+            per_frame,
+        }
+    }
+
     /// Fig. 2 metric: % tiles with the same color as the preceding frame.
     pub fn equal_tiles_pct_dist1(&self) -> f64 {
         if self.classified_dist1 == 0 {

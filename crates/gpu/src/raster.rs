@@ -630,18 +630,22 @@ mod tests {
         assert_eq!(frame, frame2);
         let geo2 = parallel.run_geometry(&frame2, &mut NullHooks);
         assert_eq!(geo, geo2);
+        // `rasterize_bands` makes one hook set per tile it rasterizes, so a
+        // local count of `make_hooks` calls is this call's exact raster
+        // count. The process-global counter also moves with sibling tests
+        // rasterizing on other threads, so only a lower bound holds there.
+        let hook_sets = std::sync::atomic::AtomicU64::new(0);
         let before = raster_invocations();
-        let results = parallel.rasterize_bands(
-            &frame2,
-            &geo2,
-            ParallelRaster { bands: 3 },
-            CaptureHooks::default,
-        );
+        let results = parallel.rasterize_bands(&frame2, &geo2, ParallelRaster { bands: 3 }, || {
+            hook_sets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            CaptureHooks::default()
+        });
         assert_eq!(
-            raster_invocations() - before,
+            hook_sets.into_inner(),
             parallel.tile_count() as u64,
             "one invocation per tile, exactly"
         );
+        assert!(raster_invocations() - before >= parallel.tile_count() as u64);
         assert_eq!(results.len(), parallel.tile_count() as usize);
         for (t, (stats, colors, hooks)) in results.into_iter().enumerate() {
             let (ref s_stats, ref s_colors, ref s_hooks) = serial_tiles[t];

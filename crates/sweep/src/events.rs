@@ -469,7 +469,7 @@ pub enum EventRecord {
         scene: String,
         /// Worker that evaluated.
         worker: u64,
-        /// Whether Stage B streamed a cached `.relog`.
+        /// Whether the cell's render key was decoded from a cached `.relog`.
         replayed: bool,
         /// Evaluation duration in nanoseconds.
         eval_ns: u64,

@@ -30,20 +30,23 @@
 //! (`sweep.relog.*`, `sweep.artifacts.*`).
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::io::{self, Read};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use re_core::relog::{Compression, RelogReader};
 use re_core::render::RenderLog;
-use re_core::RunReport;
+use re_core::{RunReport, SectionTable};
 use re_obs::names;
-use re_obs::Stopwatch;
+use re_obs::{Counter, Histogram, Stopwatch};
 use re_trace::Trace;
 
+use crate::artifacts::{capture_alias, RenderLogCache};
 use crate::engine::{render_key_log_parallel, run_cell, CellOutcome};
-use crate::grid::Cell;
-use crate::plan::{ShardSpec, SweepPlan};
+use crate::grid::{Cell, RenderKey};
+use crate::plan::{EvalJob, ShardSpec, SweepPlan};
 use crate::pool;
 
 /// One progress event of a running sweep.
@@ -123,9 +126,9 @@ pub enum SweepEvent<'a> {
         /// The chunk's render duration.
         duration: Duration,
     },
-    /// A render job is satisfied by a cached `.relog`: its cells replay
-    /// the artifact from disk and Stage A never runs (emitted once per
-    /// job, by the first cell to reach it).
+    /// A render job is satisfied by a cached `.relog`: the first cell to
+    /// reach it decodes the artifact once for all the job's cells, and
+    /// Stage A never runs (emitted once per job).
     RenderLogReplay {
         /// Workload alias of the render key.
         scene: &'static str,
@@ -155,12 +158,14 @@ pub enum SweepEvent<'a> {
         scene: &'static str,
         /// Worker that evaluated the cell.
         worker: usize,
-        /// Whether Stage B streamed a cached `.relog` (true) or evaluated
-        /// in memory (false).
+        /// Whether the cell's render key was decoded from a cached `.relog`
+        /// (true) or rendered in this execution (false).
         replayed: bool,
-        /// Evaluation duration. For a replayed cell this includes the
-        /// artifact's disk read; for the ungrouped per-cell path it is
-        /// the whole monolithic (render + evaluate) pipeline.
+        /// Stage B time: computing the cell's own pass sections (waiting
+        /// for sections other cells compute is excluded), plus the
+        /// artifact decode for the cell that loaded a cached key. For the
+        /// ungrouped per-cell path it is the whole monolithic (render +
+        /// evaluate) pipeline.
         eval: Duration,
         /// Store-commit (`on_done`) duration.
         store: Duration,
@@ -470,13 +475,306 @@ impl<'o> Progress<'o> {
     }
 }
 
-/// A render job's shared state: the lazily built log plus the number of
-/// cells still due to evaluate it (the log is dropped with the last one).
+/// A render key's in-memory state, shared by the key's cells: its log,
+/// built once per key (rendered, or decoded from a cached `.relog`), and
+/// the Stage B sections the cells have computed so far.
+struct KeyState {
+    log: RenderLog,
+    sections: SectionTable,
+    /// Whether the log was decoded from a cached artifact.
+    replayed: bool,
+}
+
+impl KeyState {
+    fn new(log: RenderLog, replayed: bool) -> Self {
+        KeyState {
+            log,
+            sections: SectionTable::new(),
+            replayed,
+        }
+    }
+}
+
+/// A render job's slot: its lazily built [`KeyState`] plus the number of
+/// cells still due to evaluate it (the state is dropped with the last one).
 struct GroupSlot {
-    log: Mutex<Option<Arc<RenderLog>>>,
+    state: Mutex<Option<Arc<KeyState>>>,
     remaining: AtomicUsize,
-    /// Whether the one-per-job replay event was already emitted.
-    replay_announced: AtomicBool,
+}
+
+/// The `.relog` cache under `dir`, writing LZSS framing when `compress`.
+fn log_cache(dir: Option<PathBuf>, compress: bool) -> RenderLogCache {
+    RenderLogCache::new(dir).with_compression(if compress {
+        Compression::Lzss
+    } else {
+        Compression::None
+    })
+}
+
+/// What both executors share to run a plan grouped by render key: one
+/// slot per render job, the `.relog` cache, the Stage A budget, the
+/// metric handles (resolved once, so workers never touch the registry
+/// lock), and the progress and commit hooks.
+struct Grouped<'a> {
+    traces: &'a HashMap<&'static str, Arc<Trace>>,
+    progress: &'a Progress<'a>,
+    on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
+    slots: Vec<GroupSlot>,
+    log_cache: RenderLogCache,
+    /// Stage A parallelism budget, divided among renders in flight: a
+    /// single hot key fans its frames over every render worker, while many
+    /// concurrent keys parallelize across keys first. Any split is exact
+    /// (stitching is chunking-invariant), so the adaptive budget never
+    /// perturbs results.
+    render_budget: usize,
+    active_renders: AtomicUsize,
+    eval_hist: Arc<Histogram>,
+    store_hist: Arc<Histogram>,
+    render_hist: Arc<Histogram>,
+    replay_hist: Arc<Histogram>,
+    stitch_hist: Arc<Histogram>,
+    relog_replays: Arc<Counter>,
+    relog_saves: Arc<Counter>,
+    bytes_read: Arc<Counter>,
+    bytes_written: Arc<Counter>,
+    frame_chunks: Arc<Counter>,
+    compressed_bytes: Arc<Counter>,
+}
+
+impl<'a> Grouped<'a> {
+    /// Sets up one slot per render job of `plan` and emits the
+    /// execution's [`SweepEvent::GroupStart`].
+    fn new(
+        plan: &SweepPlan,
+        traces: &'a HashMap<&'static str, Arc<Trace>>,
+        progress: &'a Progress<'a>,
+        on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
+        log_cache: RenderLogCache,
+        workers: usize,
+        render_workers: usize,
+    ) -> Self {
+        progress.observer.on_event(&SweepEvent::GroupStart {
+            cells: progress.total,
+            render_jobs: plan.render_jobs().len(),
+            workers,
+            shard: plan.shard_spec(),
+        });
+        let histogram = re_obs::metrics::histogram;
+        let counter = re_obs::metrics::counter;
+        Grouped {
+            traces,
+            progress,
+            on_done,
+            slots: plan
+                .render_jobs()
+                .iter()
+                .map(|rj| GroupSlot {
+                    state: Mutex::new(None),
+                    remaining: AtomicUsize::new(rj.cells.len()),
+                })
+                .collect(),
+            log_cache,
+            render_budget: if render_workers == 0 {
+                workers
+            } else {
+                render_workers
+            },
+            active_renders: AtomicUsize::new(0),
+            eval_hist: histogram(names::STAGE_EVAL),
+            store_hist: histogram(names::STAGE_STORE),
+            render_hist: histogram(names::STAGE_RENDER),
+            replay_hist: histogram(names::STAGE_REPLAY),
+            stitch_hist: histogram(names::RENDER_STITCH_NS),
+            relog_replays: counter(names::RELOG_REPLAYS),
+            relog_saves: counter(names::RELOG_SAVES),
+            bytes_read: counter(names::ARTIFACT_BYTES_READ),
+            bytes_written: counter(names::ARTIFACT_BYTES_WRITTEN),
+            frame_chunks: counter(names::RENDER_FRAME_CHUNKS),
+            compressed_bytes: counter(names::RELOG_COMPRESSED_BYTES),
+        }
+    }
+
+    /// Stage A for `key`, capturing the scene's trace first when the plan
+    /// captured none for it. With `persist` the log is also stored in the
+    /// `.relog` cache (best-effort: a failed write costs the cache entry,
+    /// never the sweep). Returns the log and the stored artifact's path.
+    fn render(
+        &self,
+        key: &RenderKey,
+        worker: usize,
+        persist: bool,
+    ) -> (RenderLog, Option<PathBuf>) {
+        let observer = self.progress.observer;
+        let (scene, tile_size) = (key.scene(), key.tile_size());
+        observer.on_event(&SweepEvent::RenderStart {
+            scene,
+            tile_size,
+            worker,
+        });
+        let trace = match self.traces.get(scene) {
+            Some(t) => Arc::clone(t),
+            // Traces are only captured for unsatisfied jobs; if a satisfied
+            // job's artifact just vanished, capture its trace on the fly.
+            None => Arc::new(
+                capture_alias(
+                    scene,
+                    key.frames(),
+                    re_gpu::GpuConfig {
+                        width: key.gpu_config().width,
+                        height: key.gpu_config().height,
+                        ..re_gpu::GpuConfig::default()
+                    },
+                )
+                .expect("workload aliases in a plan are known"),
+            ),
+        };
+        let in_flight = self.active_renders.fetch_add(1, Ordering::AcqRel) + 1;
+        let budget = (self.render_budget / in_flight).max(1);
+        let sw = Stopwatch::start();
+        let rendered = render_key_log_parallel(&trace, key, budget);
+        self.active_renders.fetch_sub(1, Ordering::AcqRel);
+        let duration = sw.elapsed();
+        self.render_hist.record(duration);
+        self.frame_chunks.add(rendered.chunks.len() as u64);
+        self.stitch_hist.record(rendered.stitch);
+        if rendered.chunks.len() > 1 {
+            for t in &rendered.chunks {
+                observer.on_event(&SweepEvent::RenderChunkDone {
+                    scene,
+                    tile_size,
+                    worker,
+                    chunk: t.chunk,
+                    chunks: rendered.chunks.len(),
+                    frames: t.frames,
+                    duration: t.duration,
+                });
+            }
+        }
+        observer.on_event(&SweepEvent::RenderDone {
+            scene,
+            tile_size,
+            worker,
+            frames: key.frames(),
+            duration,
+        });
+        let mut stored = None;
+        if persist {
+            if let Ok(Some(path)) = self.log_cache.store(key, &rendered.log) {
+                let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+                self.relog_saves.incr();
+                self.bytes_written.add(bytes);
+                if self.log_cache.compression() == Compression::Lzss {
+                    self.compressed_bytes.add(bytes);
+                }
+                observer.on_event(&SweepEvent::RenderLogSaved {
+                    scene,
+                    tile_size,
+                    bytes,
+                });
+                stored = Some(path);
+            }
+        }
+        (rendered.log, stored)
+    }
+
+    /// Decodes a cached artifact of `bytes` bytes, frame by frame from
+    /// `reader`, into `key`'s state and announces the replay; the decode
+    /// time comes back alongside. `None` when the stream is no valid log
+    /// of `key`: the artifact changed underneath the plan, and the caller
+    /// renders the key instead.
+    fn decode<R: Read + Send>(
+        &self,
+        key: &RenderKey,
+        worker: usize,
+        reader: io::Result<RelogReader<R>>,
+        bytes: u64,
+    ) -> Option<(KeyState, Duration)> {
+        let sw = Stopwatch::start();
+        // Decode on a short-lived thread. Each thread allocates from an
+        // allocator arena, and an exited thread's arena is handed to the
+        // next new thread, so every key's log reuses one arena instead of
+        // growing whichever worker's arena the key's first cell ran on. In
+        // a long-lived process running many sweeps this keeps resident
+        // memory at the level the cold renders already reach.
+        let log = std::thread::scope(|s| {
+            s.spawn(|| reader.and_then(RelogReader::into_log))
+                .join()
+                .expect("decode thread")
+        })
+        .ok()
+        .filter(|log| log.config == key.gpu_config() && log.frames.len() == key.frames())?;
+        let decode = sw.elapsed();
+        self.replay_hist.record(decode);
+        self.relog_replays.incr();
+        self.bytes_read.add(bytes);
+        self.progress
+            .observer
+            .on_event(&SweepEvent::RenderLogReplay {
+                scene: key.scene(),
+                tile_size: key.tile_size(),
+                worker,
+            });
+        Some((KeyState::new(log, true), decode))
+    }
+
+    /// Decodes the artifact at `path` (see [`Self::decode`]).
+    fn load(&self, key: &RenderKey, worker: usize, path: &Path) -> Option<(KeyState, Duration)> {
+        let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
+        self.decode(key, worker, RelogReader::open(path), bytes)
+    }
+
+    /// Runs one cell. The first cell of a render job builds the job's
+    /// state with `build` — under the slot's lock, so once per key — which
+    /// returns the state and the time to charge to that cell's Stage B.
+    /// Every cell then evaluates through the key's section table, frees
+    /// the state if it is the job's last, commits and reports.
+    fn cell(
+        &self,
+        worker: usize,
+        job: EvalJob,
+        build: impl FnOnce() -> (KeyState, Duration),
+    ) -> CellOutcome {
+        let slot = &self.slots[job.render_job];
+        let (state, load) = {
+            let mut guard = slot.state.lock().expect("group slot poisoned");
+            match guard.as_ref() {
+                Some(state) => (Arc::clone(state), Duration::ZERO),
+                None => {
+                    let (state, load) = build();
+                    let state = Arc::new(state);
+                    *guard = Some(Arc::clone(&state));
+                    (state, load)
+                }
+            }
+        };
+        let opts = job.cell.point.sim_options();
+        let shared = re_core::evaluate_shared(&state.log, &opts, &state.sections);
+        self.eval_hist.record(shared.busy);
+        let replayed = state.replayed;
+        drop(state);
+        // Last cell of the job: free the log and its sections now instead
+        // of keeping every job's state alive until the sweep ends.
+        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *slot.state.lock().expect("group slot poisoned") = None;
+        }
+        let sw = Stopwatch::start();
+        (self.on_done)(&job.cell, &shared.report);
+        let store = sw.elapsed();
+        self.store_hist.record(store);
+        self.progress.observer.on_event(&SweepEvent::EvalDone {
+            cell: job.cell.id,
+            scene: job.cell.scene(),
+            worker,
+            replayed,
+            eval: load + shared.busy,
+            store,
+        });
+        self.progress.cell_done(&job.cell.label());
+        CellOutcome {
+            cell: job.cell,
+            report: shared.report,
+        }
+    }
 }
 
 /// The std-thread work-stealing executor (the engine's default).
@@ -484,15 +782,18 @@ struct GroupSlot {
 /// Eval jobs are seeded round-robin over the work-stealing
 /// [`pool`], so different workers tend to reach different render jobs
 /// first and Stage A parallelizes across keys; within a job, the first
-/// worker renders (holding only that job's lock) and the rest evaluate
-/// the shared log, which is freed as its last cell finishes.
+/// worker builds the key's log (holding only that job's lock) and every
+/// cell evaluates it, sharing Stage B sections through the key's
+/// [`SectionTable`] (see [`re_core::share`]). The log and its sections
+/// are freed as the job's last cell finishes.
 ///
 /// Render jobs a cached `.relog` satisfies ([`RenderJob::cached_log`])
-/// never run Stage A at all: each of their cells replays the artifact
-/// through [`re_core::relog::RelogReader`], frame by frame, holding at
-/// most one frame in memory. With [`log_dir`](Self::log_dir) set, jobs
-/// that *do* render persist their log on completion, so the next
-/// execution of the same keys is raster-free.
+/// never run Stage A at all: their first cell decodes the artifact into
+/// memory once for all of them, so warm and cold jobs take one evaluation
+/// path and hold at most one log per render key in flight. With
+/// [`log_dir`](Self::log_dir) set, jobs that *do* render persist their
+/// log on completion, so the next execution of the same keys is
+/// raster-free.
 ///
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
 #[derive(Debug, Clone)]
@@ -604,12 +905,11 @@ impl Executor for ThreadExecutor {
         let workers = self.effective_workers().clamp(1, jobs.len().max(1));
         let progress = Progress::new(jobs.len(), observer);
 
-        // Stage histograms and cache counters, resolved once per
-        // execution so workers never touch the registry lock.
-        let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
-        let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-
         if !self.group_renders {
+            // Stage histograms, resolved once per execution so workers
+            // never touch the registry lock.
+            let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
+            let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
             return self.with_heartbeat(&progress, || {
                 pool::run_indexed(jobs, workers, |worker, _i, job| {
                     let trace = &traces[job.cell.scene()];
@@ -641,205 +941,35 @@ impl Executor for ThreadExecutor {
             });
         }
 
-        // One slot per render job, indexed by the job's plan position.
-        let slots: Vec<GroupSlot> = plan
-            .render_jobs()
-            .iter()
-            .map(|rj| GroupSlot {
-                log: Mutex::new(None),
-                remaining: AtomicUsize::new(rj.cells.len()),
-                replay_announced: AtomicBool::new(false),
-            })
-            .collect();
-        observer.on_event(&SweepEvent::GroupStart {
-            cells: jobs.len(),
-            render_jobs: slots.len(),
+        let grouped = Grouped::new(
+            plan,
+            traces,
+            &progress,
+            on_done,
+            log_cache(self.log_dir.clone(), self.relog_compress),
             workers,
-            shard: plan.shard_spec(),
-        });
-        let log_cache = crate::artifacts::RenderLogCache::new(self.log_dir.clone())
-            .with_compression(if self.relog_compress {
-                re_core::relog::Compression::Lzss
-            } else {
-                re_core::relog::Compression::None
-            });
-        let render_hist = re_obs::metrics::histogram(names::STAGE_RENDER);
-        let replay_hist = re_obs::metrics::histogram(names::STAGE_REPLAY);
-        let relog_replays = re_obs::metrics::counter(names::RELOG_REPLAYS);
-        let relog_saves = re_obs::metrics::counter(names::RELOG_SAVES);
-        let bytes_read = re_obs::metrics::counter(names::ARTIFACT_BYTES_READ);
-        let bytes_written = re_obs::metrics::counter(names::ARTIFACT_BYTES_WRITTEN);
-        let frame_chunks = re_obs::metrics::counter(names::RENDER_FRAME_CHUNKS);
-        let stitch_hist = re_obs::metrics::histogram(names::RENDER_STITCH_NS);
-        let compressed_bytes = re_obs::metrics::counter(names::RELOG_COMPRESSED_BYTES);
-        // Stage A parallelism budget, divided among renders in flight: a
-        // single hot key fans its frames over every render worker, while
-        // many concurrent keys parallelize across keys first. Any split is
-        // exact (stitching is chunking-invariant), so the adaptive budget
-        // never perturbs results.
-        let render_budget = if self.render_workers == 0 {
-            workers
-        } else {
-            self.render_workers
-        };
-        let active_renders = AtomicUsize::new(0);
-
+            self.render_workers,
+        );
         self.with_heartbeat(&progress, || {
             pool::run_indexed(jobs, workers, |worker, _i, job| {
                 let render_job = &plan.render_jobs()[job.render_job];
                 let key = &render_job.key;
-                let slot = &slots[job.render_job];
-                let opts = job.cell.point.sim_options();
-
-                // Satisfied job: stream the cached artifact instead of
-                // rendering — frame by frame, so memory stays bounded to one
-                // frame per worker no matter how many cells share the key.
-                if let Some(path) = &render_job.cached_log {
-                    if !slot.replay_announced.swap(true, Ordering::Relaxed) {
-                        observer.on_event(&SweepEvent::RenderLogReplay {
-                            scene: key.scene(),
-                            tile_size: key.tile_size(),
-                            worker,
-                        });
+                grouped.cell(worker, job, || {
+                    // A satisfied job decodes its cached artifact once for
+                    // all its cells. The artifact was validated when the
+                    // plan was annotated, so a failure here means it changed
+                    // underneath us: render the key like any other job.
+                    if let Some(loaded) = render_job
+                        .cached_log
+                        .as_deref()
+                        .and_then(|path| grouped.load(key, worker, path))
+                    {
+                        return loaded;
                     }
-                    let sw = Stopwatch::start();
-                    let streamed = re_core::relog::RelogReader::open(path)
-                        .and_then(|mut r| re_core::relog::evaluate_reader(&mut r, &opts));
-                    if let Ok(report) = streamed {
-                        let eval = sw.elapsed();
-                        replay_hist.record(eval);
-                        relog_replays.incr();
-                        bytes_read.add(std::fs::metadata(path).map_or(0, |m| m.len()));
-                        let sw = Stopwatch::start();
-                        on_done(&job.cell, &report);
-                        let store = sw.elapsed();
-                        store_hist.record(store);
-                        observer.on_event(&SweepEvent::EvalDone {
-                            cell: job.cell.id,
-                            scene: key.scene(),
-                            worker,
-                            replayed: true,
-                            eval,
-                            store,
-                        });
-                        progress.cell_done(&job.cell.label());
-                        return CellOutcome {
-                            cell: job.cell,
-                            report,
-                        };
-                    }
-                    // The artifact was validated when the plan was annotated,
-                    // so a failure here means it changed underneath us —
-                    // fall through and render the key like any other job.
-                }
-
-                let log = {
-                    let mut guard = slot.log.lock().expect("group slot poisoned");
-                    match guard.as_ref() {
-                        Some(log) => Arc::clone(log),
-                        None => {
-                            observer.on_event(&SweepEvent::RenderStart {
-                                scene: key.scene(),
-                                tile_size: key.tile_size(),
-                                worker,
-                            });
-                            let trace = match traces.get(key.scene()) {
-                                Some(t) => Arc::clone(t),
-                                // Traces are only captured for unsatisfied
-                                // jobs; if a satisfied job's artifact just
-                                // vanished, capture its trace on the fly.
-                                None => Arc::new(
-                                    crate::artifacts::capture_alias(
-                                        key.scene(),
-                                        key.frames(),
-                                        re_gpu::GpuConfig {
-                                            width: key.gpu_config().width,
-                                            height: key.gpu_config().height,
-                                            ..re_gpu::GpuConfig::default()
-                                        },
-                                    )
-                                    .expect("workload aliases in a plan are known"),
-                                ),
-                            };
-                            let in_flight = active_renders.fetch_add(1, Ordering::AcqRel) + 1;
-                            let budget = (render_budget / in_flight).max(1);
-                            let sw = Stopwatch::start();
-                            let rendered = render_key_log_parallel(&trace, key, budget);
-                            active_renders.fetch_sub(1, Ordering::AcqRel);
-                            let duration = sw.elapsed();
-                            render_hist.record(duration);
-                            frame_chunks.add(rendered.chunks.len() as u64);
-                            stitch_hist.record(rendered.stitch);
-                            if rendered.chunks.len() > 1 {
-                                for t in &rendered.chunks {
-                                    observer.on_event(&SweepEvent::RenderChunkDone {
-                                        scene: key.scene(),
-                                        tile_size: key.tile_size(),
-                                        worker,
-                                        chunk: t.chunk,
-                                        chunks: rendered.chunks.len(),
-                                        frames: t.frames,
-                                        duration: t.duration,
-                                    });
-                                }
-                            }
-                            let log = Arc::new(rendered.log);
-                            observer.on_event(&SweepEvent::RenderDone {
-                                scene: key.scene(),
-                                tile_size: key.tile_size(),
-                                worker,
-                                frames: key.frames(),
-                                duration,
-                            });
-                            // Persist for future runs (best-effort: the cache
-                            // is an optimization, never a failure source).
-                            if render_job.cached_log.is_none() {
-                                if let Ok(Some(path)) = log_cache.store(key, &log) {
-                                    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-                                    relog_saves.incr();
-                                    bytes_written.add(bytes);
-                                    if self.relog_compress {
-                                        compressed_bytes.add(bytes);
-                                    }
-                                    observer.on_event(&SweepEvent::RenderLogSaved {
-                                        scene: key.scene(),
-                                        tile_size: key.tile_size(),
-                                        bytes,
-                                    });
-                                }
-                            }
-                            *guard = Some(Arc::clone(&log));
-                            log
-                        }
-                    }
-                };
-                let sw = Stopwatch::start();
-                let report = re_core::evaluate(&log, &opts);
-                let eval = sw.elapsed();
-                eval_hist.record(eval);
-                drop(log);
-                // Last cell of the job: free the log's memory early instead of
-                // keeping every job's log alive until the sweep ends.
-                if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    *slot.log.lock().expect("group slot poisoned") = None;
-                }
-                let sw = Stopwatch::start();
-                on_done(&job.cell, &report);
-                let store = sw.elapsed();
-                store_hist.record(store);
-                observer.on_event(&SweepEvent::EvalDone {
-                    cell: job.cell.id,
-                    scene: key.scene(),
-                    worker,
-                    replayed: false,
-                    eval,
-                    store,
-                });
-                progress.cell_done(&job.cell.label());
-                CellOutcome {
-                    cell: job.cell,
-                    report,
-                }
+                    let persist = render_job.cached_log.is_none();
+                    let (log, _) = grouped.render(key, worker, persist);
+                    (KeyState::new(log, false), Duration::ZERO)
+                })
             })
         })
     }
@@ -992,9 +1122,12 @@ impl FlightWait {
 
 /// One render job's prefetched artifact bytes.
 struct PrefetchSlot {
-    bytes: Mutex<Option<Arc<Vec<u8>>>>,
+    bytes: Mutex<Option<Vec<u8>>>,
     ready: Condvar,
+    /// The read failed: no bytes will come.
     failed: AtomicBool,
+    /// A cell has taken the bytes (or learned that none will come).
+    taken: AtomicBool,
 }
 
 /// Book-keeping of the replay-prefetch thread.
@@ -1006,14 +1139,14 @@ struct IoState {
     demanded: VecDeque<usize>,
     /// Next index into the satisfied-job list to speculate on.
     next: usize,
-    /// Artifacts read but not yet fully consumed (bounds memory).
+    /// Artifacts read but not yet taken by a cell (bounds memory).
     outstanding: usize,
 }
 
 /// The [`AsyncExecutor`]'s replay pipeline: a dedicated I/O thread reads
-/// `.relog` artifacts ahead of the workers, which decode and evaluate from
-/// memory — replay disk reads overlap evaluation instead of serializing
-/// with it inside each worker.
+/// `.relog` artifacts ahead of the workers, and the first cell of each job
+/// decodes them from memory — replay disk reads overlap evaluation instead
+/// of serializing with it inside each worker.
 struct Prefetcher {
     slots: Vec<PrefetchSlot>,
     state: Mutex<IoState>,
@@ -1029,6 +1162,7 @@ impl Prefetcher {
                     bytes: Mutex::new(None),
                     ready: Condvar::new(),
                     failed: AtomicBool::new(false),
+                    taken: AtomicBool::new(false),
                 })
                 .collect(),
             state: Mutex::new(IoState {
@@ -1044,7 +1178,7 @@ impl Prefetcher {
 
     /// The I/O thread body: reads every satisfied job's artifact, demanded
     /// jobs first, then speculatively in plan order while fewer than
-    /// `window` read artifacts await consumption.
+    /// `window` read artifacts await a cell.
     fn run_io(&self, plan: &SweepPlan, satisfied: &[usize]) {
         let mut reads = 0;
         while reads < satisfied.len() {
@@ -1081,29 +1215,27 @@ impl Prefetcher {
                 .cached_log
                 .as_ref()
                 .expect("satisfied jobs carry a cached log");
+            let slot = &self.slots[job];
             match std::fs::read(path) {
-                Ok(b) => {
-                    let slot = &self.slots[job];
-                    *slot.bytes.lock().expect("prefetch slot poisoned") = Some(Arc::new(b));
-                    slot.ready.notify_all();
-                }
-                Err(_) => {
-                    // The artifact vanished or the read failed: publish the
-                    // failure so waiting cells fall back to rendering.
-                    let slot = &self.slots[job];
-                    slot.failed.store(true, Ordering::Release);
-                    slot.ready.notify_all();
-                }
+                Ok(b) => *slot.bytes.lock().expect("prefetch slot poisoned") = Some(b),
+                // The artifact vanished or the read failed: publish the
+                // failure so the waiting cell falls back to rendering.
+                Err(_) => slot.failed.store(true, Ordering::Release),
             }
+            slot.ready.notify_all();
             reads += 1;
         }
     }
 
-    /// A cell's view of its job's artifact bytes: demands the read if it
-    /// has not started, blocks until the bytes (shared by every cell of
-    /// the job) are ready, and returns `None` when the read failed.
-    fn take(&self, job: usize) -> Option<Arc<Vec<u8>>> {
+    /// Hands job `job`'s artifact bytes to the one cell decoding them:
+    /// demands the read if it has not started and blocks until it ends.
+    /// Returns `None` when the read failed or the bytes were already
+    /// taken. Either way the job leaves the read-ahead window.
+    fn take(&self, job: usize) -> Option<Vec<u8>> {
         let slot = &self.slots[job];
+        if slot.taken.swap(true, Ordering::AcqRel) {
+            return None;
+        }
         let mut bytes = slot.bytes.lock().expect("prefetch slot poisoned");
         if bytes.is_none() && !slot.failed.load(Ordering::Acquire) {
             {
@@ -1117,18 +1249,12 @@ impl Prefetcher {
                 bytes = slot.ready.wait(bytes).expect("prefetch slot poisoned");
             }
         }
-        bytes.clone()
-    }
-
-    /// Releases a fully evaluated job's bytes and lets speculation advance.
-    fn consume(&self, job: usize) {
-        *self.slots[job]
-            .bytes
-            .lock()
-            .expect("prefetch slot poisoned") = None;
+        let taken = bytes.take();
+        drop(bytes);
         let mut st = self.state.lock().expect("prefetch state poisoned");
         st.outstanding = st.outstanding.saturating_sub(1);
         self.io_wake.notify_one();
+        taken
     }
 }
 
@@ -1140,9 +1266,9 @@ impl Prefetcher {
 /// * **Overlapped replay I/O.** Render jobs satisfied by a cached `.relog`
 ///   are read by a dedicated prefetch thread (`Prefetcher`) — demanded
 ///   reads first, then speculative read-ahead bounded by
-///   [`prefetch`](Self::prefetch) — while workers decode and evaluate the
-///   bytes from memory. Workers never block on disk unless the artifact
-///   genuinely is not read yet.
+///   [`prefetch`](Self::prefetch) — and the first cell of each job decodes
+///   the bytes from memory for all the job's cells. Workers never block on
+///   disk unless the artifact genuinely is not read yet.
 /// * **Cross-execution render dedup.** With a shared
 ///   [`InFlightRenders`] registry ([`in_flight`](Self::in_flight)),
 ///   concurrent executions (the daemon's queued submissions) rasterize
@@ -1151,8 +1277,9 @@ impl Prefetcher {
 ///   catches artifacts persisted after this plan was compiled.
 ///
 /// Renders are always grouped (one Stage A per render key shared by its
-/// cells); outcomes keep the executor contract — cell-id order,
-/// bit-identical to [`ThreadExecutor`]'s at any worker count.
+/// cells, which share Stage B sections as in [`ThreadExecutor`]); outcomes
+/// keep the executor contract — cell-id order, bit-identical to
+/// [`ThreadExecutor`]'s at any worker count.
 #[derive(Debug, Clone)]
 pub struct AsyncExecutor {
     /// Worker threads; 0 means [`pool::default_workers`].
@@ -1209,131 +1336,16 @@ impl Executor for AsyncExecutor {
         }
         .clamp(1, jobs.len().max(1));
         let progress = Progress::new(jobs.len(), observer);
-
-        let slots: Vec<GroupSlot> = plan
-            .render_jobs()
-            .iter()
-            .map(|rj| GroupSlot {
-                log: Mutex::new(None),
-                remaining: AtomicUsize::new(rj.cells.len()),
-                replay_announced: AtomicBool::new(false),
-            })
-            .collect();
-        observer.on_event(&SweepEvent::GroupStart {
-            cells: jobs.len(),
-            render_jobs: slots.len(),
+        let grouped = Grouped::new(
+            plan,
+            traces,
+            &progress,
+            on_done,
+            log_cache(self.log_dir.clone(), self.relog_compress),
             workers,
-            shard: plan.shard_spec(),
-        });
-        let log_cache = crate::artifacts::RenderLogCache::new(self.log_dir.clone())
-            .with_compression(if self.relog_compress {
-                re_core::relog::Compression::Lzss
-            } else {
-                re_core::relog::Compression::None
-            });
-        let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
-        let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-        let render_hist = re_obs::metrics::histogram(names::STAGE_RENDER);
-        let replay_hist = re_obs::metrics::histogram(names::STAGE_REPLAY);
-        let relog_replays = re_obs::metrics::counter(names::RELOG_REPLAYS);
-        let relog_saves = re_obs::metrics::counter(names::RELOG_SAVES);
-        let bytes_read = re_obs::metrics::counter(names::ARTIFACT_BYTES_READ);
-        let bytes_written = re_obs::metrics::counter(names::ARTIFACT_BYTES_WRITTEN);
-        let frame_chunks = re_obs::metrics::counter(names::RENDER_FRAME_CHUNKS);
-        let stitch_hist = re_obs::metrics::histogram(names::RENDER_STITCH_NS);
-        let compressed_bytes = re_obs::metrics::counter(names::RELOG_COMPRESSED_BYTES);
+            self.render_workers,
+        );
         let inflight_hits = re_obs::metrics::counter(names::SERVE_DEDUP_INFLIGHT);
-        let render_budget = if self.render_workers == 0 {
-            workers
-        } else {
-            self.render_workers
-        };
-        let active_renders = AtomicUsize::new(0);
-
-        // Stage A for one key, persisting the artifact when a cache
-        // directory is configured. Shared by the leader, follower-fallback
-        // and cache-less paths.
-        let render_and_store = |key: &crate::grid::RenderKey, worker: usize, persist: bool| {
-            observer.on_event(&SweepEvent::RenderStart {
-                scene: key.scene(),
-                tile_size: key.tile_size(),
-                worker,
-            });
-            let trace = match traces.get(key.scene()) {
-                Some(t) => Arc::clone(t),
-                // Satisfied jobs are excluded from capture; if their
-                // artifact vanished, capture the trace on the fly.
-                None => Arc::new(
-                    crate::artifacts::capture_alias(
-                        key.scene(),
-                        key.frames(),
-                        re_gpu::GpuConfig {
-                            width: key.gpu_config().width,
-                            height: key.gpu_config().height,
-                            ..re_gpu::GpuConfig::default()
-                        },
-                    )
-                    .expect("workload aliases in a plan are known"),
-                ),
-            };
-            let in_flight_now = active_renders.fetch_add(1, Ordering::AcqRel) + 1;
-            let budget = (render_budget / in_flight_now).max(1);
-            let sw = Stopwatch::start();
-            let rendered = render_key_log_parallel(&trace, key, budget);
-            active_renders.fetch_sub(1, Ordering::AcqRel);
-            let duration = sw.elapsed();
-            render_hist.record(duration);
-            frame_chunks.add(rendered.chunks.len() as u64);
-            stitch_hist.record(rendered.stitch);
-            if rendered.chunks.len() > 1 {
-                for t in &rendered.chunks {
-                    observer.on_event(&SweepEvent::RenderChunkDone {
-                        scene: key.scene(),
-                        tile_size: key.tile_size(),
-                        worker,
-                        chunk: t.chunk,
-                        chunks: rendered.chunks.len(),
-                        frames: t.frames,
-                        duration: t.duration,
-                    });
-                }
-            }
-            let log = Arc::new(rendered.log);
-            observer.on_event(&SweepEvent::RenderDone {
-                scene: key.scene(),
-                tile_size: key.tile_size(),
-                worker,
-                frames: key.frames(),
-                duration,
-            });
-            let mut stored = None;
-            if persist {
-                if let Ok(Some(path)) = log_cache.store(key, &log) {
-                    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-                    relog_saves.incr();
-                    bytes_written.add(bytes);
-                    if self.relog_compress {
-                        compressed_bytes.add(bytes);
-                    }
-                    observer.on_event(&SweepEvent::RenderLogSaved {
-                        scene: key.scene(),
-                        tile_size: key.tile_size(),
-                        bytes,
-                    });
-                    stored = Some(path);
-                }
-            }
-            (log, stored)
-        };
-
-        // Loads a persisted artifact into a shared in-memory log (the
-        // follower / late-lookup path). Invalid artifacts return `None`.
-        let load_artifact = |path: &std::path::Path| -> Option<Arc<RenderLog>> {
-            let log = re_core::relog::load(path).ok()?;
-            bytes_read.add(std::fs::metadata(path).map_or(0, |m| m.len()));
-            Some(Arc::new(log))
-        };
-
         let satisfied: Vec<usize> = plan
             .render_jobs()
             .iter()
@@ -1347,151 +1359,54 @@ impl Executor for AsyncExecutor {
             std::thread::scope(|scope| {
                 scope.spawn(|| pre.run_io(plan, &satisfied));
                 pool::run_indexed(jobs, workers, |worker, _i, job| {
-                    let render_job = &plan.render_jobs()[job.render_job];
+                    let index = job.render_job;
+                    let render_job = &plan.render_jobs()[index];
                     let key = &render_job.key;
-                    let slot = &slots[job.render_job];
-                    let opts = job.cell.point.sim_options();
-
-                    // The last cell of a job frees its shared state (the
-                    // in-memory log and the prefetched bytes) early.
-                    let finish_job = || {
-                        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            *slot.log.lock().expect("group slot poisoned") = None;
-                            if render_job.cached_log.is_some() {
-                                pre.consume(job.render_job);
+                    grouped.cell(worker, job, || {
+                        // Satisfied job: decode the bytes the I/O thread
+                        // read. A failed read or decode means the artifact
+                        // changed underneath us: render the key instead.
+                        if render_job.cached_log.is_some() {
+                            if let Some(loaded) = pre.take(index).and_then(|b| {
+                                let reader = RelogReader::new(b.as_slice());
+                                grouped.decode(key, worker, reader, b.len() as u64)
+                            }) {
+                                return loaded;
                             }
                         }
-                    };
-
-                    // Satisfied job: evaluate the prefetched bytes (the
-                    // disk read already happened on the I/O thread).
-                    if render_job.cached_log.is_some() {
-                        if let Some(bytes) = pre.take(job.render_job) {
-                            if !slot.replay_announced.swap(true, Ordering::Relaxed) {
-                                observer.on_event(&SweepEvent::RenderLogReplay {
-                                    scene: key.scene(),
-                                    tile_size: key.tile_size(),
-                                    worker,
-                                });
-                            }
-                            let sw = Stopwatch::start();
-                            let streamed =
-                                re_core::relog::RelogReader::new(std::io::Cursor::new(&bytes[..]))
-                                    .and_then(|mut r| {
-                                        re_core::relog::evaluate_reader(&mut r, &opts)
-                                    });
-                            if let Ok(report) = streamed {
-                                let eval = sw.elapsed();
-                                replay_hist.record(eval);
-                                relog_replays.incr();
-                                bytes_read.add(bytes.len() as u64);
-                                let sw = Stopwatch::start();
-                                on_done(&job.cell, &report);
-                                let store = sw.elapsed();
-                                store_hist.record(store);
-                                observer.on_event(&SweepEvent::EvalDone {
-                                    cell: job.cell.id,
-                                    scene: key.scene(),
-                                    worker,
-                                    replayed: true,
-                                    eval,
-                                    store,
-                                });
-                                progress.cell_done(&job.cell.label());
-                                finish_job();
-                                return CellOutcome {
-                                    cell: job.cell,
-                                    report,
-                                };
-                            }
+                        // Late cache lookup: another execution may have
+                        // persisted this key after this plan was annotated.
+                        if let Some(loaded) = grouped
+                            .log_cache
+                            .lookup(key)
+                            .and_then(|path| grouped.load(key, worker, &path))
+                        {
+                            return loaded;
                         }
-                        // Read or decode failure: the artifact changed
-                        // underneath us — render the key like any other job.
-                    }
-
-                    let log = {
-                        let mut guard = slot.log.lock().expect("group slot poisoned");
-                        match guard.as_ref() {
-                            Some(log) => Arc::clone(log),
-                            None => {
-                                // Late cache lookup: another execution may
-                                // have persisted this key after this plan
-                                // was annotated.
-                                let built = if let Some(log) =
-                                    log_cache.lookup(key).and_then(|p| load_artifact(&p))
-                                {
-                                    if !slot.replay_announced.swap(true, Ordering::Relaxed) {
-                                        observer.on_event(&SweepEvent::RenderLogReplay {
-                                            scene: key.scene(),
-                                            tile_size: key.tile_size(),
-                                            worker,
-                                        });
-                                    }
+                        let log = match &self.in_flight {
+                            Some(flights) => match flights.begin(&RenderLogCache::file_key(key)) {
+                                FlightClaim::Leader(lease) => {
+                                    let (log, stored) = grouped.render(key, worker, true);
+                                    lease.finish(stored);
                                     log
-                                } else if let Some(flights) = &self.in_flight {
-                                    match flights
-                                        .begin(&crate::artifacts::RenderLogCache::file_key(key))
+                                }
+                                FlightClaim::Follower(waiter) => {
+                                    if let Some(loaded) = waiter
+                                        .wait()
+                                        .and_then(|path| grouped.load(key, worker, &path))
                                     {
-                                        FlightClaim::Leader(lease) => {
-                                            let (log, stored) = render_and_store(key, worker, true);
-                                            lease.finish(stored);
-                                            log
-                                        }
-                                        FlightClaim::Follower(waiter) => {
-                                            match waiter.wait().and_then(|p| load_artifact(&p)) {
-                                                Some(log) => {
-                                                    inflight_hits.incr();
-                                                    if !slot
-                                                        .replay_announced
-                                                        .swap(true, Ordering::Relaxed)
-                                                    {
-                                                        observer.on_event(
-                                                            &SweepEvent::RenderLogReplay {
-                                                                scene: key.scene(),
-                                                                tile_size: key.tile_size(),
-                                                                worker,
-                                                            },
-                                                        );
-                                                    }
-                                                    log
-                                                }
-                                                // The leader could not
-                                                // persist: render locally.
-                                                None => render_and_store(key, worker, true).0,
-                                            }
-                                        }
+                                        inflight_hits.incr();
+                                        return loaded;
                                     }
-                                } else {
-                                    render_and_store(key, worker, true).0
-                                };
-                                *guard = Some(Arc::clone(&built));
-                                built
-                            }
-                        }
-                    };
-                    let sw = Stopwatch::start();
-                    let report = re_core::evaluate(&log, &opts);
-                    let eval = sw.elapsed();
-                    eval_hist.record(eval);
-                    drop(log);
-                    let sw = Stopwatch::start();
-                    on_done(&job.cell, &report);
-                    let store = sw.elapsed();
-                    store_hist.record(store);
-                    observer.on_event(&SweepEvent::EvalDone {
-                        cell: job.cell.id,
-                        scene: key.scene(),
-                        worker,
-                        replayed: false,
-                        eval,
-                        store,
-                    });
-                    progress.cell_done(&job.cell.label());
-                    finish_job();
-                    CellOutcome {
-                        cell: job.cell,
-                        report,
-                    }
+                                    // The leader could not persist: render
+                                    // the key here.
+                                    grouped.render(key, worker, true).0
+                                }
+                            },
+                            None => grouped.render(key, worker, true).0,
+                        };
+                        (KeyState::new(log, false), Duration::ZERO)
+                    })
                 })
             })
         })

@@ -25,13 +25,13 @@ pub struct Profile {
     pub renders: u64,
     /// Total Stage A render time in nanoseconds.
     pub render_ns: u64,
-    /// Render jobs satisfied by streaming a cached `.relog`.
+    /// Render jobs satisfied by decoding a cached `.relog`.
     pub replays: u64,
     /// Cells evaluated (Stage B executions recorded in the log).
     pub cells: u64,
-    /// Of those, cells whose Stage B streamed a cached `.relog`.
+    /// Of those, cells whose render key was decoded from a cached `.relog`.
     pub replayed_cells: u64,
-    /// Total Stage B time in nanoseconds (includes `.relog` streaming).
+    /// Total Stage B time in nanoseconds (includes `.relog` decoding).
     pub eval_ns: u64,
     /// Total store-commit time in nanoseconds.
     pub store_ns: u64,
