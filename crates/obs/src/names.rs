@@ -62,12 +62,19 @@ pub const STAGE_CAPTURE: &str = "sweep.stage.capture";
 /// Histogram: per-render-job Stage A render duration.
 pub const STAGE_RENDER: &str = "sweep.stage.render";
 
-/// Histogram: per-cell `.relog` replay duration (streamed Stage B —
-/// includes the disk read).
+/// Histogram: per-render-key cached-`.relog` decode duration (one record
+/// per render job an execution replays, shared by the key's cells).
 pub const STAGE_REPLAY: &str = "sweep.stage.replay";
 
-/// Histogram: per-cell in-memory Stage B evaluation duration.
+/// Histogram: per-cell Stage B duration — the time computing the cell's
+/// own pass sections; waiting for sections other cells of the render key
+/// compute is excluded (ungrouped runs: the whole monolithic pipeline).
 pub const STAGE_EVAL: &str = "sweep.stage.eval";
+
+/// Histogram: per-render-job `.relog` persist duration — the artifact
+/// encode (LZSS under `--relog-compress on`) plus its atomic write,
+/// after Stage A and outside [`STAGE_RENDER`].
+pub const STAGE_PERSIST: &str = "sweep.stage.persist";
 
 /// Histogram: per-cell store-commit duration (the `on_done` hook).
 pub const STAGE_STORE: &str = "sweep.stage.store_write";

@@ -262,12 +262,14 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             scene,
             tile_size,
             bytes,
+            duration,
         } => {
             push("type", Json::Str("log_saved".into()));
             push("t_ms", Json::Int(t_ms as i64));
             push("scene", Json::Str(scene.into()));
             push("tile_size", Json::Int(tile_size as i64));
             push("bytes", Json::Int(bytes as i64));
+            push("duration_ns", ns(duration));
         }
         SweepEvent::EvalDone {
             cell,
@@ -458,6 +460,9 @@ pub enum EventRecord {
         tile_size: u64,
         /// Artifact size on disk.
         bytes: u64,
+        /// Encode plus atomic write (0 in logs written before it was
+        /// recorded).
+        duration_ns: u64,
     },
     /// Mirror of [`SweepEvent::EvalDone`].
     EvalDone {
@@ -611,6 +616,7 @@ impl EventRecord {
                 scene: text("scene")?,
                 tile_size: num("tile_size")?,
                 bytes: num("bytes")?,
+                duration_ns: opt_num("duration_ns").unwrap_or(0),
             },
             "eval_done" => EventRecord::EvalDone {
                 t_ms,
@@ -749,6 +755,7 @@ mod tests {
                 scene: "ccs",
                 tile_size: 16,
                 bytes: 4096,
+                duration: d,
             },
             SweepEvent::EvalDone {
                 cell: 5,
@@ -849,6 +856,24 @@ mod tests {
             } if s == "2/3"
         ));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn log_saved_without_a_duration_reads_as_zero() {
+        // Run logs written before persist timing existed still load.
+        let line =
+            "{\"type\":\"log_saved\",\"t_ms\":3,\"scene\":\"ccs\",\"tile_size\":16,\"bytes\":9}";
+        let rec = EventRecord::from_json(&Json::parse(line).unwrap()).unwrap();
+        assert_eq!(
+            rec,
+            EventRecord::LogSaved {
+                t_ms: 3,
+                scene: "ccs".into(),
+                tile_size: 16,
+                bytes: 9,
+                duration_ns: 0,
+            }
+        );
     }
 
     #[test]

@@ -146,6 +146,8 @@ pub enum SweepEvent<'a> {
         tile_size: u32,
         /// Size of the artifact on disk.
         bytes: u64,
+        /// Encode plus atomic write of the artifact.
+        duration: Duration,
     },
     /// One cell's Stage B (and store commit) finished. Chattier than
     /// [`CellDone`](Self::CellDone) — this is the per-cell timing record
@@ -307,8 +309,12 @@ impl SweepObserver for StderrObserver {
                 scene,
                 tile_size,
                 bytes,
+                duration,
             } => {
-                eprintln!("[sweep] cached render log for {scene} ts{tile_size} ({bytes} bytes)");
+                eprintln!(
+                    "[sweep] cached render log for {scene} ts{tile_size} ({bytes} bytes in {})",
+                    fmt_secs(duration)
+                );
             }
             // Per-cell timing detail is for the run log, not the terminal.
             SweepEvent::EvalDone { .. } => {}
@@ -531,6 +537,7 @@ struct Grouped<'a> {
     eval_hist: Arc<Histogram>,
     store_hist: Arc<Histogram>,
     render_hist: Arc<Histogram>,
+    persist_hist: Arc<Histogram>,
     replay_hist: Arc<Histogram>,
     stitch_hist: Arc<Histogram>,
     relog_replays: Arc<Counter>,
@@ -583,6 +590,7 @@ impl<'a> Grouped<'a> {
             eval_hist: histogram(names::STAGE_EVAL),
             store_hist: histogram(names::STAGE_STORE),
             render_hist: histogram(names::STAGE_RENDER),
+            persist_hist: histogram(names::STAGE_PERSIST),
             replay_hist: histogram(names::STAGE_REPLAY),
             stitch_hist: histogram(names::RENDER_STITCH_NS),
             relog_replays: counter(names::RELOG_REPLAYS),
@@ -659,7 +667,10 @@ impl<'a> Grouped<'a> {
         });
         let mut stored = None;
         if persist {
+            let sw = Stopwatch::start();
             if let Ok(Some(path)) = self.log_cache.store(key, &rendered.log) {
+                let duration = sw.elapsed();
+                self.persist_hist.record(duration);
                 let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
                 self.relog_saves.incr();
                 self.bytes_written.add(bytes);
@@ -670,6 +681,7 @@ impl<'a> Grouped<'a> {
                     scene,
                     tile_size,
                     bytes,
+                    duration,
                 });
                 stored = Some(path);
             }

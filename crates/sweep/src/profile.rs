@@ -25,6 +25,11 @@ pub struct Profile {
     pub renders: u64,
     /// Total Stage A render time in nanoseconds.
     pub render_ns: u64,
+    /// Freshly rendered `.relog` artifacts persisted.
+    pub persists: u64,
+    /// Total persist time (artifact encode plus atomic write) in
+    /// nanoseconds.
+    pub persist_ns: u64,
     /// Render jobs satisfied by decoding a cached `.relog`.
     pub replays: u64,
     /// Cells evaluated (Stage B executions recorded in the log).
@@ -167,6 +172,10 @@ impl Profile {
                     keys.entry((scene.clone(), *tile_size)).or_default().replays += 1;
                     workers.entry(*worker).or_default().renders += 1;
                 }
+                EventRecord::LogSaved { duration_ns, .. } => {
+                    p.persists += 1;
+                    p.persist_ns += duration_ns;
+                }
                 EventRecord::EvalDone {
                     scene,
                     worker,
@@ -244,6 +253,7 @@ impl Profile {
         for (name, total, count) in [
             ("capture", self.capture_ns, self.captures),
             ("render (stage A)", self.render_ns, self.renders),
+            ("persist (.relog)", self.persist_ns, self.persists),
             ("eval (stage B)", self.eval_ns, self.cells),
             ("store write", self.store_ns, self.cells),
         ] {
@@ -370,6 +380,13 @@ mod tests {
                 tile_size: 32,
                 worker: 1,
             },
+            EventRecord::LogSaved {
+                t_ms: 2,
+                scene: "ccs".into(),
+                tile_size: 16,
+                bytes: 4096,
+                duration_ns: 70,
+            },
             eval("ccs", 0, false, 200),
             eval("ccs", 1, true, 100),
             EventRecord::Progress {
@@ -385,6 +402,8 @@ mod tests {
         assert_eq!(p.segments, 1);
         assert_eq!((p.captures, p.capture_ns), (1, 1000));
         assert_eq!((p.renders, p.render_ns), (1, 500));
+        assert_eq!((p.persists, p.persist_ns), (1, 70));
+        assert!(p.render().contains("persist (.relog)"));
         assert_eq!(p.replays, 1);
         assert_eq!((p.cells, p.replayed_cells), (2, 1));
         assert_eq!((p.eval_ns, p.store_ns), (300, 20));

@@ -231,12 +231,57 @@ fn warm_run_profile_shows_zero_render_time_and_full_replay_hits() {
     let profile = Profile::from_events(&events);
     assert_eq!(profile.renders, 0, "a warm cache renders nothing");
     assert_eq!(profile.render_ns, 0, "zero Stage A time in the profile");
+    assert_eq!(profile.persists, 0, "a warm cache writes no artifact");
     assert_eq!(profile.replays as usize, plan.render_job_count());
     assert_eq!(profile.replay_hit_pct(), Some(100.0));
     assert_eq!(profile.cells as usize, plan.cell_count());
     assert_eq!(profile.replayed_cells, profile.cells);
     let text = profile.render();
     assert!(text.contains("100.0% replay hits"), "{text}");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn compressed_cold_run_profile_reports_persist_time() {
+    let grid = tiny_grid();
+    let plan = SweepPlan::compile(&grid);
+    let base = tmp("persist");
+    let _ = std::fs::remove_dir_all(&base);
+    let store_dir = base.join("store");
+    let jsonl = Arc::new(JsonlObserver::append(store_dir.join(EVENTS_FILE), None).expect("log"));
+    let opts = SweepOptions {
+        workers: 2,
+        quiet: true,
+        trace_dir: Some(base.join("traces")),
+        log_dir: Some(base.join("logs")),
+        relog_compress: true,
+        observer: Some(jsonl),
+        ..SweepOptions::default()
+    };
+    re_sweep::run_plan_with_store(&plan, &opts, &store_dir).expect("cold run");
+
+    let events = read_events(store_dir.join(EVENTS_FILE)).expect("parse run log");
+    let saved: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            EventRecord::LogSaved { duration_ns, .. } => Some(*duration_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(saved.len(), plan.render_job_count(), "one artifact per key");
+    assert!(saved.iter().all(|&ns| ns > 0), "{saved:?}");
+    let profile = Profile::from_events(&events);
+    assert_eq!(profile.persists as usize, plan.render_job_count());
+    assert_eq!(profile.persist_ns, saved.iter().sum::<u64>());
+    let text = profile.render();
+    let row = text
+        .lines()
+        .find(|l| l.contains("persist (.relog)"))
+        .unwrap_or_else(|| panic!("no persist row in\n{text}"));
+    assert!(
+        !row.contains(" 0.000s"),
+        "persist row must be non-zero: {row}"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
