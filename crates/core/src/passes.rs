@@ -12,7 +12,10 @@
 //!
 //! 1. [`BaselinePass`] — renders everything; the denominator.
 //! 2. [`RePass`] — Rendering Elimination: Signature Unit timing, Signature
-//!    Buffer compares, skip decisions, false-positive cross-checks.
+//!    Buffer compares, skip decisions, false-positive cross-checks. It is
+//!    built from two halves: a *decision* half that decides every tile's
+//!    fate from signatures alone and touches no memory system, and a
+//!    *replay* half that replays the tiles it did not skip.
 //! 3. [`RedundancyPass`] — ground-truth tile classification (Figs. 2, 15a);
 //!    reads the RE verdict published in [`TileCtx`].
 //! 4. [`TePass`] — Transaction Elimination flush elision.
@@ -31,9 +34,15 @@
 //! Each built-in pass declares, as `share_key`, the [`SimOptions`] fields
 //! it reads. Evaluations of one log that agree on those fields compute the
 //! same pass output, so [`crate::share::evaluate_shared`] runs each
-//! distinct pass once among the cells of a render key.
+//! distinct pass once among the cells of a render key. RE's replay half
+//! reads the timing config and its decision half's [`SkipBitmap`] alone,
+//! so cells whose skip verdicts agree replay once.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use re_gpu::stats::{GeometryStats, TileStats};
+use re_timing::dram::DramStats;
 use re_timing::energy::EnergyModel;
 use re_timing::{MemorySystem, TimingConfig};
 
@@ -102,18 +111,58 @@ impl Machine {
     }
 
     /// Settles SRAM/DRAM/leakage energy and produces the report section.
-    pub fn finish(mut self) -> TechniqueReport {
-        for (size, n) in self.mem.sram_accesses() {
+    pub fn finish(self) -> TechniqueReport {
+        self.totals().settle()
+    }
+
+    /// What settling reads of the machine.
+    fn totals(self) -> MachineTotals {
+        MachineTotals {
+            sram_accesses: self.mem.sram_accesses(),
+            dram: *self.mem.dram_stats(),
+            energy: self.energy,
+            geometry_cycles: self.geometry_cycles,
+            raster_cycles: self.raster_cycles,
+            tiles_rendered: self.tiles_rendered,
+            tiles_skipped: self.tiles_skipped,
+            fragments_shaded: self.fragments_shaded,
+        }
+    }
+}
+
+/// A finished [`Machine`] with its SRAM, DRAM and leakage energy not yet
+/// charged: the memory system's access counts in place of the memory
+/// system itself. RE's shared replay section is one of these, and every
+/// cell sharing it charges its own Signature Unit SRAM first and then
+/// settles a copy, so each cell's energy sums in the same order as a
+/// private [`RePass`].
+#[derive(Debug, Clone)]
+pub(crate) struct MachineTotals {
+    energy: EnergyModel,
+    sram_accesses: Vec<(u32, u64)>,
+    dram: DramStats,
+    geometry_cycles: u64,
+    raster_cycles: u64,
+    tiles_rendered: u64,
+    tiles_skipped: u64,
+    fragments_shaded: u64,
+}
+
+impl MachineTotals {
+    /// Charges SRAM, DRAM and leakage energy, in that order, and produces
+    /// the report section.
+    fn settle(mut self) -> TechniqueReport {
+        for (size, n) in self.sram_accesses {
             self.energy.add_sram(size, n);
         }
-        self.energy.add_dram(self.mem.dram_stats());
+        self.energy.add_dram(&self.dram);
         self.energy
             .add_cycles(self.geometry_cycles + self.raster_cycles);
         TechniqueReport {
             geometry_cycles: self.geometry_cycles,
             raster_cycles: self.raster_cycles,
             energy: self.energy.breakdown(),
-            dram: *self.mem.dram_stats(),
+            dram: self.dram,
             tiles_rendered: self.tiles_rendered,
             tiles_skipped: self.tiles_skipped,
             fragments_shaded: self.fragments_shaded,
@@ -204,11 +253,34 @@ impl TechniquePass for BaselinePass {
     }
 }
 
-/// Rendering Elimination: Signature Unit timing, Signature Buffer
-/// compares, skip decisions and false-positive cross-checks.
-pub struct RePass {
-    tcfg: TimingConfig,
-    machine: Machine,
+/// RE's skip verdicts over a whole log, one bit per tile in frame-major
+/// order: all that RE's memory replay reads of its decisions.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SkipBitmap {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SkipBitmap {
+    fn push(&mut self, skip: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        if skip {
+            *self.words.last_mut().expect("a word per 64 bits") |= 1 << (self.len % 64);
+        }
+        self.len += 1;
+    }
+
+    fn get(&self, index: usize) -> bool {
+        self.words[index / 64] >> (index % 64) & 1 == 1
+    }
+}
+
+/// RE's decision half: the Signature Unit, the Signature Buffer compares,
+/// the enable/refresh logic and the false-positive count. It touches no
+/// memory system; its verdicts drive [`ReReplay`].
+struct ReDecision {
     su: SignatureUnit,
     su_stats: SignatureUnitStats,
     sig_buffer: SignatureBuffer,
@@ -222,17 +294,15 @@ pub struct RePass {
     re_enabled: bool,
     re_frames_disabled: u64,
     false_positives: u64,
-    frame_skip_mark: u64,
-    frame_raster_mark: u64,
+    skips: SkipBitmap,
+    stall_cycles: Vec<u64>,
 }
 
-impl RePass {
-    /// RE state for `tile_count` tiles under `opts`.
-    pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
+impl ReDecision {
+    /// Decision state for `tile_count` tiles under `opts`.
+    fn new(opts: &SimOptions, tile_count: u32) -> Self {
         let distance = opts.compare_distance;
-        RePass {
-            tcfg: opts.timing,
-            machine: Machine::new(opts.timing),
+        ReDecision {
             su: SignatureUnit::new(opts.timing.ot_queue_entries as usize),
             su_stats: SignatureUnitStats::default(),
             sig_buffer: SignatureBuffer::with_sig_bits(tile_count, distance, opts.sig_bits),
@@ -244,32 +314,14 @@ impl RePass {
             re_enabled: true,
             re_frames_disabled: 0,
             false_positives: 0,
-            frame_skip_mark: 0,
-            frame_raster_mark: 0,
+            skips: SkipBitmap::default(),
+            stall_cycles: Vec::new(),
         }
     }
 
-    /// The options RE reads, which the [`RedundancyPass`] after it shares
-    /// through [`TileCtx::inputs_eq`]: timing, compare distance, signature
-    /// width and refresh period.
-    pub fn share_key(opts: &SimOptions) -> SectionKey {
-        SectionKey::Re {
-            timing: opts.timing,
-            compare_distance: opts.compare_distance,
-            sig_bits: opts.sig_bits,
-            refresh_period: opts.refresh_period,
-        }
-    }
-}
-
-impl TechniquePass for RePass {
-    fn name(&self) -> &'static str {
-        "re"
-    }
-
-    fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
-        self.frame_skip_mark = self.machine.tiles_skipped;
-        self.frame_raster_mark = self.machine.raster_cycles;
+    /// Starts frame `index`: enable/refresh logic and the frame's
+    /// signatures. Returns the Signature Unit's stall cycles.
+    fn begin_frame(&mut self, index: usize, frame: &FrameLog) -> u64 {
         if frame.re_unsafe {
             self.re_disabled_for = self.re_disabled_for.max(self.distance + 1);
         }
@@ -280,68 +332,245 @@ impl TechniquePass for RePass {
         if !self.re_enabled {
             self.re_frames_disabled += 1;
         }
-
-        replay(&frame.geo_events, &mut self.machine.mem, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
-
-        // The Signature Unit overlaps with geometry; only stalls count as
-        // extra time.
         let sigs = self.su.process_frame(&frame.geo, self.tile_count);
-        self.machine.geometry_cycles += sigs.stats.stall_cycles;
+        let stall_cycles = sigs.stats.stall_cycles;
         self.su_stats.merge(&sigs.stats);
+        self.stall_cycles.push(stall_cycles);
         self.sigs = sigs.sigs;
+        stall_cycles
     }
 
-    fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, ctx: &mut TileCtx) {
+    /// Decides tile `tile_id` and publishes its signature verdict in
+    /// `ctx`. Returns whether RE skips the tile.
+    fn tile(&mut self, tile_id: u32, ctx: &mut TileCtx) -> bool {
         let inputs_eq = self.sig_buffer.matches(&self.sigs, tile_id);
         ctx.inputs_eq = Some(inputs_eq);
-        self.machine.raster_cycles += self.tcfg.sig_compare_cycles;
-        if self.re_enabled && inputs_eq {
-            self.machine.tiles_skipped += 1;
-            if ctx.colors_eq_cmp == Some(false) {
-                self.false_positives += 1;
-            }
-        } else {
-            replay(&tile.events, &mut self.machine.mem, true);
-            self.machine.charge_tile(&self.tcfg, &tile.stats);
+        let skip = self.re_enabled && inputs_eq;
+        if skip && ctx.colors_eq_cmp == Some(false) {
+            self.false_positives += 1;
         }
+        self.skips.push(skip);
+        skip
     }
 
-    fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
-        sample.tiles_skipped = (self.machine.tiles_skipped - self.frame_skip_mark) as u32;
-        sample.re_raster_cycles = self.machine.raster_cycles - self.frame_raster_mark;
+    fn end_frame(&mut self) {
         self.sig_buffer.push(std::mem::take(&mut self.sigs));
         self.re_disabled_for = self.re_disabled_for.saturating_sub(1);
     }
 
-    fn finish(mut self: Box<Self>, report: &mut RunReport) {
-        // RE hardware energy: Signature Buffer, CRC LUTs, bitmap, OT queue.
-        let sigbuf_bytes = self.sig_buffer.storage_bytes() as u32;
-        self.machine.energy.add_sram(
-            sigbuf_bytes,
-            self.su_stats.sig_buffer_accesses + self.sig_buffer.compare_reads,
+    fn finish(self) -> ReVerdicts {
+        ReVerdicts {
+            skips: Arc::new(self.skips),
+            stall_cycles: self.stall_cycles,
+            su_stats: self.su_stats,
+            false_positives: self.false_positives,
+            re_frames_disabled: self.re_frames_disabled,
+            sig_buffer_bytes: self.sig_buffer.storage_bytes() as u32,
+            compare_reads: self.sig_buffer.compare_reads,
+            tile_count: self.tile_count,
+        }
+    }
+}
+
+/// What RE's decision half hands on: the skip verdicts and stall cycles
+/// its replay reads, and the counts and SRAM activity of its own hardware.
+#[derive(Debug)]
+pub(crate) struct ReVerdicts {
+    skips: Arc<SkipBitmap>,
+    stall_cycles: Vec<u64>,
+    su_stats: SignatureUnitStats,
+    false_positives: u64,
+    re_frames_disabled: u64,
+    sig_buffer_bytes: u32,
+    compare_reads: u64,
+    tile_count: u32,
+}
+
+impl ReVerdicts {
+    /// The section key of RE's replay under `opts`: the timing config and
+    /// these verdicts' skip bitmap.
+    pub(crate) fn replay_key(&self, opts: &SimOptions) -> SectionKey {
+        SectionKey::ReReplay {
+            timing: opts.timing,
+            skips: Arc::clone(&self.skips),
+        }
+    }
+
+    /// Writes RE's section of `report`: charges the Signature Buffer, CRC
+    /// LUT, bitmap and OT-queue SRAM, then settles the replayed `machine`.
+    pub(crate) fn write(&self, mut machine: MachineTotals, report: &mut RunReport) {
+        let energy = &mut machine.energy;
+        energy.add_sram(
+            self.sig_buffer_bytes,
+            self.su_stats.sig_buffer_accesses + self.compare_reads,
         );
-        self.machine
-            .energy
-            .add_sram(1024, self.su_stats.lut_accesses);
-        self.machine.energy.add_sram(
+        energy.add_sram(1024, self.su_stats.lut_accesses);
+        energy.add_sram(
             self.tile_count.div_ceil(8).max(1),
             self.su_stats.bitmap_accesses,
         );
-        self.machine
-            .energy
-            .add_sram(64, self.su_stats.ot_pushes * 2); // queue push + pop
-        report.re = self.machine.finish();
+        energy.add_sram(64, self.su_stats.ot_pushes * 2); // queue push + pop
+        report.re = machine.settle();
         report.su_stats = self.su_stats;
         report.false_positives = self.false_positives;
         report.re_frames_disabled = self.re_frames_disabled;
     }
 }
 
+/// RE's replay half: the [`Machine`] replay of the tiles RE did not skip,
+/// plus the Signature Unit's stall cycles, driven by skip verdicts.
+struct ReReplay {
+    tcfg: TimingConfig,
+    machine: Machine,
+    frame_skip_mark: u64,
+    frame_raster_mark: u64,
+}
+
+impl ReReplay {
+    fn new(timing: TimingConfig) -> Self {
+        ReReplay {
+            tcfg: timing,
+            machine: Machine::new(timing),
+            frame_skip_mark: 0,
+            frame_raster_mark: 0,
+        }
+    }
+
+    fn begin_frame(&mut self, frame: &FrameLog, stall_cycles: u64) {
+        self.frame_skip_mark = self.machine.tiles_skipped;
+        self.frame_raster_mark = self.machine.raster_cycles;
+        replay(&frame.geo_events, &mut self.machine.mem, true);
+        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
+        // The Signature Unit overlaps with geometry; only stalls count as
+        // extra time.
+        self.machine.geometry_cycles += stall_cycles;
+    }
+
+    fn tile(&mut self, tile: &TileLog, skip: bool) {
+        self.machine.raster_cycles += self.tcfg.sig_compare_cycles;
+        if skip {
+            self.machine.tiles_skipped += 1;
+        } else {
+            replay(&tile.events, &mut self.machine.mem, true);
+            self.machine.charge_tile(&self.tcfg, &tile.stats);
+        }
+    }
+
+    fn end_frame(&self, sample: &mut FrameSample) {
+        sample.tiles_skipped = (self.machine.tiles_skipped - self.frame_skip_mark) as u32;
+        sample.re_raster_cycles = self.machine.raster_cycles - self.frame_raster_mark;
+    }
+}
+
+/// Rendering Elimination: Signature Unit timing, Signature Buffer
+/// compares, skip decisions and false-positive cross-checks. Its decision
+/// half and its replay half run in lockstep, tile by tile.
+pub struct RePass {
+    decision: ReDecision,
+    replay: ReReplay,
+}
+
+impl RePass {
+    /// RE state for `tile_count` tiles under `opts`.
+    pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
+        RePass {
+            decision: ReDecision::new(opts, tile_count),
+            replay: ReReplay::new(opts.timing),
+        }
+    }
+
+    /// The options RE's decision half reads, which the [`RedundancyPass`]
+    /// after it shares through [`TileCtx::inputs_eq`]: OT-queue depth,
+    /// compare distance, signature width and refresh period. The replay
+    /// half's key ([`SectionKey::ReReplay`]) is the timing config and the
+    /// skip verdicts the decision half produces.
+    pub fn share_key(opts: &SimOptions) -> SectionKey {
+        SectionKey::ReDecision {
+            ot_queue_entries: opts.timing.ot_queue_entries,
+            compare_distance: opts.compare_distance,
+            sig_bits: opts.sig_bits,
+            refresh_period: opts.refresh_period,
+        }
+    }
+
+    /// RE's decision section over a whole log: the decision half and the
+    /// [`RedundancyPass`] that classifies tiles by its verdicts.
+    pub(crate) fn decide(log: &RenderLog, opts: &SimOptions) -> (ReVerdicts, RedundancyPass) {
+        let tile_count = log.tile_count();
+        let mut colors = ColorIds::new(opts.compare_distance);
+        let mut decision = ReDecision::new(opts, tile_count);
+        let mut redundancy = RedundancyPass::new();
+        for (index, frame) in log.frames.iter().enumerate() {
+            decision.begin_frame(index, frame);
+            for (t, tile) in (0..tile_count).zip(&frame.tiles) {
+                let mut ctx = colors.ctx(frame, t as usize);
+                decision.tile(t, &mut ctx);
+                redundancy.tile(frame, t, tile, &mut ctx);
+            }
+            decision.end_frame();
+            colors.push(frame);
+        }
+        (decision.finish(), redundancy)
+    }
+
+    /// RE's replay section over a whole log: `verdicts` replayed on a
+    /// fresh machine under `timing`, with RE's points of the per-frame
+    /// series.
+    pub(crate) fn replay(
+        log: &RenderLog,
+        timing: TimingConfig,
+        verdicts: &ReVerdicts,
+    ) -> (MachineTotals, Vec<FrameSample>) {
+        let mut replay = ReReplay::new(timing);
+        let mut per_frame = vec![FrameSample::default(); log.frames.len()];
+        let mut bit = 0;
+        for ((frame, &stall_cycles), sample) in log
+            .frames
+            .iter()
+            .zip(&verdicts.stall_cycles)
+            .zip(&mut per_frame)
+        {
+            replay.begin_frame(frame, stall_cycles);
+            for tile in &frame.tiles {
+                replay.tile(tile, verdicts.skips.get(bit));
+                bit += 1;
+            }
+            replay.end_frame(sample);
+        }
+        (replay.machine.totals(), per_frame)
+    }
+}
+
+impl TechniquePass for RePass {
+    fn name(&self) -> &'static str {
+        "re"
+    }
+
+    fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
+        let stall_cycles = self.decision.begin_frame(index, frame);
+        self.replay.begin_frame(frame, stall_cycles);
+    }
+
+    fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, ctx: &mut TileCtx) {
+        let skip = self.decision.tile(tile_id, ctx);
+        self.replay.tile(tile, skip);
+    }
+
+    fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
+        self.replay.end_frame(sample);
+        self.decision.end_frame();
+    }
+
+    fn finish(self: Box<Self>, report: &mut RunReport) {
+        let RePass { decision, replay } = *self;
+        decision.finish().write(replay.machine.totals(), report);
+    }
+}
+
 /// Ground-truth tile classification (Figs. 2 and 15a) — consumes the RE
-/// verdict published in [`TileCtx`], so it shares RE's
-/// [`share_key`](RePass::share_key).
-#[derive(Default)]
+/// verdict published in [`TileCtx`], so it shares the section of RE's
+/// decision half ([`RePass::share_key`]).
+#[derive(Debug, Default)]
 pub struct RedundancyPass {
     classes: TileClassCounts,
     equal_tiles_dist1: u64,
@@ -352,6 +581,13 @@ impl RedundancyPass {
     /// A fresh classifier.
     pub fn new() -> Self {
         RedundancyPass::default()
+    }
+
+    /// Writes the classification into `report`.
+    pub(crate) fn write(&self, report: &mut RunReport) {
+        report.classes = self.classes;
+        report.equal_tiles_dist1 = self.equal_tiles_dist1;
+        report.classified_dist1 = self.classified_dist1;
     }
 }
 
@@ -377,9 +613,7 @@ impl TechniquePass for RedundancyPass {
     fn end_frame(&mut self, _frame: &FrameLog, _sample: &mut FrameSample) {}
 
     fn finish(self: Box<Self>, report: &mut RunReport) {
-        report.classes = self.classes;
-        report.equal_tiles_dist1 = self.equal_tiles_dist1;
-        report.classified_dist1 = self.classified_dist1;
+        self.write(report);
     }
 }
 
@@ -515,12 +749,55 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
 /// [`crate::share::evaluate_shared`], which drives one `Evaluation` over
 /// the passes a cell has to compute itself.
 pub struct Evaluation {
-    opts: SimOptions,
     tile_count: u32,
     passes: Vec<Box<dyn TechniquePass>>,
-    /// Interned color ids of the last `compare_distance.max(1)` frames.
-    color_ids: std::collections::VecDeque<Vec<u32>>,
+    colors: ColorIds,
     per_frame: Vec<FrameSample>,
+}
+
+/// Interned color ids of the last `compare_distance.max(1)` frames: the
+/// ground truth behind [`TileCtx`]'s color verdicts.
+struct ColorIds {
+    distance: usize,
+    frames: VecDeque<Vec<u32>>,
+}
+
+impl ColorIds {
+    fn new(distance: usize) -> Self {
+        ColorIds {
+            distance,
+            frames: VecDeque::new(),
+        }
+    }
+
+    /// Ground-truth color equality of tile `t` against `distance` frames
+    /// ago (`None` while history is too short).
+    fn eq(&self, frame: &FrameLog, t: usize, distance: usize) -> Option<bool> {
+        if self.frames.len() < distance {
+            return None;
+        }
+        let past = &self.frames[self.frames.len() - distance];
+        Some(past[t] == frame.tiles[t].color_id)
+    }
+
+    /// Tile `t`'s context before any pass has published a verdict.
+    fn ctx(&self, frame: &FrameLog, t: usize) -> TileCtx {
+        TileCtx {
+            colors_eq_cmp: self.eq(frame, t, self.distance),
+            colors_eq_d1: self.eq(frame, t, 1),
+            inputs_eq: None,
+        }
+    }
+
+    /// Commits `frame`'s color ids, retiring the oldest (the exact
+    /// semantics of the ground-truth `ColorHistory` this replaces).
+    fn push(&mut self, frame: &FrameLog) {
+        if self.frames.len() == self.distance.max(1) {
+            self.frames.pop_front();
+        }
+        self.frames
+            .push_back(frame.tiles.iter().map(|t| t.color_id).collect());
+    }
 }
 
 impl Evaluation {
@@ -538,22 +815,11 @@ impl Evaluation {
         passes: Vec<Box<dyn TechniquePass>>,
     ) -> Self {
         Evaluation {
-            opts,
             tile_count,
             passes,
-            color_ids: std::collections::VecDeque::new(),
+            colors: ColorIds::new(opts.compare_distance),
             per_frame: Vec::new(),
         }
-    }
-
-    /// Ground-truth color equality of tile `t` against `distance` frames
-    /// ago (`None` while history is too short).
-    fn colors_eq(&self, frame: &FrameLog, t: usize, distance: usize) -> Option<bool> {
-        if self.color_ids.len() < distance {
-            return None;
-        }
-        let past = &self.color_ids[self.color_ids.len() - distance];
-        Some(past[t] == frame.tiles[t].color_id)
     }
 
     /// Feeds one recorded frame through every pass.
@@ -570,13 +836,8 @@ impl Evaluation {
         for pass in &mut self.passes {
             pass.begin_frame(index, frame);
         }
-        let distance = self.opts.compare_distance;
         for t in 0..self.tile_count {
-            let mut ctx = TileCtx {
-                colors_eq_cmp: self.colors_eq(frame, t as usize, distance),
-                colors_eq_d1: self.colors_eq(frame, t as usize, 1),
-                inputs_eq: None,
-            };
+            let mut ctx = self.colors.ctx(frame, t as usize);
             for pass in &mut self.passes {
                 pass.tile(frame, t, &frame.tiles[t as usize], &mut ctx);
             }
@@ -586,25 +847,23 @@ impl Evaluation {
             pass.end_frame(frame, &mut sample);
         }
         self.per_frame.push(sample);
-
-        // Commit this frame's color ids, retiring the oldest (the exact
-        // semantics of the ground-truth ColorHistory this replaces).
-        let depth = distance.max(1);
-        if self.color_ids.len() == depth {
-            self.color_ids.pop_front();
-        }
-        self.color_ids
-            .push_back(frame.tiles.iter().map(|t| t.color_id).collect());
+        self.colors.push(frame);
     }
 
     /// Settles every pass and assembles the report.
     pub fn finish(self, name: &str) -> RunReport {
         // One completed evaluation, however it was driven (simulator,
-        // in-memory replay, streamed `.relog`, or the sections one sweep
-        // cell computes), and one pass execution per stack entry — the
-        // registry counters behind the sweep's `metrics.json`.
+        // in-memory replay or streamed `.relog`), and one pass execution
+        // per stack entry — the registry counters behind the sweep's
+        // `metrics.json`. A sweep cell's sections count themselves in
+        // `evaluate_shared`.
         re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
         re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.passes.len() as u64);
+        self.settle(name)
+    }
+
+    /// [`finish`](Self::finish) without counting.
+    pub(crate) fn settle(self, name: &str) -> RunReport {
         let mut report = RunReport::empty(name, self.tile_count, self.per_frame);
         for pass in self.passes {
             pass.finish(&mut report);

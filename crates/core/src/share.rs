@@ -1,30 +1,47 @@
 //! Stage B work sharing among the cells of one render log.
 //!
-//! Each built-in pass reads only a few [`SimOptions`] fields:
+//! Each built-in pass reads only a few [`SimOptions`] fields, and RE's
+//! replay reads its own decisions:
 //!
 //! | section | passes | reads |
 //! |---|---|---|
+//! | RE decision | [`RePass`]'s decision half, [`RedundancyPass`] | `timing.ot_queue_entries`, `compare_distance`, `sig_bits`, `refresh_period` |
+//! | RE replay | [`RePass`]'s replay half | `timing`, the decision's [`SkipBitmap`] |
 //! | baseline | [`BaselinePass`] | `timing` |
-//! | RE | [`RePass`], [`RedundancyPass`] | `timing`, `compare_distance`, `sig_bits`, `refresh_period` |
 //! | TE | [`TePass`] | `timing`, `compare_distance` |
 //! | memo | [`MemoPass`] | `memo_kb` |
 //!
-//! Redundancy rides in RE's section because it classifies tiles by RE's
-//! [`TileCtx::inputs_eq`](crate::passes::TileCtx::inputs_eq) verdict. Two
-//! cells over the same log whose options agree on a section's
+//! RE decides a tile's fate from signatures alone, before any memory
+//! access, so its decision half (Signature Unit, Signature Buffer
+//! compares, enable/refresh logic, false-positive count) touches no
+//! memory system, and its replay half depends on the timing config and
+//! the per-tile skip verdicts only. The replay key holds the whole skip
+//! bitmap and compares it bit for bit: cells whose verdicts agree replay
+//! the memory system once. Redundancy rides in the decision section
+//! because it classifies tiles by RE's
+//! [`TileCtx::inputs_eq`](crate::passes::TileCtx::inputs_eq) verdict.
+//!
+//! Two cells over the same log whose options agree on a section's
 //! [`SectionKey`] get the same section, so [`evaluate_shared`] computes
 //! each distinct section once and assembles every cell's [`RunReport`]
 //! from the sections it computed and the ones other cells already had.
+//! A shared replay is a machine whose SRAM, DRAM and leakage energy is
+//! not yet charged; each cell charges its own Signature Unit SRAM on it
+//! first and then settles it, in the order a private [`RePass`] does, so
+//! every `f64` energy sum is bit-identical to [`crate::passes::evaluate`].
 //!
 //! # Claim, publish, wait
 //!
-//! The cells of one log share a [`SectionTable`]. A cell claims every
-//! section it needs that nobody has claimed, computes them in one pass
-//! over the frames, publishes them, and only then waits for the sections
-//! other cells claimed. A cell never waits while it holds an unpublished
-//! claim, so the owner of any section it waits on is computing, not
-//! waiting: no wait can deadlock. A cell that panics withdraws its
-//! unpublished claims, and a waiting cell claims them instead.
+//! The cells of one log share a [`SectionTable`]. A cell claims **one**
+//! section it needs that nobody has claimed, computes it, publishes it,
+//! and repeats; only when every section it still needs is claimed by
+//! other cells does it wait. Claiming one section per round lets the cells
+//! of a key split its sections across workers instead of one cell
+//! computing them all while the others wait. A cell learns its replay key
+//! once its decision section is published. A cell never waits while it
+//! holds an unpublished claim, so the owner of any section it waits on is
+//! computing, not waiting: no wait can deadlock. A cell that panics
+//! withdraws its unpublished claim, and a waiting cell claims it instead.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -32,30 +49,39 @@ use std::time::{Duration, Instant};
 use re_timing::TimingConfig;
 
 use crate::passes::{
-    BaselinePass, Evaluation, MemoPass, RePass, RedundancyPass, TePass, TechniquePass,
+    BaselinePass, Evaluation, MachineTotals, MemoPass, RePass, ReVerdicts, RedundancyPass,
+    SkipBitmap, TePass, TechniquePass,
 };
 use crate::render::RenderLog;
 use crate::sim::{FrameSample, RunReport, SimOptions};
 
-/// The [`SimOptions`] fields one section of the default pass stack reads
-/// (each pass declares its key next to its definition, as `share_key`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The inputs one section of the default pass stack reads (each pass
+/// declares its key next to its definition, as `share_key`).
+#[derive(Debug, Clone, PartialEq)]
 pub enum SectionKey {
-    /// [`BaselinePass`].
-    Baseline {
-        /// Table I machine parameters.
-        timing: TimingConfig,
-    },
-    /// [`RePass`] and the [`RedundancyPass`] that reads its verdicts.
-    Re {
-        /// Table I machine parameters.
-        timing: TimingConfig,
+    /// [`RePass`]'s decision half and the [`RedundancyPass`] that reads its
+    /// verdicts.
+    ReDecision {
+        /// Signature Unit OT-queue depth.
+        ot_queue_entries: u32,
         /// Frame distance of signature and color compares.
         compare_distance: usize,
         /// Stored signature width.
         sig_bits: u32,
         /// Forced full-render period.
         refresh_period: Option<usize>,
+    },
+    /// [`RePass`]'s replay half.
+    ReReplay {
+        /// Table I machine parameters.
+        timing: TimingConfig,
+        /// The decision half's per-tile skip verdicts.
+        skips: Arc<SkipBitmap>,
+    },
+    /// [`BaselinePass`].
+    Baseline {
+        /// Table I machine parameters.
+        timing: TimingConfig,
     },
     /// [`TePass`].
     Te {
@@ -72,59 +98,62 @@ pub enum SectionKey {
 }
 
 impl SectionKey {
-    /// The sections a cell under `opts` needs, in default-stack order.
+    /// The sections a cell under `opts` needs before it has RE's verdicts,
+    /// in claim order. Its [`SectionKey::ReReplay`] follows from the
+    /// published decision section.
     pub fn for_options(opts: &SimOptions) -> [SectionKey; 4] {
         [
-            BaselinePass::share_key(opts),
             RePass::share_key(opts),
+            BaselinePass::share_key(opts),
             TePass::share_key(opts),
             MemoPass::share_key(opts),
         ]
     }
 
-    /// The section's passes under `opts` (whose fields match the key).
-    fn passes(&self, opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn TechniquePass>> {
-        match self {
-            SectionKey::Baseline { .. } => vec![Box::new(BaselinePass::new(opts))],
-            SectionKey::Re { .. } => vec![
-                Box::new(RePass::new(opts, tile_count)),
-                Box::new(RedundancyPass::new()),
-            ],
-            SectionKey::Te { .. } => vec![Box::new(TePass::new(opts, tile_count))],
-            SectionKey::Memo { .. } => vec![Box::new(MemoPass::new(opts, tile_count))],
+    /// Computes the section over `log` under `opts` (whose fields match
+    /// the key). A replay reads `decision`, the cell's published decision
+    /// section.
+    fn compute(&self, log: &RenderLog, opts: &SimOptions, decision: Option<&Section>) -> Section {
+        let tile_count = log.tile_count();
+        let pass: Box<dyn TechniquePass> = match self {
+            SectionKey::ReDecision { .. } => {
+                let (verdicts, redundancy) = RePass::decide(log, opts);
+                return Section::Decision(verdicts, redundancy);
+            }
+            SectionKey::ReReplay { timing, .. } => {
+                let Some(Section::Decision(verdicts, _)) = decision else {
+                    unreachable!("a replay is computed after its decision");
+                };
+                let (machine, per_frame) = RePass::replay(log, *timing, verdicts);
+                return Section::Replay(machine, per_frame);
+            }
+            SectionKey::Baseline { .. } => Box::new(BaselinePass::new(opts)),
+            SectionKey::Te { .. } => Box::new(TePass::new(opts, tile_count)),
+            SectionKey::Memo { .. } => Box::new(MemoPass::new(opts, tile_count)),
+        };
+        let mut eval = Evaluation::with_passes(*opts, tile_count, vec![pass]);
+        for frame in &log.frames {
+            eval.push_frame(frame);
         }
+        eval.settle(&log.name).into()
     }
+}
 
-    /// Copies the section's report and per-frame fields from `from`, the
-    /// report of the evaluation that computed it, into `into`.
-    fn copy(&self, from: &RunReport, into: &mut RunReport) {
-        let frames = into.per_frame.iter_mut().zip(&from.per_frame);
-        match self {
-            SectionKey::Baseline { .. } => {
-                for (to, f) in frames {
-                    to.baseline_raster_cycles = f.baseline_raster_cycles;
-                }
-                into.baseline = from.baseline.clone();
-            }
-            SectionKey::Re { .. } => {
-                for (to, f) in frames {
-                    to.tiles_skipped = f.tiles_skipped;
-                    to.re_raster_cycles = f.re_raster_cycles;
-                }
-                into.re = from.re.clone();
-                into.su_stats = from.su_stats;
-                into.false_positives = from.false_positives;
-                into.re_frames_disabled = from.re_frames_disabled;
-                into.classes = from.classes;
-                into.equal_tiles_dist1 = from.equal_tiles_dist1;
-                into.classified_dist1 = from.classified_dist1;
-            }
-            SectionKey::Te { .. } => {
-                into.te = from.te.clone();
-                into.te_stats = from.te_stats;
-            }
-            SectionKey::Memo { .. } => into.memo = from.memo,
-        }
+/// A computed section.
+#[derive(Debug)]
+enum Section {
+    /// The report of the evaluation that computed a baseline, TE or memo
+    /// section.
+    Report(Box<RunReport>),
+    /// RE's verdicts and the redundancy classification.
+    Decision(ReVerdicts, RedundancyPass),
+    /// RE's replayed machine, not yet settled, and its per-frame series.
+    Replay(MachineTotals, Vec<FrameSample>),
+}
+
+impl From<RunReport> for Section {
+    fn from(report: RunReport) -> Self {
+        Section::Report(Box::new(report))
     }
 }
 
@@ -135,8 +164,8 @@ enum Entry {
     Open,
     /// A cell is computing it.
     Claimed,
-    /// The report of the evaluation that computed it.
-    Ready(Arc<RunReport>),
+    /// The computed section.
+    Ready(Arc<Section>),
 }
 
 /// The sections computed so far over one render log, shared by the cells
@@ -158,6 +187,37 @@ impl SectionTable {
     }
 }
 
+/// The slot of `key` in `entries`, added as [`Entry::Open`] if new.
+/// Entries are never removed, so a slot stays valid for the table's whole
+/// life.
+fn slot(entries: &mut Vec<(SectionKey, Entry)>, key: &SectionKey) -> usize {
+    match entries.iter().position(|(k, _)| k == key) {
+        Some(slot) => slot,
+        None => {
+            entries.push((key.clone(), Entry::Open));
+            entries.len() - 1
+        }
+    }
+}
+
+/// Claims the first open section among `slots`, one per round, and
+/// returns its index in `slots` with the claim.
+fn claim_next<'t>(
+    table: &'t SectionTable,
+    entries: &mut [(SectionKey, Entry)],
+    slots: &[usize],
+) -> Option<(usize, Claim<'t>)> {
+    let i = slots
+        .iter()
+        .position(|&slot| matches!(entries[slot].1, Entry::Open))?;
+    entries[slots[i]].1 = Entry::Claimed;
+    let claim = Claim {
+        table,
+        slots: vec![slots[i]],
+    };
+    Some((i, claim))
+}
+
 /// Table slots a cell has claimed and not yet published. Dropping it
 /// unpublished (the cell panicked) reopens them and wakes the waiters.
 struct Claim<'t> {
@@ -166,11 +226,11 @@ struct Claim<'t> {
 }
 
 impl Claim<'_> {
-    fn publish(mut self, report: RunReport) {
-        let report = Arc::new(report);
+    fn publish(mut self, section: impl Into<Section>) {
+        let section = Arc::new(section.into());
         let mut entries = self.table.lock();
         for slot in std::mem::take(&mut self.slots) {
-            entries[slot].1 = Entry::Ready(Arc::clone(&report));
+            entries[slot].1 = Entry::Ready(Arc::clone(&section));
         }
         drop(entries);
         self.table.published.notify_all();
@@ -196,8 +256,11 @@ impl Drop for Claim<'_> {
 pub struct SharedEval {
     /// The cell's report, equal to [`crate::passes::evaluate`]'s.
     pub report: RunReport,
-    /// Passes this call ran. The RE section counts two passes, every other
-    /// section one; a reused section counts none.
+    /// Sections this call computed, one pass execution each: baseline, TE,
+    /// memo, RE's decision half (with the redundancy classifier that
+    /// reads its verdicts) and RE's replay half. A cell that computes
+    /// every section counts five, as many as `evaluate` runs passes; a
+    /// reused section counts none.
     pub pass_executions: usize,
     /// Time spent computing this call's own sections (waiting for other
     /// cells' sections is not included).
@@ -205,9 +268,9 @@ pub struct SharedEval {
 }
 
 /// Evaluates one cell over `log`, sharing sections through `table` with
-/// the other cells of the same log: runs only the sections nobody has
-/// claimed, in one pass over the frames, then assembles the report from
-/// those and the sections other cells computed. The report equals
+/// the other cells of the same log: computes, one at a time, the sections
+/// nobody has claimed, then assembles the report from those and the
+/// sections other cells computed. The report equals
 /// [`crate::passes::evaluate`]`(log, opts)` exactly.
 ///
 /// # Panics
@@ -217,75 +280,110 @@ pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable)
         opts.gpu, log.config,
         "evaluation gpu config must match the render log's"
     );
-    let keys = SectionKey::for_options(opts);
-    // Entries are never removed, so a slot index stays valid for the
-    // table's whole life.
+    // A cell needs five sections: the four `for_options` keys, RE's
+    // decision first, and RE's replay, appended once the decision is
+    // published.
+    const SECTIONS: usize = 5;
+    let mut keys = SectionKey::for_options(opts).to_vec();
     let mut entries = table.lock();
-    let slots = keys.map(|key| match entries.iter().position(|(k, _)| *k == key) {
-        Some(slot) => slot,
-        None => {
-            entries.push((key, Entry::Open));
-            entries.len() - 1
-        }
-    });
+    let mut slots: Vec<usize> = keys.iter().map(|key| slot(&mut entries, key)).collect();
     let mut pass_executions = 0;
     let mut busy = Duration::ZERO;
     loop {
-        let mine: Vec<usize> = (0..keys.len())
-            .filter(|&i| matches!(entries[slots[i]].1, Entry::Open))
+        let decision = match &entries[slots[0]].1 {
+            Entry::Ready(section) => Some(Arc::clone(section)),
+            _ => None,
+        };
+        match decision.as_deref() {
+            Some(Section::Decision(verdicts, _)) if keys.len() < SECTIONS => {
+                let key = verdicts.replay_key(opts);
+                slots.push(slot(&mut entries, &key));
+                keys.push(key);
+            }
+            _ => {}
+        }
+        if let Some((i, claim)) = claim_next(table, &mut entries, &slots) {
+            drop(entries);
+            let start = Instant::now();
+            claim.publish(keys[i].compute(log, opts, decision.as_deref()));
+            busy += start.elapsed();
+            pass_executions += 1;
+            entries = table.lock();
+            continue;
+        }
+        let sections: Option<Vec<Arc<Section>>> = slots
+            .iter()
+            .map(|&slot| match &entries[slot].1 {
+                Entry::Ready(section) => Some(Arc::clone(section)),
+                _ => None,
+            })
             .collect();
-        if mine.is_empty() {
-            let sections: Option<Vec<Arc<RunReport>>> = slots
-                .iter()
-                .map(|&slot| match &entries[slot].1 {
-                    Entry::Ready(section) => Some(Arc::clone(section)),
-                    _ => None,
-                })
-                .collect();
-            if let Some(sections) = sections {
+        match sections {
+            Some(sections) if keys.len() == SECTIONS => {
                 drop(entries);
-                let mut report = RunReport::empty(
-                    &log.name,
-                    log.tile_count(),
-                    vec![FrameSample::default(); log.frames.len()],
-                );
-                for (key, section) in keys.iter().zip(&sections) {
-                    key.copy(section, &mut report);
+                if pass_executions > 0 {
+                    re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
+                    re_obs::metrics::counter(re_obs::names::EVAL_PASSES)
+                        .add(pass_executions as u64);
                 }
                 return SharedEval {
-                    report,
+                    report: assemble(log, &keys, &sections),
                     pass_executions,
                     busy,
                 };
             }
-            entries = table
-                .published
-                .wait(entries)
-                .expect("section table poisoned");
-            continue;
+            _ => {
+                entries = table
+                    .published
+                    .wait(entries)
+                    .expect("section table poisoned");
+            }
         }
-        for &i in &mine {
-            entries[slots[i]].1 = Entry::Claimed;
-        }
-        drop(entries);
-        let claim = Claim {
-            table,
-            slots: mine.iter().map(|&i| slots[i]).collect(),
-        };
-        let start = Instant::now();
-        let passes: Vec<Box<dyn TechniquePass>> = mine
-            .iter()
-            .flat_map(|&i| keys[i].passes(opts, log.tile_count()))
-            .collect();
-        pass_executions += passes.len();
-        let mut eval = Evaluation::with_passes(*opts, log.tile_count(), passes);
-        for frame in &log.frames {
-            eval.push_frame(frame);
-        }
-        claim.publish(eval.finish(&log.name));
-        busy += start.elapsed();
-        entries = table.lock();
     }
+}
+
+/// A cell's report from its sections, one per key.
+fn assemble(log: &RenderLog, keys: &[SectionKey], sections: &[Arc<Section>]) -> RunReport {
+    let mut report = RunReport::empty(
+        &log.name,
+        log.tile_count(),
+        vec![FrameSample::default(); log.frames.len()],
+    );
+    let mut verdicts = None;
+    let mut machine = None;
+    for (key, section) in keys.iter().zip(sections) {
+        let frames = report.per_frame.iter_mut();
+        match (key, &**section) {
+            (SectionKey::ReDecision { .. }, Section::Decision(v, redundancy)) => {
+                redundancy.write(&mut report);
+                verdicts = Some(v);
+            }
+            (SectionKey::ReReplay { .. }, Section::Replay(m, per_frame)) => {
+                for (to, f) in frames.zip(per_frame) {
+                    to.tiles_skipped = f.tiles_skipped;
+                    to.re_raster_cycles = f.re_raster_cycles;
+                }
+                machine = Some(m);
+            }
+            (SectionKey::Baseline { .. }, Section::Report(from)) => {
+                for (to, f) in frames.zip(&from.per_frame) {
+                    to.baseline_raster_cycles = f.baseline_raster_cycles;
+                }
+                report.baseline = from.baseline.clone();
+            }
+            (SectionKey::Te { .. }, Section::Report(from)) => {
+                report.te = from.te.clone();
+                report.te_stats = from.te_stats;
+            }
+            (SectionKey::Memo { .. }, Section::Report(from)) => report.memo = from.memo,
+            _ => unreachable!("a section matches its key"),
+        }
+    }
+    let (Some(verdicts), Some(machine)) = (verdicts, machine) else {
+        unreachable!("a cell has RE's decision and replay");
+    };
+    verdicts.write(machine.clone(), &mut report);
+    report
 }
 
 #[cfg(test)]
@@ -337,8 +435,8 @@ mod tests {
         let mut entries = table.lock();
         let slots = keys
             .iter()
-            .map(|&key| {
-                entries.push((key, Entry::Claimed));
+            .map(|key| {
+                entries.push((key.clone(), Entry::Claimed));
                 entries.len() - 1
             })
             .collect();
@@ -359,6 +457,34 @@ mod tests {
             assert_eq!(shared.pass_executions, 4);
             assert_eq!(shared.report, evaluate(&log, &opts));
         });
+    }
+
+    #[test]
+    fn a_cell_claims_one_open_section_per_round() {
+        let (_, opts) = setup();
+        let table = SectionTable::new();
+        let other = claim(&table, &[BaselinePass::share_key(&opts)]);
+        let keys = SectionKey::for_options(&opts);
+        let mut entries = table.lock();
+        let slots: Vec<usize> = keys.iter().map(|key| slot(&mut entries, key)).collect();
+        let open = |entries: &[(SectionKey, Entry)]| {
+            slots
+                .iter()
+                .filter(|&&slot| matches!(entries[slot].1, Entry::Open))
+                .count()
+        };
+        assert_eq!(open(&entries), 3, "decision, TE and memo are open");
+        // A cell's round claims the first open section alone, leaving TE
+        // and memo to the other cells of the key ...
+        let (first, decision) = claim_next(&table, &mut entries, &slots).expect("open sections");
+        assert_eq!(keys[first], RePass::share_key(&opts));
+        assert_eq!(open(&entries), 2);
+        // ... so the next cell to arrive claims the next one.
+        let (second, te) = claim_next(&table, &mut entries, &slots).expect("open sections");
+        assert_eq!(keys[second], TePass::share_key(&opts));
+        assert_eq!(open(&entries), 1);
+        drop(entries);
+        drop((decision, te, other));
     }
 
     #[test]

@@ -14,11 +14,14 @@
 /// [`rasterize_tile`]: ../../re_gpu/raster/fn.rasterize_tile.html
 pub const RASTER_INVOCATIONS: &str = "gpu.raster_invocations";
 
-/// Counter: completed Stage B evaluations (one per cell evaluated).
+/// Counter: completed Stage B evaluations (one per evaluation driver, and
+/// one per sweep cell that computed at least one shared section).
 pub const EVALUATIONS: &str = "core.eval.evaluations";
 
 /// Counter: technique passes driven to completion across all evaluations
-/// (the default stack runs four passes per evaluation).
+/// (the default stack runs five per evaluation). A sweep cell counts one
+/// per shared section it computed, RE's decision and replay halves
+/// counting one each.
 pub const EVAL_PASSES: &str = "core.eval.pass_executions";
 
 /// Counter: `.retrace` trace-cache hits (capture skipped).

@@ -791,13 +791,16 @@ impl<'a> Grouped<'a> {
 
 /// The std-thread work-stealing executor (the engine's default).
 ///
-/// Eval jobs are seeded round-robin over the work-stealing
-/// [`pool`], so different workers tend to reach different render jobs
-/// first and Stage A parallelizes across keys; within a job, the first
-/// worker builds the key's log (holding only that job's lock) and every
-/// cell evaluates it, sharing Stage B sections through the key's
-/// [`SectionTable`] (see [`re_core::share`]). The log and its sections
-/// are freed as the job's last cell finishes.
+/// Eval jobs are seeded round-robin, in cell-id order, over the
+/// work-stealing [`pool`]. Cell ids are contiguous per render job, so
+/// with one cell per job neighbouring workers start on different jobs and
+/// Stage A parallelizes across keys, but with several cells per job the
+/// workers start on the *same* job: cells 0 and 1 of the first job land
+/// on workers 0 and 1. Within a job, the first worker builds the key's
+/// log (holding only that job's lock) while the others wait for it, and
+/// every cell evaluates it, splitting the key's Stage B sections through
+/// its [`SectionTable`] (see [`re_core::share`]). The log and its
+/// sections are freed as the job's last cell finishes.
 ///
 /// Render jobs a cached `.relog` satisfies ([`RenderJob::cached_log`])
 /// never run Stage A at all: their first cell decodes the artifact into
