@@ -6,15 +6,19 @@
 //! turns O(cells) rasterizations into O(render-keys), so cells/s should
 //! rise with the cells-per-key factor).
 //!
-//! Both benches drive the plan/executor API directly: traces are captured
-//! once up front and `ThreadExecutor::execute` runs a pre-compiled
-//! `SweepPlan`, so the timed region is pure job execution — no capture or
-//! cache I/O.
+//! Traces are captured once up front, so the timed region is pure job
+//! execution — no capture or cache I/O. The per-cell arms run the
+//! monolithic `run_cell` pipeline over the work-stealing pool; the
+//! render-once arms run a pre-compiled `SweepPlan` on `ThreadExecutor`.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use re_sweep::{
-    axis, pool, Executor, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
+    axis, pool, run_cell, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
 };
+use re_trace::Trace;
 
 fn small_grid() -> ExperimentGrid {
     let mut g = ExperimentGrid::default()
@@ -47,6 +51,14 @@ fn quiet() -> SweepOptions {
     }
 }
 
+/// Every cell of `plan` through the monolithic per-cell pipeline (Stage A
+/// rebuilt per cell) on `workers` pool threads.
+fn run_per_cell(plan: &SweepPlan, traces: &HashMap<&'static str, Arc<Trace>>, workers: usize) {
+    pool::run_indexed(plan.eval_jobs().to_vec(), workers, |_, _, job| {
+        run_cell(&traces[job.cell.scene()], &job.cell)
+    });
+}
+
 fn bench_fanout(c: &mut Criterion) {
     let plan = SweepPlan::compile(&small_grid());
     let cells = plan.cell_count() as u64;
@@ -57,15 +69,8 @@ fn bench_fanout(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(cells));
     for workers in [1, 2, pool::default_workers()] {
-        let exec = ThreadExecutor {
-            workers,
-            group_renders: false,
-            // No heartbeat watchdog: the benchmark times pure execution.
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(workers), &exec, |b, exec| {
-            b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
+        g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
+            b.iter(|| run_per_cell(&plan, &traces, w))
         });
     }
     g.finish();
@@ -79,17 +84,18 @@ fn bench_render_grouping(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_render_grouping");
     g.sample_size(10);
     g.throughput(Throughput::Elements(cells));
-    for (label, group_renders) in [("per-cell-render", false), ("render-once", true)] {
-        let exec = ThreadExecutor {
-            workers: 2,
-            group_renders,
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &exec, |b, exec| {
-            b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
-        });
-    }
+    g.bench_function("per-cell-render", |b| {
+        b.iter(|| run_per_cell(&plan, &traces, 2))
+    });
+    let exec = ThreadExecutor {
+        workers: 2,
+        // No heartbeat watchdog: the benchmark times pure execution.
+        heartbeat: None,
+        ..ThreadExecutor::default()
+    };
+    g.bench_function("render-once", |b| {
+        b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
+    });
     g.finish();
 }
 

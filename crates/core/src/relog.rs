@@ -56,10 +56,9 @@
 //!
 //! [`RelogReader`] decodes one [`FrameLog`] at a time from any
 //! [`io::Read`], so a consumer holds at most one frame's events in memory
-//! regardless of log length ([`evaluate_reader`] evaluates a stream that
-//! way). The sweep engine instead decodes a cached log whole, once per
-//! render key ([`RelogReader::into_log`]), and shares it among the key's
-//! cells.
+//! regardless of log length. The sweep engine decodes a cached log whole,
+//! once per render key ([`RelogReader::into_log`]), and shares it among
+//! the key's cells.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -1041,43 +1040,6 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<RenderLog> {
     Ok(decode(&bytes)?)
 }
 
-/// Replays a `.relog` stream through Stage B ([`crate::passes`]) without
-/// ever materializing the whole log: frames are decoded, evaluated and
-/// dropped one at a time, so memory stays bounded to a single frame no
-/// matter how long the recording is.
-///
-/// `opts.gpu` must match the configuration in the stream's header — the
-/// same contract as [`crate::passes::evaluate`], but reported as an error
-/// rather than a panic: the stream is external input (a cache artifact
-/// may be swapped underneath a running sweep), so callers need a
-/// recoverable signal to fall back on re-rendering.
-///
-/// # Errors
-/// I/O, checksum and format errors from the stream, and
-/// [`io::ErrorKind::InvalidData`] when the stream's configuration does
-/// not match `opts.gpu`.
-pub fn evaluate_reader<R: Read>(
-    reader: &mut RelogReader<R>,
-    opts: &crate::SimOptions,
-) -> io::Result<crate::RunReport> {
-    if opts.gpu != reader.config() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "render log was recorded under {:?}, evaluation expects {:?}",
-                reader.config(),
-                opts.gpu
-            ),
-        ));
-    }
-    let mut eval = crate::Evaluation::new(*opts, reader.config().tile_count());
-    while let Some(frame) = reader.next_frame()? {
-        eval.push_frame(&frame);
-    }
-    let name = reader.name().to_owned();
-    Ok(eval.finish(&name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,10 +1126,6 @@ mod tests {
         let direct = crate::evaluate(&log, &opts);
         let decoded = decode(&encode(&log)).expect("decode");
         assert_eq!(crate::evaluate(&decoded, &opts), direct);
-        // And the streaming path agrees too.
-        let bytes = encode(&log);
-        let mut r = RelogReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(evaluate_reader(&mut r, &opts).expect("stream"), direct);
     }
 
     #[test]
@@ -1217,24 +1175,6 @@ mod tests {
         assert!(matches!(decode(&bytes), Err(RelogError::Truncated { .. })));
         let mut r = RelogReader::new(bytes.as_slice()).expect("header still parses");
         let err = r.next_frame().expect_err("corrupt length");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn mismatched_config_is_an_error_not_a_panic() {
-        // The stream is external input (cache artifacts can be swapped
-        // underneath a sweep), so a config mismatch must be recoverable.
-        let log = render_scene(&mut Tri, cfg(), 1);
-        let bytes = encode(&log);
-        let mut r = RelogReader::new(bytes.as_slice()).expect("header");
-        let opts = SimOptions {
-            gpu: GpuConfig {
-                tile_size: 32,
-                ..cfg()
-            },
-            ..SimOptions::default()
-        };
-        let err = evaluate_reader(&mut r, &opts).expect_err("config mismatch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1292,14 +1232,17 @@ mod tests {
         };
         let direct = crate::evaluate(&log, &opts);
         let packed = encode_with(&log, Compression::Lzss);
-        let mut r = RelogReader::new(packed.as_slice()).expect("header");
+        let r = RelogReader::new(packed.as_slice()).expect("header");
         assert_eq!(r.frame_count(), 4);
         assert_eq!(
             r.header().fingerprint,
             log_fingerprint("tri", cfg(), 4),
             "fingerprint is framing-independent"
         );
-        assert_eq!(evaluate_reader(&mut r, &opts).expect("stream"), direct);
+        assert_eq!(
+            crate::evaluate(&decode(&packed).expect("decode"), &opts),
+            direct
+        );
         let mut v = RelogReader::new(packed.as_slice()).expect("header");
         v.verify_frames().expect("compressed frames verify");
     }

@@ -19,10 +19,9 @@
 //! into an explicit `SweepPlan` (one render job per render key, one eval
 //! job per cell): cells sharing a render key — the same (scene, screen,
 //! tile size, binning) — are rasterized **once** and share the recorded
-//! render log; only the evaluation stage runs per cell (`--no-group`
-//! disables this). `--shard K/N` runs the K-th of N render-key partitions
-//! of the plan; merging every shard's store reproduces the unsharded
-//! `results.csv` byte for byte.
+//! render log; only the evaluation stage runs per cell. `--shard K/N`
+//! runs the K-th of N render-key partitions of the plan; merging every
+//! shard's store reproduces the unsharded `results.csv` byte for byte.
 //!
 //! `sweep fleet` automates the whole sharded shape (the `re_fleet`
 //! crate): it takes the same run flags plus `--local-procs N` and/or
@@ -32,8 +31,8 @@
 //!
 //! Re-running with the same `--out` resumes: completed cells are skipped and
 //! `results.csv` is regenerated over the full grid. The CSV is byte-identical
-//! for any `--workers` value, across kill/resume, with or without render
-//! grouping, and across shard/merge.
+//! for any `--workers` value, across kill/resume, with or without a warm
+//! render-log cache, and across shard/merge.
 //!
 //! Observability: store runs also append a machine-readable run log
 //! (`events.jsonl` beside the store; `--no-events` disables it) that
@@ -143,11 +142,6 @@ fn run_serve(args: &[String]) -> ExitCode {
                 v.parse()
                     .map(|n| config.workers = n)
                     .map_err(|_| format!("--workers: `{v}` is not a number"))
-            }),
-            "--prefetch" => value("--prefetch").and_then(|v| {
-                v.parse()
-                    .map(|n| config.prefetch = n)
-                    .map_err(|_| format!("--prefetch: `{v}` is not a number"))
             }),
             other => Err(format!("serve: unknown flag `{other}`")),
         };

@@ -149,7 +149,6 @@ fn fleet_daemon_backend_merges_byte_identically() {
         addr: "127.0.0.1:0".to_string(),
         root: base.join("serve-root"),
         workers: 2,
-        prefetch: 2,
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().expect("local addr").to_string();

@@ -71,7 +71,7 @@ pub const STAGE_REPLAY: &str = "sweep.stage.replay";
 
 /// Histogram: per-cell Stage B duration — the time computing the cell's
 /// own pass sections; waiting for sections other cells of the render key
-/// compute is excluded (ungrouped runs: the whole monolithic pipeline).
+/// compute is excluded.
 pub const STAGE_EVAL: &str = "sweep.stage.eval";
 
 /// Histogram: per-render-job `.relog` persist duration — the artifact
@@ -94,13 +94,6 @@ pub const SERVE_JOBS_DONE: &str = "serve.jobs_done";
 /// Counter: render jobs a daemon submission found already satisfied by a
 /// cached `.relog` artifact at compile time (Stage A skipped entirely).
 pub const SERVE_DEDUP_CACHED: &str = "serve.dedup.cached_jobs";
-
-/// Counter: render jobs that piggybacked on a render already in flight
-/// for another submission ([`InFlightRenders`] follower waits) instead of
-/// rasterizing the key again.
-///
-/// [`InFlightRenders`]: ../../re_sweep/exec/struct.InFlightRenders.html
-pub const SERVE_DEDUP_INFLIGHT: &str = "serve.dedup.inflight_hits";
 
 /// Counter: client connections the daemon accepted.
 pub const SERVE_CONNECTIONS: &str = "serve.connections";

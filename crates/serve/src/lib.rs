@@ -1,16 +1,14 @@
 //! The sweep daemon: a long-running process that serves experiment-grid
 //! submissions over a local TCP socket, amortizing the `.retrace`/`.relog`
-//! artifact caches — and renders currently in flight — across requests.
+//! artifact caches across requests.
 //!
 //! The one-shot `sweep run` pays its Stage A cost every invocation unless
 //! a warm `--log-dir` happens to cover it. `sweep serve` keeps that
 //! warmth in a live process: every submission compiles to a
 //! [`re_sweep::SweepPlan`], dedups its render jobs against the shared
-//! disk cache **and** against renders other queued submissions are
-//! performing right now ([`re_sweep::InFlightRenders`]), and executes on
-//! the [`re_sweep::AsyncExecutor`], which overlaps `.relog` replay reads
-//! with evaluation. A re-submitted grid costs only Stage B and performs
-//! zero raster invocations.
+//! disk cache, and executes on the same [`re_sweep::ThreadExecutor`] as
+//! a one-shot run, one job at a time. A re-submitted grid costs only
+//! Stage B and performs zero raster invocations.
 //!
 //! * [`proto`] — the line-delimited JSON wire protocol (versioned,
 //!   hostile-input hardened; schema in `docs/SERVING.md`);

@@ -43,7 +43,6 @@ fn start_daemon(root: PathBuf) -> (String, std::thread::JoinHandle<()>) {
         addr: "127.0.0.1:0".to_string(),
         root,
         workers: 2,
-        prefetch: 2,
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().expect("local addr").to_string();

@@ -1,5 +1,5 @@
 //! The sweep engine: compile a grid into a [`SweepPlan`], capture traces,
-//! hand the plan to an [`Executor`], aggregate results.
+//! hand the plan to the [`ThreadExecutor`], aggregate results.
 //!
 //! Execution model:
 //!
@@ -8,18 +8,19 @@
 //! 2. every distinct scene of the plan is captured **once** into a trace
 //!    (from the disk cache when available) — scene generators never cross a
 //!    thread boundary;
-//! 3. the default [`ThreadExecutor`] fans the jobs out over the
-//!    work-stealing pool. With render grouping (the default), the first
-//!    worker to reach a render job runs Stage A and every cell of the job
-//!    runs only Stage B against the shared `Arc<RenderLog>`, so a sweep
-//!    over evaluation-only axes rasterizes each key **exactly once**;
+//! 3. the [`ThreadExecutor`] fans the jobs out over the work-stealing
+//!    pool: the first worker to reach a render job runs Stage A (or
+//!    decodes the key's cached `.relog`) and every cell of the job runs
+//!    only Stage B against the shared log, so a sweep over
+//!    evaluation-only axes rasterizes each key **at most once**;
 //! 4. results are re-assembled in cell-id order, so every aggregate —
 //!    returned reports, store records, the final CSV — is independent of
-//!    worker count, scheduling, grouping and sharding.
+//!    worker count, scheduling, cache state and sharding, and equal to the
+//!    monolithic per-cell pipeline ([`run_cell`]).
 //!
 //! [`run_grid`] and [`run_grid_with_store`] are thin wrappers (compile +
-//! default executor) kept for the bench harness, the ablation studies and
-//! every pre-plan caller; new callers that need to partition, observe or
+//! execute) kept for the bench harness, the ablation studies and every
+//! pre-plan caller; new callers that need to partition, observe or
 //! re-execute work should compile a plan and drive it directly.
 
 use std::collections::{HashMap, HashSet};
@@ -32,8 +33,7 @@ use re_core::{render_scene, RunReport, Simulator};
 use re_trace::Trace;
 
 use crate::artifacts::{SharedTraceScene, TraceCache};
-use crate::exec::ThreadExecutor;
-use crate::exec::{Executor, NullObserver, StderrObserver, SweepEvent, SweepObserver};
+use crate::exec::{NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor};
 use crate::grid::{Cell, ExperimentGrid, RenderKey};
 use crate::plan::SweepPlan;
 use crate::store::{CellRecord, ResultStore};
@@ -58,10 +58,6 @@ pub struct SweepOptions {
     /// Suppress the default stderr progress lines. Only consulted when
     /// [`observer`](Self::observer) is `None`.
     pub quiet: bool,
-    /// Render each [`RenderKey`] once and share the log across its cells
-    /// (the default). Disable to rebuild Stage A per cell — only useful for
-    /// baselining and for equivalence tests.
-    pub group_renders: bool,
     /// Worker threads a single Stage A render may spread its frames over
     /// (chunked rendering + deterministic stitch — output is bit-identical
     /// to a serial render at any setting; see [`render_key_log_parallel`]).
@@ -75,22 +71,15 @@ pub struct SweepOptions {
     /// framings, so flipping this between runs is safe.
     pub relog_compress: bool,
     /// Interval of the [`SweepEvent::Progress`](crate::exec::SweepEvent)
-    /// heartbeat the default executor's watchdog emits (`None` disables
-    /// it). Supervisors that tail `events.jsonl` for liveness — the
-    /// `sweep fleet` driver — tighten this below the 10-second default so
-    /// a stuck worker is detected promptly.
+    /// heartbeat the executor's watchdog emits (`None` disables it).
+    /// Supervisors that tail `events.jsonl` for liveness — the `sweep
+    /// fleet` driver — tighten this below the 10-second default so a
+    /// stuck worker is detected promptly.
     pub heartbeat: Option<std::time::Duration>,
     /// Progress-event sink. `None` installs [`StderrObserver`] (or
     /// [`NullObserver`] when [`quiet`](Self::quiet) is set); `Some`
     /// overrides both.
     pub observer: Option<Arc<dyn SweepObserver>>,
-    /// Executor override. `None` (the default) builds a
-    /// [`ThreadExecutor`] from the fields above; `Some` runs the plan
-    /// through the given executor instead — how the `sweep serve` daemon
-    /// installs its [`AsyncExecutor`](crate::exec::AsyncExecutor) with a
-    /// shared in-flight render registry. An override is used as-is: the
-    /// worker/grouping fields above do not reconfigure it.
-    pub executor: Option<Arc<dyn Executor + Send + Sync>>,
 }
 
 impl std::fmt::Debug for SweepOptions {
@@ -100,12 +89,10 @@ impl std::fmt::Debug for SweepOptions {
             .field("trace_dir", &self.trace_dir)
             .field("log_dir", &self.log_dir)
             .field("quiet", &self.quiet)
-            .field("group_renders", &self.group_renders)
             .field("render_workers", &self.render_workers)
             .field("relog_compress", &self.relog_compress)
             .field("heartbeat", &self.heartbeat)
             .field("observer", &self.observer.as_ref().map(|_| "<custom>"))
-            .field("executor", &self.executor.as_ref().map(|_| "<custom>"))
             .finish()
     }
 }
@@ -117,12 +104,10 @@ impl Default for SweepOptions {
             trace_dir: None,
             log_dir: None,
             quiet: false,
-            group_renders: true,
             render_workers: 0,
             relog_compress: false,
             heartbeat: Some(std::time::Duration::from_secs(10)),
             observer: None,
-            executor: None,
         }
     }
 }
@@ -138,28 +123,21 @@ impl SweepOptions {
         }
     }
 
-    /// The executor these options describe: the installed override, else
-    /// a [`ThreadExecutor`] built from the fields.
-    fn executor(&self) -> Arc<dyn Executor + Send + Sync> {
-        if let Some(e) = &self.executor {
-            return Arc::clone(e);
-        }
-        Arc::new(ThreadExecutor {
+    /// The executor these options describe.
+    fn executor(&self) -> ThreadExecutor {
+        ThreadExecutor {
             workers: self.workers,
-            group_renders: self.group_renders,
             log_dir: self.log_dir.clone(),
             render_workers: self.render_workers,
             relog_compress: self.relog_compress,
             heartbeat: self.heartbeat,
-        })
+        }
     }
 
     /// The plan with every render job a cached `.relog` covers marked
-    /// satisfied. Borrowed (no copy) without a log directory or with
-    /// grouping off — the per-cell path measures the full monolithic
-    /// pipeline, so it never substitutes cached artifacts.
+    /// satisfied. Borrowed (no copy) without a log directory.
     fn annotated<'a>(&self, plan: &'a SweepPlan) -> std::borrow::Cow<'a, SweepPlan> {
-        if self.group_renders && self.log_dir.is_some() {
+        if self.log_dir.is_some() {
             let mut plan = plan.clone();
             plan.attach_cached_logs(&crate::artifacts::RenderLogCache::new(self.log_dir.clone()));
             std::borrow::Cow::Owned(plan)
@@ -268,26 +246,26 @@ pub fn capture_plan_traces(
     )
 }
 
-/// Captures exactly the traces an execution of `plan` will touch: with
-/// grouping, only scenes with at least one *unsatisfied* render job (a
-/// plan fully covered by cached logs captures nothing); without grouping,
-/// every scene.
+/// Captures exactly the traces an execution of `plan` will touch: only
+/// scenes with at least one *unsatisfied* render job (a plan fully
+/// covered by cached logs captures nothing).
 fn capture_execution_traces(
     plan: &SweepPlan,
     opts: &SweepOptions,
 ) -> io::Result<HashMap<&'static str, Arc<Trace>>> {
-    let aliases = if opts.group_renders {
-        plan.pending_scene_aliases()
-    } else {
-        plan.scene_aliases()
-    };
-    capture(&aliases, plan.frames(), plan.width(), plan.height(), opts)
+    capture(
+        &plan.pending_scene_aliases(),
+        plan.frames(),
+        plan.width(),
+        plan.height(),
+        opts,
+    )
 }
 
 /// Runs one cell against a shared trace through the monolithic per-cell
-/// path (Stage A + Stage B interleaved). The grouped path in
-/// [`run_plan`]/[`run_grid`] produces identical reports while rendering
-/// each key once.
+/// path (Stage A + Stage B interleaved) — the reference the executor is
+/// tested against. The grouped path in [`run_plan`]/[`run_grid`]
+/// produces identical reports while rendering each key once.
 pub fn run_cell(trace: &Arc<Trace>, cell: &Cell) -> RunReport {
     let mut scene = SharedTraceScene::new(Arc::clone(trace), cell.scene().to_string());
     let mut sim = Simulator::new(cell.point.sim_options());
@@ -406,7 +384,7 @@ pub fn render_key_log_parallel(
     }
 }
 
-/// Runs a compiled plan in memory on the default [`ThreadExecutor`] and
+/// Runs a compiled plan in memory on the [`ThreadExecutor`] and
 /// returns every outcome in cell-id order. With a
 /// [`log_dir`](SweepOptions::log_dir), render jobs covered by valid cached
 /// `.relog` artifacts skip Stage A entirely (and are excluded from trace
@@ -598,18 +576,13 @@ mod tests {
             .with_axis(crate::axis::SIG_BITS, vec![16, 32])
             .with_axis(crate::axis::COMPARE_DISTANCE, vec![1, 2]);
         let grouped = run_grid(&grid, &quiet()).expect("grouped");
-        let per_cell = run_grid(
-            &grid,
-            &SweepOptions {
-                group_renders: false,
-                ..quiet()
-            },
-        )
-        .expect("per-cell");
-        assert_eq!(grouped.len(), per_cell.len());
-        for (a, b) in grouped.iter().zip(&per_cell) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report, "cell {}", a.cell.id);
+        let traces = capture_traces(&grid, &quiet()).expect("capture");
+        let cells = grid.cells();
+        assert_eq!(grouped.len(), cells.len());
+        for (a, cell) in grouped.iter().zip(&cells) {
+            assert_eq!(&a.cell, cell);
+            let reference = run_cell(&traces[cell.scene()], cell);
+            assert_eq!(a.report, reference, "cell {}", a.cell.id);
         }
     }
 

@@ -1,19 +1,16 @@
-//! Plan execution: the [`Executor`] trait, its in-process
-//! [`ThreadExecutor`], and the [`SweepObserver`] progress-event channel.
+//! Plan execution: the [`ThreadExecutor`] and the [`SweepObserver`]
+//! progress-event channel.
 //!
-//! An executor takes a compiled [`SweepPlan`] plus the captured traces and
-//! runs the plan's jobs, returning outcomes in cell-id order. The contract
-//! every implementation must keep:
+//! The executor takes a compiled [`SweepPlan`] plus the captured traces and
+//! runs the plan's jobs, returning outcomes in cell-id order. Its contract:
 //!
-//! * **render-once** — with grouping, each [`crate::plan::RenderJob`] runs
-//!   Stage A exactly once and its log is shared by the job's eval cells;
+//! * **render-once** — each [`crate::plan::RenderJob`] runs Stage A at
+//!   most once (never when a cached `.relog` satisfies it) and its log is
+//!   shared by the job's eval cells;
 //! * **deterministic output** — outcomes are returned in cell-id order and
 //!   each report is a pure function of the cell, so results are
-//!   byte-identical across worker counts, scheduling, and executors.
-//!
-//! [`ThreadExecutor`] is the std-thread work-stealing implementation (the
-//! engine's default); an async executor is the planned second
-//! implementation — the plan/executor split is exactly that seam.
+//!   byte-identical across worker counts, scheduling and cache states,
+//!   and equal to the monolithic per-cell pipeline ([`crate::run_cell`]).
 //!
 //! Progress is reported through [`SweepObserver`] events instead of
 //! hardwired `eprintln!`: the CLI installs [`StderrObserver`] (the classic
@@ -30,10 +27,9 @@
 //! (`sweep.relog.*`, `sweep.artifacts.*`).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use re_core::relog::{Compression, RelogReader};
@@ -44,9 +40,9 @@ use re_obs::{Counter, Histogram, Stopwatch};
 use re_trace::Trace;
 
 use crate::artifacts::{capture_alias, RenderLogCache};
-use crate::engine::{render_key_log_parallel, run_cell, CellOutcome};
+use crate::engine::{render_key_log_parallel, CellOutcome};
 use crate::grid::{Cell, RenderKey};
-use crate::plan::{EvalJob, ShardSpec, SweepPlan};
+use crate::plan::{EvalJob, RenderJob, ShardSpec, SweepPlan};
 use crate::pool;
 
 /// One progress event of a running sweep.
@@ -165,9 +161,7 @@ pub enum SweepEvent<'a> {
         replayed: bool,
         /// Stage B time: computing the cell's own pass sections (waiting
         /// for sections other cells compute is excluded), plus the
-        /// artifact decode for the cell that loaded a cached key. For the
-        /// ungrouped per-cell path it is the whole monolithic (render +
-        /// evaluate) pipeline.
+        /// artifact decode for the cell that loaded a cached key.
         eval: Duration,
         /// Store-commit (`on_done`) duration.
         store: Duration,
@@ -378,23 +372,6 @@ impl SweepObserver for MultiObserver {
     }
 }
 
-/// Runs a [`SweepPlan`]'s jobs against already-captured traces.
-///
-/// `on_done` is invoked from worker context as each cell completes (the
-/// store's commit hook); outcomes come back in cell-id order regardless of
-/// scheduling.
-pub trait Executor {
-    /// Executes every job of `plan` and returns one outcome per eval job,
-    /// in cell-id order.
-    fn execute(
-        &self,
-        plan: &SweepPlan,
-        traces: &HashMap<&'static str, Arc<Trace>>,
-        observer: &dyn SweepObserver,
-        on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
-    ) -> Vec<CellOutcome>;
-}
-
 /// Completion timestamps kept for the windowed ETA.
 const ETA_WINDOW: usize = 16;
 
@@ -405,7 +382,7 @@ struct Progress<'o> {
     start: Instant,
     observer: &'o dyn SweepObserver,
     /// Completion instants of the last [`ETA_WINDOW`] cells.
-    window: Mutex<std::collections::VecDeque<Instant>>,
+    window: Mutex<VecDeque<Instant>>,
 }
 
 impl<'o> Progress<'o> {
@@ -415,7 +392,7 @@ impl<'o> Progress<'o> {
             total,
             start: Instant::now(),
             observer,
-            window: Mutex::new(std::collections::VecDeque::with_capacity(ETA_WINDOW + 1)),
+            window: Mutex::new(VecDeque::with_capacity(ETA_WINDOW + 1)),
         }
     }
 
@@ -508,20 +485,12 @@ struct GroupSlot {
     remaining: AtomicUsize,
 }
 
-/// The `.relog` cache under `dir`, writing LZSS framing when `compress`.
-fn log_cache(dir: Option<PathBuf>, compress: bool) -> RenderLogCache {
-    RenderLogCache::new(dir).with_compression(if compress {
-        Compression::Lzss
-    } else {
-        Compression::None
-    })
-}
-
-/// What both executors share to run a plan grouped by render key: one
-/// slot per render job, the `.relog` cache, the Stage A budget, the
-/// metric handles (resolved once, so workers never touch the registry
-/// lock), and the progress and commit hooks.
+/// What the workers of one execution share to run a plan grouped by
+/// render key: one slot per render job, the `.relog` cache, the Stage A
+/// budget, the metric handles (resolved once, so workers never touch the
+/// registry lock), and the progress and commit hooks.
 struct Grouped<'a> {
+    render_jobs: &'a [RenderJob],
     traces: &'a HashMap<&'static str, Arc<Trace>>,
     progress: &'a Progress<'a>,
     on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
@@ -549,16 +518,16 @@ struct Grouped<'a> {
 }
 
 impl<'a> Grouped<'a> {
-    /// Sets up one slot per render job of `plan` and emits the
-    /// execution's [`SweepEvent::GroupStart`].
+    /// Sets up one slot per render job of `plan` for `exec` running on
+    /// `workers` threads, and emits the execution's
+    /// [`SweepEvent::GroupStart`].
     fn new(
-        plan: &SweepPlan,
+        exec: &ThreadExecutor,
+        plan: &'a SweepPlan,
         traces: &'a HashMap<&'static str, Arc<Trace>>,
         progress: &'a Progress<'a>,
         on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
-        log_cache: RenderLogCache,
         workers: usize,
-        render_workers: usize,
     ) -> Self {
         progress.observer.on_event(&SweepEvent::GroupStart {
             cells: progress.total,
@@ -569,6 +538,7 @@ impl<'a> Grouped<'a> {
         let histogram = re_obs::metrics::histogram;
         let counter = re_obs::metrics::counter;
         Grouped {
+            render_jobs: plan.render_jobs(),
             traces,
             progress,
             on_done,
@@ -580,11 +550,17 @@ impl<'a> Grouped<'a> {
                     remaining: AtomicUsize::new(rj.cells.len()),
                 })
                 .collect(),
-            log_cache,
-            render_budget: if render_workers == 0 {
+            log_cache: RenderLogCache::new(exec.log_dir.clone()).with_compression(
+                if exec.relog_compress {
+                    Compression::Lzss
+                } else {
+                    Compression::None
+                },
+            ),
+            render_budget: if exec.render_workers == 0 {
                 workers
             } else {
-                render_workers
+                exec.render_workers
             },
             active_renders: AtomicUsize::new(0),
             eval_hist: histogram(names::STAGE_EVAL),
@@ -603,15 +579,10 @@ impl<'a> Grouped<'a> {
     }
 
     /// Stage A for `key`, capturing the scene's trace first when the plan
-    /// captured none for it. With `persist` the log is also stored in the
-    /// `.relog` cache (best-effort: a failed write costs the cache entry,
-    /// never the sweep). Returns the log and the stored artifact's path.
-    fn render(
-        &self,
-        key: &RenderKey,
-        worker: usize,
-        persist: bool,
-    ) -> (RenderLog, Option<PathBuf>) {
+    /// captured none for it. With a log directory the log is also stored
+    /// in the `.relog` cache (best-effort: a failed write costs the cache
+    /// entry, never the sweep).
+    fn render(&self, key: &RenderKey, worker: usize) -> RenderLog {
         let observer = self.progress.observer;
         let (scene, tile_size) = (key.scene(), key.tile_size());
         observer.on_event(&SweepEvent::RenderStart {
@@ -665,42 +636,32 @@ impl<'a> Grouped<'a> {
             frames: key.frames(),
             duration,
         });
-        let mut stored = None;
-        if persist {
-            let sw = Stopwatch::start();
-            if let Ok(Some(path)) = self.log_cache.store(key, &rendered.log) {
-                let duration = sw.elapsed();
-                self.persist_hist.record(duration);
-                let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-                self.relog_saves.incr();
-                self.bytes_written.add(bytes);
-                if self.log_cache.compression() == Compression::Lzss {
-                    self.compressed_bytes.add(bytes);
-                }
-                observer.on_event(&SweepEvent::RenderLogSaved {
-                    scene,
-                    tile_size,
-                    bytes,
-                    duration,
-                });
-                stored = Some(path);
+        let sw = Stopwatch::start();
+        if let Ok(Some(path)) = self.log_cache.store(key, &rendered.log) {
+            let duration = sw.elapsed();
+            self.persist_hist.record(duration);
+            let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+            self.relog_saves.incr();
+            self.bytes_written.add(bytes);
+            if self.log_cache.compression() == Compression::Lzss {
+                self.compressed_bytes.add(bytes);
             }
+            observer.on_event(&SweepEvent::RenderLogSaved {
+                scene,
+                tile_size,
+                bytes,
+                duration,
+            });
         }
-        (rendered.log, stored)
+        rendered.log
     }
 
-    /// Decodes a cached artifact of `bytes` bytes, frame by frame from
-    /// `reader`, into `key`'s state and announces the replay; the decode
-    /// time comes back alongside. `None` when the stream is no valid log
-    /// of `key`: the artifact changed underneath the plan, and the caller
-    /// renders the key instead.
-    fn decode<R: Read + Send>(
-        &self,
-        key: &RenderKey,
-        worker: usize,
-        reader: io::Result<RelogReader<R>>,
-        bytes: u64,
-    ) -> Option<(KeyState, Duration)> {
+    /// Decodes the cached artifact at `path` into `key`'s state and
+    /// announces the replay; the decode time comes back alongside. `None`
+    /// when the file is gone or holds no valid log of `key`: the artifact
+    /// changed underneath the plan, and the caller renders the key instead.
+    fn load(&self, key: &RenderKey, worker: usize, path: &Path) -> Option<(KeyState, Duration)> {
+        let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
         let sw = Stopwatch::start();
         // Decode on a short-lived thread. Each thread allocates from an
         // allocator arena, and an exited thread's arena is handed to the
@@ -709,7 +670,7 @@ impl<'a> Grouped<'a> {
         // a long-lived process running many sweeps this keeps resident
         // memory at the level the cold renders already reach.
         let log = std::thread::scope(|s| {
-            s.spawn(|| reader.and_then(RelogReader::into_log))
+            s.spawn(|| RelogReader::open(path).and_then(RelogReader::into_log))
                 .join()
                 .expect("decode thread")
         })
@@ -729,30 +690,40 @@ impl<'a> Grouped<'a> {
         Some((KeyState::new(log, true), decode))
     }
 
-    /// Decodes the artifact at `path` (see [`Self::decode`]).
-    fn load(&self, key: &RenderKey, worker: usize, path: &Path) -> Option<(KeyState, Duration)> {
-        let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-        self.decode(key, worker, RelogReader::open(path), bytes)
+    /// Builds render job `index`'s state: a satisfied job decodes its
+    /// cached artifact, every other job renders. Returns the state and the
+    /// time to charge to the building cell's Stage B.
+    fn build(&self, index: usize, worker: usize) -> (KeyState, Duration) {
+        let render_job = &self.render_jobs[index];
+        let key = &render_job.key;
+        // The artifact was validated when the plan was annotated, so a
+        // failed load means it changed underneath us: render the key like
+        // any other job.
+        if let Some(loaded) = render_job
+            .cached_log
+            .as_deref()
+            .and_then(|path| self.load(key, worker, path))
+        {
+            return loaded;
+        }
+        (
+            KeyState::new(self.render(key, worker), false),
+            Duration::ZERO,
+        )
     }
 
     /// Runs one cell. The first cell of a render job builds the job's
-    /// state with `build` — under the slot's lock, so once per key — which
-    /// returns the state and the time to charge to that cell's Stage B.
-    /// Every cell then evaluates through the key's section table, frees
-    /// the state if it is the job's last, commits and reports.
-    fn cell(
-        &self,
-        worker: usize,
-        job: EvalJob,
-        build: impl FnOnce() -> (KeyState, Duration),
-    ) -> CellOutcome {
+    /// state — under the slot's lock, so once per key. Every cell then
+    /// evaluates through the key's section table, frees the state if it
+    /// is the job's last, commits and reports.
+    fn cell(&self, worker: usize, job: EvalJob) -> CellOutcome {
         let slot = &self.slots[job.render_job];
         let (state, load) = {
             let mut guard = slot.state.lock().expect("group slot poisoned");
             match guard.as_ref() {
                 Some(state) => (Arc::clone(state), Duration::ZERO),
                 None => {
-                    let (state, load) = build();
+                    let (state, load) = self.build(job.render_job, worker);
                     let state = Arc::new(state);
                     *guard = Some(Arc::clone(&state));
                     (state, load)
@@ -789,7 +760,7 @@ impl<'a> Grouped<'a> {
     }
 }
 
-/// The std-thread work-stealing executor (the engine's default).
+/// The sweep executor: std threads over the work-stealing [`pool`].
 ///
 /// Eval jobs are seeded round-robin, in cell-id order, over the
 /// work-stealing [`pool`]. Cell ids are contiguous per render job, so
@@ -806,24 +777,20 @@ impl<'a> Grouped<'a> {
 /// never run Stage A at all: their first cell decodes the artifact into
 /// memory once for all of them, so warm and cold jobs take one evaluation
 /// path and hold at most one log per render key in flight. With
-/// [`log_dir`](Self::log_dir) set, jobs that *do* render persist their
-/// log on completion, so the next execution of the same keys is
-/// raster-free.
+/// [`log_dir`](Self::log_dir) set, every job that *does* render persists
+/// its log on completion, so the next execution of the same keys is
+/// raster-free; that includes a satisfied job whose artifact vanished
+/// after the plan was annotated, so the cache repairs itself.
 ///
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
 #[derive(Debug, Clone)]
 pub struct ThreadExecutor {
     /// Worker threads; 0 means [`pool::default_workers`].
     pub workers: usize,
-    /// Render each key once and share the log across its cells (the
-    /// default). Disable to rebuild Stage A per cell — only useful for
-    /// baselining and equivalence tests (cached logs are ignored too: the
-    /// per-cell path measures the full monolithic pipeline).
-    pub group_renders: bool,
     /// Directory to persist freshly rendered `.relog` artifacts into
     /// (`None` = don't write). Writes are best-effort: a full disk costs
     /// the cache entry, never the sweep.
-    pub log_dir: Option<std::path::PathBuf>,
+    pub log_dir: Option<PathBuf>,
     /// Threads one Stage A render may spread its frames over
     /// ([`render_key_log_parallel`] — output stays bit-identical at any
     /// setting). 0 means match the executor's worker count, 1 forces
@@ -844,7 +811,6 @@ impl Default for ThreadExecutor {
     fn default() -> Self {
         ThreadExecutor {
             workers: 0,
-            group_renders: true,
             log_dir: None,
             render_workers: 0,
             relog_compress: false,
@@ -854,489 +820,11 @@ impl Default for ThreadExecutor {
 }
 
 impl ThreadExecutor {
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            pool::default_workers()
-        } else {
-            self.workers
-        }
-    }
-
-    /// Runs `body` with the heartbeat watchdog alive (see
-    /// [`run_with_heartbeat`]).
-    fn with_heartbeat<R>(&self, progress: &Progress<'_>, body: impl FnOnce() -> R) -> R {
-        run_with_heartbeat(self.heartbeat, progress, body)
-    }
-}
-
-/// Runs `body` with the heartbeat watchdog alive (when enabled and there
-/// is work): ticks every `interval`, plus a final tick after `body`
-/// returns so every execution's event stream ends with a `done == total`
-/// progress record. Shared by every executor implementation.
-fn run_with_heartbeat<R>(
-    heartbeat: Option<Duration>,
-    progress: &Progress<'_>,
-    body: impl FnOnce() -> R,
-) -> R {
-    let Some(interval) = heartbeat else {
-        return body();
-    };
-    if progress.total == 0 {
-        return body();
-    }
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let ticker = s.spawn(|| {
-            // Poll well under the interval so shutdown is prompt.
-            let poll = interval
-                .max(Duration::from_millis(1))
-                .min(Duration::from_millis(25));
-            let mut since = Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(poll);
-                if since.elapsed() >= interval {
-                    progress.tick();
-                    since = Instant::now();
-                }
-            }
-            progress.tick();
-        });
-        let out = body();
-        stop.store(true, Ordering::Relaxed);
-        let _ = ticker.join();
-        out
-    })
-}
-
-impl Executor for ThreadExecutor {
-    fn execute(
-        &self,
-        plan: &SweepPlan,
-        traces: &HashMap<&'static str, Arc<Trace>>,
-        observer: &dyn SweepObserver,
-        on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
-    ) -> Vec<CellOutcome> {
-        let jobs = plan.eval_jobs().to_vec();
-        let workers = self.effective_workers().clamp(1, jobs.len().max(1));
-        let progress = Progress::new(jobs.len(), observer);
-
-        if !self.group_renders {
-            // Stage histograms, resolved once per execution so workers
-            // never touch the registry lock.
-            let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
-            let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-            return self.with_heartbeat(&progress, || {
-                pool::run_indexed(jobs, workers, |worker, _i, job| {
-                    let trace = &traces[job.cell.scene()];
-                    // The monolithic path has no render/evaluate split to
-                    // time separately; the whole pipeline lands in the
-                    // eval stage.
-                    let sw = Stopwatch::start();
-                    let report = run_cell(trace, &job.cell);
-                    let eval = sw.elapsed();
-                    eval_hist.record(eval);
-                    let sw = Stopwatch::start();
-                    on_done(&job.cell, &report);
-                    let store = sw.elapsed();
-                    store_hist.record(store);
-                    observer.on_event(&SweepEvent::EvalDone {
-                        cell: job.cell.id,
-                        scene: job.cell.scene(),
-                        worker,
-                        replayed: false,
-                        eval,
-                        store,
-                    });
-                    progress.cell_done(&job.cell.label());
-                    CellOutcome {
-                        cell: job.cell,
-                        report,
-                    }
-                })
-            });
-        }
-
-        let grouped = Grouped::new(
-            plan,
-            traces,
-            &progress,
-            on_done,
-            log_cache(self.log_dir.clone(), self.relog_compress),
-            workers,
-            self.render_workers,
-        );
-        self.with_heartbeat(&progress, || {
-            pool::run_indexed(jobs, workers, |worker, _i, job| {
-                let render_job = &plan.render_jobs()[job.render_job];
-                let key = &render_job.key;
-                grouped.cell(worker, job, || {
-                    // A satisfied job decodes its cached artifact once for
-                    // all its cells. The artifact was validated when the
-                    // plan was annotated, so a failure here means it changed
-                    // underneath us: render the key like any other job.
-                    if let Some(loaded) = render_job
-                        .cached_log
-                        .as_deref()
-                        .and_then(|path| grouped.load(key, worker, path))
-                    {
-                        return loaded;
-                    }
-                    let persist = render_job.cached_log.is_none();
-                    let (log, _) = grouped.render(key, worker, persist);
-                    (KeyState::new(log, false), Duration::ZERO)
-                })
-            })
-        })
-    }
-}
-
-/// Cross-execution render deduplication: a process-wide registry of render
-/// keys whose Stage A is currently running in *some* execution, so
-/// concurrent plans sharing a key rasterize it once between them.
-///
-/// The `sweep serve` daemon keeps one registry per process and hands it to
-/// every [`AsyncExecutor`]: the first execution to reach a key becomes the
-/// **leader** (renders, persists the `.relog` artifact, publishes its
-/// path); executions reaching the key while that render runs become
-/// **followers** and block until the artifact is published, then load it
-/// instead of rendering. Keys are registered under their cache file name
-/// ([`crate::artifacts::RenderLogCache::file_key`]), which encodes the full
-/// render identity (scene, frames, screen, tile size, binning).
-///
-/// A finished key is removed from the registry — later executions find the
-/// persisted artifact through the regular cache lookup instead.
-#[derive(Debug, Default)]
-pub struct InFlightRenders {
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-}
-
-#[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-#[derive(Debug)]
-enum FlightState {
-    Rendering,
-    Done(Option<PathBuf>),
-}
-
-/// The outcome of [`InFlightRenders::begin`].
-pub enum FlightClaim {
-    /// No other execution is rendering the key: this caller renders it and
-    /// must publish the outcome through [`FlightLease::finish`]. Dropping
-    /// the lease unfinished publishes `None`, so followers never hang on a
-    /// leader that failed or panicked.
-    Leader(FlightLease),
-    /// Another execution is already rendering the key;
-    /// [`FlightWait::wait`] blocks until it publishes.
-    Follower(FlightWait),
-}
-
-/// The leader's obligation to publish a render's outcome (see
-/// [`FlightClaim::Leader`]).
-pub struct FlightLease {
-    registry: Arc<InFlightRenders>,
-    key: String,
-    flight: Arc<Flight>,
-    finished: bool,
-}
-
-/// A follower's handle on a render another execution is running (see
-/// [`FlightClaim::Follower`]).
-pub struct FlightWait {
-    flight: Arc<Flight>,
-}
-
-impl InFlightRenders {
-    /// A fresh shared registry.
-    pub fn new() -> Arc<Self> {
-        Arc::new(InFlightRenders::default())
-    }
-
-    /// Claims `key`: [`FlightClaim::Leader`] when nobody is rendering it
-    /// (the caller now owns the render), [`FlightClaim::Follower`] when a
-    /// render is already in flight.
-    pub fn begin(self: &Arc<Self>, key: &str) -> FlightClaim {
-        let mut flights = self.flights.lock().expect("flights poisoned");
-        if let Some(f) = flights.get(key) {
-            return FlightClaim::Follower(FlightWait {
-                flight: Arc::clone(f),
-            });
-        }
-        let flight = Arc::new(Flight {
-            state: Mutex::new(FlightState::Rendering),
-            done: Condvar::new(),
-        });
-        flights.insert(key.to_string(), Arc::clone(&flight));
-        FlightClaim::Leader(FlightLease {
-            registry: Arc::clone(self),
-            key: key.to_string(),
-            flight,
-            finished: false,
-        })
-    }
-
-    /// Render keys currently in flight (for status displays).
-    pub fn len(&self) -> usize {
-        self.flights.lock().expect("flights poisoned").len()
-    }
-
-    /// Whether no render is currently in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl FlightLease {
-    /// Publishes the render's outcome to every follower: the path of the
-    /// persisted `.relog` artifact, or `None` when the render could not be
-    /// persisted (followers then render the key themselves).
-    pub fn finish(mut self, artifact: Option<PathBuf>) {
-        self.publish(artifact);
-    }
-
-    fn publish(&mut self, artifact: Option<PathBuf>) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        self.registry
-            .flights
-            .lock()
-            .expect("flights poisoned")
-            .remove(&self.key);
-        *self.flight.state.lock().expect("flight poisoned") = FlightState::Done(artifact);
-        self.flight.done.notify_all();
-    }
-}
-
-impl Drop for FlightLease {
-    fn drop(&mut self) {
-        self.publish(None);
-    }
-}
-
-impl FlightWait {
-    /// Blocks until the leader publishes, then returns the artifact path
-    /// (`None` when the leader could not persist one — the caller renders
-    /// the key itself).
-    pub fn wait(&self) -> Option<PathBuf> {
-        let mut state = self.flight.state.lock().expect("flight poisoned");
-        loop {
-            match &*state {
-                FlightState::Done(p) => return p.clone(),
-                FlightState::Rendering => {
-                    state = self.flight.done.wait(state).expect("flight poisoned")
-                }
-            }
-        }
-    }
-}
-
-/// One render job's prefetched artifact bytes.
-struct PrefetchSlot {
-    bytes: Mutex<Option<Vec<u8>>>,
-    ready: Condvar,
-    /// The read failed: no bytes will come.
-    failed: AtomicBool,
-    /// A cell has taken the bytes (or learned that none will come).
-    taken: AtomicBool,
-}
-
-/// Book-keeping of the replay-prefetch thread.
-struct IoState {
-    /// Per render job: whether its artifact read has started.
-    read: Vec<bool>,
-    /// Jobs a worker is blocked on (served before speculation and outside
-    /// the window, so a waiting worker can never deadlock against it).
-    demanded: VecDeque<usize>,
-    /// Next index into the satisfied-job list to speculate on.
-    next: usize,
-    /// Artifacts read but not yet taken by a cell (bounds memory).
-    outstanding: usize,
-}
-
-/// The [`AsyncExecutor`]'s replay pipeline: a dedicated I/O thread reads
-/// `.relog` artifacts ahead of the workers, and the first cell of each job
-/// decodes them from memory — replay disk reads overlap evaluation instead
-/// of serializing with it inside each worker.
-struct Prefetcher {
-    slots: Vec<PrefetchSlot>,
-    state: Mutex<IoState>,
-    io_wake: Condvar,
-    window: usize,
-}
-
-impl Prefetcher {
-    fn new(render_jobs: usize, window: usize) -> Self {
-        Prefetcher {
-            slots: (0..render_jobs)
-                .map(|_| PrefetchSlot {
-                    bytes: Mutex::new(None),
-                    ready: Condvar::new(),
-                    failed: AtomicBool::new(false),
-                    taken: AtomicBool::new(false),
-                })
-                .collect(),
-            state: Mutex::new(IoState {
-                read: vec![false; render_jobs],
-                demanded: VecDeque::new(),
-                next: 0,
-                outstanding: 0,
-            }),
-            io_wake: Condvar::new(),
-            window: window.max(1),
-        }
-    }
-
-    /// The I/O thread body: reads every satisfied job's artifact, demanded
-    /// jobs first, then speculatively in plan order while fewer than
-    /// `window` read artifacts await a cell.
-    fn run_io(&self, plan: &SweepPlan, satisfied: &[usize]) {
-        let mut reads = 0;
-        while reads < satisfied.len() {
-            let job = {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                loop {
-                    let demanded = loop {
-                        match st.demanded.pop_front() {
-                            Some(j) if !st.read[j] => break Some(j),
-                            Some(_) => continue,
-                            None => break None,
-                        }
-                    };
-                    if let Some(j) = demanded {
-                        break j;
-                    }
-                    while st.next < satisfied.len() && st.read[satisfied[st.next]] {
-                        st.next += 1;
-                    }
-                    if st.next < satisfied.len() && st.outstanding < self.window {
-                        let j = satisfied[st.next];
-                        st.next += 1;
-                        break j;
-                    }
-                    st = self.io_wake.wait(st).expect("prefetch state poisoned");
-                }
-            };
-            {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                st.read[job] = true;
-                st.outstanding += 1;
-            }
-            let path = plan.render_jobs()[job]
-                .cached_log
-                .as_ref()
-                .expect("satisfied jobs carry a cached log");
-            let slot = &self.slots[job];
-            match std::fs::read(path) {
-                Ok(b) => *slot.bytes.lock().expect("prefetch slot poisoned") = Some(b),
-                // The artifact vanished or the read failed: publish the
-                // failure so the waiting cell falls back to rendering.
-                Err(_) => slot.failed.store(true, Ordering::Release),
-            }
-            slot.ready.notify_all();
-            reads += 1;
-        }
-    }
-
-    /// Hands job `job`'s artifact bytes to the one cell decoding them:
-    /// demands the read if it has not started and blocks until it ends.
-    /// Returns `None` when the read failed or the bytes were already
-    /// taken. Either way the job leaves the read-ahead window.
-    fn take(&self, job: usize) -> Option<Vec<u8>> {
-        let slot = &self.slots[job];
-        if slot.taken.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        let mut bytes = slot.bytes.lock().expect("prefetch slot poisoned");
-        if bytes.is_none() && !slot.failed.load(Ordering::Acquire) {
-            {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                if !st.read[job] {
-                    st.demanded.push_back(job);
-                    self.io_wake.notify_one();
-                }
-            }
-            while bytes.is_none() && !slot.failed.load(Ordering::Acquire) {
-                bytes = slot.ready.wait(bytes).expect("prefetch slot poisoned");
-            }
-        }
-        let taken = bytes.take();
-        drop(bytes);
-        let mut st = self.state.lock().expect("prefetch state poisoned");
-        st.outstanding = st.outstanding.saturating_sub(1);
-        self.io_wake.notify_one();
-        taken
-    }
-}
-
-/// The overlapped-pipeline executor behind `sweep serve` — the planned
-/// second [`Executor`] implementation on the plan/executor seam.
-///
-/// Two things distinguish it from [`ThreadExecutor`]:
-///
-/// * **Overlapped replay I/O.** Render jobs satisfied by a cached `.relog`
-///   are read by a dedicated prefetch thread (`Prefetcher`) — demanded
-///   reads first, then speculative read-ahead bounded by
-///   [`prefetch`](Self::prefetch) — and the first cell of each job decodes
-///   the bytes from memory for all the job's cells. Workers never block on
-///   disk unless the artifact genuinely is not read yet.
-/// * **Cross-execution render dedup.** With a shared
-///   [`InFlightRenders`] registry ([`in_flight`](Self::in_flight)),
-///   concurrent executions (the daemon's queued submissions) rasterize
-///   each render key once between them: the leader renders and persists,
-///   followers wait and load the artifact. A late cache lookup also
-///   catches artifacts persisted after this plan was compiled.
-///
-/// Renders are always grouped (one Stage A per render key shared by its
-/// cells, which share Stage B sections as in [`ThreadExecutor`]); outcomes
-/// keep the executor contract — cell-id order, bit-identical to
-/// [`ThreadExecutor`]'s at any worker count.
-#[derive(Debug, Clone)]
-pub struct AsyncExecutor {
-    /// Worker threads; 0 means [`pool::default_workers`].
-    pub workers: usize,
-    /// Directory of the `.relog` artifact cache — both where freshly
-    /// rendered logs are persisted and where the late lookup and in-flight
-    /// followers load from (`None` disables persistence and makes every
-    /// follower re-render).
-    pub log_dir: Option<PathBuf>,
-    /// Stage A frame-parallel budget (same semantics as
-    /// [`ThreadExecutor::render_workers`]).
-    pub render_workers: usize,
-    /// Persist `.relog` artifacts LZSS-compressed.
-    pub relog_compress: bool,
-    /// Interval of the [`SweepEvent::Progress`] heartbeat (`None` =
-    /// disabled).
-    pub heartbeat: Option<Duration>,
-    /// Replay artifacts the prefetch thread may hold in memory awaiting
-    /// consumption (speculative read-ahead window; demanded reads bypass
-    /// it). Clamped to at least 1.
-    pub prefetch: usize,
-    /// Shared cross-execution render registry (`None` = dedup only against
-    /// the disk cache).
-    pub in_flight: Option<Arc<InFlightRenders>>,
-}
-
-impl Default for AsyncExecutor {
-    fn default() -> Self {
-        AsyncExecutor {
-            workers: 0,
-            log_dir: None,
-            render_workers: 0,
-            relog_compress: false,
-            heartbeat: Some(Duration::from_secs(10)),
-            prefetch: 3,
-            in_flight: None,
-        }
-    }
-}
-
-impl Executor for AsyncExecutor {
-    fn execute(
+    /// Executes every job of `plan` against already-captured traces and
+    /// returns one outcome per eval job, in cell-id order regardless of
+    /// scheduling. `on_done` is invoked from worker context as each cell
+    /// completes (the store's commit hook).
+    pub fn execute(
         &self,
         plan: &SweepPlan,
         traces: &HashMap<&'static str, Arc<Trace>>,
@@ -1351,79 +839,44 @@ impl Executor for AsyncExecutor {
         }
         .clamp(1, jobs.len().max(1));
         let progress = Progress::new(jobs.len(), observer);
-        let grouped = Grouped::new(
-            plan,
-            traces,
-            &progress,
-            on_done,
-            log_cache(self.log_dir.clone(), self.relog_compress),
-            workers,
-            self.render_workers,
-        );
-        let inflight_hits = re_obs::metrics::counter(names::SERVE_DEDUP_INFLIGHT);
-        let satisfied: Vec<usize> = plan
-            .render_jobs()
-            .iter()
-            .enumerate()
-            .filter(|(_, rj)| rj.cached_log.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        let pre = Prefetcher::new(plan.render_jobs().len(), self.prefetch);
+        let grouped = Grouped::new(self, plan, traces, &progress, on_done, workers);
+        self.with_heartbeat(&progress, || {
+            pool::run_indexed(jobs, workers, |worker, _i, job| grouped.cell(worker, job))
+        })
+    }
 
-        run_with_heartbeat(self.heartbeat, &progress, || {
-            std::thread::scope(|scope| {
-                scope.spawn(|| pre.run_io(plan, &satisfied));
-                pool::run_indexed(jobs, workers, |worker, _i, job| {
-                    let index = job.render_job;
-                    let render_job = &plan.render_jobs()[index];
-                    let key = &render_job.key;
-                    grouped.cell(worker, job, || {
-                        // Satisfied job: decode the bytes the I/O thread
-                        // read. A failed read or decode means the artifact
-                        // changed underneath us: render the key instead.
-                        if render_job.cached_log.is_some() {
-                            if let Some(loaded) = pre.take(index).and_then(|b| {
-                                let reader = RelogReader::new(b.as_slice());
-                                grouped.decode(key, worker, reader, b.len() as u64)
-                            }) {
-                                return loaded;
-                            }
-                        }
-                        // Late cache lookup: another execution may have
-                        // persisted this key after this plan was annotated.
-                        if let Some(loaded) = grouped
-                            .log_cache
-                            .lookup(key)
-                            .and_then(|path| grouped.load(key, worker, &path))
-                        {
-                            return loaded;
-                        }
-                        let log = match &self.in_flight {
-                            Some(flights) => match flights.begin(&RenderLogCache::file_key(key)) {
-                                FlightClaim::Leader(lease) => {
-                                    let (log, stored) = grouped.render(key, worker, true);
-                                    lease.finish(stored);
-                                    log
-                                }
-                                FlightClaim::Follower(waiter) => {
-                                    if let Some(loaded) = waiter
-                                        .wait()
-                                        .and_then(|path| grouped.load(key, worker, &path))
-                                    {
-                                        inflight_hits.incr();
-                                        return loaded;
-                                    }
-                                    // The leader could not persist: render
-                                    // the key here.
-                                    grouped.render(key, worker, true).0
-                                }
-                            },
-                            None => grouped.render(key, worker, true).0,
-                        };
-                        (KeyState::new(log, false), Duration::ZERO)
-                    })
-                })
-            })
+    /// Runs `body` with the heartbeat watchdog alive (when enabled and
+    /// there is work): ticks every interval, plus a final tick after
+    /// `body` returns so every execution's event stream ends with a
+    /// `done == total` progress record.
+    fn with_heartbeat<R>(&self, progress: &Progress<'_>, body: impl FnOnce() -> R) -> R {
+        let Some(interval) = self.heartbeat else {
+            return body();
+        };
+        if progress.total == 0 {
+            return body();
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let ticker = s.spawn(|| {
+                // Poll well under the interval so shutdown is prompt.
+                let poll = interval
+                    .max(Duration::from_millis(1))
+                    .min(Duration::from_millis(25));
+                let mut since = Instant::now();
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(poll);
+                    if since.elapsed() >= interval {
+                        progress.tick();
+                        since = Instant::now();
+                    }
+                }
+                progress.tick();
+            });
+            let out = body();
+            stop.store(true, Ordering::Relaxed);
+            let _ = ticker.join();
+            out
         })
     }
 }
@@ -1622,19 +1075,16 @@ mod tests {
             ..SweepOptions::default()
         };
         let traces = capture_traces(&grid, &opts).expect("capture");
-        let run = |group_renders| {
-            ThreadExecutor {
-                workers: 2,
-                group_renders,
-                ..ThreadExecutor::default()
-            }
-            .execute(&plan, &traces, &NullObserver, &|_, _| {})
-        };
-        let (grouped, per_cell) = (run(true), run(false));
-        assert_eq!(grouped.len(), per_cell.len());
-        for (a, b) in grouped.iter().zip(&per_cell) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report);
+        let grouped = ThreadExecutor {
+            workers: 2,
+            ..ThreadExecutor::default()
+        }
+        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+        assert_eq!(grouped.len(), plan.cell_count());
+        for (a, job) in grouped.iter().zip(plan.eval_jobs()) {
+            assert_eq!(a.cell, job.cell);
+            let per_cell = crate::run_cell(&traces[job.cell.scene()], &job.cell);
+            assert_eq!(a.report, per_cell);
         }
     }
 
@@ -1646,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn async_executor_matches_thread_executor_cold_and_warm() {
+    fn log_dir_executions_agree_cold_warm_and_vanished() {
         let grid = tiny_grid();
         let plan = SweepPlan::compile(&grid);
         let opts = SweepOptions {
@@ -1660,13 +1110,13 @@ mod tests {
         }
         .execute(&plan, &traces, &NullObserver, &|_, _| {});
 
-        // Cold: no artifacts yet, the async executor renders and persists.
-        let dir = tmp_dir("async_cold");
-        let exec = AsyncExecutor {
+        // Cold: no artifacts yet, the executor renders and persists.
+        let dir = tmp_dir("log_dir");
+        let exec = ThreadExecutor {
             workers: 2,
             log_dir: Some(dir.clone()),
             heartbeat: None,
-            ..AsyncExecutor::default()
+            ..ThreadExecutor::default()
         };
         let recorder = Recorder::default();
         let cold = exec.execute(&plan, &traces, &recorder, &|_, _| {});
@@ -1677,9 +1127,10 @@ mod tests {
         }
         let events = recorder.0.into_inner().unwrap();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
+        assert!(events.contains(&"logsaved:ccs".to_string()), "{events:?}");
 
         // Warm: annotate the plan against the now-populated cache — every
-        // cell replays through the prefetch pipeline, nothing renders.
+        // cell replays the decoded artifact, nothing renders.
         let mut warm_plan = plan.clone();
         warm_plan.attach_cached_logs(&crate::artifacts::RenderLogCache::new(Some(dir.clone())));
         let recorder = Recorder::default();
@@ -1697,7 +1148,8 @@ mod tests {
         assert!(events.contains(&"eval:0:true".to_string()), "{events:?}");
         assert!(events.contains(&"eval:1:true".to_string()), "{events:?}");
 
-        // A vanished artifact falls back to rendering, same results.
+        // A vanished artifact falls back to rendering, same results, and
+        // the re-render repairs the cache.
         for entry in std::fs::read_dir(&dir).expect("ls") {
             let _ = std::fs::remove_file(entry.expect("entry").path());
         }
@@ -1708,92 +1160,8 @@ mod tests {
         }
         let events = recorder.0.into_inner().unwrap();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
+        assert!(events.contains(&"logsaved:ccs".to_string()), "{events:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn inflight_follower_reuses_the_leaders_artifact() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_traces(&grid, &opts).expect("capture");
-        let reference = ThreadExecutor {
-            workers: 1,
-            ..ThreadExecutor::default()
-        }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
-
-        let dir = tmp_dir("async_inflight");
-        let registry = InFlightRenders::new();
-        let key = plan.render_jobs()[0].key;
-        let file_key = crate::artifacts::RenderLogCache::file_key(&key);
-
-        // The test thread plays the leader deterministically: claim the
-        // key, *then* start an execution that must become a follower.
-        let lease = match registry.begin(&file_key) {
-            FlightClaim::Leader(l) => l,
-            FlightClaim::Follower(_) => panic!("fresh registry must grant leadership"),
-        };
-        assert_eq!(registry.len(), 1);
-
-        let recorder = Recorder::default();
-        let follower = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                AsyncExecutor {
-                    workers: 2,
-                    log_dir: Some(dir.clone()),
-                    heartbeat: None,
-                    in_flight: Some(Arc::clone(&registry)),
-                    ..AsyncExecutor::default()
-                }
-                .execute(&plan, &traces, &recorder, &|_, _| {})
-            });
-            // Publish the artifact the follower is waiting for.
-            let cache = crate::artifacts::RenderLogCache::new(Some(dir.clone()));
-            let log = crate::engine::render_key_log(&traces[key.scene()], &key);
-            let path = cache.store(&key, &log).expect("store").expect("path");
-            lease.finish(Some(path));
-            handle.join().expect("follower execution")
-        });
-        assert!(registry.is_empty(), "finished flights are deregistered");
-        for (a, b) in follower.iter().zip(&reference) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report, "cell {}", a.cell.id);
-        }
-        let events = recorder.0.into_inner().unwrap();
-        assert!(
-            !events.iter().any(|e| e.starts_with("render:")),
-            "the follower must not rasterize: {events:?}"
-        );
-        assert!(
-            events.contains(&"replay:ccs".to_string()),
-            "the follower announces the reuse: {events:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dropped_lease_unblocks_followers_with_none() {
-        let registry = InFlightRenders::new();
-        let lease = match registry.begin("k") {
-            FlightClaim::Leader(l) => l,
-            FlightClaim::Follower(_) => panic!("fresh registry must grant leadership"),
-        };
-        let waiter = match registry.begin("k") {
-            FlightClaim::Follower(w) => w,
-            FlightClaim::Leader(_) => panic!("second claim must follow"),
-        };
-        let handle = std::thread::spawn(move || waiter.wait());
-        // The leader dies without publishing (panic, I/O error, …): the
-        // drop guard must release the follower rather than hang it.
-        drop(lease);
-        assert_eq!(handle.join().expect("waiter"), None);
-        assert!(registry.is_empty(), "aborted flights are deregistered");
-        // The key is claimable again afterwards.
-        assert!(matches!(registry.begin("k"), FlightClaim::Leader(_)));
     }
 
     #[test]

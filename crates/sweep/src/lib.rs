@@ -30,14 +30,11 @@
 //! * [`plan`] — [`SweepPlan::compile`] turns a grid into an explicit job
 //!   graph (one [`RenderJob`] per render key, one [`EvalJob`] per cell)
 //!   that callers can query, [shard by render key](SweepPlan::shard)
-//!   across machines, or hand to a different executor;
-//! * [`exec`] — the [`Executor`] trait and its work-stealing
-//!   [`ThreadExecutor`], plus [`SweepObserver`] progress events (no more
-//!   hardwired stderr), including a periodic `Progress` heartbeat with a
-//!   windowed ETA; the [`AsyncExecutor`] overlaps `.relog` replay I/O
-//!   with evaluation and deduplicates renders across concurrent
-//!   executions through a shared [`InFlightRenders`] registry (the
-//!   `sweep serve` daemon's executor);
+//!   across machines, or execute directly;
+//! * [`exec`] — the work-stealing [`ThreadExecutor`] (the one executor:
+//!   one-shot runs, shards and the `sweep serve` daemon all use it), plus
+//!   [`SweepObserver`] progress events (no more hardwired stderr),
+//!   including a periodic `Progress` heartbeat with a windowed ETA;
 //! * [`events`] — [`JsonlObserver`] writes every event as one line of a
 //!   versioned, append-only `events.jsonl` beside the store, and
 //!   [`events::read_events`] parses it back;
@@ -52,7 +49,7 @@
 //! * [`ResultStore`] — an on-disk store (per-cell JSON, committed
 //!   atomically) plus a regenerated `results.csv`; a killed sweep resumes
 //!   from completed cells and the final CSV is byte-identical to a fresh
-//!   single-worker run, with or without render grouping;
+//!   single-worker run and to the per-cell reference ([`run_cell`]);
 //! * [`merge`] — [`merge_stores`] fingerprint-checks and unions per-shard
 //!   stores into one whose `results.csv` is byte-identical to an
 //!   unsharded run (`sweep merge`);
@@ -106,8 +103,7 @@ pub use events::{
     event_json, read_events, EventRecord, JsonlObserver, EVENTS_FILE, EVENTS_VERSION,
 };
 pub use exec::{
-    AsyncExecutor, Executor, FlightClaim, FlightLease, FlightWait, InFlightRenders, MultiObserver,
-    NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor,
+    MultiObserver, NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor,
 };
 pub use grid::{binning_name, parse_binning, Cell, ExperimentGrid, RenderKey};
 pub use merge::{merge_stores, MergeSummary};

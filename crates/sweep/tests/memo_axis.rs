@@ -66,17 +66,11 @@ fn memo_axis_shares_render_logs_like_any_eval_axis() {
     assert_eq!(keys.len(), 1);
 
     let grouped = re_sweep::run_grid(&grid, &opts()).expect("grouped");
-    let per_cell = re_sweep::run_grid(
-        &grid,
-        &SweepOptions {
-            group_renders: false,
-            ..opts()
-        },
-    )
-    .expect("per-cell");
+    let traces = re_sweep::capture_traces(&grid, &opts()).expect("capture");
     assert_eq!(grouped.len(), 4);
-    for (a, b) in grouped.iter().zip(&per_cell) {
-        assert_eq!(a.report, b.report, "cell {}", a.cell.id);
+    for (a, cell) in grouped.iter().zip(&cells) {
+        let per_cell = re_sweep::run_cell(&traces[cell.scene()], cell);
+        assert_eq!(a.report, per_cell, "cell {}", a.cell.id);
     }
 }
 

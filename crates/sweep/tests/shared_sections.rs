@@ -2,19 +2,19 @@
 //!
 //! One render key carries 16 cells, so every pass section is wanted by
 //! several cells at once and is claimed, published and waited on across
-//! workers. At every worker count, on both executors, cold and warm, the
-//! `results.csv` must be byte-identical to the per-cell pipeline's, and
-//! no execution may hang. A warm plan whose artifact vanishes after the
-//! plan was annotated must render the key and still give the same CSV.
+//! workers. At every worker count, cold and warm, the `results.csv` must
+//! be byte-identical to the monolithic per-cell pipeline's
+//! ([`re_sweep::run_cell`]), and no execution may hang. A warm plan whose
+//! artifact vanishes after the plan was annotated must render the key,
+//! still give the same CSV, and put the artifact back for the next run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use re_sweep::{
-    axis, capture_traces, render_csv, AsyncExecutor, CellOutcome, CellRecord, Executor,
-    ExperimentGrid, RenderLogCache, SweepEvent, SweepObserver, SweepOptions, SweepPlan,
-    ThreadExecutor,
+    axis, capture_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
+    RenderLogCache, SweepEvent, SweepObserver, SweepOptions, SweepPlan, ThreadExecutor,
 };
 
 /// Counts Stage A renders.
@@ -58,10 +58,20 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
     let root = std::env::temp_dir().join(format!("re_shared_sections_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
+    // The per-cell pipeline shares nothing: it is the reference.
+    let reference = csv(&grid
+        .cells()
+        .into_iter()
+        .map(|cell| CellOutcome {
+            report: run_cell(&traces[cell.scene()], &cell),
+            cell,
+        })
+        .collect::<Vec<_>>());
+
     // Runs one execution on its own thread and returns its CSV and render
     // count; an execution that hangs (or panics) fails the test.
-    let run = |exec: Box<dyn Executor + Send>, plan: &SweepPlan, what: String| {
-        let (plan, traces) = (plan.clone(), traces.clone());
+    let run = |exec: &ThreadExecutor, plan: &SweepPlan, what: String| {
+        let (exec, plan, traces) = (exec.clone(), plan.clone(), traces.clone());
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
             let renders = Renders::default();
@@ -75,57 +85,47 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
         out
     };
 
-    // The per-cell pipeline shares nothing: it is the reference.
-    let per_cell = ThreadExecutor {
-        workers: 2,
-        group_renders: false,
-        heartbeat: None,
-        ..ThreadExecutor::default()
-    };
-    let (reference, _) = run(Box::new(per_cell), &plan, "per-cell".into());
-
     for workers in [1, 3, 8] {
-        for name in ["thread", "async"] {
-            let logs = root.join(format!("{name}-{workers}"));
-            let exec = || -> Box<dyn Executor + Send> {
-                let log_dir = Some(logs.clone());
-                if name == "thread" {
-                    Box::new(ThreadExecutor {
-                        workers,
-                        log_dir,
-                        heartbeat: None,
-                        ..ThreadExecutor::default()
-                    })
-                } else {
-                    Box::new(AsyncExecutor {
-                        workers,
-                        log_dir,
-                        heartbeat: None,
-                        ..AsyncExecutor::default()
-                    })
-                }
-            };
-            let label = |state: &str| format!("{name} executor, {workers} workers, {state}");
-
-            let (cold, renders) = run(exec(), &plan, label("cold"));
-            assert_eq!(renders, 1, "{}", label("cold"));
+        let logs = root.join(format!("workers-{workers}"));
+        let exec = ThreadExecutor {
+            workers,
+            log_dir: Some(logs.clone()),
+            heartbeat: None,
+            ..ThreadExecutor::default()
+        };
+        let label = |state: &str| format!("{workers} workers, {state}");
+        let annotated = || {
             let mut warm_plan = plan.clone();
             let cache = RenderLogCache::new(Some(logs.clone()));
-            assert_eq!(warm_plan.attach_cached_logs(&cache), 1);
-            let (warm, renders) = run(exec(), &warm_plan, label("warm"));
-            assert_eq!(renders, 0, "{}", label("warm"));
-            // The artifact vanishes after the plan was annotated: the key
-            // renders again.
-            std::fs::remove_dir_all(&logs).expect("remove artifacts");
-            let (vanished, renders) = run(exec(), &warm_plan, label("vanished"));
-            assert_eq!(renders, 1, "{}", label("vanished"));
-            for (got, state) in [(cold, "cold"), (warm, "warm"), (vanished, "vanished")] {
-                assert!(
-                    got == reference,
-                    "{}: results.csv differs from the per-cell run",
-                    label(state)
-                );
-            }
+            (warm_plan.attach_cached_logs(&cache), warm_plan)
+        };
+
+        let (cold, renders) = run(&exec, &plan, label("cold"));
+        assert_eq!(renders, 1, "{}", label("cold"));
+        let (satisfied, warm_plan) = annotated();
+        assert_eq!(satisfied, 1, "{}", label("cold run persisted its key"));
+        let (warm, renders) = run(&exec, &warm_plan, label("warm"));
+        assert_eq!(renders, 0, "{}", label("warm"));
+        // The artifact vanishes after the plan was annotated: the key
+        // renders again, and the render puts the artifact back.
+        std::fs::remove_dir_all(&logs).expect("remove artifacts");
+        let (vanished, renders) = run(&exec, &warm_plan, label("vanished"));
+        assert_eq!(renders, 1, "{}", label("vanished"));
+        let (satisfied, rewarmed_plan) = annotated();
+        assert_eq!(satisfied, 1, "{}", label("vanished run repaired the cache"));
+        let (rewarmed, renders) = run(&exec, &rewarmed_plan, label("rewarmed"));
+        assert_eq!(renders, 0, "{}", label("rewarmed"));
+        for (got, state) in [
+            (cold, "cold"),
+            (warm, "warm"),
+            (vanished, "vanished"),
+            (rewarmed, "rewarmed"),
+        ] {
+            assert!(
+                got == reference,
+                "{}: results.csv differs from the per-cell run",
+                label(state)
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&root);
