@@ -1,7 +1,7 @@
-//! `.relog` codec throughput: `RELOG002` (LZSS) encode and decode of one
-//! rendered suite key at the sweep benchmark's 200×128 screen. Both
-//! directions report MiB/s of *raw* frame data (the plain `RELOG001`
-//! size), so encode and decode figures are directly comparable with the
+//! `.relog` codec throughput: LZSS encode and decode of one rendered
+//! suite key at the sweep benchmark's 200×128 screen. Both directions
+//! report MiB/s of *raw* frame data (the size with every frame stored),
+//! so encode and decode figures are directly comparable with the
 //! `relog.encode_mb_s` / `relog.decode_mb_s` rows of a traced sweep run.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -12,29 +12,26 @@
 //! `docs/FORMATS.md`):
 //!
 //! ```text
-//! magic        "RELOG001" or "RELOG002"                     8 bytes
+//! magic        "RELOG002"                                   8 bytes
 //! fingerprint  u64   FNV-1a over name/config/frame count (see
 //!                    [`log_fingerprint`]) — stale-artifact detection
 //! name         len u16 + UTF-8
 //! config       width u32, height u32, tile_size u32, binning u8
 //! frames       count u32, then per frame a framed record:
-//!                RELOG001: payload_len u64,
-//!                          payload_crc u32 (CRC32 of payload)
-//!                RELOG002: flags u8 (0 = stored, 1 = LZSS),
-//!                          raw_len u64, stored_len u64,
-//!                          stored_crc u32 (CRC32 of the *stored* bytes)
+//!                flags u8 (0 = stored, 1 = LZSS),
+//!                raw_len u64, stored_len u64,
+//!                stored_crc u32 (CRC32 of the *stored* bytes)
 //!                payload (raw or LZSS-compressed):
 //!                  re_unsafe u8
 //!                  geometry output (drawcalls, prims, bins, stats)
 //!                  geometry events, per-tile records
 //! ```
 //!
-//! `RELOG002` differs only in the per-frame framing: each record may be
-//! LZSS-compressed (std-only codec in `crate::lzss`) and declares both its
-//! raw and stored sizes, with the CRC over the stored bytes so integrity
-//! is checked *before* the decompressor runs on the data. [`encode`] still
-//! emits `RELOG001` (plain) — compression is opt-in via [`encode_with`] —
-//! and every reader in this module accepts both revisions.
+//! A frame record may be LZSS-compressed (std-only codec in
+//! `crate::lzss`) and declares both its raw and stored sizes, with the
+//! CRC over the stored bytes so integrity is checked *before* the
+//! decompressor runs on the data. [`encode`] stores every frame plain;
+//! compression is opt-in via [`encode_with`].
 //!
 //! Three independent integrity layers, one per failure mode:
 //!
@@ -44,9 +41,10 @@
 //! * **identity** — the [`log_fingerprint`] ties the artifact to the
 //!   render key that produced it (a renamed or hand-moved file is *stale*,
 //!   not corrupt, and is detected before any frame is read);
-//! * **integrity** — every frame record carries a CRC32 of its payload, so
-//!   torn writes and bit rot are caught frame-by-frame, which keeps the
-//!   streaming reader trustworthy without hashing the whole file up front.
+//! * **integrity** — every frame record carries a CRC32 of its stored
+//!   bytes, checked as the record is read for decoding, so torn writes and
+//!   bit rot are caught frame-by-frame without hashing the whole file up
+//!   front.
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
@@ -58,7 +56,8 @@
 //! [`io::Read`], so a consumer holds at most one frame's events in memory
 //! regardless of log length. The sweep engine decodes a cached log whole,
 //! once per render key ([`RelogReader::into_log`]), and shares it among
-//! the key's cells.
+//! the key's cells. [`decode`] runs the same reader over an in-memory
+//! stream.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -72,22 +71,18 @@ use re_math::{Rect, Vec4};
 use crate::record::Event;
 use crate::render::{FrameLog, RenderLog, TileLog};
 
-/// Format magic of revision 1 (plain frame records); the trailing digits
-/// are the format revision.
-pub const MAGIC: &[u8; 8] = b"RELOG001";
+/// Format magic; the trailing digits are the format revision.
+pub const MAGIC: &[u8; 8] = b"RELOG002";
 
-/// Format magic of revision 2 (optionally-compressed frame records).
-pub const MAGIC_V2: &[u8; 8] = b"RELOG002";
-
-/// Per-frame payload compression for [`encode_with`] / [`save_with`].
+/// Per-frame payload compression for [`encode_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// Plain payloads in the `RELOG001` layout ([`encode`]'s output).
+    /// Every frame stored plain ([`encode`]'s output).
     #[default]
     None,
-    /// LZSS-compressed payloads in the `RELOG002` layout. Each frame
-    /// stores whichever of {raw, compressed} is smaller, so compression
-    /// never grows a record past its framing overhead.
+    /// LZSS-compressed frames. Each frame stores whichever of {raw,
+    /// compressed} is smaller, so compression never grows a record past
+    /// its framing overhead.
     Lzss,
 }
 
@@ -128,7 +123,7 @@ pub enum RelogError {
 impl std::fmt::Display for RelogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RelogError::BadMagic => write!(f, "not a RELOG001/RELOG002 stream"),
+            RelogError::BadMagic => write!(f, "not a RELOG002 stream"),
             RelogError::Truncated { context } => write!(f, "truncated while reading {context}"),
             RelogError::BadTag { context, value } => {
                 write!(f, "invalid tag {value:#04x} while reading {context}")
@@ -383,9 +378,9 @@ pub fn encode(log: &RenderLog) -> Vec<u8> {
 }
 
 /// [`encode`] with a choice of per-frame compression:
-/// [`Compression::None`] emits the exact `RELOG001` bytes [`encode`]
-/// always produced; [`Compression::Lzss`] emits `RELOG002` with each
-/// frame stored compressed when that is smaller (and plain when not).
+/// [`Compression::Lzss`] stores each frame LZSS-compressed when that is
+/// smaller (and plain when not); [`Compression::None`] stores every frame
+/// plain.
 ///
 /// Either way, decoding reproduces the [`RenderLog`] bit-for-bit — the
 /// frame payload bytes under the framing are identical, so compression is
@@ -397,10 +392,7 @@ pub fn encode_with(log: &RenderLog, compression: Compression) -> Vec<u8> {
     let mut w = Writer {
         out: Vec::with_capacity(1 << 16),
     };
-    w.out.extend_from_slice(match compression {
-        Compression::None => MAGIC,
-        Compression::Lzss => MAGIC_V2,
-    });
+    w.out.extend_from_slice(MAGIC);
     w.u64(log_fingerprint(&log.name, log.config, log.frames.len()));
     let name = log.name.as_bytes();
     assert!(
@@ -418,55 +410,27 @@ pub fn encode_with(log: &RenderLog, compression: Compression) -> Vec<u8> {
     w.u32(log.frames.len() as u32);
     for frame in &log.frames {
         let payload = encode_frame(frame);
-        match compression {
-            Compression::None => {
-                w.u64(payload.len() as u64);
-                w.u32(Crc32::digest(&payload));
-                w.out.extend_from_slice(&payload);
-            }
-            Compression::Lzss => {
-                let packed = crate::lzss::compress(&payload);
-                let (flags, stored) = if packed.len() < payload.len() {
-                    (FRAME_LZSS, &packed)
-                } else {
-                    (FRAME_STORED, &payload)
-                };
-                w.u8(flags);
-                w.u64(payload.len() as u64);
-                w.u64(stored.len() as u64);
-                w.u32(Crc32::digest(stored));
-                w.out.extend_from_slice(stored);
-            }
-        }
+        let packed = match compression {
+            Compression::None => None,
+            Compression::Lzss => Some(crate::lzss::compress(&payload)),
+        };
+        let (flags, stored) = match &packed {
+            Some(packed) if packed.len() < payload.len() => (FRAME_LZSS, packed),
+            _ => (FRAME_STORED, &payload),
+        };
+        w.u8(flags);
+        w.u64(payload.len() as u64);
+        w.u64(stored.len() as u64);
+        w.u32(Crc32::digest(stored));
+        w.out.extend_from_slice(stored);
     }
     w.out
 }
 
-/// `RELOG002` frame flags: payload stored as-is.
+/// Frame flags: payload stored as-is.
 const FRAME_STORED: u8 = 0;
-/// `RELOG002` frame flags: payload LZSS-compressed ([`crate::lzss`]).
+/// Frame flags: payload LZSS-compressed ([`crate::lzss`]).
 const FRAME_LZSS: u8 = 1;
-
-/// Writes `log` to `path` (plain write; callers wanting atomicity write to
-/// a temp file and rename, as `re_sweep`'s cache does).
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save(path: impl AsRef<Path>, log: &RenderLog) -> io::Result<()> {
-    std::fs::write(path, encode(log))
-}
-
-/// [`save`] with a choice of per-frame compression (see [`encode_with`]).
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_with(
-    path: impl AsRef<Path>,
-    log: &RenderLog,
-    compression: Compression,
-) -> io::Result<()> {
-    std::fs::write(path, encode_with(log, compression))
-}
 
 // ---------------------------------------------------------------------------
 // Reading
@@ -721,6 +685,22 @@ pub struct RelogHeader {
     pub frame_count: u32,
 }
 
+/// Reports a source that ran dry as [`RelogError::Truncated`].
+fn eof_as_truncated(e: io::Error, context: &'static str) -> io::Error {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        RelogError::Truncated { context }.into()
+    } else {
+        e
+    }
+}
+
+fn read_array<const N: usize, R: Read>(src: &mut R, context: &'static str) -> io::Result<[u8; N]> {
+    let mut buf = [0; N];
+    src.read_exact(&mut buf)
+        .map_err(|e| eof_as_truncated(e, context))?;
+    Ok(buf)
+}
+
 fn read_into<R: Read>(
     src: &mut R,
     buf: &mut Vec<u8>,
@@ -737,38 +717,25 @@ fn read_into<R: Read>(
     while buf.len() < n {
         let start = buf.len();
         buf.resize(start + (n - start).min(STEP), 0);
-        match src.read_exact(&mut buf[start..]) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(RelogError::Truncated { context }.into())
-            }
-            Err(e) => return Err(e),
-        }
+        src.read_exact(&mut buf[start..])
+            .map_err(|e| eof_as_truncated(e, context))?;
     }
     Ok(())
 }
 
-fn read_chunk<R: Read>(src: &mut R, n: usize, context: &'static str) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    read_into(src, &mut buf, n, context)?;
-    Ok(buf)
-}
-
 /// Streaming `.relog` reader: decodes the header eagerly and then one
 /// [`FrameLog`] per [`next_frame`](Self::next_frame) call, holding at most
-/// one frame's payload in memory.
+/// one frame's payload in memory. Each frame record's CRC is checked as
+/// the record is read, before its payload is decompressed or decoded.
 ///
-/// Accepts both format revisions (`RELOG001` plain, `RELOG002` optionally
-/// compressed). The stored and decompressed payloads live in two reusable
-/// scratch buffers, so steady-state frame iteration performs no per-frame
-/// payload allocations — frames decode zero-copy out of the scratch.
+/// The stored and decompressed payloads live in two reusable scratch
+/// buffers, so steady-state frame iteration performs no per-frame payload
+/// allocations — frames decode zero-copy out of the scratch.
 #[derive(Debug)]
 pub struct RelogReader<R> {
     src: R,
     header: RelogHeader,
     next: u32,
-    /// Format revision from the magic: 1 or 2.
-    version: u8,
     /// Scratch: a frame's stored (possibly compressed) bytes.
     stored: Vec<u8>,
     /// Scratch: a compressed frame's decompressed payload.
@@ -792,19 +759,18 @@ impl<R: Read> RelogReader<R> {
     /// # Errors
     /// I/O errors; format errors as [`io::ErrorKind::InvalidData`].
     pub fn new(mut src: R) -> io::Result<Self> {
-        let magic = read_chunk(&mut src, 8, "magic")?;
-        let version = match magic.as_slice() {
-            m if m == MAGIC => 1,
-            m if m == MAGIC_V2 => 2,
-            _ => return Err(RelogError::BadMagic.into()),
-        };
-        // Fingerprint + name length, then the name, then the fixed tail —
-        // three reads because the name's length is only known after the
-        // second one.
-        let head = read_chunk(&mut src, 8 + 2, "header")?;
-        let name_len = u16::from_le_bytes(head[8..10].try_into().expect("len 2")) as usize;
-        let rest = read_chunk(&mut src, name_len + 4 + 4 + 4 + 1 + 4, "header")?;
-        let bytes: Vec<u8> = head.iter().chain(&rest).copied().collect();
+        if &read_array::<8, _>(&mut src, "magic")? != MAGIC {
+            return Err(RelogError::BadMagic.into());
+        }
+        // Fingerprint + name length, then the name and the fixed tail —
+        // two reads because the name's length is only known after the
+        // first one.
+        let head: [u8; 10] = read_array(&mut src, "header")?;
+        let name_len = u16::from_le_bytes([head[8], head[9]]) as usize;
+        let mut bytes = head.to_vec();
+        bytes.resize(head.len() + name_len + 4 + 4 + 4 + 1 + 4, 0);
+        src.read_exact(&mut bytes[head.len()..])
+            .map_err(|e| eof_as_truncated(e, "header"))?;
         let header = parse_header(&mut Parser {
             bytes: &bytes,
             pos: 0,
@@ -813,7 +779,6 @@ impl<R: Read> RelogReader<R> {
             src,
             header,
             next: 0,
-            version,
             stored: Vec::new(),
             raw: Vec::new(),
         })
@@ -839,31 +804,15 @@ impl<R: Read> RelogReader<R> {
         self.header.frame_count
     }
 
-    /// Reads one frame's raw (CRC-verified, decompressed) payload into the
-    /// scratch buffers and returns a view of it, or `None` past the last
-    /// frame.
+    /// Reads one frame record's raw (CRC-verified, decompressed) payload
+    /// into the scratch buffers and returns a view of it, or `None` past
+    /// the last frame.
     fn next_payload(&mut self) -> io::Result<Option<&[u8]>> {
         if self.next == self.header.frame_count {
             return Ok(None);
         }
         let frame = self.next;
-        if self.version == 1 {
-            let head = read_chunk(&mut self.src, 8 + 4, "frame header")?;
-            let len = u64::from_le_bytes(head[0..8].try_into().expect("len 8"));
-            let crc = u32::from_le_bytes(head[8..12].try_into().expect("len 4"));
-            read_into(
-                &mut self.src,
-                &mut self.stored,
-                len as usize,
-                "frame payload",
-            )?;
-            if Crc32::digest(&self.stored) != crc {
-                return Err(RelogError::BadChecksum { frame }.into());
-            }
-            self.next += 1;
-            return Ok(Some(&self.stored));
-        }
-        let head = read_chunk(&mut self.src, 1 + 8 + 8 + 4, "frame header")?;
+        let head: [u8; 1 + 8 + 8 + 4] = read_array(&mut self.src, "frame header")?;
         let flags = head[0];
         let raw_len = u64::from_le_bytes(head[1..9].try_into().expect("len 8"));
         let stored_len = u64::from_le_bytes(head[9..17].try_into().expect("len 8"));
@@ -912,17 +861,6 @@ impl<R: Read> RelogReader<R> {
         }
     }
 
-    /// Scans every remaining frame record, verifying framing and CRCs
-    /// without decoding — the cheap whole-file integrity check the sweep
-    /// cache runs before trusting an artifact.
-    ///
-    /// # Errors
-    /// As [`next_frame`](Self::next_frame), minus decode errors.
-    pub fn verify_frames(&mut self) -> io::Result<()> {
-        while self.next_payload()?.is_some() {}
-        Ok(())
-    }
-
     /// Decodes every remaining frame into a whole [`RenderLog`], one frame
     /// record at a time, so no buffer ever holds the whole stream.
     ///
@@ -965,79 +903,27 @@ fn parse_header(p: &mut Parser<'_>) -> Result<RelogHeader, RelogError> {
     })
 }
 
-/// Parses a complete in-memory `.relog` stream.
+/// Parses a complete in-memory `.relog` stream with the same reader as
+/// [`RelogReader`].
 ///
 /// # Errors
 /// Any [`RelogError`]; trailing bytes after the last frame are rejected.
 pub fn decode(bytes: &[u8]) -> Result<RenderLog, RelogError> {
-    let mut p = Parser { bytes, pos: 0 };
-    let version = match p.take(8, "magic")? {
-        m if m == MAGIC => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(RelogError::BadMagic),
-    };
-    let header = parse_header(&mut p)?;
-    let mut frames = Vec::with_capacity(header.frame_count.min(1 << 20) as usize);
-    let mut scratch = Vec::new();
-    for frame in 0..header.frame_count {
-        if version == 1 {
-            let len = p.u64("frame header")? as usize;
-            let crc = p.u32("frame header")?;
-            let payload = p.take(len, "frame payload")?;
-            if Crc32::digest(payload) != crc {
-                return Err(RelogError::BadChecksum { frame });
-            }
-            frames.push(decode_frame(payload)?);
-            continue;
-        }
-        let flags = p.u8("frame flags")?;
-        let raw_len = p.u64("frame header")?;
-        let stored_len = p.u64("frame header")? as usize;
-        let crc = p.u32("frame header")?;
-        let stored = p.take(stored_len, "frame payload")?;
-        if Crc32::digest(stored) != crc {
-            return Err(RelogError::BadChecksum { frame });
-        }
-        let payload = match flags {
-            FRAME_STORED => {
-                if stored.len() as u64 != raw_len {
-                    return Err(RelogError::BadCompression { frame });
-                }
-                stored
-            }
-            FRAME_LZSS => {
-                crate::lzss::decompress_into(stored, raw_len as usize, &mut scratch)
-                    .map_err(|_| RelogError::BadCompression { frame })?;
-                scratch.as_slice()
-            }
-            value => {
-                return Err(RelogError::BadTag {
-                    context: "frame compression flags",
-                    value,
-                })
-            }
-        };
-        frames.push(decode_frame(payload)?);
-    }
-    if p.pos != bytes.len() {
+    let mut rest = bytes;
+    let log = RelogReader::new(&mut rest)
+        .and_then(RelogReader::into_log)
+        .map_err(|e| match e.into_inner().map(|e| e.downcast()) {
+            Some(Ok(e)) => *e,
+            // A byte slice only fails by running dry, which the reader
+            // already reports as a `RelogError`.
+            _ => RelogError::Truncated { context: "stream" },
+        })?;
+    if !rest.is_empty() {
         return Err(RelogError::Truncated {
             context: "stream (trailing bytes)",
         });
     }
-    Ok(RenderLog {
-        name: header.name,
-        config: header.config,
-        frames,
-    })
-}
-
-/// Loads and fully decodes a `.relog` file.
-///
-/// # Errors
-/// I/O errors; format errors as [`io::ErrorKind::InvalidData`].
-pub fn load(path: impl AsRef<Path>) -> io::Result<RenderLog> {
-    let bytes = std::fs::read(path)?;
-    Ok(decode(&bytes)?)
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -1157,25 +1043,63 @@ mod tests {
         let mut vnext = bytes.clone();
         vnext[7] = b'3';
         assert_eq!(decode(&vnext), Err(RelogError::BadMagic));
+        // So is the retired plain-only revision: an old cache file is a
+        // miss, not a misparse.
+        let mut vold = bytes.clone();
+        vold[7] = b'1';
+        assert_eq!(decode(&vold), Err(RelogError::BadMagic));
         // Trailing garbage is an error, not silently ignored.
         let mut long = bytes;
         long.push(0);
         assert!(matches!(decode(&long), Err(RelogError::Truncated { .. })));
     }
 
+    /// Offset of frame 0's record in a `Tri` log's stream.
+    const FRAME0: usize = 8 + 8 + 2 + "tri".len() + 13 + 4;
+
+    /// The error the streaming reader reports for `bytes`.
+    fn stream_error(bytes: &[u8]) -> RelogError {
+        let err = RelogReader::new(bytes)
+            .and_then(RelogReader::into_log)
+            .expect_err("stream must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        *err.into_inner()
+            .expect("wrapped RelogError")
+            .downcast::<RelogError>()
+            .expect("a RelogError")
+    }
+
     #[test]
     fn corrupt_length_fields_error_instead_of_panicking() {
-        // A bit flip landing in a frame's payload_len must surface as a
-        // clean error (no giant allocation, no overflow panic) on both the
-        // in-memory and the streaming path.
+        // A bit flip landing in a frame's raw_len or stored_len must
+        // surface as a clean error (no giant allocation, no overflow
+        // panic), the same one through the in-memory and the streaming
+        // entry point, for a stored and for an LZSS frame record.
         let log = render_scene(&mut Tri, cfg(), 2);
-        let mut bytes = encode(&log);
-        let header = 8 + 8 + 2 + "tri".len() + 13 + 4;
-        bytes[header..header + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(RelogError::Truncated { .. })));
-        let mut r = RelogReader::new(bytes.as_slice()).expect("header still parses");
-        let err = r.next_frame().expect_err("corrupt length");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for compression in [Compression::None, Compression::Lzss] {
+            let bytes = encode_with(&log, compression);
+            let flags = match compression {
+                Compression::None => FRAME_STORED,
+                Compression::Lzss => FRAME_LZSS,
+            };
+            assert_eq!(bytes[FRAME0], flags, "frame 0 of {compression:?}");
+            let raw_len = FRAME0 + 1..FRAME0 + 9;
+            let stored_len = FRAME0 + 9..FRAME0 + 17;
+            for (field, want) in [
+                (raw_len, RelogError::BadCompression { frame: 0 }),
+                (
+                    stored_len,
+                    RelogError::Truncated {
+                        context: "frame payload",
+                    },
+                ),
+            ] {
+                let mut bad = bytes.clone();
+                bad[field.clone()].copy_from_slice(&u64::MAX.to_le_bytes());
+                assert_eq!(decode(&bad), Err(want.clone()), "{compression:?} {field:?}");
+                assert_eq!(stream_error(&bad), want, "{compression:?} {field:?}");
+            }
+        }
     }
 
     #[test]
@@ -1211,15 +1135,16 @@ mod tests {
         let log = render_scene(&mut Tri, cfg(), 3);
         let plain = encode(&log);
         let packed = encode_with(&log, Compression::Lzss);
-        assert_eq!(&packed[..8], MAGIC_V2);
+        assert_eq!(&packed[..8], MAGIC);
+        assert_eq!(&plain[..8], MAGIC, "one framing for both settings");
+        assert_eq!(plain[FRAME0], FRAME_STORED);
         assert!(
             packed.len() < plain.len(),
             "relog payloads are highly compressible ({} vs {} bytes)",
             packed.len(),
             plain.len()
         );
-        assert_eq!(decode(&packed).expect("decode v2"), log);
-        // encode_with(None) is byte-for-byte the classic RELOG001 stream.
+        assert_eq!(decode(&packed).expect("decode packed"), log);
         assert_eq!(encode_with(&log, Compression::None), plain);
     }
 
@@ -1243,15 +1168,15 @@ mod tests {
             crate::evaluate(&decode(&packed).expect("decode"), &opts),
             direct
         );
-        let mut v = RelogReader::new(packed.as_slice()).expect("header");
-        v.verify_frames().expect("compressed frames verify");
+        let v = RelogReader::new(packed.as_slice()).expect("header");
+        assert_eq!(v.into_log().expect("compressed frames decode"), log);
     }
 
     #[test]
     fn corrupt_compressed_records_fail_cleanly() {
         let log = render_scene(&mut Tri, cfg(), 2);
         let bytes = encode_with(&log, Compression::Lzss);
-        let header = 8 + 8 + 2 + "tri".len() + 13 + 4;
+        let header = FRAME0;
 
         // A flipped stored byte is caught by the CRC before the
         // decompressor ever runs.
@@ -1282,8 +1207,8 @@ mod tests {
         // Truncation anywhere errors on both decode paths.
         for cut in [header + 1, header + 10, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must error");
-            let mut r = RelogReader::new(&bytes[..cut]).expect("header parses");
-            assert!(r.verify_frames().is_err(), "stream cut at {cut} must error");
+            let r = RelogReader::new(&bytes[..cut]).expect("header parses");
+            assert!(r.into_log().is_err(), "stream cut at {cut} must error");
         }
     }
 
@@ -1320,15 +1245,11 @@ mod tests {
     fn file_roundtrip_and_verify() {
         let log = render_scene(&mut Tri, cfg(), 2);
         let path = std::env::temp_dir().join(format!("re_relog_test_{}.relog", std::process::id()));
-        save(&path, &log).expect("save");
-        assert_eq!(load(&path).expect("load"), log);
-        let mut r = RelogReader::open(&path).expect("open");
-        r.verify_frames().expect("all frames verify");
-        // Same file saved compressed: smaller on disk, identical on load.
-        save_with(&path, &log, Compression::Lzss).expect("save compressed");
-        assert_eq!(load(&path).expect("load compressed"), log);
-        let mut r = RelogReader::open(&path).expect("open compressed");
-        r.verify_frames().expect("compressed frames verify");
+        for compression in [Compression::None, Compression::Lzss] {
+            std::fs::write(&path, encode_with(&log, compression)).expect("write");
+            let r = RelogReader::open(&path).expect("open");
+            assert_eq!(r.into_log().expect("decode"), log, "{compression:?}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

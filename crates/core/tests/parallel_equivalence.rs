@@ -13,9 +13,9 @@
 //! 2. **Band-parallel rasterization is invisible**: rendering with the
 //!    tile grid split into bands yields the same log as the serial tile
 //!    loop, for any band count.
-//! 3. **Compression is invisible**: an LZSS `RELOG002` stream decodes to
+//! 3. **Compression is invisible**: a stream of LZSS frames decodes to
 //!    the identical log (NaN bit patterns included) and replays to the
-//!    identical [`RunReport`] as the stored `RELOG001` framing.
+//!    identical [`RunReport`] as one with every frame stored.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression};

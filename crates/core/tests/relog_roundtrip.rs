@@ -8,10 +8,15 @@
 //! A second property pins the reason the codec exists: a report evaluated
 //! from a decoded log is bit-identical to one evaluated from the in-memory
 //! original.
+//!
+//! A third pins the one frame-record reader behind both entry points: on
+//! truncated or bit-flipped streams, [`relog::decode`] and
+//! [`RelogReader::into_log`] agree (same log or same error) and never
+//! panic.
 
 use proptest::prelude::*;
 use re_core::record::Event;
-use re_core::relog;
+use re_core::relog::{self, Compression, RelogError, RelogReader};
 use re_core::render::{FrameLog, RenderLog, TileLog};
 use re_core::{render_scene, Scene, SimOptions};
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
@@ -291,5 +296,48 @@ proptest! {
         let bytes = relog::encode(&log);
         let decoded = relog::decode(&bytes).expect("decode");
         prop_assert_eq!(re_core::evaluate(&decoded, &opts), direct);
+    }
+
+    #[test]
+    fn decode_and_streaming_reader_agree_on_hostile_bytes(
+        seed in any::<u64>(),
+        frames in 0usize..4,
+        tiles in 0usize..5,
+        lzss in any::<bool>(),
+        flip in any::<bool>(),
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let log = arbitrary_log(seed, frames, tiles);
+        let compression = if lzss { Compression::Lzss } else { Compression::None };
+        let mut bytes = relog::encode_with(&log, compression);
+        let at = (at % bytes.len() as u64) as usize;
+        if flip {
+            bytes[at] ^= mask;
+        } else {
+            bytes.truncate(at);
+        }
+        let whole = relog::decode(&bytes);
+        let streamed = RelogReader::new(bytes.as_slice()).and_then(RelogReader::into_log);
+        match (whole, streamed) {
+            // Compare re-encodings: PartialEq would reject NaN == NaN.
+            (Ok(a), Ok(b)) => prop_assert_eq!(relog::encode(&a), relog::encode(&b)),
+            (Err(a), Err(b)) => {
+                let b = *b
+                    .into_inner()
+                    .expect("wrapped RelogError")
+                    .downcast::<RelogError>()
+                    .expect("a RelogError");
+                prop_assert_eq!(a, b);
+            }
+            // A stream has no end to check, so only the in-memory entry
+            // point sees bytes after the last frame a corrupt header
+            // declares.
+            (Err(a), Ok(_)) => prop_assert_eq!(
+                a,
+                RelogError::Truncated { context: "stream (trailing bytes)" }
+            ),
+            (Ok(_), Err(b)) => prop_assert!(false, "only the stream failed: {}", b),
+        }
     }
 }

@@ -20,17 +20,19 @@
 //!   resumed, killed, or re-merged shard run can skip rasterization
 //!   entirely for covered keys: the plan marks those render jobs satisfied
 //!   ([`crate::SweepPlan::attach_cached_logs`]) and the executor streams
-//!   the log from disk instead. Lookup validates the artifact end to end
-//!   (magic/version, identity fingerprint, per-frame checksums) and treats
-//!   anything invalid as a miss, so corrupt or stale files silently fall
-//!   back to re-rendering.
+//!   the log from disk instead. Lookup reads only the artifact's header
+//!   (magic, identity fingerprint, name, config, frame count) and treats a
+//!   mismatch as a miss, so stale or foreign files fall back to
+//!   re-rendering. Frame checksums are checked once, when the executor
+//!   decodes the log; a corrupt frame sends that key back to Stage A,
+//!   which overwrites the artifact.
 //!
 //! Both caches commit via write-to-temp-then-rename, so a killed sweep
 //! never leaves a torn artifact a later run would trust.
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use re_core::relog;
@@ -175,8 +177,8 @@ pub struct RenderLogCache {
 }
 
 impl RenderLogCache {
-    /// A cache writing plain (`RELOG001`) `.relog` files under `dir`
-    /// (`None` = disabled).
+    /// A cache writing `.relog` files with every frame stored plain under
+    /// `dir` (`None` = disabled).
     pub fn new(dir: Option<PathBuf>) -> Self {
         RenderLogCache {
             dir,
@@ -186,7 +188,7 @@ impl RenderLogCache {
 
     /// The same cache writing artifacts with `compression`
     /// ([`relog::Compression::Lzss`] = smaller files, same contents).
-    /// Reads are unaffected — [`lookup`](Self::lookup) accepts either
+    /// Reads are unaffected — both settings write the one `.relog`
     /// framing, so mixed directories and flag flips between runs are fine.
     pub fn with_compression(mut self, compression: relog::Compression) -> Self {
         self.compression = compression;
@@ -219,36 +221,46 @@ impl RenderLogCache {
         )
     }
 
-    /// The fingerprint a valid artifact for `key` must carry
-    /// ([`relog::log_fingerprint`] over the key's identity).
-    pub fn expected_fingerprint(key: &RenderKey) -> u64 {
-        relog::log_fingerprint(key.scene(), key.gpu_config(), key.frames())
+    /// Opens the artifact at `path` as a log of `key`: its header must
+    /// carry the current magic and `key`'s fingerprint
+    /// ([`relog::log_fingerprint`]), scene name, config and frame count.
+    /// No frame is read here; the returned reader checks each frame's CRC
+    /// as it decodes it.
+    ///
+    /// # Errors
+    /// I/O and format errors, and [`io::ErrorKind::InvalidData`] for an
+    /// artifact of another key (stale or foreign).
+    pub fn open(
+        key: &RenderKey,
+        path: &Path,
+    ) -> io::Result<relog::RelogReader<io::BufReader<std::fs::File>>> {
+        let reader = relog::RelogReader::open(path)?;
+        let header = reader.header();
+        if header.fingerprint != relog::log_fingerprint(key.scene(), key.gpu_config(), key.frames())
+            || header.name != key.scene()
+            || header.config != key.gpu_config()
+            || header.frame_count as usize != key.frames()
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not a log of {}", path.display(), key.scene()),
+            ));
+        }
+        Ok(reader)
     }
 
-    /// The path of a **validated** cached log for `key`, or `None` when
-    /// the cache is disabled, the file is absent, or the artifact fails
-    /// validation (bad magic/version, fingerprint mismatch = stale, frame
-    /// checksum failure = corrupt). Invalid artifacts are deleted so the
-    /// slot is clean for the re-render that follows.
+    /// The path of a cached log for `key`, or `None` when the cache is
+    /// disabled, the file is absent, or its header does not identify
+    /// `key`'s log (see [`open`](Self::open)). Such artifacts are deleted
+    /// so the slot is clean for the re-render that follows. Frame
+    /// checksums are left to the decode that replays the artifact.
     pub fn lookup(&self, key: &RenderKey) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
         let path = dir.join(Self::file_key(key));
         if !path.is_file() {
             return None;
         }
-        let valid = (|| -> io::Result<bool> {
-            let mut reader = relog::RelogReader::open(&path)?;
-            if reader.header().fingerprint != Self::expected_fingerprint(key)
-                || reader.config() != key.gpu_config()
-                || reader.frame_count() as usize != key.frames()
-            {
-                return Ok(false);
-            }
-            reader.verify_frames()?;
-            Ok(true)
-        })()
-        .unwrap_or(false);
-        if valid {
+        if Self::open(key, &path).is_ok() {
             Some(path)
         } else {
             let _ = std::fs::remove_file(&path);
@@ -268,7 +280,7 @@ impl RenderLogCache {
         std::fs::create_dir_all(dir)?;
         let name = Self::file_key(key);
         let tmp = dir.join(format!("{name}.tmp"));
-        relog::save_with(&tmp, log, self.compression)?;
+        std::fs::write(&tmp, relog::encode_with(log, self.compression))?;
         let path = dir.join(name);
         std::fs::rename(&tmp, &path)?;
         Ok(Some(path))
@@ -381,6 +393,12 @@ mod tests {
         crate::engine::render_key_log(&trace, key)
     }
 
+    fn decode_file(path: &Path) -> RenderLog {
+        relog::RelogReader::open(path)
+            .and_then(relog::RelogReader::into_log)
+            .expect("decode")
+    }
+
     #[test]
     fn render_log_cache_stores_and_validates() {
         let dir = std::env::temp_dir().join(format!("re_relog_cache_{}", std::process::id()));
@@ -393,7 +411,7 @@ mod tests {
         let path = cache.store(&key, &log).expect("store").expect("enabled");
         assert_eq!(path.file_name().unwrap(), "ccs-3f-128x64-ts16-bbox.relog");
         assert_eq!(cache.lookup(&key), Some(path.clone()));
-        assert_eq!(relog::load(&path).expect("load"), log, "artifact is exact");
+        assert_eq!(decode_file(&path), log, "artifact is exact");
 
         // A disabled cache neither hits nor writes.
         let off = RenderLogCache::new(None);
@@ -426,7 +444,7 @@ mod tests {
         // decoded contents are exact.
         assert_eq!(plain.lookup(&key), Some(path.clone()));
         assert_eq!(packed.lookup(&key), Some(path.clone()));
-        assert_eq!(relog::load(&path).expect("load"), log);
+        assert_eq!(decode_file(&path), log);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -441,12 +459,14 @@ mod tests {
             .expect("store")
             .expect("enabled");
 
-        // Corrupt: flip a byte inside a frame payload.
+        // Retired format revision: the same artifact under the old
+        // `RELOG001` magic is a miss. (A frame-corrupt artifact still hits
+        // here; its decode fails and the key re-renders, see
+        // `tests/render_once.rs`.)
         let mut bytes = std::fs::read(&path).expect("read");
-        let n = bytes.len();
-        bytes[n - 3] ^= 0xFF;
+        bytes[7] = b'1';
         std::fs::write(&path, &bytes).expect("write");
-        assert_eq!(cache.lookup(&key3), None, "corrupt artifact is a miss");
+        assert_eq!(cache.lookup(&key3), None, "old-revision artifact is a miss");
         assert!(!path.exists(), "invalid artifact is cleaned up");
 
         // Stale: a valid artifact for another key parked under this key's

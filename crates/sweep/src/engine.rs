@@ -66,9 +66,9 @@ pub struct SweepOptions {
     /// renders, so a single-key plan uses every worker while a many-key
     /// plan still parallelizes across keys first.
     pub render_workers: usize,
-    /// Write `.relog` cache artifacts LZSS-compressed (`RELOG002`).
-    /// Smaller files, identical replay results; readers accept both
-    /// framings, so flipping this between runs is safe.
+    /// Write `.relog` cache artifacts with LZSS-compressed frames.
+    /// Smaller files, identical replay results; both settings write the
+    /// one `.relog` framing, so flipping this between runs is safe.
     pub relog_compress: bool,
     /// Interval of the [`SweepEvent::Progress`](crate::exec::SweepEvent)
     /// heartbeat the executor's watchdog emits (`None` disables it).

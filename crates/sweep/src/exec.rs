@@ -657,9 +657,11 @@ impl<'a> Grouped<'a> {
     }
 
     /// Decodes the cached artifact at `path` into `key`'s state and
-    /// announces the replay; the decode time comes back alongside. `None`
-    /// when the file is gone or holds no valid log of `key`: the artifact
-    /// changed underneath the plan, and the caller renders the key instead.
+    /// announces the replay; the decode time comes back alongside. This
+    /// decode is where the artifact's frame CRCs are checked. `None` when
+    /// the file is gone, is not a log of `key` ([`RenderLogCache::open`])
+    /// or fails to decode: the caller renders the key instead, which
+    /// overwrites the artifact.
     fn load(&self, key: &RenderKey, worker: usize, path: &Path) -> Option<(KeyState, Duration)> {
         let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
         let sw = Stopwatch::start();
@@ -670,12 +672,11 @@ impl<'a> Grouped<'a> {
         // a long-lived process running many sweeps this keeps resident
         // memory at the level the cold renders already reach.
         let log = std::thread::scope(|s| {
-            s.spawn(|| RelogReader::open(path).and_then(RelogReader::into_log))
+            s.spawn(|| RenderLogCache::open(key, path).and_then(RelogReader::into_log))
                 .join()
                 .expect("decode thread")
         })
-        .ok()
-        .filter(|log| log.config == key.gpu_config() && log.frames.len() == key.frames())?;
+        .ok()?;
         let decode = sw.elapsed();
         self.replay_hist.record(decode);
         self.relog_replays.incr();
@@ -696,9 +697,9 @@ impl<'a> Grouped<'a> {
     fn build(&self, index: usize, worker: usize) -> (KeyState, Duration) {
         let render_job = &self.render_jobs[index];
         let key = &render_job.key;
-        // The artifact was validated when the plan was annotated, so a
-        // failed load means it changed underneath us: render the key like
-        // any other job.
+        // The plan checked only the artifact's header. A failed load means
+        // a corrupt frame or an artifact that changed underneath the plan:
+        // render the key like any other job.
         if let Some(loaded) = render_job
             .cached_log
             .as_deref()
@@ -798,8 +799,9 @@ pub struct ThreadExecutor {
     /// flight, so concurrent keys split the machine instead of
     /// oversubscribing it.
     pub render_workers: usize,
-    /// Persist `.relog` artifacts LZSS-compressed (`RELOG002`) instead of
-    /// stored (`RELOG001`). Replay reads both framings transparently.
+    /// Persist `.relog` artifacts with LZSS-compressed frames instead of
+    /// stored ones. Both settings write the one `.relog` framing, so
+    /// replay reads either.
     pub relog_compress: bool,
     /// Interval of the [`SweepEvent::Progress`] heartbeat (`None` =
     /// disabled). A watchdog thread emits the event even while every
@@ -1161,6 +1163,56 @@ mod tests {
         let events = recorder.0.into_inner().unwrap();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
         assert!(events.contains(&"logsaved:ccs".to_string()), "{events:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn another_scenes_artifact_is_never_replayed() {
+        let grid = tiny_grid().with_scenes(&["ccs", "tib"]);
+        let plan = SweepPlan::compile(&grid);
+        let opts = SweepOptions {
+            quiet: true,
+            ..SweepOptions::default()
+        };
+        let traces = capture_traces(&grid, &opts).expect("capture");
+        let dir = tmp_dir("foreign");
+        let exec = ThreadExecutor {
+            workers: 2,
+            log_dir: Some(dir.clone()),
+            heartbeat: None,
+            ..ThreadExecutor::default()
+        };
+        let csv_of = |outcomes: &[CellOutcome]| {
+            let records: Vec<_> = outcomes
+                .iter()
+                .map(|o| crate::CellRecord::from_run(&o.cell, &o.report))
+                .collect();
+            crate::render_csv(&records)
+        };
+        let cold = csv_of(&exec.execute(&plan, &traces, &NullObserver, &|_, _| {}));
+
+        // Annotate against the warm cache, then park tib's artifact (same
+        // config and frame count) under ccs's file name.
+        let cache = crate::artifacts::RenderLogCache::new(Some(dir.clone()));
+        let mut warm_plan = plan.clone();
+        assert_eq!(warm_plan.attach_cached_logs(&cache), 2);
+        let file = |scene| {
+            let job = plan.render_jobs().iter().find(|j| j.key.scene() == scene);
+            dir.join(crate::artifacts::RenderLogCache::file_key(
+                &job.expect("job").key,
+            ))
+        };
+        std::fs::rename(file("tib"), file("ccs")).expect("rename");
+
+        let recorder = Recorder::default();
+        let outcomes = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
+        assert_eq!(csv_of(&outcomes), cold, "tib's log replayed into ccs cells");
+        let events = recorder.0.into_inner().unwrap();
+        assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
+        assert!(!events.contains(&"replay:ccs".to_string()), "{events:?}");
+        // The re-render overwrote the foreign artifact with ccs's own.
+        let mut rewarmed = plan.clone();
+        assert_eq!(rewarmed.attach_cached_logs(&cache), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -79,15 +79,16 @@ pub struct RenderJob {
     pub key: RenderKey,
     /// Ids of the cells evaluating this job's log, ascending.
     pub cells: Vec<usize>,
-    /// Path of a validated cached `.relog` covering this key, set by
+    /// Path of a cached `.relog` whose header identifies this key, set by
     /// [`SweepPlan::attach_cached_logs`]. When present the job is
     /// **satisfied**: the executor replays the artifact instead of
-    /// rasterizing, so the job costs zero raster invocations.
+    /// rasterizing, so the job costs zero raster invocations (unless a
+    /// frame fails its CRC on decode, and the key renders after all).
     pub cached_log: Option<std::path::PathBuf>,
 }
 
 impl RenderJob {
-    /// Whether a validated cached log already satisfies this job.
+    /// Whether a cached log already satisfies this job.
     pub fn is_satisfied(&self) -> bool {
         self.cached_log.is_some()
     }
@@ -251,11 +252,13 @@ impl SweepPlan {
         }
     }
 
-    /// Marks every render job a validated cached `.relog` covers as
-    /// satisfied (its [`RenderJob::cached_log`] is set to the artifact's
-    /// path) and returns how many jobs that matched. Jobs the cache misses
-    /// — including corrupt or stale artifacts, which `lookup` rejects and
-    /// removes — are left to render normally.
+    /// Marks every render job whose cached `.relog` header identifies its
+    /// key as satisfied (its [`RenderJob::cached_log`] is set to the
+    /// artifact's path) and returns how many jobs that matched. Jobs the
+    /// cache misses — including stale or old-format artifacts, which
+    /// `lookup` rejects and removes — are left to render normally. Only
+    /// headers are read here: frame CRCs are checked when the executor
+    /// decodes the artifact, and a corrupt one re-renders its key then.
     ///
     /// Resume composes with this naturally: [`Self::without_cells`] first
     /// drops completed cells, then the cached logs satisfy the remaining

@@ -86,7 +86,10 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
     assert_eq!(stored.len(), render_keys as usize);
     assert_eq!(packed.len(), render_keys as usize);
     for ((name_s, size_s), (name_p, size_p)) in stored.iter().zip(&packed) {
-        assert_eq!(name_s, name_p, "same cache keys under both framings");
+        assert_eq!(
+            name_s, name_p,
+            "same cache keys under both compression settings"
+        );
         assert!(
             size_p < size_s,
             "{name_p}: compressed ({size_p} B) must beat stored ({size_s} B)"

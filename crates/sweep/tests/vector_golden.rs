@@ -1,8 +1,9 @@
 //! Vector-family golden CSV: the committed fixture pins `results.csv`
 //! for a grid over the three vector scenes, byte for byte.
 //!
-//! The pin must hold across worker counts and with `.relog` artifacts in
-//! both framings (`--relog-compress on|off`), cold and warm — the same
+//! The pin must hold across worker counts and with `.relog` artifacts
+//! written under both compression settings (`--relog-compress on|off`),
+//! cold and warm — the same
 //! determinism contract the paper suite has, extended to the software
 //! vector path. Regenerate the fixture (after an *intentional* output
 //! change) with:
@@ -63,7 +64,7 @@ fn vector_results_match_the_fixture_across_workers_and_relog_framings() {
     });
     assert_eq!(parallel, GOLDEN, "4-worker run diverged from the fixture");
 
-    // Both .relog framings, cold (renders + writes artifacts) and warm
+    // Both compression settings, cold (renders + writes artifacts) and warm
     // (evaluates entirely from decoded artifacts).
     for compress in [false, true] {
         let dir = std::env::temp_dir().join(format!(
