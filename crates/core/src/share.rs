@@ -213,38 +213,31 @@ fn claim_next<'t>(
     entries[slots[i]].1 = Entry::Claimed;
     let claim = Claim {
         table,
-        slots: vec![slots[i]],
+        slot: slots[i],
     };
     Some((i, claim))
 }
 
-/// Table slots a cell has claimed and not yet published. Dropping it
-/// unpublished (the cell panicked) reopens them and wakes the waiters.
+/// The table slot a cell has claimed. Dropping the claim wakes the
+/// waiters; dropped unpublished (the cell panicked), it first reopens
+/// the slot.
 struct Claim<'t> {
     table: &'t SectionTable,
-    slots: Vec<usize>,
+    slot: usize,
 }
 
 impl Claim<'_> {
-    fn publish(mut self, section: impl Into<Section>) {
-        let section = Arc::new(section.into());
-        let mut entries = self.table.lock();
-        for slot in std::mem::take(&mut self.slots) {
-            entries[slot].1 = Entry::Ready(Arc::clone(&section));
-        }
-        drop(entries);
-        self.table.published.notify_all();
+    fn publish(self, section: impl Into<Section>) {
+        self.table.lock()[self.slot].1 = Entry::Ready(Arc::new(section.into()));
     }
 }
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        if self.slots.is_empty() {
-            return;
-        }
         if let Ok(mut entries) = self.table.entries.lock() {
-            for &slot in &self.slots {
-                entries[slot].1 = Entry::Open;
+            let entry = &mut entries[self.slot].1;
+            if matches!(entry, Entry::Claimed) {
+                *entry = Entry::Open;
             }
         }
         self.table.published.notify_all();
@@ -430,24 +423,21 @@ mod tests {
         (render_scene(&mut Stepper, gpu, 5), opts)
     }
 
-    /// Marks `keys` as claimed by a stand-in for another running cell.
-    fn claim<'t>(table: &'t SectionTable, keys: &[SectionKey]) -> Claim<'t> {
+    /// Marks `key` as claimed by a stand-in for another running cell.
+    fn claim<'t>(table: &'t SectionTable, key: &SectionKey) -> Claim<'t> {
         let mut entries = table.lock();
-        let slots = keys
-            .iter()
-            .map(|key| {
-                entries.push((key.clone(), Entry::Claimed));
-                entries.len() - 1
-            })
-            .collect();
-        Claim { table, slots }
+        entries.push((key.clone(), Entry::Claimed));
+        Claim {
+            table,
+            slot: entries.len() - 1,
+        }
     }
 
     #[test]
     fn a_cell_reuses_a_section_another_cell_is_computing() {
         let (log, opts) = setup();
         let table = SectionTable::new();
-        let other = claim(&table, &[BaselinePass::share_key(&opts)]);
+        let other = claim(&table, &BaselinePass::share_key(&opts));
         std::thread::scope(|s| {
             // The cell computes the four passes nobody holds, then waits
             // for the baseline until the other cell publishes it.
@@ -463,7 +453,7 @@ mod tests {
     fn a_cell_claims_one_open_section_per_round() {
         let (_, opts) = setup();
         let table = SectionTable::new();
-        let other = claim(&table, &[BaselinePass::share_key(&opts)]);
+        let other = claim(&table, &BaselinePass::share_key(&opts));
         let keys = SectionKey::for_options(&opts);
         let mut entries = table.lock();
         let slots: Vec<usize> = keys.iter().map(|key| slot(&mut entries, key)).collect();
@@ -492,9 +482,11 @@ mod tests {
         let (log, opts) = setup();
         let table = SectionTable::new();
         // A claim dropped unpublished, as unwinding from a panicking cell
-        // drops it, reopens its sections: this cell computes all of them
+        // drops it, reopens its section: this cell computes all of them
         // instead of waiting forever.
-        drop(claim(&table, &SectionKey::for_options(&opts)));
+        for key in &SectionKey::for_options(&opts) {
+            drop(claim(&table, key));
+        }
         let shared = evaluate_shared(&log, &opts, &table);
         assert_eq!(shared.pass_executions, 5);
         assert_eq!(shared.report, evaluate(&log, &opts));

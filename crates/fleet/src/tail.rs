@@ -20,7 +20,7 @@ use std::io::{self, Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use re_sweep::json::Json;
-use re_sweep::EventRecord;
+use re_sweep::{EventRecord, SweepEvent};
 
 /// An incremental reader of one shard's `events.jsonl`.
 #[derive(Debug)]
@@ -106,12 +106,15 @@ impl ShardTail {
                 self.ended = Some(reason);
                 self.rasters += rasters.unwrap_or(0);
             }
-            EventRecord::StoreResume { resumed, .. } => self.resumed = resumed,
-            EventRecord::CellDone { done, total, .. }
-            | EventRecord::Progress { done, total, .. } => {
-                self.done = done;
-                self.total = Some(total);
-            }
+            EventRecord::Event { event, .. } => match event {
+                SweepEvent::StoreResume { resumed, .. } => self.resumed = resumed as u64,
+                SweepEvent::CellDone { done, total, .. }
+                | SweepEvent::Progress { done, total, .. } => {
+                    self.done = done as u64;
+                    self.total = Some(total as u64);
+                }
+                _ => {}
+            },
             _ => {}
         }
     }

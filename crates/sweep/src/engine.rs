@@ -195,7 +195,7 @@ fn capture(
             continue;
         }
         observer.on_event(&SweepEvent::CaptureStart {
-            scene: alias,
+            scene: alias.into(),
             frames,
         });
         let sw = re_obs::Stopwatch::start();
@@ -203,7 +203,7 @@ fn capture(
         let duration = sw.elapsed();
         capture_hist.record(duration);
         observer.on_event(&SweepEvent::CaptureDone {
-            scene: alias,
+            scene: alias.into(),
             frames,
             duration,
         });

@@ -1,8 +1,8 @@
 //! The machine-readable run log: [`JsonlObserver`] serializes every
 //! [`SweepEvent`] as one JSON line of an append-only, versioned
-//! `events.jsonl` beside the store, and [`EventRecord`]/[`read_events`]
-//! parse the stream back — the exact format `sweep profile` digests and
-//! the future `sweep serve` daemon / fleet driver will tail.
+//! `events.jsonl` beside the store, and [`read_events`] parses the stream
+//! back into [`EventRecord`]s carrying the same [`SweepEvent`]s — the
+//! format `sweep profile` digests and the fleet supervisor tails.
 //!
 //! Format (full schema in `docs/FORMATS.md`):
 //!
@@ -34,6 +34,7 @@
 //! killed mid-`write`), which [`read_events`] tolerates: an unparsable
 //! line is an error only when the file continues past it.
 
+use std::borrow::Cow;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -161,31 +162,39 @@ impl SweepObserver for JsonlObserver {
     }
 }
 
+/// A duration as the run log's integer nanoseconds (saturating).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 fn ns(d: Duration) -> Json {
-    Json::Int(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX) as i64)
+    Json::Int(nanos(d) as i64)
 }
 
 /// Serializes one event as its `events.jsonl` object.
+/// [`SweepEvent::from_json`] below is its inverse, arm for arm.
 pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
-    let mut pairs: Vec<(String, Json)> = Vec::with_capacity(8);
+    // The tag leads every line; the match below names it.
+    let mut pairs: Vec<(String, Json)> = vec![
+        ("type".to_string(), Json::Null),
+        ("t_ms".to_string(), Json::Int(t_ms as i64)),
+    ];
     let mut push = |k: &str, v: Json| pairs.push((k.to_string(), v));
-    match *event {
+    let kind = match event {
         SweepEvent::CaptureStart { scene, frames } => {
-            push("type", Json::Str("capture_start".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("frames", Json::Int(frames as i64));
+            push("scene", Json::Str(scene.to_string()));
+            push("frames", Json::Int(*frames as i64));
+            "capture_start"
         }
         SweepEvent::CaptureDone {
             scene,
             frames,
             duration,
         } => {
-            push("type", Json::Str("capture_done".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("frames", Json::Int(frames as i64));
-            push("duration_ns", ns(duration));
+            push("scene", Json::Str(scene.to_string()));
+            push("frames", Json::Int(*frames as i64));
+            push("duration_ns", ns(*duration));
+            "capture_done"
         }
         SweepEvent::GroupStart {
             cells,
@@ -193,25 +202,23 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             workers,
             shard,
         } => {
-            push("type", Json::Str("group_start".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("cells", Json::Int(cells as i64));
-            push("render_jobs", Json::Int(render_jobs as i64));
-            push("workers", Json::Int(workers as i64));
+            push("cells", Json::Int(*cells as i64));
+            push("render_jobs", Json::Int(*render_jobs as i64));
+            push("workers", Json::Int(*workers as i64));
             if let Some(s) = shard {
                 push("shard", Json::Str(s.to_string()));
             }
+            "group_start"
         }
         SweepEvent::RenderStart {
             scene,
             tile_size,
             worker,
         } => {
-            push("type", Json::Str("render_start".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("tile_size", Json::Int(tile_size as i64));
-            push("worker", Json::Int(worker as i64));
+            push("scene", Json::Str(scene.to_string()));
+            push("tile_size", Json::Int(i64::from(*tile_size)));
+            push("worker", Json::Int(*worker as i64));
+            "render_start"
         }
         SweepEvent::RenderDone {
             scene,
@@ -220,13 +227,12 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             frames,
             duration,
         } => {
-            push("type", Json::Str("render_done".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("tile_size", Json::Int(tile_size as i64));
-            push("worker", Json::Int(worker as i64));
-            push("frames", Json::Int(frames as i64));
-            push("duration_ns", ns(duration));
+            push("scene", Json::Str(scene.to_string()));
+            push("tile_size", Json::Int(i64::from(*tile_size)));
+            push("worker", Json::Int(*worker as i64));
+            push("frames", Json::Int(*frames as i64));
+            push("duration_ns", ns(*duration));
+            "render_done"
         }
         SweepEvent::RenderChunkDone {
             scene,
@@ -237,26 +243,24 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             frames,
             duration,
         } => {
-            push("type", Json::Str("render_chunk".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("tile_size", Json::Int(tile_size as i64));
-            push("worker", Json::Int(worker as i64));
-            push("chunk", Json::Int(chunk as i64));
-            push("chunks", Json::Int(chunks as i64));
-            push("frames", Json::Int(frames as i64));
-            push("duration_ns", ns(duration));
+            push("scene", Json::Str(scene.to_string()));
+            push("tile_size", Json::Int(i64::from(*tile_size)));
+            push("worker", Json::Int(*worker as i64));
+            push("chunk", Json::Int(*chunk as i64));
+            push("chunks", Json::Int(*chunks as i64));
+            push("frames", Json::Int(*frames as i64));
+            push("duration_ns", ns(*duration));
+            "render_chunk"
         }
         SweepEvent::RenderLogReplay {
             scene,
             tile_size,
             worker,
         } => {
-            push("type", Json::Str("replay".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("tile_size", Json::Int(tile_size as i64));
-            push("worker", Json::Int(worker as i64));
+            push("scene", Json::Str(scene.to_string()));
+            push("tile_size", Json::Int(i64::from(*tile_size)));
+            push("worker", Json::Int(*worker as i64));
+            "replay"
         }
         SweepEvent::RenderLogSaved {
             scene,
@@ -264,12 +268,11 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             bytes,
             duration,
         } => {
-            push("type", Json::Str("log_saved".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("scene", Json::Str(scene.into()));
-            push("tile_size", Json::Int(tile_size as i64));
-            push("bytes", Json::Int(bytes as i64));
-            push("duration_ns", ns(duration));
+            push("scene", Json::Str(scene.to_string()));
+            push("tile_size", Json::Int(i64::from(*tile_size)));
+            push("bytes", Json::Int(*bytes as i64));
+            push("duration_ns", ns(*duration));
+            "log_saved"
         }
         SweepEvent::EvalDone {
             cell,
@@ -279,14 +282,13 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             eval,
             store,
         } => {
-            push("type", Json::Str("eval_done".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("cell", Json::Int(cell as i64));
-            push("scene", Json::Str(scene.into()));
-            push("worker", Json::Int(worker as i64));
-            push("replayed", Json::Bool(replayed));
-            push("eval_ns", ns(eval));
-            push("store_ns", ns(store));
+            push("cell", Json::Int(*cell as i64));
+            push("scene", Json::Str(scene.to_string()));
+            push("worker", Json::Int(*worker as i64));
+            push("replayed", Json::Bool(*replayed));
+            push("eval_ns", ns(*eval));
+            push("store_ns", ns(*store));
+            "eval_done"
         }
         SweepEvent::CellDone {
             done,
@@ -296,16 +298,15 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             elapsed,
             eta,
         } => {
-            push("type", Json::Str("cell_done".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("done", Json::Int(done as i64));
-            push("total", Json::Int(total as i64));
-            push("label", Json::Str(label.into()));
-            push("cells_per_sec", Json::Float(cells_per_sec));
-            push("elapsed_ns", ns(elapsed));
+            push("done", Json::Int(*done as i64));
+            push("total", Json::Int(*total as i64));
+            push("label", Json::Str(label.to_string()));
+            push("cells_per_sec", Json::Float(*cells_per_sec));
+            push("elapsed_ns", ns(*elapsed));
             if let Some(eta) = eta {
-                push("eta_ns", ns(eta));
+                push("eta_ns", ns(*eta));
             }
+            "cell_done"
         }
         SweepEvent::Progress {
             done,
@@ -314,29 +315,120 @@ pub fn event_json(event: &SweepEvent<'_>, t_ms: u64) -> Json {
             cells_per_sec,
             eta,
         } => {
-            push("type", Json::Str("progress".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("done", Json::Int(done as i64));
-            push("total", Json::Int(total as i64));
-            push("elapsed_ns", ns(elapsed));
-            push("cells_per_sec", Json::Float(cells_per_sec));
+            push("done", Json::Int(*done as i64));
+            push("total", Json::Int(*total as i64));
+            push("elapsed_ns", ns(*elapsed));
+            push("cells_per_sec", Json::Float(*cells_per_sec));
             if let Some(eta) = eta {
-                push("eta_ns", ns(eta));
+                push("eta_ns", ns(*eta));
             }
+            "progress"
         }
         SweepEvent::StoreResume { resumed, pending } => {
-            push("type", Json::Str("store_resume".into()));
-            push("t_ms", Json::Int(t_ms as i64));
-            push("resumed", Json::Int(resumed as i64));
-            push("pending", Json::Int(pending as i64));
+            push("resumed", Json::Int(*resumed as i64));
+            push("pending", Json::Int(*pending as i64));
+            "store_resume"
         }
-    }
+    };
+    pairs[0].1 = Json::Str(kind.into());
     Json::Obj(pairs)
 }
 
-/// One parsed `events.jsonl` line — the owned mirror of [`SweepEvent`]
-/// plus the per-segment `run_start` header. Every variant carries its
-/// `t_ms` monotonic timestamp.
+impl SweepEvent<'static> {
+    /// Parses one `events.jsonl` object written by [`event_json`] (the
+    /// line's `t_ms` is left to the caller). `Ok(None)` when its `type`
+    /// names no event kind: a segment marker, or a kind from a newer build.
+    ///
+    /// # Errors
+    /// A description of the missing or mistyped field.
+    pub fn from_json(v: &Json) -> Result<Option<SweepEvent<'static>>, String> {
+        let line = Line::new(v)?;
+        Ok(Some(match line.kind {
+            "capture_start" => SweepEvent::CaptureStart {
+                scene: line.text("scene")?,
+                frames: line.int("frames")?,
+            },
+            "capture_done" => SweepEvent::CaptureDone {
+                scene: line.text("scene")?,
+                frames: line.int("frames")?,
+                duration: line.ns("duration_ns")?,
+            },
+            "group_start" => SweepEvent::GroupStart {
+                cells: line.int("cells")?,
+                render_jobs: line.int("render_jobs")?,
+                workers: line.int("workers")?,
+                shard: line
+                    .opt_text("shard")
+                    .map(|s| ShardSpec::parse(s).map_err(|_| line.bad("shard")))
+                    .transpose()?,
+            },
+            "render_start" => SweepEvent::RenderStart {
+                scene: line.text("scene")?,
+                tile_size: line.int("tile_size")?,
+                worker: line.int("worker")?,
+            },
+            "render_done" => SweepEvent::RenderDone {
+                scene: line.text("scene")?,
+                tile_size: line.int("tile_size")?,
+                worker: line.int("worker")?,
+                frames: line.int("frames")?,
+                duration: line.ns("duration_ns")?,
+            },
+            "render_chunk" => SweepEvent::RenderChunkDone {
+                scene: line.text("scene")?,
+                tile_size: line.int("tile_size")?,
+                worker: line.int("worker")?,
+                chunk: line.int("chunk")?,
+                chunks: line.int("chunks")?,
+                frames: line.int("frames")?,
+                duration: line.ns("duration_ns")?,
+            },
+            "replay" => SweepEvent::RenderLogReplay {
+                scene: line.text("scene")?,
+                tile_size: line.int("tile_size")?,
+                worker: line.int("worker")?,
+            },
+            "log_saved" => SweepEvent::RenderLogSaved {
+                scene: line.text("scene")?,
+                tile_size: line.int("tile_size")?,
+                bytes: line.int("bytes")?,
+                // Logs written before persist timing existed lack it.
+                duration: line.opt_ns("duration_ns").unwrap_or_default(),
+            },
+            "eval_done" => SweepEvent::EvalDone {
+                cell: line.int("cell")?,
+                scene: line.text("scene")?,
+                worker: line.int("worker")?,
+                replayed: matches!(line.field("replayed")?, Json::Bool(true)),
+                eval: line.ns("eval_ns")?,
+                store: line.ns("store_ns")?,
+            },
+            "cell_done" => SweepEvent::CellDone {
+                done: line.int("done")?,
+                total: line.int("total")?,
+                label: line.text("label")?,
+                cells_per_sec: line.float("cells_per_sec")?,
+                elapsed: line.ns("elapsed_ns")?,
+                eta: line.opt_ns("eta_ns"),
+            },
+            "progress" => SweepEvent::Progress {
+                done: line.int("done")?,
+                total: line.int("total")?,
+                elapsed: line.ns("elapsed_ns")?,
+                cells_per_sec: line.float("cells_per_sec")?,
+                eta: line.opt_ns("eta_ns"),
+            },
+            "store_resume" => SweepEvent::StoreResume {
+                resumed: line.int("resumed")?,
+                pending: line.int("pending")?,
+            },
+            _ => return Ok(None),
+        }))
+    }
+}
+
+/// One parsed `events.jsonl` line: a [`SweepEvent`] with its `t_ms`
+/// monotonic timestamp, or one of the run-log-only records around them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventRecord {
     /// A run segment started.
@@ -361,166 +453,12 @@ pub enum EventRecord {
         /// recorded them ([`JsonlObserver::finish_with_rasters`]).
         rasters: Option<u64>,
     },
-    /// Mirror of [`SweepEvent::CaptureStart`].
-    CaptureStart {
+    /// An event the executor emitted.
+    Event {
         /// Timestamp.
         t_ms: u64,
-        /// Workload alias.
-        scene: String,
-        /// Frames captured.
-        frames: u64,
-    },
-    /// Mirror of [`SweepEvent::CaptureDone`].
-    CaptureDone {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias.
-        scene: String,
-        /// Frames captured.
-        frames: u64,
-        /// Capture duration in nanoseconds.
-        duration_ns: u64,
-    },
-    /// Mirror of [`SweepEvent::GroupStart`].
-    GroupStart {
-        /// Timestamp.
-        t_ms: u64,
-        /// Eval jobs in the execution.
-        cells: u64,
-        /// Render jobs in the execution.
-        render_jobs: u64,
-        /// Worker threads.
-        workers: u64,
-        /// Shard identity (`"k/n"`), when sharded.
-        shard: Option<String>,
-    },
-    /// Mirror of [`SweepEvent::RenderStart`].
-    RenderStart {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias of the render key.
-        scene: String,
-        /// Tile edge of the render key.
-        tile_size: u64,
-        /// Worker running the render.
-        worker: u64,
-    },
-    /// Mirror of [`SweepEvent::RenderDone`].
-    RenderDone {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias of the render key.
-        scene: String,
-        /// Tile edge of the render key.
-        tile_size: u64,
-        /// Worker that rendered.
-        worker: u64,
-        /// Frames rendered.
-        frames: u64,
-        /// Stage A duration in nanoseconds.
-        duration_ns: u64,
-    },
-    /// Mirror of [`SweepEvent::RenderChunkDone`].
-    RenderChunk {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias of the render key.
-        scene: String,
-        /// Tile edge of the render key.
-        tile_size: u64,
-        /// Worker that owned the render job.
-        worker: u64,
-        /// Chunk index (0-based, frame order).
-        chunk: u64,
-        /// Chunks the render was split into.
-        chunks: u64,
-        /// Frames this chunk rendered.
-        frames: u64,
-        /// The chunk's render duration in nanoseconds.
-        duration_ns: u64,
-    },
-    /// Mirror of [`SweepEvent::RenderLogReplay`].
-    Replay {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias of the render key.
-        scene: String,
-        /// Tile edge of the render key.
-        tile_size: u64,
-        /// Worker that reached the job first.
-        worker: u64,
-    },
-    /// Mirror of [`SweepEvent::RenderLogSaved`].
-    LogSaved {
-        /// Timestamp.
-        t_ms: u64,
-        /// Workload alias of the render key.
-        scene: String,
-        /// Tile edge of the render key.
-        tile_size: u64,
-        /// Artifact size on disk.
-        bytes: u64,
-        /// Encode plus atomic write (0 in logs written before it was
-        /// recorded).
-        duration_ns: u64,
-    },
-    /// Mirror of [`SweepEvent::EvalDone`].
-    EvalDone {
-        /// Timestamp.
-        t_ms: u64,
-        /// The cell's stable id.
-        cell: u64,
-        /// The cell's workload alias.
-        scene: String,
-        /// Worker that evaluated.
-        worker: u64,
-        /// Whether the cell's render key was decoded from a cached `.relog`.
-        replayed: bool,
-        /// Evaluation duration in nanoseconds.
-        eval_ns: u64,
-        /// Store-commit duration in nanoseconds.
-        store_ns: u64,
-    },
-    /// Mirror of [`SweepEvent::CellDone`].
-    CellDone {
-        /// Timestamp.
-        t_ms: u64,
-        /// Cells finished so far.
-        done: u64,
-        /// Cells in the execution.
-        total: u64,
-        /// The cell's label.
-        label: String,
-        /// Mean completion rate.
-        cells_per_sec: f64,
-        /// Time since the execution started, in nanoseconds.
-        elapsed_ns: u64,
-        /// Windowed ETA in nanoseconds, when available.
-        eta_ns: Option<u64>,
-    },
-    /// Mirror of [`SweepEvent::Progress`].
-    Progress {
-        /// Timestamp.
-        t_ms: u64,
-        /// Cells finished so far.
-        done: u64,
-        /// Cells in the execution.
-        total: u64,
-        /// Time since the execution started, in nanoseconds.
-        elapsed_ns: u64,
-        /// Mean completion rate.
-        cells_per_sec: f64,
-        /// Windowed ETA in nanoseconds, when available.
-        eta_ns: Option<u64>,
-    },
-    /// Mirror of [`SweepEvent::StoreResume`].
-    StoreResume {
-        /// Timestamp.
-        t_ms: u64,
-        /// Cells already in the store.
-        resumed: u64,
-        /// Cells left to run.
-        pending: u64,
+        /// The event, as it was emitted.
+        event: SweepEvent<'static>,
     },
     /// A line with an unrecognized `"type"` — kept, not an error, so old
     /// tools survive new event kinds.
@@ -539,130 +477,84 @@ impl EventRecord {
     /// A description of the missing/mistyped field. Unknown `"type"`s are
     /// *not* errors (see [`EventRecord::Unknown`]).
     pub fn from_json(v: &Json) -> Result<EventRecord, String> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("missing `type`")?;
+        let line = Line::new(v)?;
         let t_ms = v.get("t_ms").and_then(Json::as_u64).unwrap_or(0);
-        let num = |k: &str| -> Result<u64, String> { field(v, k)?.as_u64().ok_or(bad(kind, k)) };
-        let text = |k: &str| -> Result<String, String> {
-            Ok(field(v, k)?.as_str().ok_or(bad(kind, k))?.to_string())
-        };
-        let float = |k: &str| -> Result<f64, String> { field(v, k)?.as_f64().ok_or(bad(kind, k)) };
-        let opt_num = |k: &str| v.get(k).and_then(Json::as_u64);
-        let opt_text = |k: &str| v.get(k).and_then(Json::as_str).map(str::to_string);
-        Ok(match kind {
+        Ok(match line.kind {
             "run_start" => EventRecord::RunStart {
                 t_ms,
-                version: num("v")?,
-                epoch_ms: num("epoch_ms")?,
-                shard: opt_text("shard"),
+                version: line.int("v")?,
+                epoch_ms: line.int("epoch_ms")?,
+                shard: line.opt_text("shard").map(str::to_string),
             },
             "run_end" => EventRecord::RunEnd {
                 t_ms,
-                reason: text("reason")?,
-                rasters: opt_num("rasters"),
+                reason: line.text("reason")?.into_owned(),
+                rasters: v.get("rasters").and_then(Json::as_u64),
             },
-            "capture_start" => EventRecord::CaptureStart {
-                t_ms,
-                scene: text("scene")?,
-                frames: num("frames")?,
-            },
-            "capture_done" => EventRecord::CaptureDone {
-                t_ms,
-                scene: text("scene")?,
-                frames: num("frames")?,
-                duration_ns: num("duration_ns")?,
-            },
-            "group_start" => EventRecord::GroupStart {
-                t_ms,
-                cells: num("cells")?,
-                render_jobs: num("render_jobs")?,
-                workers: num("workers")?,
-                shard: opt_text("shard"),
-            },
-            "render_start" => EventRecord::RenderStart {
-                t_ms,
-                scene: text("scene")?,
-                tile_size: num("tile_size")?,
-                worker: num("worker")?,
-            },
-            "render_done" => EventRecord::RenderDone {
-                t_ms,
-                scene: text("scene")?,
-                tile_size: num("tile_size")?,
-                worker: num("worker")?,
-                frames: num("frames")?,
-                duration_ns: num("duration_ns")?,
-            },
-            "render_chunk" => EventRecord::RenderChunk {
-                t_ms,
-                scene: text("scene")?,
-                tile_size: num("tile_size")?,
-                worker: num("worker")?,
-                chunk: num("chunk")?,
-                chunks: num("chunks")?,
-                frames: num("frames")?,
-                duration_ns: num("duration_ns")?,
-            },
-            "replay" => EventRecord::Replay {
-                t_ms,
-                scene: text("scene")?,
-                tile_size: num("tile_size")?,
-                worker: num("worker")?,
-            },
-            "log_saved" => EventRecord::LogSaved {
-                t_ms,
-                scene: text("scene")?,
-                tile_size: num("tile_size")?,
-                bytes: num("bytes")?,
-                duration_ns: opt_num("duration_ns").unwrap_or(0),
-            },
-            "eval_done" => EventRecord::EvalDone {
-                t_ms,
-                cell: num("cell")?,
-                scene: text("scene")?,
-                worker: num("worker")?,
-                replayed: matches!(field(v, "replayed")?, Json::Bool(true)),
-                eval_ns: num("eval_ns")?,
-                store_ns: num("store_ns")?,
-            },
-            "cell_done" => EventRecord::CellDone {
-                t_ms,
-                done: num("done")?,
-                total: num("total")?,
-                label: text("label")?,
-                cells_per_sec: float("cells_per_sec")?,
-                elapsed_ns: num("elapsed_ns")?,
-                eta_ns: opt_num("eta_ns"),
-            },
-            "progress" => EventRecord::Progress {
-                t_ms,
-                done: num("done")?,
-                total: num("total")?,
-                elapsed_ns: num("elapsed_ns")?,
-                cells_per_sec: float("cells_per_sec")?,
-                eta_ns: opt_num("eta_ns"),
-            },
-            "store_resume" => EventRecord::StoreResume {
-                t_ms,
-                resumed: num("resumed")?,
-                pending: num("pending")?,
-            },
-            other => EventRecord::Unknown {
-                t_ms,
-                kind: other.to_string(),
+            kind => match SweepEvent::from_json(v)? {
+                Some(event) => EventRecord::Event { t_ms, event },
+                None => EventRecord::Unknown {
+                    t_ms,
+                    kind: kind.to_string(),
+                },
             },
         })
     }
 }
 
-fn field<'a>(v: &'a Json, k: &str) -> Result<&'a Json, String> {
-    v.get(k).ok_or_else(|| format!("missing `{k}`"))
+/// Typed access to one line's fields, with errors naming the line's type.
+struct Line<'j> {
+    v: &'j Json,
+    kind: &'j str,
 }
 
-fn bad(kind: &str, k: &str) -> String {
-    format!("{kind}: field `{k}` has the wrong type")
+impl<'j> Line<'j> {
+    fn new(v: &'j Json) -> Result<Self, String> {
+        let kind = v
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or("missing `type`")?;
+        Ok(Line { v, kind })
+    }
+
+    fn field(&self, k: &str) -> Result<&'j Json, String> {
+        self.v.get(k).ok_or_else(|| format!("missing `{k}`"))
+    }
+
+    fn bad(&self, k: &str) -> String {
+        format!("{}: field `{k}` has the wrong type", self.kind)
+    }
+
+    fn int<T: TryFrom<u64>>(&self, k: &str) -> Result<T, String> {
+        self.field(k)?
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| self.bad(k))
+    }
+
+    fn float(&self, k: &str) -> Result<f64, String> {
+        self.field(k)?.as_f64().ok_or_else(|| self.bad(k))
+    }
+
+    fn ns(&self, k: &str) -> Result<Duration, String> {
+        self.int(k).map(Duration::from_nanos)
+    }
+
+    fn opt_ns(&self, k: &str) -> Option<Duration> {
+        self.v
+            .get(k)
+            .and_then(Json::as_u64)
+            .map(Duration::from_nanos)
+    }
+
+    fn text(&self, k: &str) -> Result<Cow<'static, str>, String> {
+        let s = self.field(k)?.as_str().ok_or_else(|| self.bad(k))?;
+        Ok(Cow::Owned(s.to_string()))
+    }
+
+    fn opt_text(&self, k: &str) -> Option<&'j str> {
+        self.v.get(k).and_then(Json::as_str)
+    }
 }
 
 /// Reads and parses a complete `events.jsonl` (all segments, in file
@@ -706,16 +598,17 @@ mod tests {
         std::env::temp_dir().join(format!("re_events_{}_{name}", std::process::id()))
     }
 
-    #[test]
-    fn every_event_kind_round_trips() {
+    /// One fixed event of every kind (two `cell_done`s: with and without
+    /// an ETA).
+    fn one_of_each() -> Vec<SweepEvent<'static>> {
         let d = Duration::from_micros(1500);
-        let events = [
+        vec![
             SweepEvent::CaptureStart {
-                scene: "ccs",
+                scene: "ccs".into(),
                 frames: 3,
             },
             SweepEvent::CaptureDone {
-                scene: "ccs",
+                scene: "ccs".into(),
                 frames: 3,
                 duration: d,
             },
@@ -726,19 +619,19 @@ mod tests {
                 shard: Some(ShardSpec { index: 0, count: 2 }),
             },
             SweepEvent::RenderStart {
-                scene: "ccs",
+                scene: "ccs".into(),
                 tile_size: 16,
                 worker: 1,
             },
             SweepEvent::RenderDone {
-                scene: "ccs",
+                scene: "ccs".into(),
                 tile_size: 16,
                 worker: 1,
                 frames: 3,
                 duration: d,
             },
             SweepEvent::RenderChunkDone {
-                scene: "ccs",
+                scene: "ccs".into(),
                 tile_size: 16,
                 worker: 1,
                 chunk: 0,
@@ -747,19 +640,19 @@ mod tests {
                 duration: d,
             },
             SweepEvent::RenderLogReplay {
-                scene: "ccs",
+                scene: "ccs".into(),
                 tile_size: 16,
                 worker: 0,
             },
             SweepEvent::RenderLogSaved {
-                scene: "ccs",
+                scene: "ccs".into(),
                 tile_size: 16,
                 bytes: 4096,
                 duration: d,
             },
             SweepEvent::EvalDone {
                 cell: 5,
-                scene: "ccs",
+                scene: "ccs".into(),
                 worker: 2,
                 replayed: true,
                 eval: d,
@@ -768,7 +661,7 @@ mod tests {
             SweepEvent::CellDone {
                 done: 3,
                 total: 8,
-                label: "ccs ts16",
+                label: "ccs ts16".into(),
                 cells_per_sec: 1.5,
                 elapsed: d,
                 eta: Some(Duration::from_secs(2)),
@@ -776,7 +669,7 @@ mod tests {
             SweepEvent::CellDone {
                 done: 1,
                 total: 8,
-                label: "no eta yet",
+                label: "no eta yet".into(),
                 cells_per_sec: 0.0,
                 elapsed: d,
                 eta: None,
@@ -792,31 +685,68 @@ mod tests {
                 resumed: 4,
                 pending: 4,
             },
+        ]
+    }
+
+    /// Strips a line's run-relative `t_ms` to 0, for pinning lines whose
+    /// timestamp depends on how long the test took.
+    fn zero_t_ms(line: &str) -> String {
+        let (head, rest) = line.split_once("\"t_ms\":").expect("line has a t_ms");
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        format!("{head}\"t_ms\":0{}", &rest[digits..])
+    }
+
+    #[test]
+    fn event_json_lines_are_pinned_byte_for_byte() {
+        let want = [
+            r#"{"type":"capture_start","t_ms":42,"scene":"ccs","frames":3}"#,
+            r#"{"type":"capture_done","t_ms":42,"scene":"ccs","frames":3,"duration_ns":1500000}"#,
+            r#"{"type":"group_start","t_ms":42,"cells":8,"render_jobs":2,"workers":4,"shard":"1/2"}"#,
+            r#"{"type":"render_start","t_ms":42,"scene":"ccs","tile_size":16,"worker":1}"#,
+            r#"{"type":"render_done","t_ms":42,"scene":"ccs","tile_size":16,"worker":1,"frames":3,"duration_ns":1500000}"#,
+            r#"{"type":"render_chunk","t_ms":42,"scene":"ccs","tile_size":16,"worker":1,"chunk":0,"chunks":4,"frames":1,"duration_ns":1500000}"#,
+            r#"{"type":"replay","t_ms":42,"scene":"ccs","tile_size":16,"worker":0}"#,
+            r#"{"type":"log_saved","t_ms":42,"scene":"ccs","tile_size":16,"bytes":4096,"duration_ns":1500000}"#,
+            r#"{"type":"eval_done","t_ms":42,"cell":5,"scene":"ccs","worker":2,"replayed":true,"eval_ns":1500000,"store_ns":300}"#,
+            r#"{"type":"cell_done","t_ms":42,"done":3,"total":8,"label":"ccs ts16","cells_per_sec":1.5,"elapsed_ns":1500000,"eta_ns":2000000000}"#,
+            r#"{"type":"cell_done","t_ms":42,"done":1,"total":8,"label":"no eta yet","cells_per_sec":0.0,"elapsed_ns":1500000}"#,
+            r#"{"type":"progress","t_ms":42,"done":3,"total":8,"elapsed_ns":1500000,"cells_per_sec":1.5}"#,
+            r#"{"type":"store_resume","t_ms":42,"resumed":4,"pending":4}"#,
         ];
-        for event in &events {
-            let json = event_json(event, 42);
-            let parsed = Json::parse(&json.to_string()).expect("line parses");
-            let record = EventRecord::from_json(&parsed).expect("record parses");
-            assert!(
-                !matches!(record, EventRecord::Unknown { .. }),
-                "{event:?} must parse as a known record"
-            );
-        }
-        // Spot-check one payload end to end.
-        let json = event_json(&events[8], 9);
-        let rec = EventRecord::from_json(&Json::parse(&json.to_string()).unwrap()).unwrap();
+        let got: Vec<String> = one_of_each()
+            .iter()
+            .map(|e| event_json(e, 42).to_string())
+            .collect();
+        assert_eq!(got, want);
+
+        let path = tmp("pinned_run_end");
+        let _ = std::fs::remove_file(&path);
+        let obs = JsonlObserver::append(&path, None).expect("open");
+        obs.finish_with_rasters("complete", Some(7))
+            .expect("trailer");
+        obs.finish("signal").expect("trailer");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let trailers: Vec<String> = text.lines().skip(1).map(zero_t_ms).collect();
         assert_eq!(
-            rec,
-            EventRecord::EvalDone {
-                t_ms: 9,
-                cell: 5,
-                scene: "ccs".into(),
-                worker: 2,
-                replayed: true,
-                eval_ns: 1_500_000,
-                store_ns: 300,
-            }
+            trailers,
+            [
+                r#"{"type":"run_end","t_ms":0,"reason":"complete","rasters":7}"#,
+                r#"{"type":"run_end","t_ms":0,"reason":"signal"}"#,
+            ]
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_event_kind_round_trips() {
+        for event in one_of_each() {
+            // Through the text, as a reader of the file sees it.
+            let line = event_json(&event, 42).to_string();
+            let parsed = EventRecord::from_json(&Json::parse(&line).expect("line parses"));
+            assert_eq!(parsed, Ok(EventRecord::Event { t_ms: 42, event }), "{line}");
+        }
     }
 
     #[test]
@@ -834,7 +764,7 @@ mod tests {
             let obs =
                 JsonlObserver::append(&path, Some(ShardSpec { index: 1, count: 3 })).expect("open");
             obs.on_event(&SweepEvent::CaptureStart {
-                scene: "tib",
+                scene: "tib".into(),
                 frames: 2,
             });
         }
@@ -866,12 +796,14 @@ mod tests {
         let rec = EventRecord::from_json(&Json::parse(line).unwrap()).unwrap();
         assert_eq!(
             rec,
-            EventRecord::LogSaved {
+            EventRecord::Event {
                 t_ms: 3,
-                scene: "ccs".into(),
-                tile_size: 16,
-                bytes: 9,
-                duration_ns: 0,
+                event: SweepEvent::RenderLogSaved {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    bytes: 9,
+                    duration: Duration::ZERO,
+                },
             }
         );
     }
@@ -941,7 +873,13 @@ mod tests {
         .unwrap();
         let records = read_events(&path).expect("torn tail tolerated");
         assert_eq!(records.len(), 1);
-        assert!(matches!(records[0], EventRecord::Progress { .. }));
+        assert!(matches!(
+            records[0],
+            EventRecord::Event {
+                event: SweepEvent::Progress { done: 1, .. },
+                ..
+            }
+        ));
         // The same garbage *with* a newline was written whole: still fatal.
         std::fs::write(&path, "{\"type\":\"eval_do\n").unwrap();
         assert!(read_events(&path).is_err());
@@ -964,7 +902,7 @@ mod tests {
                     for i in 0..50 {
                         obs.on_event(&SweepEvent::EvalDone {
                             cell: (t * 1000 + i) as usize,
-                            scene: "ccs",
+                            scene: "ccs".into(),
                             worker: t as usize,
                             replayed: false,
                             eval: Duration::from_micros(i),
@@ -987,10 +925,15 @@ mod tests {
             .count();
         assert_eq!((starts, ends), (2, 2));
         // Each writer's 50 cells all arrived intact.
-        for t in 0..2u64 {
+        for t in 0..2 {
             let cells = records
                 .iter()
-                .filter(|r| matches!(r, EventRecord::EvalDone { cell, .. } if cell / 1000 == t))
+                .filter(|r| {
+                    matches!(r, EventRecord::Event {
+                        event: SweepEvent::EvalDone { cell, .. },
+                        ..
+                    } if cell / 1000 == t)
+                })
                 .count();
             assert_eq!(cells, 50, "writer {t}");
         }

@@ -26,6 +26,7 @@
 //! (`sweep.stage.*`), and cache traffic into its counters
 //! (`sweep.relog.*`, `sweep.artifacts.*`).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -48,20 +49,22 @@ use crate::pool;
 /// One progress event of a running sweep.
 ///
 /// Events carry every number an observer could want to display, so
-/// observers stay stateless formatters.
-#[derive(Debug, Clone)]
+/// observers stay stateless formatters. This is also the type the run log
+/// reads back ([`crate::events::EventRecord::Event`]): emitted events
+/// borrow their text, parsed ones own it.
+#[derive(Debug, Clone, PartialEq)]
 pub enum SweepEvent<'a> {
     /// A workload's trace is being captured (or loaded from the cache).
     CaptureStart {
         /// Workload alias.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Frames captured.
         frames: usize,
     },
     /// A workload's trace is ready.
     CaptureDone {
         /// Workload alias.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Frames captured.
         frames: usize,
         /// Capture (or cache-load) duration.
@@ -82,7 +85,7 @@ pub enum SweepEvent<'a> {
     /// A render job is starting Stage A.
     RenderStart {
         /// Workload alias of the render key.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Tile edge of the render key.
         tile_size: u32,
         /// Worker running the render.
@@ -91,7 +94,7 @@ pub enum SweepEvent<'a> {
     /// A render job finished Stage A.
     RenderDone {
         /// Workload alias of the render key.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Tile edge of the render key.
         tile_size: u32,
         /// Worker that ran the render.
@@ -108,7 +111,7 @@ pub enum SweepEvent<'a> {
     /// parallel efficiency from. Serial renders emit none.
     RenderChunkDone {
         /// Workload alias of the render key.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Tile edge of the render key.
         tile_size: u32,
         /// Worker that owned the render job.
@@ -127,7 +130,7 @@ pub enum SweepEvent<'a> {
     /// Stage A never runs (emitted once per job).
     RenderLogReplay {
         /// Workload alias of the render key.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Tile edge of the render key.
         tile_size: u32,
         /// Worker that reached the job first.
@@ -137,7 +140,7 @@ pub enum SweepEvent<'a> {
     /// future resumes and re-executions of this key will skip Stage A.
     RenderLogSaved {
         /// Workload alias of the render key.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Tile edge of the render key.
         tile_size: u32,
         /// Size of the artifact on disk.
@@ -153,7 +156,7 @@ pub enum SweepEvent<'a> {
         /// The cell's stable id.
         cell: usize,
         /// The cell's workload alias.
-        scene: &'static str,
+        scene: Cow<'a, str>,
         /// Worker that evaluated the cell.
         worker: usize,
         /// Whether the cell's render key was decoded from a cached `.relog`
@@ -173,7 +176,7 @@ pub enum SweepEvent<'a> {
         /// Cells in this execution.
         total: usize,
         /// The cell's human-readable label.
-        label: &'a str,
+        label: Cow<'a, str>,
         /// Mean completion rate since the execution started.
         cells_per_sec: f64,
         /// Time since the execution started.
@@ -239,14 +242,14 @@ pub struct StderrObserver;
 
 impl SweepObserver for StderrObserver {
     fn on_event(&self, event: &SweepEvent<'_>) {
-        match *event {
+        match event {
             SweepEvent::CaptureStart { scene, frames } => {
                 eprintln!("[sweep] capturing {scene} ({frames} frames)…");
             }
             SweepEvent::CaptureDone {
                 scene, duration, ..
             } => {
-                eprintln!("[sweep] captured {scene} in {}", fmt_secs(duration));
+                eprintln!("[sweep] captured {scene} in {}", fmt_secs(*duration));
             }
             SweepEvent::GroupStart {
                 cells,
@@ -276,7 +279,7 @@ impl SweepObserver for StderrObserver {
             } => {
                 eprintln!(
                     "[sweep] rendered {scene} ts{tile_size} in {}",
-                    fmt_secs(duration)
+                    fmt_secs(*duration)
                 );
             }
             SweepEvent::RenderChunkDone {
@@ -291,7 +294,7 @@ impl SweepObserver for StderrObserver {
                 eprintln!(
                     "[sweep]   {scene} ts{tile_size} chunk {}/{chunks} ({frames} frames) in {}",
                     chunk + 1,
-                    fmt_secs(duration)
+                    fmt_secs(*duration)
                 );
             }
             SweepEvent::RenderLogReplay {
@@ -307,7 +310,7 @@ impl SweepObserver for StderrObserver {
             } => {
                 eprintln!(
                     "[sweep] cached render log for {scene} ts{tile_size} ({bytes} bytes in {})",
-                    fmt_secs(duration)
+                    fmt_secs(*duration)
                 );
             }
             // Per-cell timing detail is for the run log, not the terminal.
@@ -322,8 +325,8 @@ impl SweepObserver for StderrObserver {
             } => {
                 eprintln!(
                     "[sweep] {done}/{total} {label}  ({cells_per_sec:.2} cells/s, {} elapsed, {})",
-                    fmt_secs(elapsed),
-                    fmt_eta(eta),
+                    fmt_secs(*elapsed),
+                    fmt_eta(*eta),
                 );
             }
             SweepEvent::Progress {
@@ -335,7 +338,7 @@ impl SweepObserver for StderrObserver {
             } => {
                 eprintln!(
                     "[sweep] progress: {done}/{total} cells ({cells_per_sec:.2} cells/s, {})",
-                    fmt_eta(eta),
+                    fmt_eta(*eta),
                 );
             }
             SweepEvent::StoreResume { resumed, pending } => {
@@ -438,7 +441,7 @@ impl<'o> Progress<'o> {
         self.observer.on_event(&SweepEvent::CellDone {
             done,
             total: self.total,
-            label,
+            label: label.into(),
             cells_per_sec: self.mean_rate(done),
             elapsed: self.start.elapsed(),
             eta: self.eta(done),
@@ -586,7 +589,7 @@ impl<'a> Grouped<'a> {
         let observer = self.progress.observer;
         let (scene, tile_size) = (key.scene(), key.tile_size());
         observer.on_event(&SweepEvent::RenderStart {
-            scene,
+            scene: scene.into(),
             tile_size,
             worker,
         });
@@ -619,7 +622,7 @@ impl<'a> Grouped<'a> {
         if rendered.chunks.len() > 1 {
             for t in &rendered.chunks {
                 observer.on_event(&SweepEvent::RenderChunkDone {
-                    scene,
+                    scene: scene.into(),
                     tile_size,
                     worker,
                     chunk: t.chunk,
@@ -630,7 +633,7 @@ impl<'a> Grouped<'a> {
             }
         }
         observer.on_event(&SweepEvent::RenderDone {
-            scene,
+            scene: scene.into(),
             tile_size,
             worker,
             frames: key.frames(),
@@ -647,7 +650,7 @@ impl<'a> Grouped<'a> {
                 self.compressed_bytes.add(bytes);
             }
             observer.on_event(&SweepEvent::RenderLogSaved {
-                scene,
+                scene: scene.into(),
                 tile_size,
                 bytes,
                 duration,
@@ -684,7 +687,7 @@ impl<'a> Grouped<'a> {
         self.progress
             .observer
             .on_event(&SweepEvent::RenderLogReplay {
-                scene: key.scene(),
+                scene: key.scene().into(),
                 tile_size: key.tile_size(),
                 worker,
             });
@@ -747,7 +750,7 @@ impl<'a> Grouped<'a> {
         self.store_hist.record(store);
         self.progress.observer.on_event(&SweepEvent::EvalDone {
             cell: job.cell.id,
-            scene: job.cell.scene(),
+            scene: job.cell.scene().into(),
             worker,
             replayed,
             eval: load + shared.busy,

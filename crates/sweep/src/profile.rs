@@ -10,7 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::events::EventRecord;
+use crate::events::{nanos, EventRecord};
+use crate::exec::SweepEvent;
 
 /// Aggregated timing and cache statistics for one run log.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -120,84 +121,91 @@ impl Profile {
     pub fn from_events(events: &[EventRecord]) -> Profile {
         let mut p = Profile::default();
         let mut scenes: BTreeMap<String, SceneProfile> = BTreeMap::new();
-        let mut keys: BTreeMap<(String, u64), RenderKeyProfile> = BTreeMap::new();
-        let mut workers: BTreeMap<u64, WorkerProfile> = BTreeMap::new();
+        let mut keys: BTreeMap<(String, u32), RenderKeyProfile> = BTreeMap::new();
+        let mut workers: BTreeMap<usize, WorkerProfile> = BTreeMap::new();
         let mut segment_wall = 0u64;
-        for event in events {
-            match event {
+        for record in events {
+            let event = match record {
                 EventRecord::RunStart { .. } => {
                     p.segments += 1;
                     p.wall_ns += segment_wall;
                     segment_wall = 0;
+                    continue;
                 }
-                EventRecord::CaptureDone { duration_ns, .. } => {
+                EventRecord::Event { event, .. } => event,
+                _ => continue,
+            };
+            match event {
+                SweepEvent::CaptureDone { duration, .. } => {
                     p.captures += 1;
-                    p.capture_ns += duration_ns;
+                    p.capture_ns += nanos(*duration);
                 }
-                EventRecord::RenderDone {
+                SweepEvent::RenderDone {
                     scene,
                     tile_size,
                     worker,
-                    duration_ns,
+                    duration,
                     ..
                 } => {
+                    let duration_ns = nanos(*duration);
                     p.renders += 1;
                     p.render_ns += duration_ns;
-                    let s = scenes.entry(scene.clone()).or_default();
+                    let s = scenes.entry(scene.to_string()).or_default();
                     s.render_ns += duration_ns;
-                    let k = keys.entry((scene.clone(), *tile_size)).or_default();
+                    let k = keys.entry((scene.to_string(), *tile_size)).or_default();
                     k.renders += 1;
                     k.render_ns += duration_ns;
                     let w = workers.entry(*worker).or_default();
                     w.renders += 1;
                     w.busy_ns += duration_ns;
                 }
-                EventRecord::RenderChunk {
+                SweepEvent::RenderChunkDone {
                     scene,
                     tile_size,
-                    duration_ns,
+                    duration,
                     ..
                 } => {
-                    let k = keys.entry((scene.clone(), *tile_size)).or_default();
+                    let k = keys.entry((scene.to_string(), *tile_size)).or_default();
                     k.chunks += 1;
-                    k.chunk_busy_ns += duration_ns;
+                    k.chunk_busy_ns += nanos(*duration);
                 }
-                EventRecord::Replay {
+                SweepEvent::RenderLogReplay {
                     scene,
                     tile_size,
                     worker,
-                    ..
                 } => {
                     p.replays += 1;
-                    keys.entry((scene.clone(), *tile_size)).or_default().replays += 1;
+                    keys.entry((scene.to_string(), *tile_size))
+                        .or_default()
+                        .replays += 1;
                     workers.entry(*worker).or_default().renders += 1;
                 }
-                EventRecord::LogSaved { duration_ns, .. } => {
+                SweepEvent::RenderLogSaved { duration, .. } => {
                     p.persists += 1;
-                    p.persist_ns += duration_ns;
+                    p.persist_ns += nanos(*duration);
                 }
-                EventRecord::EvalDone {
+                SweepEvent::EvalDone {
                     scene,
                     worker,
                     replayed,
-                    eval_ns,
-                    store_ns,
+                    eval,
+                    store,
                     ..
                 } => {
+                    let (eval_ns, store_ns) = (nanos(*eval), nanos(*store));
                     p.cells += 1;
                     p.replayed_cells += u64::from(*replayed);
                     p.eval_ns += eval_ns;
                     p.store_ns += store_ns;
-                    let s = scenes.entry(scene.clone()).or_default();
+                    let s = scenes.entry(scene.to_string()).or_default();
                     s.cells += 1;
                     s.eval_ns += eval_ns;
                     let w = workers.entry(*worker).or_default();
                     w.cells += 1;
                     w.busy_ns += eval_ns + store_ns;
                 }
-                EventRecord::CellDone { elapsed_ns, .. }
-                | EventRecord::Progress { elapsed_ns, .. } => {
-                    segment_wall = segment_wall.max(*elapsed_ns);
+                SweepEvent::CellDone { elapsed, .. } | SweepEvent::Progress { elapsed, .. } => {
+                    segment_wall = segment_wall.max(nanos(*elapsed));
                 }
                 _ => {}
             }
@@ -213,7 +221,7 @@ impl Profile {
             .into_iter()
             .map(|((scene, tile_size), k)| RenderKeyProfile {
                 scene,
-                tile_size,
+                tile_size: u64::from(tile_size),
                 ..k
             })
             .collect();
@@ -221,7 +229,10 @@ impl Profile {
             .sort_by_key(|k| std::cmp::Reverse(k.render_ns));
         p.workers = workers
             .into_iter()
-            .map(|(worker, w)| WorkerProfile { worker, ..w })
+            .map(|(worker, w)| WorkerProfile {
+                worker: worker as u64,
+                ..w
+            })
             .collect();
         p
     }
@@ -338,65 +349,90 @@ fn secs(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn eval(scene: &str, worker: u64, replayed: bool, eval_ns: u64) -> EventRecord {
-        EventRecord::EvalDone {
+    fn at(t_ms: u64, event: SweepEvent<'static>) -> EventRecord {
+        EventRecord::Event { t_ms, event }
+    }
+
+    fn ns(n: u64) -> Duration {
+        Duration::from_nanos(n)
+    }
+
+    fn run_start() -> EventRecord {
+        EventRecord::RunStart {
             t_ms: 0,
-            cell: 0,
-            scene: scene.into(),
-            worker,
-            replayed,
-            eval_ns,
-            store_ns: 10,
+            version: 1,
+            epoch_ms: 0,
+            shard: None,
         }
+    }
+
+    fn eval(scene: &'static str, worker: usize, replayed: bool, eval_ns: u64) -> EventRecord {
+        at(
+            0,
+            SweepEvent::EvalDone {
+                cell: 0,
+                scene: scene.into(),
+                worker,
+                replayed,
+                eval: ns(eval_ns),
+                store: ns(10),
+            },
+        )
     }
 
     #[test]
     fn folds_stages_hotspots_and_cache_hits() {
         let events = vec![
-            EventRecord::RunStart {
-                t_ms: 0,
-                version: 1,
-                epoch_ms: 0,
-                shard: None,
-            },
-            EventRecord::CaptureDone {
-                t_ms: 1,
-                scene: "ccs".into(),
-                frames: 3,
-                duration_ns: 1000,
-            },
-            EventRecord::RenderDone {
-                t_ms: 2,
-                scene: "ccs".into(),
-                tile_size: 16,
-                worker: 0,
-                frames: 3,
-                duration_ns: 500,
-            },
-            EventRecord::Replay {
-                t_ms: 3,
-                scene: "ccs".into(),
-                tile_size: 32,
-                worker: 1,
-            },
-            EventRecord::LogSaved {
-                t_ms: 2,
-                scene: "ccs".into(),
-                tile_size: 16,
-                bytes: 4096,
-                duration_ns: 70,
-            },
+            run_start(),
+            at(
+                1,
+                SweepEvent::CaptureDone {
+                    scene: "ccs".into(),
+                    frames: 3,
+                    duration: ns(1000),
+                },
+            ),
+            at(
+                2,
+                SweepEvent::RenderDone {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    worker: 0,
+                    frames: 3,
+                    duration: ns(500),
+                },
+            ),
+            at(
+                3,
+                SweepEvent::RenderLogReplay {
+                    scene: "ccs".into(),
+                    tile_size: 32,
+                    worker: 1,
+                },
+            ),
+            at(
+                2,
+                SweepEvent::RenderLogSaved {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    bytes: 4096,
+                    duration: ns(70),
+                },
+            ),
             eval("ccs", 0, false, 200),
             eval("ccs", 1, true, 100),
-            EventRecord::Progress {
-                t_ms: 4,
-                done: 2,
-                total: 2,
-                elapsed_ns: 9000,
-                cells_per_sec: 1.0,
-                eta_ns: Some(0),
-            },
+            at(
+                4,
+                SweepEvent::Progress {
+                    done: 2,
+                    total: 2,
+                    elapsed: ns(9000),
+                    cells_per_sec: 1.0,
+                    eta: Some(ns(0)),
+                },
+            ),
         ];
         let p = Profile::from_events(&events);
         assert_eq!(p.segments, 1);
@@ -420,27 +456,33 @@ mod tests {
 
     #[test]
     fn parallel_renders_report_chunks_and_efficiency() {
-        let chunk = |chunk, duration_ns| EventRecord::RenderChunk {
-            t_ms: 0,
-            scene: "ccs".into(),
-            tile_size: 16,
-            worker: 0,
-            chunk,
-            chunks: 2,
-            frames: 2,
-            duration_ns,
+        let chunk = |chunk, duration_ns| {
+            at(
+                0,
+                SweepEvent::RenderChunkDone {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    worker: 0,
+                    chunk,
+                    chunks: 2,
+                    frames: 2,
+                    duration: ns(duration_ns),
+                },
+            )
         };
         let events = vec![
             chunk(0, 400),
             chunk(1, 300),
-            EventRecord::RenderDone {
-                t_ms: 1,
-                scene: "ccs".into(),
-                tile_size: 16,
-                worker: 0,
-                frames: 4,
-                duration_ns: 500,
-            },
+            at(
+                1,
+                SweepEvent::RenderDone {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    worker: 0,
+                    frames: 4,
+                    duration: ns(500),
+                },
+            ),
         ];
         let p = Profile::from_events(&events);
         let k = &p.render_keys[0];
@@ -463,20 +505,17 @@ mod tests {
     fn wall_clock_sums_across_segments() {
         let seg = |elapsed_ns| {
             vec![
-                EventRecord::RunStart {
-                    t_ms: 0,
-                    version: 1,
-                    epoch_ms: 0,
-                    shard: None,
-                },
-                EventRecord::Progress {
-                    t_ms: 1,
-                    done: 1,
-                    total: 1,
-                    elapsed_ns,
-                    cells_per_sec: 1.0,
-                    eta_ns: None,
-                },
+                run_start(),
+                at(
+                    1,
+                    SweepEvent::Progress {
+                        done: 1,
+                        total: 1,
+                        elapsed: ns(elapsed_ns),
+                        cells_per_sec: 1.0,
+                        eta: None,
+                    },
+                ),
             ]
         };
         let mut events = seg(5000);
@@ -489,18 +528,15 @@ mod tests {
     #[test]
     fn warm_run_reports_full_replay_hits_and_zero_render_time() {
         let events = vec![
-            EventRecord::RunStart {
-                t_ms: 0,
-                version: 1,
-                epoch_ms: 0,
-                shard: None,
-            },
-            EventRecord::Replay {
-                t_ms: 1,
-                scene: "ccs".into(),
-                tile_size: 16,
-                worker: 0,
-            },
+            run_start(),
+            at(
+                1,
+                SweepEvent::RenderLogReplay {
+                    scene: "ccs".into(),
+                    tile_size: 16,
+                    worker: 0,
+                },
+            ),
             eval("ccs", 0, true, 100),
         ];
         let p = Profile::from_events(&events);

@@ -120,7 +120,15 @@ fn every_render_job_and_cell_reports_exactly_once_across_worker_counts() {
         let events = read_events(store_dir.join(EVENTS_FILE)).expect("parse run log");
         let eval_lines = events
             .iter()
-            .filter(|e| matches!(e, EventRecord::EvalDone { .. }))
+            .filter(|e| {
+                matches!(
+                    e,
+                    EventRecord::Event {
+                        event: SweepEvent::EvalDone { .. },
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(eval_lines, summary.records.len(), "w{workers}");
         assert!(matches!(events[0], EventRecord::RunStart { .. }));
@@ -175,15 +183,18 @@ fn run_log_survives_kill_resume_and_matches_the_store() {
     // Totals match the store: every store record id was evaluated exactly
     // once per time it was (re)run — 4 in segment 1, the 2 deleted ones in
     // segment 2 — and the resume announced what it skipped.
-    let eval_ids: Vec<u64> = events
+    let eval_ids: Vec<usize> = events
         .iter()
         .filter_map(|e| match e {
-            EventRecord::EvalDone { cell, .. } => Some(*cell),
+            EventRecord::Event {
+                event: SweepEvent::EvalDone { cell, .. },
+                ..
+            } => Some(*cell),
             _ => None,
         })
         .collect();
     assert_eq!(eval_ids.len(), plan.cell_count() + 2);
-    let mut stored: Vec<u64> = second.records.iter().map(|r| r.id as u64).collect();
+    let mut stored: Vec<usize> = second.records.iter().map(|r| r.id).collect();
     stored.sort_unstable();
     let mut seen = eval_ids.clone();
     seen.sort_unstable();
@@ -192,9 +203,11 @@ fn run_log_survives_kill_resume_and_matches_the_store() {
     assert!(
         events.iter().any(|e| matches!(
             e,
-            EventRecord::StoreResume {
-                resumed: 2,
-                pending: 2,
+            EventRecord::Event {
+                event: SweepEvent::StoreResume {
+                    resumed: 2,
+                    pending: 2,
+                },
                 ..
             }
         )),
@@ -264,7 +277,10 @@ fn compressed_cold_run_profile_reports_persist_time() {
     let saved: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
-            EventRecord::LogSaved { duration_ns, .. } => Some(*duration_ns),
+            EventRecord::Event {
+                event: SweepEvent::RenderLogSaved { duration, .. },
+                ..
+            } => Some(duration.as_nanos() as u64),
             _ => None,
         })
         .collect();
@@ -331,4 +347,43 @@ fn results_csv_is_byte_identical_with_observability_installed() {
     let observed = run(&observed_dir, Some(jsonl));
     assert_eq!(plain, observed, "observability must not change results.csv");
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn profile_of_the_committed_run_log_fixture_is_pinned() {
+    // Two segments (the first a sharded cold run with chunked renders,
+    // the second a replay of its key plus a live render), a `log_saved`
+    // line without `duration_ns`, and a line of an unknown type.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/events_two_segments.jsonl"
+    );
+    let events = read_events(path).expect("fixture parses");
+    assert_eq!(events.len(), 36);
+    let want = "\
+run log: 2 segments, 6 cells, 3 render jobs
+wall clock (across segments): 0.205s
+
+stage breakdown (busy time, all workers):
+  capture                0.072s  x2
+  render (stage A)       0.052s  x2
+  persist (.relog)       0.009s  x2
+  eval (stage B)         0.153s  x6
+  store write            0.001s  x6
+
+render cache: 1 replayed, 2 rendered (33.3% replay hits)
+
+scene hotspots:
+  ccs              0.118s eval      0.034s render  (4 cells)
+  tib              0.034s eval      0.018s render  (2 cells)
+
+render keys:
+  ccs          ts16        0.034s render  (1 rendered, 1 replayed, 2 chunks, 94% par-eff)
+  tib          ts16        0.018s render  (1 rendered, 0 replayed, 2 chunks, 82% par-eff)
+
+workers:
+  w0       0.105s busy  (3 cells, 2 render jobs)
+  w1       0.101s busy  (3 cells, 1 render jobs)
+";
+    assert_eq!(Profile::from_events(&events).render(), want);
 }
