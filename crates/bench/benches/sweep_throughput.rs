@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use re_sweep::engine::render_key_log_parallel;
 use re_sweep::{
     axis, pool, run_cell, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
 };
@@ -100,8 +101,8 @@ fn bench_render_grouping(c: &mut Criterion) {
 }
 
 /// Stage A worker-scaling curve: one render-heavy key (a single scene at
-/// one tile size, many frames) rendered with a frame-parallel budget of
-/// 1, 2, 4 and all hardware workers.
+/// one tile size, many frames) rendered by `render_key_log_parallel` with
+/// a budget of 1, 2, 4 and all hardware workers.
 ///
 /// The interesting number is the speedup at each budget relative to 1 —
 /// chunking is embarrassingly parallel across frames, so the curve should
@@ -119,24 +120,18 @@ fn bench_render_worker_scaling(c: &mut Criterion) {
     grid.height = 128;
     let plan = SweepPlan::compile(&grid);
     let traces = re_sweep::capture_plan_traces(&plan, &quiet()).expect("capture");
+    let key = &plan.render_jobs()[0].key;
+    let trace = &traces[key.scene()];
 
     let mut g = c.benchmark_group("stage_a_render_workers");
     g.sample_size(10);
     g.throughput(Throughput::Elements(grid.frames as u64));
     let mut budgets = vec![1, 2, 4, pool::default_workers()];
     budgets.dedup();
-    for render_workers in budgets {
-        let exec = ThreadExecutor {
-            workers: 1, // one eval worker: the timed region is Stage A
-            render_workers,
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::from_parameter(render_workers),
-            &exec,
-            |b, exec| b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {})),
-        );
+    for budget in budgets {
+        g.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &n| {
+            b.iter(|| render_key_log_parallel(trace, key, n))
+        });
     }
     g.finish();
 }

@@ -41,7 +41,10 @@
 //! # Modules
 //!
 //! * [`render`] — Stage A: the [`render::Renderer`] and the recorded
-//!   [`render::RenderLog`] artifact.
+//!   [`render::RenderLog`] artifact. Every render is frame chunks
+//!   ([`render::render_chunk`], each rasterizing its tiles in bands)
+//!   stitched back by [`render::stitch_chunks`]; [`render::render_scene`]
+//!   is the one-chunk, one-band case on the calling thread.
 //! * [`passes`] — Stage B: the [`passes::TechniquePass`] trait, the
 //!   built-in passes and the [`passes::Evaluation`] driver.
 //! * [`share`] — Stage B work sharing: each pass section computed once per
@@ -99,8 +102,7 @@ pub use passes::{evaluate, Evaluation, TechniquePass};
 pub use redundancy::TileClassCounts;
 pub use relog::{Compression, RelogError, RelogReader};
 pub use render::{
-    chunk_ranges, render_chunk, render_chunk_with, render_scene, render_scene_chunked,
-    stitch_chunks, RenderChunk, RenderLog, Renderer,
+    chunk_ranges, render_chunk, render_scene, stitch_chunks, RenderChunk, RenderLog, Renderer,
 };
 pub use share::{evaluate_shared, SectionKey, SectionTable, SharedEval};
 pub use signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};

@@ -18,6 +18,14 @@
 //!   any compare distance), plus the CRC32 Transaction Elimination hashes;
 //! * the per-frame `re_unsafe` flags.
 //!
+//! There is one render path. A render is a list of contiguous frame ranges
+//! ([`chunk_ranges`]), each rendered by its own [`Renderer`] with its tiles
+//! rasterized in bands ([`render_chunk`]), then stitched into one log
+//! ([`stitch_chunks`]). Tiles rasterize from tile-local state, so neither
+//! the chunk count nor the band count changes a byte of the log; a single
+//! chunk or band simply runs on the calling thread, and [`render_scene`] is
+//! the one-chunk, one-band render.
+//!
 //! Because a [`RenderLog`] is plain data, one log can be shared (`Arc`)
 //! across threads and replayed through any number of evaluation
 //! configurations — sweeping signature width, compare distance, refresh
@@ -116,7 +124,6 @@ impl RenderLog {
 #[derive(Debug)]
 pub struct Renderer {
     gpu: Gpu,
-    recorder: Recorder,
     /// Packed tile colors → (interned id, frame last seen).
     interner: HashMap<Vec<u32>, (u32, u64)>,
     /// Ids handed out so far (never reused, even across eviction).
@@ -127,8 +134,9 @@ pub struct Renderer {
     /// content forever). Id equality is exact for comparisons reaching at
     /// most this many frames back — see [`Renderer::with_id_window`].
     id_window: Option<u64>,
-    /// Band-parallel rasterization within each frame (`None` = serial).
-    parallel: Option<ParallelRaster>,
+    /// Bands each frame's tiles are rasterized in (1 = on the calling
+    /// thread).
+    parallel: ParallelRaster,
 }
 
 impl Renderer {
@@ -155,21 +163,21 @@ impl Renderer {
     pub fn with_id_window(config: GpuConfig, window: Option<u64>) -> Self {
         Renderer {
             gpu: Gpu::new(config),
-            recorder: Recorder::new(),
             interner: HashMap::new(),
             next_id: 0,
             frame_index: 0,
             id_window: window,
-            parallel: None,
+            parallel: ParallelRaster { bands: 1 },
         }
     }
 
-    /// Enables band-parallel rasterization within each frame (`None` or
-    /// `bands <= 1` keeps the serial path). The rendered output is
-    /// bit-identical either way — tiles are rasterized from per-tile-local
-    /// state and committed in tile-id order — so this is purely a wall-clock
-    /// knob. See [`re_gpu::Gpu::rasterize_bands`].
-    pub fn set_parallel_raster(&mut self, parallel: Option<ParallelRaster>) {
+    /// Sets how many bands each frame's tiles are rasterized in
+    /// (`bands <= 1` runs every tile on the calling thread; the default).
+    /// The rendered output is bit-identical at any band count — tiles are
+    /// rasterized from per-tile-local state and committed in tile-id order
+    /// — so this is purely a wall-clock knob. See
+    /// [`re_gpu::Gpu::rasterize_bands`].
+    pub fn set_parallel_raster(&mut self, parallel: ParallelRaster) {
         self.parallel = parallel;
     }
 
@@ -190,54 +198,30 @@ impl Renderer {
 
     /// Renders one frame, records everything, and swaps buffers.
     pub fn render_frame(&mut self, desc: &FrameDesc) -> FrameLog {
-        let config = self.gpu.config();
-        let tile_count = config.tile_count();
+        let mut recorder = Recorder::new();
+        let geo = self.gpu.run_geometry(desc, &mut recorder);
+        let geo_events = recorder.events;
 
-        self.recorder.clear();
-        let geo = self.gpu.run_geometry(desc, &mut self.recorder);
-        let geo_events = std::mem::take(&mut self.recorder.events);
-
-        let mut tiles = Vec::with_capacity(tile_count as usize);
-        match self.parallel.filter(|p| p.bands > 1) {
-            Some(par) => {
-                // Band path: tiles rasterize concurrently from per-tile-local
-                // state, then colors are committed and interned serially in
-                // tile-id order — the same visit order as the serial path, so
-                // ids, signatures and recorded events are bit-identical.
-                let results = self.gpu.rasterize_bands(desc, &geo, par, Recorder::new);
-                for (t, (stats, colors, recorder)) in results.into_iter().enumerate() {
-                    self.gpu.apply_tile_colors(t as u32, &colors);
-                    let te_sig = TransactionElimination::color_signature(&colors);
-                    let color_bytes = colors.len() as u64 * 4;
-                    let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
-                    tiles.push(TileLog {
-                        events: recorder.events,
-                        stats,
-                        color_id,
-                        te_sig,
-                        color_bytes,
-                    });
-                }
-            }
-            None => {
-                for t in 0..tile_count {
-                    self.recorder.clear();
-                    let stats = self.gpu.rasterize_tile(desc, &geo, t, &mut self.recorder);
-                    let events = std::mem::take(&mut self.recorder.events);
-
-                    let colors = self.gpu.framebuffer().back().read_rect(config.tile_rect(t));
-                    let te_sig = TransactionElimination::color_signature(&colors);
-                    let color_bytes = colors.len() as u64 * 4;
-                    let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
-                    tiles.push(TileLog {
-                        events,
-                        stats,
-                        color_id,
-                        te_sig,
-                        color_bytes,
-                    });
-                }
-            }
+        // Tiles rasterize from tile-local state (band-parallel when there
+        // are several bands), then colors are committed and interned in
+        // tile-id order, so ids, signatures and recorded events do not
+        // depend on the band count.
+        let results = self
+            .gpu
+            .rasterize_bands(desc, &geo, self.parallel, Recorder::new);
+        let mut tiles = Vec::with_capacity(results.len());
+        for (t, (stats, colors, recorder)) in results.into_iter().enumerate() {
+            self.gpu.apply_tile_colors(t as u32, &colors);
+            let te_sig = TransactionElimination::color_signature(&colors);
+            let color_bytes = colors.len() as u64 * 4;
+            let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
+            tiles.push(TileLog {
+                events: recorder.events,
+                stats,
+                color_id,
+                te_sig,
+                color_bytes,
+            });
         }
         self.gpu.end_frame();
         if let Some(window) = self.id_window {
@@ -293,25 +277,15 @@ impl Renderer {
     }
 }
 
-/// Renders `frames` frames of `scene` under `config` into a [`RenderLog`].
+/// Renders `frames` frames of `scene` under `config` into a [`RenderLog`]
+/// on the calling thread: one [`render_chunk`] over every frame, in one
+/// band.
 ///
-/// This is the whole of Stage A: the only place pixels are produced. The
-/// returned log replays through [`crate::passes::evaluate`] under any
-/// evaluation-side options.
+/// Stage A is the only place pixels are produced. The returned log replays
+/// through [`crate::passes::evaluate`] under any evaluation-side options.
 pub fn render_scene(scene: &mut dyn Scene, config: GpuConfig, frames: usize) -> RenderLog {
-    let mut renderer = Renderer::new(config);
-    renderer.init_scene(scene);
-    let frames = (0..frames)
-        .map(|f| {
-            let desc = scene.frame(f);
-            renderer.render_frame(&desc)
-        })
-        .collect();
-    RenderLog {
-        name: scene.name().to_owned(),
-        config,
-        frames,
-    }
+    let chunk = render_chunk(scene, config, 0..frames, ParallelRaster { bands: 1 });
+    stitch_chunks(scene.name(), config, vec![chunk])
 }
 
 /// A contiguous frame range rendered by an independent [`Renderer`]: the
@@ -351,33 +325,29 @@ pub fn chunk_ranges(frames: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Renders the frame range `range` of `scene` as an independent chunk.
+/// Renders the frame range `range` of `scene` as an independent chunk,
+/// rasterizing each frame's tiles in `parallel.bands` bands (see
+/// [`Renderer::set_parallel_raster`]).
 ///
 /// Frame rendering is a pure function of the frame's [`FrameDesc`] plus the
 /// double-buffer parity — tiles rasterize from tile-local state seeded with
 /// the frame's clear color, never reading the previous frame's surface, and
 /// the chunk GPU's parity is seeded to `range.start`
 /// ([`re_gpu::Gpu::seed_frame_parity`]) — so a chunk renderer starting cold
-/// at `range.start` produces exactly the frames a serial renderer would.
-pub fn render_chunk(scene: &mut dyn Scene, config: GpuConfig, range: Range<usize>) -> RenderChunk {
-    render_chunk_with(scene, config, range, None)
-}
-
-/// [`render_chunk`] with optional band-parallel rasterization inside each
-/// frame (see [`Renderer::set_parallel_raster`]). Output is bit-identical
-/// regardless of `parallel`.
-pub fn render_chunk_with(
+/// at `range.start` produces exactly the frames a renderer starting at
+/// frame 0 would, at any band count.
+pub fn render_chunk(
     scene: &mut dyn Scene,
     config: GpuConfig,
     range: Range<usize>,
-    parallel: Option<ParallelRaster>,
+    parallel: ParallelRaster,
 ) -> RenderChunk {
     let mut renderer = Renderer::new(config);
     renderer.set_parallel_raster(parallel);
     renderer.init_scene(scene);
-    // Serial rendering alternates the double-buffered surfaces every frame,
-    // and recorded flush addresses name the surface. Seed the same parity
-    // the serial render would have at this chunk's first frame.
+    // Rendering alternates the double-buffered surfaces every frame, and
+    // recorded flush addresses name the surface. Seed the parity a render
+    // from frame 0 would have at this chunk's first frame.
     renderer.gpu_mut().seed_frame_parity(range.start);
     let start = range.start;
     let frames = range
@@ -394,14 +364,16 @@ pub fn render_chunk_with(
 }
 
 /// Stitches contiguous chunks into one [`RenderLog`] bit-identical to a
-/// serial [`render_scene`] of the same scene and frame count.
+/// single renderer's output over the same scene and frame count.
 ///
 /// Chunk-local color ids are re-interned into a global map by walking
 /// chunks, frames and tiles in order and assigning global ids at first
-/// sight. That is exactly the order and policy of the serial renderer's
-/// interner, so every tile receives the id the serial render would have
-/// given it — the determinism argument needs nothing else, which is why the
-/// frame→chunk split (count and boundaries) cannot affect the result.
+/// sight. That is exactly the order and policy of a renderer's own
+/// interner, so every tile receives the id one renderer over every frame
+/// would have given it — the determinism argument needs nothing else,
+/// which is why the frame→chunk split (count and boundaries) cannot affect
+/// the result. A lone chunk starting at frame 0 already carries those ids
+/// and is returned as it is.
 ///
 /// # Panics
 /// Panics if the chunks are not contiguous from frame 0 or if a frame
@@ -409,8 +381,16 @@ pub fn render_chunk_with(
 pub fn stitch_chunks(
     name: impl Into<String>,
     config: GpuConfig,
-    chunks: Vec<RenderChunk>,
+    mut chunks: Vec<RenderChunk>,
 ) -> RenderLog {
+    if chunks.len() == 1 && chunks[0].start == 0 {
+        let frames = chunks.pop().expect("one chunk").frames;
+        return RenderLog {
+            name: name.into(),
+            config,
+            frames,
+        };
+    }
     let mut global: HashMap<Vec<u32>, u32> = HashMap::new();
     let mut next_id = 0u32;
     let mut frames: Vec<FrameLog> = Vec::with_capacity(chunks.iter().map(|c| c.frames.len()).sum());
@@ -453,26 +433,6 @@ pub fn stitch_chunks(
         config,
         frames,
     }
-}
-
-/// [`render_scene`] split into `chunks` independently rendered frame ranges
-/// and stitched back together — bit-identical to the serial function by
-/// construction (see [`stitch_chunks`]).
-///
-/// This single-threaded form is the reference for the parallel executors:
-/// they render the same [`chunk_ranges`] on worker threads (one scene
-/// instance per chunk) and pass the collected chunks to [`stitch_chunks`].
-pub fn render_scene_chunked(
-    scene: &mut dyn Scene,
-    config: GpuConfig,
-    frames: usize,
-    chunks: usize,
-) -> RenderLog {
-    let parts = chunk_ranges(frames, chunks)
-        .into_iter()
-        .map(|range| render_chunk(scene, config, range))
-        .collect();
-    stitch_chunks(scene.name().to_owned(), config, parts)
 }
 
 #[cfg(test)]
@@ -619,11 +579,21 @@ mod tests {
         }
     }
 
+    /// `frames` frames of `scene` rendered as `chunks` frame ranges of
+    /// `bands` bands each, stitched back together.
+    fn render_chunked(scene: &mut Tri, frames: usize, chunks: usize, bands: usize) -> RenderLog {
+        let parts = chunk_ranges(frames, chunks)
+            .into_iter()
+            .map(|range| render_chunk(scene, cfg(), range, ParallelRaster { bands }))
+            .collect();
+        stitch_chunks("tri", cfg(), parts)
+    }
+
     #[test]
     fn chunked_render_is_bit_identical_to_serial() {
         let serial = render_scene(&mut Tri { period: 2 }, cfg(), 7);
         for chunks in [1usize, 2, 3, 7, 16] {
-            let chunked = render_scene_chunked(&mut Tri { period: 2 }, cfg(), 7, chunks);
+            let chunked = render_chunked(&mut Tri { period: 2 }, 7, chunks, 1);
             assert_eq!(serial, chunked, "chunks={chunks}");
         }
     }
@@ -634,7 +604,7 @@ mod tests {
         for bands in [2usize, 3, 4, 99] {
             let mut scene = Tri { period: 1 };
             let mut r = Renderer::new(cfg());
-            r.set_parallel_raster(Some(ParallelRaster { bands }));
+            r.set_parallel_raster(ParallelRaster { bands });
             r.init_scene(&mut scene);
             let frames: Vec<FrameLog> = (0..4).map(|f| r.render_frame(&scene.frame(f))).collect();
             assert_eq!(serial.frames, frames, "bands={bands}");
@@ -644,25 +614,18 @@ mod tests {
     #[test]
     fn chunked_plus_band_parallel_matches_serial() {
         let serial = render_scene(&mut Tri { period: 1 }, cfg(), 5);
-        let parts = chunk_ranges(5, 2)
-            .into_iter()
-            .map(|range| {
-                render_chunk_with(
-                    &mut Tri { period: 1 },
-                    cfg(),
-                    range,
-                    Some(ParallelRaster { bands: 3 }),
-                )
-            })
-            .collect();
-        let stitched = stitch_chunks("tri", cfg(), parts);
-        assert_eq!(serial, stitched);
+        assert_eq!(serial, render_chunked(&mut Tri { period: 1 }, 5, 2, 3));
     }
 
     #[test]
     #[should_panic(expected = "contiguous")]
     fn stitch_rejects_non_contiguous_chunks() {
-        let chunk = render_chunk(&mut Tri { period: 1 }, cfg(), 1..2);
+        let chunk = render_chunk(
+            &mut Tri { period: 1 },
+            cfg(),
+            1..2,
+            ParallelRaster { bands: 1 },
+        );
         let _ = stitch_chunks("tri", cfg(), vec![chunk]);
     }
 

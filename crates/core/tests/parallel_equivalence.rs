@@ -5,23 +5,26 @@
 //! proved here property-style:
 //!
 //! 1. **Frame chunking is invisible**: splitting a render's frame range
-//!    into any number of chunks, rendering each with a fresh renderer,
-//!    and stitching the logs back ([`render_scene_chunked`]) produces a
-//!    [`RenderLog`] bit-identical to the serial [`render_scene`] —
-//!    including color-id assignment order and flush addresses (the
-//!    double-buffer parity a chunk renderer seeds).
+//!    into any number of chunks ([`chunk_ranges`]), rendering each with a
+//!    fresh renderer ([`render_chunk`]), and stitching the logs back
+//!    ([`stitch_chunks`]) produces a [`RenderLog`] bit-identical to the
+//!    one-chunk [`render_scene`] — including color-id assignment order and
+//!    flush addresses (the double-buffer parity a chunk renderer seeds).
 //! 2. **Band-parallel rasterization is invisible**: rendering with the
-//!    tile grid split into bands yields the same log as the serial tile
-//!    loop, for any band count.
+//!    tile grid split into bands yields the same log as one band on the
+//!    calling thread, for any band count.
 //! 3. **Compression is invisible**: a stream of LZSS frames decodes to
 //!    the identical log (NaN bit patterns included) and replays to the
 //!    identical [`RunReport`] as one with every frame stored.
+//!
+//! `staged_equivalence.rs` ties the one-chunk, one-band render to an
+//! independent reference: a tile-by-tile loop over `Gpu::rasterize_tile`.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression};
+use re_core::render::RenderLog;
 use re_core::{
-    chunk_ranges, evaluate, render_chunk_with, render_scene, render_scene_chunked, stitch_chunks,
-    Scene, SimOptions,
+    chunk_ranges, evaluate, render_chunk, render_scene, stitch_chunks, Scene, SimOptions,
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
@@ -89,6 +92,22 @@ fn arb_tri() -> impl Strategy<Value = ([f32; 6], u32, [f32; 4])> {
     )
 }
 
+/// `frames` frames of `scene` rendered as `chunks` frame ranges of `bands`
+/// bands each, stitched back together.
+fn render_chunked(
+    scene: &RandomScene,
+    cfg: GpuConfig,
+    frames: usize,
+    chunks: usize,
+    bands: usize,
+) -> RenderLog {
+    let parts = chunk_ranges(frames, chunks)
+        .into_iter()
+        .map(|r| render_chunk(&mut scene.clone(), cfg, r, ParallelRaster { bands }))
+        .collect();
+    stitch_chunks(scene.name(), cfg, parts)
+}
+
 fn config(tile_pick: usize) -> GpuConfig {
     GpuConfig {
         width: 48,
@@ -113,7 +132,7 @@ proptest! {
         let cfg = config(tile_pick);
         let scene = RandomScene { tris, nan_every: 0 };
         let serial = render_scene(&mut scene.clone(), cfg, frames);
-        let chunked = render_scene_chunked(&mut scene.clone(), cfg, frames, chunks);
+        let chunked = render_chunked(&scene, cfg, frames, chunks, 1);
         prop_assert_eq!(&chunked, &serial);
         // The chunk partition itself is exact: contiguous from 0, total
         // length `frames`.
@@ -140,20 +159,13 @@ proptest! {
         let cfg = config(tile_pick);
         let scene = RandomScene { tris, nan_every: 0 };
         let serial = render_scene(&mut scene.clone(), cfg, frames);
-        let parallel = Some(ParallelRaster { bands });
 
         // Bands only: one chunk covering every frame.
-        let mut s = scene.clone();
-        let whole = render_chunk_with(&mut s, cfg, 0..frames, parallel);
-        let log = stitch_chunks("parallel-eq".to_string(), cfg, vec![whole]);
+        let log = render_chunked(&scene, cfg, frames, 1, bands);
         prop_assert_eq!(&log, &serial);
 
         // Bands under frame chunking — the sweep executor's layered mode.
-        let parts: Vec<_> = chunk_ranges(frames, chunks)
-            .into_iter()
-            .map(|r| render_chunk_with(&mut scene.clone(), cfg, r, parallel))
-            .collect();
-        let log = stitch_chunks("parallel-eq".to_string(), cfg, parts);
+        let log = render_chunked(&scene, cfg, frames, chunks, bands);
         prop_assert_eq!(&log, &serial);
     }
 

@@ -39,7 +39,9 @@
 //!   [`stats::TileStats`]) — the per-frame / per-tile work counts the
 //!   cycle and energy models consume.
 //! * **The raster-invocation counter** ([`raster_invocations`]) — a
-//!   process-wide count of [`Gpu::rasterize_tile`] calls. The sweep's
+//!   process-wide count of tile rasterizations, incremented in
+//!   [`raster::rasterize_tile_detached`], which both
+//!   [`Gpu::rasterize_tile`] and [`Gpu::rasterize_bands`] run. The sweep's
 //!   render-once contract (each render key rasterized at most once, and
 //!   *zero* times when a cached render log covers it) is pinned in tests
 //!   against exactly this counter.
@@ -222,7 +224,9 @@ impl Gpu {
     ///
     /// Returns the tile's activity counters. Tiles may be rasterized in any
     /// order; a tile that is never rasterized keeps its previous back-buffer
-    /// content (which is what Rendering Elimination exploits).
+    /// content (which is what Rendering Elimination exploits). This is
+    /// [`raster::rasterize_tile_detached`] plus
+    /// [`apply_tile_colors`](Self::apply_tile_colors).
     pub fn rasterize_tile(
         &mut self,
         frame: &FrameDesc,
@@ -230,15 +234,18 @@ impl Gpu {
         tile_id: u32,
         hooks: &mut dyn hooks::GpuHooks,
     ) -> TileStats {
-        raster::rasterize_tile(
+        let base_addr = self.framebuffer.back().base_addr();
+        let (stats, colors) = raster::rasterize_tile_detached(
             &self.config,
             frame,
             geo,
             tile_id,
             &self.textures,
-            &mut self.framebuffer,
+            base_addr,
             hooks,
-        )
+        );
+        self.apply_tile_colors(tile_id, &colors);
+        stats
     }
 
     /// Rasterizes every tile of the current frame with up to
@@ -252,11 +259,11 @@ impl Gpu {
     /// The frame is split into row-aligned bands
     /// ([`tiling::band_ranges`]) with exclusive tile ownership, so band
     /// threads share nothing mutable — no locking anywhere on the raster
-    /// path. Each tile runs the identical detached pipeline the serial
-    /// [`rasterize_tile`](Self::rasterize_tile) wraps
-    /// ([`raster::rasterize_tile_detached`]), so counters, event streams,
-    /// flush addresses, colors and [`raster_invocations`] accounting are
-    /// exactly equal to rasterizing the tiles serially.
+    /// path. A single band runs on the calling thread. Each tile runs the
+    /// same detached pipeline [`rasterize_tile`](Self::rasterize_tile)
+    /// wraps ([`raster::rasterize_tile_detached`]), so counters, event
+    /// streams, flush addresses, colors and [`raster_invocations`]
+    /// accounting are exactly equal to rasterizing the tiles one by one.
     ///
     /// The back buffer is **not** written — commit each tile's colors with
     /// [`apply_tile_colors`](Self::apply_tile_colors) (in any order) before
@@ -338,10 +345,10 @@ impl Gpu {
 
     /// Aligns the double-buffer parity of a **fresh** GPU as if
     /// `frame_index` frames had already been rendered and swapped:
-    /// afterwards the back buffer is the surface a serial render would be
-    /// writing for frame `frame_index`. Frame-chunked renders
+    /// afterwards the back buffer is the surface a render from frame 0
+    /// would be writing for frame `frame_index`. Frame-chunked renders
     /// (`re_core::render_chunk`) seed this before their first frame so
-    /// recorded color-flush addresses match a serial render bit-for-bit.
+    /// recorded color-flush addresses match such a render bit-for-bit.
     pub fn seed_frame_parity(&mut self, frame_index: usize) {
         if frame_index % 2 == 1 {
             self.framebuffer.swap();

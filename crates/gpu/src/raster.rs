@@ -1,8 +1,8 @@
 //! The Raster Pipeline: per-tile rasterization, Early-Z, fragment shading,
 //! blending and tile flush.
 //!
-//! One call to [`rasterize_tile`] performs everything the paper's Raster
-//! Pipeline does for one tile — which is exactly the work Rendering
+//! One call to [`rasterize_tile_detached`] performs everything the paper's
+//! Raster Pipeline does for one tile — which is exactly the work Rendering
 //! Elimination skips for redundant tiles:
 //!
 //! 1. The Tile Scheduler fetches the tile's primitives from the Parameter
@@ -21,7 +21,6 @@
 use re_math::{edge_function, Color, Vec2, Vec4};
 
 use crate::api::FrameDesc;
-use crate::framebuffer::Framebuffer;
 use crate::geometry::GeometryOutput;
 use crate::hooks::GpuHooks;
 use crate::shader::SampleCtx;
@@ -68,8 +67,8 @@ impl SampleCtx for TexSampler<'_> {
     }
 }
 
-/// Process-wide count of [`rasterize_tile`] invocations, backed by the
-/// [`re_obs`] metrics registry under
+/// Process-wide count of [`rasterize_tile_detached`] invocations, backed
+/// by the [`re_obs`] metrics registry under
 /// [`re_obs::names::RASTER_INVOCATIONS`].
 ///
 /// The render/evaluate split's contract is that a sweep rasterizes each
@@ -85,7 +84,8 @@ fn raster_counter() -> &'static re_obs::Counter {
         .as_ref()
 }
 
-/// Total [`rasterize_tile`] calls made by this process so far.
+/// Total [`rasterize_tile_detached`] calls made by this process so far
+/// (every tile rasterization, one at a time or banded, goes through it).
 ///
 /// Reads the same atomic as the registry counter
 /// `gpu.raster_invocations`, so the two are consistent byte for byte.
@@ -112,47 +112,28 @@ fn edge_is_top_left(dx: f32, dy: f32) -> bool {
 /// touch the same output, so the hot path needs no locking. Per-tile
 /// activity counters, recorded event streams, flush addresses, final
 /// pixels and the [`raster_invocations`] count are all exactly equal to
-/// the serial path's (pinned by proptest in `re-core`).
+/// rasterizing the tiles one by one (pinned by proptest in `re-core`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelRaster {
-    /// Maximum band count (= worker threads). `0` or `1` keeps the serial
-    /// path; the effective count is clamped to the number of tile rows.
+    /// Maximum band count (= worker threads). `0` or `1` rasterizes every
+    /// tile on the calling thread; the effective count is clamped to the
+    /// number of tile rows.
     pub bands: usize,
 }
 
-/// Rasterizes tile `tile_id` of the current frame into the back buffer.
-/// See the module docs for the stage breakdown.
-pub fn rasterize_tile(
-    config: &GpuConfig,
-    frame: &FrameDesc,
-    geo: &GeometryOutput,
-    tile_id: u32,
-    textures: &TextureStore,
-    framebuffer: &mut Framebuffer,
-    hooks: &mut dyn GpuHooks,
-) -> TileStats {
-    let base_addr = framebuffer.back().base_addr();
-    let (stats, colors) =
-        rasterize_tile_detached(config, frame, geo, tile_id, textures, base_addr, hooks);
-    let rect = config.tile_rect(tile_id);
-    let back = framebuffer.back_mut();
-    for (li, (x, y)) in rect.pixels().enumerate() {
-        back.put_pixel(x as u32, y as u32, colors[li]);
-    }
-    stats
-}
-
-/// Rasterizes tile `tile_id` *detached* from the frame buffer: identical
-/// pipeline, counters and hook stream as [`rasterize_tile`] (the flush
-/// addresses are computed from `back_base_addr`, the back surface's
-/// [`crate::framebuffer::ColorSurface::base_addr`]), but the tile's final
-/// colors are returned (row-major over the tile rect) instead of written.
+/// Rasterizes tile `tile_id` of the current frame *detached* from the
+/// frame buffer: the tile's final colors are returned (row-major over the
+/// tile rect) instead of written, and the flush addresses are computed from
+/// `back_base_addr`, the back surface's
+/// [`crate::framebuffer::ColorSurface::base_addr`]. See the module docs for
+/// the stage breakdown.
 ///
 /// Taking no `&mut Framebuffer` makes the call safe to run concurrently
 /// for different tiles — the foundation of band-parallel rasterization
-/// ([`ParallelRaster`], [`crate::Gpu::rasterize_bands`]). The caller is
-/// responsible for committing the colors to the back buffer
-/// ([`crate::Gpu::apply_tile_colors`]).
+/// ([`ParallelRaster`], [`crate::Gpu::rasterize_bands`]). The caller
+/// commits the colors to the back buffer
+/// ([`crate::Gpu::apply_tile_colors`]); [`crate::Gpu::rasterize_tile`] is
+/// this function plus that commit.
 pub fn rasterize_tile_detached(
     config: &GpuConfig,
     frame: &FrameDesc,

@@ -5,13 +5,14 @@
 //! registry accepts any `&'static str`, so this list is documentation
 //! and a single point of truth for cross-crate tests, not a closed set.
 
-/// Counter: total [`rasterize_tile`] calls — Stage A work. The
+/// Counter: total tile rasterizations — Stage A work, incremented once
+/// per [`rasterize_tile_detached`] call (banded or not). The
 /// render/evaluate split's contract is that a sweep rasterizes each
 /// render-key group exactly once (and zero times under a warm `.relog`
 /// cache); this counter is what pins that. `re_gpu::raster_invocations()`
 /// reads the same counter.
 ///
-/// [`rasterize_tile`]: ../../re_gpu/raster/fn.rasterize_tile.html
+/// [`rasterize_tile_detached`]: ../../re_gpu/raster/fn.rasterize_tile_detached.html
 pub const RASTER_INVOCATIONS: &str = "gpu.raster_invocations";
 
 /// Counter: completed Stage B evaluations (one per evaluation driver, and
@@ -37,8 +38,8 @@ pub const RELOG_REPLAYS: &str = "sweep.relog.replays";
 /// Counter: freshly rendered `.relog` artifacts persisted to the cache.
 pub const RELOG_SAVES: &str = "sweep.relog.saves";
 
-/// Counter: frame chunks rendered by parallel Stage A (one per chunk; a
-/// serial render counts one). `chunks / renders` is the mean frame-level
+/// Counter: frame chunks rendered by Stage A (one per chunk; a one-chunk
+/// render counts one). `chunks / renders` is the mean frame-level
 /// fan-out a sweep achieved.
 pub const RENDER_FRAME_CHUNKS: &str = "sweep.render.frame_chunks";
 

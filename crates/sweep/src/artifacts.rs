@@ -9,7 +9,7 @@
 //!   The sweep sidesteps that entirely: each workload is captured **once**
 //!   into a [`re_trace::Trace`] (a plain `Send + Sync` value), optionally
 //!   cached on disk as a `.retrace` file, and every worker replays it
-//!   through its own lightweight [`SharedTraceScene`] that borrows the
+//!   through its own lightweight [`re_trace::TraceScene`] that shares the
 //!   trace via `Arc` instead of cloning frames wholesale. Replay is
 //!   bit-exact (see `re_trace`'s roundtrip tests), so a sweep over a trace
 //!   measures exactly what a serial run over the live generator would.
@@ -37,57 +37,10 @@ use std::sync::Arc;
 
 use re_core::relog;
 use re_core::render::RenderLog;
-use re_core::Scene;
-use re_gpu::api::FrameDesc;
 use re_gpu::GpuConfig;
 use re_trace::Trace;
 
 use crate::grid::{binning_name, RenderKey};
-
-/// A [`Scene`] replaying an `Arc`-shared trace; cheap to construct per cell.
-///
-/// Frame indices beyond the capture length wrap around, matching
-/// [`re_trace::TraceScene`]'s replay semantics — the sweep engine always
-/// captures exactly as many frames as it replays, so within the engine the
-/// wrap never triggers.
-#[derive(Debug, Clone)]
-pub struct SharedTraceScene {
-    trace: Arc<Trace>,
-    name: String,
-}
-
-impl SharedTraceScene {
-    /// Wraps `trace` for replay under `name` (used in reports).
-    pub fn new(trace: Arc<Trace>, name: impl Into<String>) -> Self {
-        SharedTraceScene {
-            trace,
-            name: name.into(),
-        }
-    }
-}
-
-impl Scene for SharedTraceScene {
-    fn init(&mut self, textures: &mut re_gpu::texture::TextureStore) {
-        for img in &self.trace.textures {
-            let w = img.width;
-            let texels = &img.texels;
-            textures.upload_with(img.width, img.height, |x, y| texels[(y * w + x) as usize]);
-        }
-    }
-
-    fn frame(&mut self, index: usize) -> FrameDesc {
-        // Zero-frame traces replay as empty frames (matching
-        // `re_trace::TraceScene`) instead of panicking on the modulo.
-        match self.trace.frames.len() {
-            0 => FrameDesc::new(),
-            n => self.trace.frames[index % n].clone(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// Artifact-file-safe form of a scene alias: imported traces contain a
 /// `:` (`trace:foo`), which is not portable in file names.
@@ -342,7 +295,7 @@ mod tests {
     #[test]
     fn shared_replay_matches_live_run() {
         let trace = Arc::new(capture_alias("ccs", 4, cfg()).expect("capture"));
-        let mut replay = SharedTraceScene::new(Arc::clone(&trace), "ccs");
+        let mut replay = re_trace::TraceScene::with_name(Arc::clone(&trace), "ccs");
         let mut live = re_workloads::by_alias("ccs").unwrap();
 
         let opts = SimOptions {
@@ -390,7 +343,7 @@ mod tests {
 
     fn log_for(key: &crate::grid::RenderKey) -> RenderLog {
         let trace = Arc::new(capture_alias(key.scene(), key.frames(), cfg()).expect("capture"));
-        crate::engine::render_key_log(&trace, key)
+        crate::engine::render_key_log_parallel(&trace, key, 1).log
     }
 
     fn decode_file(path: &Path) -> RenderLog {

@@ -261,7 +261,6 @@ const RUN_FLAGS: &[&str] = &[
     "--out",
     "--no-store",
     "--workers",
-    "--render-workers",
     "--relog-compress",
     "--heartbeat-ms",
     "--shard",
@@ -312,11 +311,6 @@ fn parse_run(argv: &[String]) -> Result<Command, String> {
             "--out" => out = PathBuf::from(value()?),
             "--no-store" => store = false,
             "--workers" => opts.workers = value()?.parse().map_err(|_| "--workers: bad value")?,
-            "--render-workers" => {
-                opts.render_workers = value()?
-                    .parse()
-                    .map_err(|_| "--render-workers: bad value")?
-            }
             "--relog-compress" => {
                 opts.relog_compress = match value()? {
                     "on" => true,
@@ -453,10 +447,10 @@ OPTIONS:
     --out DIR           result-store directory (default: sweep-out; resumable)
     --no-store          run in memory only, print the CSV to stdout
     --workers N         worker threads (default: all hardware threads, or
-                        the RE_SWEEP_WORKERS environment override)
-    --render-workers N  threads one Stage A render may spread its frames
-                        over (default: match --workers; 1 = serial Stage A;
-                        results are bit-identical at any setting)
+                        the RE_SWEEP_WORKERS environment override); Stage A
+                        splits them among the renders in flight, spreading
+                        one render's frames and tiles over its share
+                        (results are bit-identical at any setting)
     --shard K/N         run only shard K of N (1-based; partitioned by
                         render key, so each shard rasterizes its keys once)
     --heartbeat-ms N    cadence of the progress heartbeat the executor
@@ -744,19 +738,20 @@ mod tests {
     #[test]
     fn parallel_render_and_compression_flags_parse() {
         let r = run_args(&[]);
-        assert_eq!(r.opts.render_workers, 0, "default: match --workers");
         assert!(!r.opts.relog_compress, "compression is opt-in");
-        let r = run_args(&["--render-workers", "4", "--relog-compress", "on"]);
-        assert_eq!(r.opts.render_workers, 4);
+        let r = run_args(&["--workers", "4", "--relog-compress", "on"]);
+        assert_eq!(r.opts.workers, 4);
         assert!(r.opts.relog_compress);
         let r = run_args(&["--relog-compress", "off"]);
         assert!(!r.opts.relog_compress);
-        let err = parse_strs(&["--render-workers", "many"]).unwrap_err();
-        assert!(err.contains("--render-workers"), "{err}");
+        let err = parse_strs(&["--workers", "many"]).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
         let err = parse_strs(&["--relog-compress", "yes"]).unwrap_err();
         assert!(err.contains("not `on` or `off`"), "{err}");
-        let err = parse_strs(&["--render-worker", "2"]).unwrap_err();
-        assert!(err.contains("did you mean `--render-workers`?"), "{err}");
+        let err = parse_strs(&["--relog-compres", "on"]).unwrap_err();
+        assert!(err.contains("did you mean `--relog-compress`?"), "{err}");
+        let err = parse_strs(&["--render-workers", "2"]).unwrap_err();
+        assert!(err.contains("unknown"), "the flag is gone: {err}");
     }
 
     #[test]

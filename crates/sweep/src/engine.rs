@@ -18,10 +18,10 @@
 //!    worker count, scheduling, cache state and sharding, and equal to the
 //!    monolithic per-cell pipeline ([`run_cell`]).
 //!
-//! [`run_grid`] and [`run_grid_with_store`] are thin wrappers (compile +
-//! execute) kept for the bench harness, the ablation studies and every
-//! pre-plan caller; new callers that need to partition, observe or
-//! re-execute work should compile a plan and drive it directly.
+//! [`run_grid`] is a thin wrapper (compile + execute) kept for its two
+//! non-test callers, the bench harness and the ablation studies; every
+//! other caller compiles a plan and drives it with [`run_plan`] or
+//! [`run_plan_with_store`].
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -29,10 +29,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use re_core::render::RenderLog;
-use re_core::{render_scene, RunReport, Simulator};
-use re_trace::Trace;
+use re_core::{RunReport, Simulator};
+use re_gpu::ParallelRaster;
+use re_trace::{Trace, TraceScene};
 
-use crate::artifacts::{SharedTraceScene, TraceCache};
+use crate::artifacts::TraceCache;
 use crate::exec::{NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor};
 use crate::grid::{Cell, ExperimentGrid, RenderKey};
 use crate::plan::SweepPlan;
@@ -58,14 +59,6 @@ pub struct SweepOptions {
     /// Suppress the default stderr progress lines. Only consulted when
     /// [`observer`](Self::observer) is `None`.
     pub quiet: bool,
-    /// Worker threads a single Stage A render may spread its frames over
-    /// (chunked rendering + deterministic stitch — output is bit-identical
-    /// to a serial render at any setting; see [`render_key_log_parallel`]).
-    /// 0 means match the executor's worker count; 1 forces serial Stage A.
-    /// The executor divides this budget among concurrently running
-    /// renders, so a single-key plan uses every worker while a many-key
-    /// plan still parallelizes across keys first.
-    pub render_workers: usize,
     /// Write `.relog` cache artifacts with LZSS-compressed frames.
     /// Smaller files, identical replay results; both settings write the
     /// one `.relog` framing, so flipping this between runs is safe.
@@ -89,7 +82,6 @@ impl std::fmt::Debug for SweepOptions {
             .field("trace_dir", &self.trace_dir)
             .field("log_dir", &self.log_dir)
             .field("quiet", &self.quiet)
-            .field("render_workers", &self.render_workers)
             .field("relog_compress", &self.relog_compress)
             .field("heartbeat", &self.heartbeat)
             .field("observer", &self.observer.as_ref().map(|_| "<custom>"))
@@ -104,7 +96,6 @@ impl Default for SweepOptions {
             trace_dir: None,
             log_dir: None,
             quiet: false,
-            render_workers: 0,
             relog_compress: false,
             heartbeat: Some(std::time::Duration::from_secs(10)),
             observer: None,
@@ -128,7 +119,6 @@ impl SweepOptions {
         ThreadExecutor {
             workers: self.workers,
             log_dir: self.log_dir.clone(),
-            render_workers: self.render_workers,
             relog_compress: self.relog_compress,
             heartbeat: self.heartbeat,
         }
@@ -211,23 +201,6 @@ fn capture(
     Ok(traces)
 }
 
-/// Captures (or loads from cache) every scene the grid references.
-///
-/// # Errors
-/// Trace-cache I/O errors or unknown scene aliases.
-pub fn capture_traces(
-    grid: &ExperimentGrid,
-    opts: &SweepOptions,
-) -> io::Result<HashMap<&'static str, Arc<Trace>>> {
-    capture(
-        &grid.scene_aliases(),
-        grid.frames,
-        grid.width,
-        grid.height,
-        opts,
-    )
-}
-
 /// Captures (or loads from cache) every scene the plan's cells reference —
 /// for a shard or a resumed remainder, only the scenes it actually needs.
 ///
@@ -267,19 +240,12 @@ fn capture_execution_traces(
 /// tested against. The grouped path in [`run_plan`]/[`run_grid`]
 /// produces identical reports while rendering each key once.
 pub fn run_cell(trace: &Arc<Trace>, cell: &Cell) -> RunReport {
-    let mut scene = SharedTraceScene::new(Arc::clone(trace), cell.scene().to_string());
+    let mut scene = TraceScene::with_name(Arc::clone(trace), cell.scene());
     let mut sim = Simulator::new(cell.point.sim_options());
     sim.run(&mut scene, cell.point.frames)
 }
 
-/// Runs Stage A for one render key: replays the scene's trace through the
-/// functional GPU under the key's screen/tile/binning configuration.
-pub fn render_key_log(trace: &Arc<Trace>, key: &RenderKey) -> RenderLog {
-    let mut scene = SharedTraceScene::new(Arc::clone(trace), key.scene().to_string());
-    render_scene(&mut scene, key.gpu_config(), key.frames())
-}
-
-/// Timing of one chunk of a frame-parallel Stage A render.
+/// Timing of one chunk of a Stage A render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
     /// Chunk index (0-based, frame order).
@@ -290,80 +256,65 @@ pub struct ChunkTiming {
     pub duration: std::time::Duration,
 }
 
-/// A frame-parallel Stage A render: the stitched log plus per-chunk
-/// timings and the stitch cost, for events and metrics.
+/// A Stage A render: the stitched log plus per-chunk timings and the
+/// stitch cost, for events and metrics.
 #[derive(Debug)]
 pub struct ParallelRender {
-    /// The stitched log — bit-identical to [`render_key_log`]'s output.
+    /// The stitched log — bit-identical at any render budget.
     pub log: RenderLog,
-    /// Per-chunk timings in chunk order (a single entry when the render
-    /// ran serially).
+    /// Per-chunk timings in chunk order (one per
+    /// [`re_core::chunk_ranges`] entry).
     pub chunks: Vec<ChunkTiming>,
-    /// Time spent stitching chunk logs back together (zero for a serial
-    /// render).
+    /// Time spent stitching chunk logs back together (next to nothing for
+    /// a lone chunk, which is returned as it is).
     pub stitch: std::time::Duration,
 }
 
-/// Runs Stage A for one render key across up to `render_workers` threads
-/// and returns a log **bit-identical** to [`render_key_log`]'s.
+/// Runs Stage A for one render key across up to `budget` threads and
+/// returns a log **bit-identical** at any budget.
 ///
-/// The key's frame range is split into contiguous chunks
-/// ([`re_core::chunk_ranges`]), each rendered by its own thread against a
-/// fresh [`SharedTraceScene`] view of the shared trace, then stitched back
-/// in frame order with color ids re-interned globally
-/// ([`re_core::stitch_chunks`]). When there are fewer chunks than workers
-/// (short renders), the leftover budget moves inside the frame: each chunk
-/// renderer splits its tile grid into that many bands
-/// ([`re_gpu::ParallelRaster`]). Both levels are exact — same pixels, same
-/// logs, same [`re_gpu::raster_invocations`] count — so callers may pick
-/// any budget, including per-run adaptive ones, without perturbing
-/// results.
-///
-/// A budget of 0 or 1 (or a 0/1-frame render) falls back to the serial
-/// path without spawning.
+/// The key's frame range is split into up to `budget` contiguous
+/// chunks ([`re_core::chunk_ranges`]), each rendered against a fresh
+/// [`TraceScene`] view of the shared trace, then stitched back in frame
+/// order with color ids re-interned globally ([`re_core::stitch_chunks`]).
+/// The budget left over when there are fewer frames than threads moves
+/// inside the frame: each chunk renderer splits its tile grid into
+/// `budget / chunks` bands ([`ParallelRaster`]). Both levels are
+/// exact — same pixels, same logs, same [`re_gpu::raster_invocations`]
+/// count — so callers may pick any budget, including per-run adaptive
+/// ones, without perturbing results. A lone chunk renders on the calling
+/// thread, and so does a lone band; a budget of 0 counts as 1.
 pub fn render_key_log_parallel(
     trace: &Arc<Trace>,
     key: &RenderKey,
-    render_workers: usize,
+    budget: usize,
 ) -> ParallelRender {
-    let frames = key.frames();
-    let budget = render_workers.max(1);
-    let ranges = re_core::chunk_ranges(frames, budget);
-    if budget == 1 || ranges.len() <= 1 {
-        let sw = re_obs::Stopwatch::start();
-        let log = render_key_log(trace, key);
-        let duration = sw.elapsed();
-        return ParallelRender {
-            log,
-            chunks: vec![ChunkTiming {
-                chunk: 0,
-                frames,
-                duration,
-            }],
-            stitch: std::time::Duration::ZERO,
-        };
-    }
-    let bands = (budget / ranges.len()).max(1);
-    let parallel = (bands > 1).then_some(re_gpu::ParallelRaster { bands });
+    let budget = budget.max(1);
+    let ranges = re_core::chunk_ranges(key.frames(), budget);
+    let parallel = ParallelRaster {
+        bands: budget / ranges.len().max(1),
+    };
     let config = key.gpu_config();
-    let rendered: Vec<(re_core::RenderChunk, std::time::Duration)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let trace = Arc::clone(trace);
-                s.spawn(move || {
-                    let sw = re_obs::Stopwatch::start();
-                    let mut scene = SharedTraceScene::new(trace, key.scene().to_string());
-                    let chunk = re_core::render_chunk_with(&mut scene, config, range, parallel);
-                    (chunk, sw.elapsed())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("render chunk thread panicked"))
-            .collect()
-    });
+    let render = |range| {
+        let sw = re_obs::Stopwatch::start();
+        let mut scene = TraceScene::with_name(Arc::clone(trace), key.scene());
+        let chunk = re_core::render_chunk(&mut scene, config, range, parallel);
+        (chunk, sw.elapsed())
+    };
+    let rendered: Vec<(re_core::RenderChunk, std::time::Duration)> = if ranges.len() <= 1 {
+        ranges.into_iter().map(render).collect()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|range| s.spawn(move || render(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("render chunk thread panicked"))
+                .collect()
+        })
+    };
     let mut chunks = Vec::with_capacity(rendered.len());
     let mut parts = Vec::with_capacity(rendered.len());
     for (i, (part, duration)) in rendered.into_iter().enumerate() {
@@ -375,7 +326,7 @@ pub fn render_key_log_parallel(
         parts.push(part);
     }
     let sw = re_obs::Stopwatch::start();
-    let log = re_core::stitch_chunks(key.scene().to_string(), config, parts);
+    let log = re_core::stitch_chunks(key.scene(), config, parts);
     let stitch = sw.elapsed();
     ParallelRender {
         log,
@@ -519,21 +470,6 @@ pub fn run_plan_with_store(
     })
 }
 
-/// Runs the grid against a resumable store at `dir` — a thin wrapper over
-/// [`SweepPlan::compile`] + [`run_plan_with_store`], kept for every
-/// pre-plan caller.
-///
-/// # Errors
-/// Store/trace I/O errors, including a store that belongs to a different
-/// grid.
-pub fn run_grid_with_store(
-    grid: &ExperimentGrid,
-    opts: &SweepOptions,
-    dir: impl Into<PathBuf>,
-) -> io::Result<SweepSummary> {
-    run_plan_with_store(&SweepPlan::compile(grid), opts, dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,7 +512,7 @@ mod tests {
             .with_axis(crate::axis::SIG_BITS, vec![16, 32])
             .with_axis(crate::axis::COMPARE_DISTANCE, vec![1, 2]);
         let grouped = run_grid(&grid, &quiet()).expect("grouped");
-        let traces = capture_traces(&grid, &quiet()).expect("capture");
+        let traces = capture_plan_traces(&SweepPlan::compile(&grid), &quiet()).expect("capture");
         let cells = grid.cells();
         assert_eq!(grouped.len(), cells.len());
         for (a, cell) in grouped.iter().zip(&cells) {
@@ -588,28 +524,38 @@ mod tests {
 
     #[test]
     fn parallel_render_key_log_matches_serial_at_every_budget() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
-        for job in plan.render_jobs() {
-            let key = &job.key;
-            let trace = &traces[key.scene()];
-            let serial = render_key_log(trace, key);
-            // Budgets below, at, and above the frame count (3), including
-            // the degenerate 0/1 serial fallbacks.
-            for budget in [0, 1, 2, 3, 8] {
-                let par = render_key_log_parallel(trace, key, budget);
-                assert_eq!(
-                    par.log,
-                    serial,
-                    "{} ts{} budget {budget}",
-                    key.scene(),
-                    key.tile_size()
-                );
-                let chunk_frames: usize = par.chunks.iter().map(|c| c.frames).sum();
-                assert_eq!(chunk_frames, key.frames(), "chunks cover every frame");
-                if budget <= 1 {
-                    assert_eq!(par.chunks.len(), 1, "serial fallback is one chunk");
+        let mut one_frame = tiny_grid();
+        one_frame.frames = 1;
+        // Budgets below, at, and above the frame count (3), including the
+        // degenerate 0 and 1; a 1-frame key bands its tiles at budget 4.
+        for (grid, budgets) in [(tiny_grid(), &[0, 1, 2, 3, 8][..]), (one_frame, &[1, 4])] {
+            let plan = SweepPlan::compile(&grid);
+            let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
+            for job in plan.render_jobs() {
+                let key = &job.key;
+                let trace = &traces[key.scene()];
+                let mut scene = TraceScene::with_name(Arc::clone(trace), key.scene());
+                let serial = re_core::render_scene(&mut scene, key.gpu_config(), key.frames());
+                for &budget in budgets {
+                    let par = render_key_log_parallel(trace, key, budget);
+                    let what = format!(
+                        "{} ts{} {}f budget {budget}",
+                        key.scene(),
+                        key.tile_size(),
+                        key.frames()
+                    );
+                    assert_eq!(par.log, serial, "{what}");
+                    let chunk_frames: usize = par.chunks.iter().map(|c| c.frames).sum();
+                    assert_eq!(
+                        chunk_frames,
+                        key.frames(),
+                        "{what}: chunks cover every frame"
+                    );
+                    assert_eq!(
+                        par.chunks.len(),
+                        re_core::chunk_ranges(key.frames(), budget.max(1)).len(),
+                        "{what}: one timing per chunk"
+                    );
                 }
             }
         }
@@ -619,15 +565,15 @@ mod tests {
     fn store_run_completes_and_is_idempotent() {
         let dir = std::env::temp_dir().join(format!("re_sweep_engine_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let grid = tiny_grid();
-        let first = run_grid_with_store(&grid, &quiet(), &dir).expect("run");
+        let plan = SweepPlan::compile(&tiny_grid());
+        let first = run_plan_with_store(&plan, &quiet(), &dir).expect("run");
         assert_eq!(first.resumed, 0);
         assert_eq!(first.ran, 4);
         let csv = std::fs::read_to_string(&first.csv_path).unwrap();
         assert_eq!(csv.lines().count(), 5);
 
         // Second invocation: everything already recorded.
-        let second = run_grid_with_store(&grid, &quiet(), &dir).expect("rerun");
+        let second = run_plan_with_store(&plan, &quiet(), &dir).expect("rerun");
         assert_eq!(second.resumed, 4);
         assert_eq!(second.ran, 0);
         assert_eq!(std::fs::read_to_string(&second.csv_path).unwrap(), csv);
@@ -666,8 +612,8 @@ mod tests {
 
         // Store runs see the same artifacts: two stores, one cold and one
         // warm, regenerate byte-identical CSVs.
-        let s1 = run_grid_with_store(&grid, &with_logs, base.join("store1")).expect("store cold");
-        let s2 = run_grid_with_store(&grid, &with_logs, base.join("store2")).expect("store warm");
+        let s1 = run_plan_with_store(&plan, &with_logs, base.join("store1")).expect("store cold");
+        let s2 = run_plan_with_store(&plan, &with_logs, base.join("store2")).expect("store warm");
         assert_eq!(
             std::fs::read_to_string(&s1.csv_path).unwrap(),
             std::fs::read_to_string(&s2.csv_path).unwrap()

@@ -499,11 +499,11 @@ struct Grouped<'a> {
     on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
     slots: Vec<GroupSlot>,
     log_cache: RenderLogCache,
-    /// Stage A parallelism budget, divided among renders in flight: a
-    /// single hot key fans its frames over every render worker, while many
-    /// concurrent keys parallelize across keys first. Any split is exact
-    /// (stitching is chunking-invariant), so the adaptive budget never
-    /// perturbs results.
+    /// Stage A parallelism budget (the executor's worker count), divided
+    /// among renders in flight: a single hot key fans its frames over every
+    /// worker, while many concurrent keys parallelize across keys first.
+    /// Any split is exact (stitching is chunking-invariant), so the
+    /// adaptive budget never perturbs results.
     render_budget: usize,
     active_renders: AtomicUsize,
     eval_hist: Arc<Histogram>,
@@ -560,11 +560,7 @@ impl<'a> Grouped<'a> {
                     Compression::None
                 },
             ),
-            render_budget: if exec.render_workers == 0 {
-                workers
-            } else {
-                exec.render_workers
-            },
+            render_budget: workers,
             active_renders: AtomicUsize::new(0),
             eval_hist: histogram(names::STAGE_EVAL),
             store_hist: histogram(names::STAGE_STORE),
@@ -786,6 +782,10 @@ impl<'a> Grouped<'a> {
 /// raster-free; that includes a satisfied job whose artifact vanished
 /// after the plan was annotated, so the cache repairs itself.
 ///
+/// Stage A's parallelism budget is the worker count, divided among the
+/// renders in flight ([`render_key_log_parallel`]): a lone key spreads its
+/// frames and tiles over every worker, many keys split the workers.
+///
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
 #[derive(Debug, Clone)]
 pub struct ThreadExecutor {
@@ -795,13 +795,6 @@ pub struct ThreadExecutor {
     /// (`None` = don't write). Writes are best-effort: a full disk costs
     /// the cache entry, never the sweep.
     pub log_dir: Option<PathBuf>,
-    /// Threads one Stage A render may spread its frames over
-    /// ([`render_key_log_parallel`] — output stays bit-identical at any
-    /// setting). 0 means match the executor's worker count, 1 forces
-    /// serial Stage A. The budget is divided by the number of renders in
-    /// flight, so concurrent keys split the machine instead of
-    /// oversubscribing it.
-    pub render_workers: usize,
     /// Persist `.relog` artifacts with LZSS-compressed frames instead of
     /// stored ones. Both settings write the one `.relog` framing, so
     /// replay reads either.
@@ -817,7 +810,6 @@ impl Default for ThreadExecutor {
         ThreadExecutor {
             workers: 0,
             log_dir: None,
-            render_workers: 0,
             relog_compress: false,
             heartbeat: Some(Duration::from_secs(10)),
         }
@@ -890,7 +882,7 @@ impl ThreadExecutor {
 mod tests {
     use super::*;
     use crate::axis;
-    use crate::engine::capture_traces;
+    use crate::engine::capture_plan_traces;
     use crate::grid::ExperimentGrid;
     use crate::SweepOptions;
 
@@ -958,7 +950,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let recorder = Recorder::default();
         let count = AtomicUsize::new(0);
         let exec = ThreadExecutor {
@@ -993,7 +985,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let recorder = Recorder::default();
         let exec = ThreadExecutor {
             workers: 1,
@@ -1014,7 +1006,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let recorder = Recorder::default();
         let exec = ThreadExecutor {
             workers: 2,
@@ -1031,19 +1023,20 @@ mod tests {
 
     #[test]
     fn frame_parallel_stage_a_emits_chunk_events_and_matches_serial() {
-        let mut grid = tiny_grid();
+        // One render key, four cells: four workers give the key's render a
+        // budget of four.
+        let mut grid = tiny_grid().with_axis(axis::COMPARE_DISTANCE, vec![1, 2]);
         grid.frames = 6;
         let plan = SweepPlan::compile(&grid);
         let opts = SweepOptions {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
-        let run = |render_workers| {
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
+        let run = |workers| {
             let recorder = Recorder::default();
             let outcomes = ThreadExecutor {
-                workers: 2,
-                render_workers,
+                workers,
                 ..ThreadExecutor::default()
             }
             .execute(&plan, &traces, &recorder, &|_, _| {});
@@ -1051,8 +1044,9 @@ mod tests {
         };
         let (serial, serial_events) = run(1);
         let (parallel, parallel_events) = run(4);
-        // Serial Stage A emits no chunk events; the 4-way render splits its
-        // single key's 6 frames into 4 chunks, announced before RenderDone.
+        // A one-worker render is one chunk and emits no chunk events; the
+        // 4-way render splits its single key's 6 frames into 4 chunks,
+        // announced before RenderDone.
         assert!(
             !serial_events.iter().any(|e| e.starts_with("chunk:")),
             "{serial_events:?}"
@@ -1079,7 +1073,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let grouped = ThreadExecutor {
             workers: 2,
             ..ThreadExecutor::default()
@@ -1108,7 +1102,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let reference = ThreadExecutor {
             workers: 2,
             ..ThreadExecutor::default()
@@ -1177,7 +1171,7 @@ mod tests {
             quiet: true,
             ..SweepOptions::default()
         };
-        let traces = capture_traces(&grid, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
         let dir = tmp_dir("foreign");
         let exec = ThreadExecutor {
             workers: 2,

@@ -94,10 +94,10 @@ pub mod profile;
 pub mod report;
 pub mod store;
 
-pub use artifacts::{capture_alias, RenderLogCache, SharedTraceScene, TraceCache};
+pub use artifacts::{capture_alias, RenderLogCache, TraceCache};
 pub use axis::{AxisClass, AxisDef, AxisId, ParamPoint, Presence, AXES, AXIS_COUNT};
-pub use engine::{capture_plan_traces, capture_traces, render_key_log, run_cell};
-pub use engine::{run_grid, run_grid_with_store, run_plan, run_plan_with_store};
+pub use engine::{capture_plan_traces, run_cell};
+pub use engine::{run_grid, run_plan, run_plan_with_store};
 pub use engine::{CellOutcome, SweepOptions, SweepSummary};
 pub use events::{
     event_json, read_events, EventRecord, JsonlObserver, EVENTS_FILE, EVENTS_VERSION,

@@ -78,8 +78,8 @@ pub struct RenderKeyProfile {
     pub replays: u64,
     /// Live render time in nanoseconds.
     pub render_ns: u64,
-    /// Frame chunks recorded by parallel Stage A renders of this key
-    /// (0 when every render ran serially — serial renders emit no
+    /// Frame chunks recorded by multi-chunk Stage A renders of this key
+    /// (0 when every render was one chunk — one-chunk renders emit no
     /// `render_chunk` events).
     pub chunks: u64,
     /// Total busy time across those chunks, in nanoseconds.

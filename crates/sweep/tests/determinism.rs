@@ -5,7 +5,7 @@
 //! * a run killed partway and resumed produces output byte-identical to a
 //!   fresh uninterrupted run.
 
-use re_sweep::{axis, CellRecord, ExperimentGrid, ResultStore, SweepOptions};
+use re_sweep::{axis, CellRecord, ExperimentGrid, ResultStore, SweepOptions, SweepPlan};
 
 fn grid() -> ExperimentGrid {
     let mut g = ExperimentGrid::default()
@@ -56,7 +56,8 @@ fn killed_and_resumed_run_matches_a_fresh_run() {
     // Fresh, uninterrupted run.
     let fresh_dir = temp_dir("fresh");
     let _ = std::fs::remove_dir_all(&fresh_dir);
-    let fresh = re_sweep::run_grid_with_store(&g, &opts(2), &fresh_dir).expect("fresh run");
+    let fresh = re_sweep::run_plan_with_store(&SweepPlan::compile(&g), &opts(2), &fresh_dir)
+        .expect("fresh run");
     let fresh_csv = std::fs::read_to_string(&fresh.csv_path).expect("fresh csv");
 
     // "Killed" run: a store where only an arbitrary prefix-and-stripe of
@@ -71,7 +72,8 @@ fn killed_and_resumed_run_matches_a_fresh_run() {
         }
     }
 
-    let resumed = re_sweep::run_grid_with_store(&g, &opts(3), &resumed_dir).expect("resume");
+    let resumed = re_sweep::run_plan_with_store(&SweepPlan::compile(&g), &opts(3), &resumed_dir)
+        .expect("resume");
     assert!(
         resumed.resumed > 0,
         "some cells must have been picked up from the store"
@@ -99,7 +101,8 @@ fn records_roundtrip_through_the_store_bit_for_bit() {
     g.height = 64;
     let dir = temp_dir("roundtrip");
     let _ = std::fs::remove_dir_all(&dir);
-    let first = re_sweep::run_grid_with_store(&g, &opts(1), &dir).expect("run");
+    let first =
+        re_sweep::run_plan_with_store(&SweepPlan::compile(&g), &opts(1), &dir).expect("run");
     let (_store, reloaded) = ResultStore::open(&dir, &g).expect("reopen");
     assert_eq!(
         reloaded, first.records,

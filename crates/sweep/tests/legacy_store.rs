@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use re_sweep::{axis, ExperimentGrid, SweepOptions};
+use re_sweep::{axis, ExperimentGrid, SweepOptions, SweepPlan};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy_store")
@@ -69,8 +69,8 @@ fn pre_registry_store_resumes_and_regenerates_identical_csv() {
     let grid = fixture_grid();
 
     // Fingerprint compatibility: the store opens for this grid at all.
-    let summary = re_sweep::run_grid_with_store(
-        &grid,
+    let summary = re_sweep::run_plan_with_store(
+        &SweepPlan::compile(&grid),
         &SweepOptions {
             workers: 1,
             quiet: true,

@@ -8,7 +8,7 @@
 //! * it shows up in the CSV (column), store (JSON key), report (marginal)
 //!   and label only when actually swept.
 
-use re_sweep::{axis, CellRecord, ExperimentGrid, SweepOptions};
+use re_sweep::{axis, CellRecord, ExperimentGrid, SweepOptions, SweepPlan};
 
 fn base_grid() -> ExperimentGrid {
     let mut g = ExperimentGrid::default().with_scenes(&["ccs"]);
@@ -66,7 +66,8 @@ fn memo_axis_shares_render_logs_like_any_eval_axis() {
     assert_eq!(keys.len(), 1);
 
     let grouped = re_sweep::run_grid(&grid, &opts()).expect("grouped");
-    let traces = re_sweep::capture_traces(&grid, &opts()).expect("capture");
+    let traces =
+        re_sweep::capture_plan_traces(&SweepPlan::compile(&grid), &opts()).expect("capture");
     assert_eq!(grouped.len(), 4);
     for (a, cell) in grouped.iter().zip(&cells) {
         let per_cell = re_sweep::run_cell(&traces[cell.scene()], cell);

@@ -337,7 +337,8 @@ fn results_csv_is_byte_identical_with_observability_installed() {
             observer,
             ..SweepOptions::default()
         };
-        let summary = re_sweep::run_grid_with_store(&grid, &opts, store_dir).expect("run");
+        let summary = re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &opts, store_dir)
+            .expect("run");
         std::fs::read(summary.csv_path).expect("csv")
     };
 

@@ -1,8 +1,10 @@
 //! Determinism and raster-accounting contract of parallel Stage A and
 //! compressed render logs (ISSUE acceptance criteria):
 //!
-//! * the same grid run under every `--render-workers` × `--relog-compress`
-//!   combination produces a byte-identical `results.csv`;
+//! * the same grid run under every `--workers` × `--relog-compress`
+//!   combination produces a byte-identical `results.csv` (the worker count
+//!   is Stage A's budget: one worker renders each key as one chunk in one
+//!   band, four split a key's frames into chunks and its tiles into bands);
 //! * frame chunking and band parallelism never change the number of
 //!   raster invocations — each render key still rasterizes exactly
 //!   frames × tiles, regardless of how the work was split;
@@ -12,7 +14,7 @@
 //! The raster counter is process-global, so this file holds a single test
 //! (see `render_once.rs` for the same convention).
 
-use re_sweep::{axis, ExperimentGrid, SweepOptions};
+use re_sweep::{axis, ExperimentGrid, SweepOptions, SweepPlan};
 
 #[test]
 fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
@@ -29,30 +31,30 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
 
     let base = std::env::temp_dir().join(format!("re_par_stage_a_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let opts = |render_workers: usize, relog_compress: bool| SweepOptions {
-        workers: 4,
-        render_workers,
+    let opts = |workers: usize, relog_compress: bool| SweepOptions {
+        workers,
         relog_compress,
         quiet: true,
         trace_dir: Some(base.join("traces")),
-        log_dir: Some(base.join(format!("logs-rw{render_workers}-c{relog_compress}"))),
+        log_dir: Some(base.join(format!("logs-w{workers}-c{relog_compress}"))),
         ..SweepOptions::default()
     };
+    let plan = SweepPlan::compile(&grid);
 
     // The RE_SWEEP_WORKERS={1,4} × --relog-compress={on,off} matrix: every
     // combination renders each key exactly once (chunking and banding are
     // raster-exact) and produces the identical CSV.
     let mut csvs = Vec::new();
-    for (rw, compress) in [(1, false), (4, false), (1, true), (4, true)] {
-        let store = base.join(format!("store-rw{rw}-c{compress}"));
+    for (workers, compress) in [(1, false), (4, false), (1, true), (4, true)] {
+        let store = base.join(format!("store-w{workers}-c{compress}"));
         let before = re_gpu::raster_invocations();
         let summary =
-            re_sweep::run_grid_with_store(&grid, &opts(rw, compress), &store).expect("sweep");
+            re_sweep::run_plan_with_store(&plan, &opts(workers, compress), &store).expect("sweep");
         let rasters = re_gpu::raster_invocations() - before;
         assert_eq!(
             rasters,
             render_keys * per_render,
-            "render_workers={rw} compress={compress}: parallel Stage A must \
+            "workers={workers} compress={compress}: parallel Stage A must \
              rasterize each key exactly once"
         );
         assert_eq!(summary.ran, grid.cell_count());
@@ -61,7 +63,7 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
     for csv in &csvs[1..] {
         assert_eq!(
             csv, &csvs[0],
-            "results.csv must not depend on render workers or compression"
+            "results.csv must not depend on workers or compression"
         );
     }
 
@@ -81,8 +83,8 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
         v.sort();
         v
     };
-    let stored = dir_sizes(&base.join("logs-rw4-cfalse"));
-    let packed = dir_sizes(&base.join("logs-rw4-ctrue"));
+    let stored = dir_sizes(&base.join("logs-w4-cfalse"));
+    let packed = dir_sizes(&base.join("logs-w4-ctrue"));
     assert_eq!(stored.len(), render_keys as usize);
     assert_eq!(packed.len(), render_keys as usize);
     for ((name_s, size_s), (name_p, size_p)) in stored.iter().zip(&packed) {

@@ -13,7 +13,7 @@
 //! deltas.
 
 use re_sweep::{
-    axis, capture_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
+    axis, capture_plan_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
     SweepOptions, SweepPlan,
 };
 
@@ -60,7 +60,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
 
     // Per-cell reference: the monolithic pipeline, one render per cell
     // (outside every measured window).
-    let traces = capture_traces(&grid, &opts).expect("capture");
+    let traces = capture_plan_traces(&SweepPlan::compile(&grid), &opts).expect("capture");
     let per_cell: Vec<CellOutcome> = grid
         .cells()
         .into_iter()
@@ -145,7 +145,8 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     // logs — every cell "runs" but Stage A never does.
     let store_dir = trace_dir.join("store");
     let before = re_gpu::raster_invocations();
-    let summary = re_sweep::run_grid_with_store(&grid, &with_logs, &store_dir).expect("store run");
+    let summary = re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &with_logs, &store_dir)
+        .expect("store run");
     assert_eq!(summary.ran, cells);
     assert_eq!(re_gpu::raster_invocations() - before, 0);
     assert_eq!(

@@ -74,7 +74,8 @@ fn two_shards_merge_into_the_unsharded_golden_csv_byte_for_byte() {
 
     // The merged store is a first-class unsharded store: resuming the grid
     // against it finds everything complete.
-    let resumed = re_sweep::run_grid_with_store(&grid, &opts(), &merged).expect("resume merged");
+    let resumed = re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &opts(), &merged)
+        .expect("resume merged");
     assert_eq!(resumed.resumed, grid.cell_count());
     assert_eq!(resumed.ran, 0);
 
@@ -91,7 +92,7 @@ fn merge_rejects_mismatched_fingerprints() {
     let mut other = golden_grid();
     other.frames = 2;
     let alien = fresh("fp_alien");
-    re_sweep::run_grid_with_store(&other, &opts(), &alien).expect("alien run");
+    re_sweep::run_plan_with_store(&SweepPlan::compile(&other), &opts(), &alien).expect("alien run");
 
     let err = merge_stores(fresh("fp_out"), &[s1.clone(), alien.clone()]).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -142,7 +143,7 @@ fn merge_rejects_incomplete_coverage_and_names_missing_cells() {
     // …while a partial store that is not a shard set still reports the
     // missing cell ids.
     let partial = fresh("cov_partial");
-    re_sweep::run_grid_with_store(&grid, &opts(), &partial).expect("full run");
+    re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &opts(), &partial).expect("full run");
     std::fs::remove_file(partial.join("cells/cell_00000.json")).expect("drop");
     let err = merge_stores(fresh("cov_out2"), std::slice::from_ref(&partial)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -242,7 +243,7 @@ fn merge_refuses_a_non_empty_output_store() {
     // rather than double-count or silently mix: into a completed unsharded
     // store…
     let full = fresh("ne_full");
-    re_sweep::run_grid_with_store(&grid, &opts(), &full).expect("full run");
+    re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &opts(), &full).expect("full run");
     let err = merge_stores(full.clone(), &[s1.clone(), s2.clone()]).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("fresh or empty"), "{err}");
@@ -265,7 +266,8 @@ fn merge_refuses_a_non_empty_output_store() {
 fn merging_one_complete_store_round_trips() {
     let grid = golden_grid();
     let full = fresh("rt_full");
-    let summary = re_sweep::run_grid_with_store(&grid, &opts(), &full).expect("full run");
+    let summary = re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &opts(), &full)
+        .expect("full run");
     let full_csv = std::fs::read_to_string(&summary.csv_path).expect("csv");
 
     let out = fresh("rt_out");

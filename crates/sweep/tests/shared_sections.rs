@@ -13,7 +13,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use re_sweep::{
-    axis, capture_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
+    axis, capture_plan_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
     RenderLogCache, SweepEvent, SweepObserver, SweepOptions, SweepPlan, ThreadExecutor,
 };
 
@@ -54,7 +54,7 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
         quiet: true,
         ..SweepOptions::default()
     };
-    let traces = capture_traces(&grid, &quiet).expect("capture");
+    let traces = capture_plan_traces(&plan, &quiet).expect("capture");
     let root = std::env::temp_dir().join(format!("re_shared_sections_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 

@@ -43,6 +43,8 @@ pub mod import;
 
 pub use format::TraceError;
 
+use std::sync::Arc;
+
 use re_core::Scene;
 use re_gpu::api::FrameDesc;
 use re_gpu::texture::TextureId;
@@ -136,25 +138,26 @@ pub fn capture(scene: &mut dyn Scene, config: GpuConfig, frames: usize) -> Trace
 
 /// Replays a [`Trace`] as a [`Scene`]. Frame indices beyond the capture
 /// length wrap around.
+///
+/// The trace is held behind an `Arc`, so any number of replays (one per
+/// worker thread or render chunk) can share one capture; constructing a
+/// scene from an `Arc<Trace>` copies no frames.
 #[derive(Debug, Clone)]
 pub struct TraceScene {
-    trace: Trace,
+    trace: Arc<Trace>,
     name: String,
 }
 
 impl TraceScene {
-    /// Wraps a trace for replay.
-    pub fn new(trace: Trace) -> Self {
-        TraceScene {
-            trace,
-            name: "trace-replay".to_owned(),
-        }
+    /// Wraps a trace (owned or shared) for replay.
+    pub fn new(trace: impl Into<Arc<Trace>>) -> Self {
+        TraceScene::with_name(trace, "trace-replay")
     }
 
-    /// Wraps a trace with a custom report name.
-    pub fn with_name(trace: Trace, name: impl Into<String>) -> Self {
+    /// Wraps a trace (owned or shared) with a custom report name.
+    pub fn with_name(trace: impl Into<Arc<Trace>>, name: impl Into<String>) -> Self {
         TraceScene {
-            trace,
+            trace: trace.into(),
             name: name.into(),
         }
     }
