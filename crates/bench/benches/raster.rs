@@ -2,7 +2,6 @@
 //! frame of a 2D and a 3D workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use re_gpu::hooks::NullHooks;
 use re_gpu::{Gpu, GpuConfig};
 
 fn bench_tile_and_frame(c: &mut Criterion) {
@@ -18,20 +17,27 @@ fn bench_tile_and_frame(c: &mut Criterion) {
         let mut gpu = Gpu::new(cfg);
         bench.scene.init(gpu.textures_mut());
         let frame = bench.scene.frame(0);
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        // The recorded accesses are part of the raster work; clearing them
+        // each iteration keeps the buffer from growing across iterations.
+        let mut events = Vec::new();
 
         // Busiest tile of the frame.
         let busiest = (0..cfg.tile_count())
             .max_by_key(|&t| geo.bin(t).len())
             .expect("tiles exist");
         c.bench_function(format!("rasterize_busiest_tile_{alias}"), |b| {
-            b.iter(|| gpu.rasterize_tile(&frame, &geo, busiest, &mut NullHooks))
+            b.iter(|| {
+                events.clear();
+                gpu.rasterize_tile(&frame, &geo, busiest, &mut events)
+            })
         });
 
         c.bench_function(format!("rasterize_full_frame_{alias}"), |b| {
             b.iter(|| {
+                events.clear();
                 for t in 0..cfg.tile_count() {
-                    gpu.rasterize_tile(&frame, &geo, t, &mut NullHooks);
+                    gpu.rasterize_tile(&frame, &geo, t, &mut events);
                 }
             })
         });
@@ -49,8 +55,12 @@ fn bench_geometry(c: &mut Criterion) {
     let mut gpu = Gpu::new(cfg);
     bench.scene.init(gpu.textures_mut());
     let frame = bench.scene.frame(0);
+    let mut events = Vec::new();
     c.bench_function("geometry_pipeline_mst", |b| {
-        b.iter(|| gpu.run_geometry(std::hint::black_box(&frame), &mut NullHooks))
+        b.iter(|| {
+            events.clear();
+            gpu.run_geometry(std::hint::black_box(&frame), &mut events)
+        })
     });
 }
 

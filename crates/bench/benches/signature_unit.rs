@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use re_core::SignatureUnit;
-use re_gpu::hooks::NullHooks;
 use re_gpu::{Gpu, GpuConfig};
 
 fn bench_process_frame(c: &mut Criterion) {
@@ -17,7 +16,7 @@ fn bench_process_frame(c: &mut Criterion) {
     let mut gpu = Gpu::new(cfg);
     bench.scene.init(gpu.textures_mut());
     let frame = bench.scene.frame(0);
-    let geo = gpu.run_geometry(&frame, &mut NullHooks);
+    let geo = gpu.run_geometry(&frame, &mut Vec::new());
 
     c.bench_function("signature_unit_frame_ccs", |b| {
         let mut su = SignatureUnit::new(16);

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use re_crc::hashalt::all_hashers;
-use re_gpu::hooks::NullHooks;
 use re_gpu::{Gpu, GpuConfig};
 use re_sweep::{axis, CellOutcome, ExperimentGrid, SweepOptions};
 
@@ -56,7 +55,7 @@ fn capture_tile_streams(alias: &str, frames: usize, cfg: GpuConfig) -> Vec<Vec<V
     let mut streams = Vec::new();
     for f in 0..frames {
         let frame = bench.scene.frame(f);
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         let tc = cfg.tile_count() as usize;
         let mut per_tile: Vec<Vec<Vec<u8>>> = vec![Vec::new(); tc];
         for dc in &geo.drawcalls {
@@ -149,7 +148,7 @@ pub fn ot_depth(frames: usize, cfg: GpuConfig) {
     let geos: Vec<_> = (0..frames)
         .map(|f| {
             let frame = bench.scene.frame(f);
-            gpu.run_geometry(&frame, &mut NullHooks)
+            gpu.run_geometry(&frame, &mut Vec::new())
         })
         .collect();
     println!(

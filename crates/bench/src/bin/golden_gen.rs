@@ -18,9 +18,9 @@ fn main() {
         let mut gpu = re_gpu::Gpu::new(cfg);
         bench.scene.init(gpu.textures_mut());
         let frame = bench.scene.frame(0);
-        let geo = gpu.run_geometry(&frame, &mut re_gpu::hooks::NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::hooks::NullHooks);
+            gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
         }
         let fp = re_gpu::image::fingerprint(gpu.framebuffer().back(), cfg.width, cfg.height);
         println!("(\"{}\", {:#018x}),", bench.alias, fp);

@@ -54,7 +54,6 @@
 //! * [`redundancy`] — ground-truth tile classification (Figs. 2, 15a).
 //! * [`te`] — Transaction Elimination (ARM's flush-elision baseline).
 //! * [`memo`] — PFR-aided Fragment Memoization (ISCA'14 baseline).
-//! * [`record`] — record/replay plumbing for multi-technique evaluation.
 //! * [`sim`] — [`Simulator`]: runs a [`Scene`] and reports cycles, energy,
 //!   DRAM traffic, redundancy and false-positive/negative counts for every
 //!   technique at once.
@@ -88,7 +87,6 @@
 mod lzss;
 pub mod memo;
 pub mod passes;
-pub mod record;
 pub mod redundancy;
 pub mod relog;
 pub mod render;

@@ -47,18 +47,12 @@ use re_timing::energy::EnergyModel;
 use re_timing::{MemorySystem, TimingConfig};
 
 use crate::memo::FragmentMemo;
-use crate::record::Event;
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
 use crate::share::SectionKey;
 use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
 use crate::te::TransactionElimination;
-
-/// Replays recorded events into a technique machine's memory system.
-fn replay(events: &[Event], sink: &mut MemorySystem, include_flush: bool) {
-    crate::record::replay_events(events, sink, include_flush);
-}
 
 /// Per-technique mutable machine state: a cache hierarchy + DRAM fed by
 /// replay, an energy model, and cycle/tile accounting.
@@ -235,12 +229,12 @@ impl TechniquePass for BaselinePass {
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
         self.frame_raster_mark = self.machine.raster_cycles;
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        self.machine.mem.replay(&frame.geo_events, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
     }
 
     fn tile(&mut self, _frame: &FrameLog, _tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        replay(&tile.events, &mut self.machine.mem, true);
+        self.machine.mem.replay(&tile.events, true);
         self.machine.charge_tile(&self.tcfg, &tile.stats);
     }
 
@@ -439,7 +433,7 @@ impl ReReplay {
     fn begin_frame(&mut self, frame: &FrameLog, stall_cycles: u64) {
         self.frame_skip_mark = self.machine.tiles_skipped;
         self.frame_raster_mark = self.machine.raster_cycles;
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        self.machine.mem.replay(&frame.geo_events, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
         // The Signature Unit overlaps with geometry; only stalls count as
         // extra time.
@@ -451,7 +445,7 @@ impl ReReplay {
         if skip {
             self.machine.tiles_skipped += 1;
         } else {
-            replay(&tile.events, &mut self.machine.mem, true);
+            self.machine.mem.replay(&tile.events, true);
             self.machine.charge_tile(&self.tcfg, &tile.stats);
         }
     }
@@ -649,7 +643,7 @@ impl TechniquePass for TePass {
     }
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        self.machine.mem.replay(&frame.geo_events, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
     }
 
@@ -657,7 +651,7 @@ impl TechniquePass for TePass {
         let skip_flush = self
             .te
             .observe_signature(tile_id, tile.te_sig, tile.color_bytes);
-        replay(&tile.events, &mut self.machine.mem, !skip_flush);
+        self.machine.mem.replay(&tile.events, !skip_flush);
         let mut stats = tile.stats;
         if skip_flush {
             stats.color_bytes_flushed = 0;

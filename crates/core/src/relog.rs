@@ -65,10 +65,9 @@ use std::path::Path;
 use re_crc::Crc32;
 use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
-use re_gpu::{BinningMode, GpuConfig};
+use re_gpu::{BinningMode, Event, GpuConfig};
 use re_math::{Rect, Vec4};
 
-use crate::record::Event;
 use crate::render::{FrameLog, RenderLog, TileLog};
 
 /// Format magic; the trailing digits are the format revision.

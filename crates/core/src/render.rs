@@ -39,9 +39,8 @@ use std::ops::Range;
 
 use re_gpu::api::FrameDesc;
 use re_gpu::stats::TileStats;
-use re_gpu::{GeometryOutput, Gpu, GpuConfig, ParallelRaster};
+use re_gpu::{Event, GeometryOutput, Gpu, GpuConfig, ParallelRaster};
 
-use crate::record::{Event, Recorder};
 use crate::sim::Scene;
 use crate::te::TransactionElimination;
 
@@ -198,25 +197,22 @@ impl Renderer {
 
     /// Renders one frame, records everything, and swaps buffers.
     pub fn render_frame(&mut self, desc: &FrameDesc) -> FrameLog {
-        let mut recorder = Recorder::new();
-        let geo = self.gpu.run_geometry(desc, &mut recorder);
-        let geo_events = recorder.events;
+        let mut geo_events = Vec::new();
+        let geo = self.gpu.run_geometry(desc, &mut geo_events);
 
         // Tiles rasterize from tile-local state (band-parallel when there
         // are several bands), then colors are committed and interned in
         // tile-id order, so ids, signatures and recorded events do not
         // depend on the band count.
-        let results = self
-            .gpu
-            .rasterize_bands(desc, &geo, self.parallel, Recorder::new);
+        let results = self.gpu.rasterize_bands(desc, &geo, self.parallel);
         let mut tiles = Vec::with_capacity(results.len());
-        for (t, (stats, colors, recorder)) in results.into_iter().enumerate() {
+        for (t, (stats, colors, events)) in results.into_iter().enumerate() {
             self.gpu.apply_tile_colors(t as u32, &colors);
             let te_sig = TransactionElimination::color_signature(&colors);
             let color_bytes = colors.len() as u64 * 4;
             let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
             tiles.push(TileLog {
-                events: recorder.events,
+                events,
                 stats,
                 color_id,
                 te_sig,
@@ -645,5 +641,40 @@ mod tests {
         let hashes: usize = frame.tiles.iter().map(|t| t.frag_hashes().count()).sum();
         assert_eq!(shaded as usize, hashes, "one hash per shaded fragment");
         assert!(frame.tiles.iter().all(|t| t.color_bytes == 16 * 16 * 4));
+    }
+
+    #[test]
+    fn frag_hash_iterator() {
+        let tile = TileLog {
+            events: vec![
+                Event::ParamRead {
+                    addr: 0x8000_0000,
+                    bytes: 96,
+                },
+                Event::FragShaded {
+                    tile: 3,
+                    drawcall: 1,
+                    hash: 0xABCD,
+                },
+                Event::Texel {
+                    unit: 2,
+                    addr: 0x4000_0000,
+                },
+                Event::FragShaded {
+                    tile: 3,
+                    drawcall: 2,
+                    hash: 0x1234,
+                },
+                Event::ColorFlush {
+                    addr: 0xC000_0000,
+                    bytes: 64,
+                },
+            ],
+            stats: TileStats::default(),
+            color_id: 0,
+            te_sig: 0,
+            color_bytes: 0,
+        };
+        assert_eq!(tile.frag_hashes().collect::<Vec<_>>(), [0xABCD, 0x1234]);
     }
 }

@@ -333,7 +333,6 @@ impl SignatureBuffer {
 mod tests {
     use super::*;
     use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
-    use re_gpu::hooks::NullHooks;
     use re_gpu::GpuConfig;
     use re_math::{Mat4, Vec4};
 
@@ -363,7 +362,7 @@ mod tests {
             drawcalls: dcs,
             ..FrameDesc::new()
         };
-        re_gpu::geometry::run_geometry(&cfg(), &frame, &mut NullHooks)
+        re_gpu::geometry::run_geometry(&cfg(), &frame, &mut Vec::new())
     }
 
     #[test]

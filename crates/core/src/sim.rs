@@ -32,12 +32,6 @@ use crate::render::Renderer;
 use crate::signature::SignatureUnitStats;
 use crate::te::TeStats;
 
-/// Default cycles charged per tile for reading and comparing a Signature
-/// Buffer entry at tile-scheduling time (paper: "a few cycles"). The live
-/// knob is [`TimingConfig::sig_compare_cycles`]; this constant is its
-/// design-point default.
-pub const SIG_COMPARE_CYCLES: u64 = 4;
-
 /// A workload: uploads its textures once, then produces one
 /// [`FrameDesc`] per frame index.
 ///
@@ -450,15 +444,15 @@ mod tests {
     fn sig_compare_cost_is_a_timing_knob() {
         // Doubling the signature-compare cost adds exactly one extra
         // compare's worth of raster cycles per tile per frame to RE.
-        let mut cheap = small_opts();
-        cheap.timing.sig_compare_cycles = SIG_COMPARE_CYCLES;
+        let cheap = small_opts();
+        let per_compare = cheap.timing.sig_compare_cycles;
         let mut dear = small_opts();
-        dear.timing.sig_compare_cycles = 2 * SIG_COMPARE_CYCLES;
+        dear.timing.sig_compare_cycles = 2 * per_compare;
         let a = Simulator::new(cheap).run(&mut MovingTri { period: 1_000_000 }, 6);
         let b = Simulator::new(dear).run(&mut MovingTri { period: 1_000_000 }, 6);
         assert_eq!(
             b.re.raster_cycles - a.re.raster_cycles,
-            SIG_COMPARE_CYCLES * 16 * 6
+            per_compare * 16 * 6
         );
         assert_eq!(a.baseline.raster_cycles, b.baseline.raster_cycles);
     }

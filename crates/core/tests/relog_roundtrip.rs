@@ -15,14 +15,13 @@
 //! panic.
 
 use proptest::prelude::*;
-use re_core::record::Event;
 use re_core::relog::{self, Compression, RelogError, RelogReader};
 use re_core::render::{FrameLog, RenderLog, TileLog};
 use re_core::{render_scene, Scene, SimOptions};
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
-use re_gpu::{BinningMode, GpuConfig};
+use re_gpu::{BinningMode, Event, GpuConfig};
 use re_math::{Mat4, Rect, Vec4};
 
 /// Deterministic value stream (splitmix64) for building arbitrary logs.

@@ -3,7 +3,6 @@
 
 use re_core::signature::{reference_signatures, SignatureBuffer, SignatureUnit};
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
-use re_gpu::hooks::NullHooks;
 use re_gpu::{Gpu, GpuConfig};
 use re_math::{Mat4, Vec4};
 
@@ -44,7 +43,7 @@ fn quad_frame(n_layers: usize) -> FrameDesc {
 fn many_fullscreen_layers_stress_the_queue() {
     // 20 fullscreen layers: 40 primitives × 64 tiles = 2560 OT pushes.
     let mut gpu = Gpu::new(cfg());
-    let geo = gpu.run_geometry(&quad_frame(20), &mut NullHooks);
+    let geo = gpu.run_geometry(&quad_frame(20), &mut Vec::new());
     let mut su = SignatureUnit::new(16);
     let out = su.process_frame(&geo, cfg().tile_count());
     assert_eq!(out.stats.ot_pushes, geo.stats.prim_tile_pairs);
@@ -63,7 +62,7 @@ fn many_fullscreen_layers_stress_the_queue() {
 #[test]
 fn deeper_queues_never_stall_more() {
     let mut gpu = Gpu::new(cfg());
-    let geo = gpu.run_geometry(&quad_frame(8), &mut NullHooks);
+    let geo = gpu.run_geometry(&quad_frame(8), &mut Vec::new());
     let mut prev = u64::MAX;
     for depth in [1usize, 2, 4, 8, 16, 64, 4096] {
         let mut su = SignatureUnit::new(depth);
@@ -94,7 +93,7 @@ fn per_drawcall_bitmap_isolation() {
         let mut gpu = Gpu::new(cfg());
         let mut f = quad_frame(1);
         f.drawcalls[0].constants.push(Vec4::splat(1.0));
-        let geo = gpu.run_geometry(&f, &mut NullHooks);
+        let geo = gpu.run_geometry(&f, &mut Vec::new());
         reference_signatures(&geo, cfg().tile_count())
     };
     let two = {
@@ -102,7 +101,7 @@ fn per_drawcall_bitmap_isolation() {
         let mut f = quad_frame(2);
         f.drawcalls[0].constants.push(Vec4::splat(1.0));
         f.drawcalls[1].constants.push(Vec4::splat(2.0));
-        let geo = gpu.run_geometry(&f, &mut NullHooks);
+        let geo = gpu.run_geometry(&f, &mut Vec::new());
         reference_signatures(&geo, cfg().tile_count())
     };
     assert_ne!(one, two);
@@ -120,7 +119,7 @@ fn signature_distinguishes_drawcall_split() {
         // Duplicate the quad inside the same drawcall.
         let verts = f.drawcalls[0].vertices.clone();
         f.drawcalls[0].vertices.extend(verts);
-        let geo = gpu.run_geometry(&f, &mut NullHooks);
+        let geo = gpu.run_geometry(&f, &mut Vec::new());
         reference_signatures(&geo, cfg().tile_count())
     };
     let split = {
@@ -128,7 +127,7 @@ fn signature_distinguishes_drawcall_split() {
         let mut f = quad_frame(2);
         // Make both drawcalls bit-identical to the merged one's halves.
         f.drawcalls[1] = f.drawcalls[0].clone();
-        let geo = gpu.run_geometry(&f, &mut NullHooks);
+        let geo = gpu.run_geometry(&f, &mut Vec::new());
         reference_signatures(&geo, cfg().tile_count())
     };
     assert_ne!(merged, split);
@@ -147,8 +146,8 @@ fn ot_pushes_scale_with_coverage_not_primitive_count() {
             .map(|&(x, y)| Vertex::new(vec![Vec4::new(x, y, 0.0, 1.0), Vec4::splat(1.0)]))
             .collect(),
     });
-    let g_tiny = gpu.run_geometry(&tiny, &mut NullHooks);
-    let g_full = gpu.run_geometry(&quad_frame(1), &mut NullHooks);
+    let g_tiny = gpu.run_geometry(&tiny, &mut Vec::new());
+    let g_full = gpu.run_geometry(&quad_frame(1), &mut Vec::new());
     let mut su = SignatureUnit::new(16);
     let tiny_pushes = su
         .process_frame(&g_tiny, cfg().tile_count())

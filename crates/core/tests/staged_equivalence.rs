@@ -11,7 +11,6 @@
 
 use proptest::prelude::*;
 use re_core::passes::Machine;
-use re_core::record::Recorder;
 use re_core::redundancy::{classify, ColorHistory, TileClassCounts};
 use re_core::sim::FrameSample;
 use re_core::{
@@ -20,7 +19,7 @@ use re_core::{
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
-use re_gpu::{Gpu, GpuConfig};
+use re_gpu::{Event, Gpu, GpuConfig};
 use re_math::{Mat4, Vec4};
 
 /// The seed simulator's monolithic loop, kept verbatim as the reference
@@ -51,7 +50,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
     let mut re_frames_disabled = 0u64;
     let mut re_disabled_for = 0usize;
 
-    let mut recorder = Recorder::new();
+    let mut events: Vec<Event> = Vec::new();
     let mut per_frame: Vec<FrameSample> = Vec::with_capacity(frames);
 
     for f in 0..frames {
@@ -70,10 +69,10 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
             re_frames_disabled += 1;
         }
 
-        recorder.clear();
-        let geo = gpu.run_geometry(&frame, &mut recorder);
+        events.clear();
+        let geo = gpu.run_geometry(&frame, &mut events);
         for m in [&mut base, &mut rem, &mut tem] {
-            recorder.replay(&mut m.mem, true);
+            m.mem.replay(&events, true);
             m.charge_geometry(&tcfg, &geo.stats);
         }
 
@@ -83,11 +82,17 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
 
         let mut frame_hashes: Vec<Vec<u32>> = vec![Vec::new(); tile_count as usize];
         for t in 0..tile_count {
-            recorder.clear();
-            let tstats = gpu.rasterize_tile(&frame, &geo, t, &mut recorder);
-            frame_hashes[t as usize] = recorder.frag_hashes().collect();
+            events.clear();
+            let tstats = gpu.rasterize_tile(&frame, &geo, t, &mut events);
+            frame_hashes[t as usize] = events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::FragShaded { hash, .. } => Some(hash),
+                    _ => None,
+                })
+                .collect();
 
-            recorder.replay(&mut base.mem, true);
+            base.mem.replay(&events, true);
             base.charge_tile(&tcfg, &tstats);
 
             let rect = opts.gpu.tile_rect(t);
@@ -109,7 +114,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
                     false_positives += 1;
                 }
             } else {
-                recorder.replay(&mut rem.mem, true);
+                rem.mem.replay(&events, true);
                 rem.charge_tile(&tcfg, &tstats);
             }
 
@@ -119,7 +124,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
 
             let tile_colors = gpu.framebuffer().back().read_rect(rect);
             let te_skip_flush = te.tile_rendered(t, &tile_colors);
-            recorder.replay(&mut tem.mem, !te_skip_flush);
+            tem.mem.replay(&events, !te_skip_flush);
             let mut te_tstats = tstats;
             if te_skip_flush {
                 te_tstats.color_bytes_flushed = 0;

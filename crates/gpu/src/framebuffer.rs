@@ -8,7 +8,7 @@
 
 use re_math::{Color, Rect};
 
-use crate::hooks::FB_BASE;
+use crate::access::FB_BASE;
 use crate::GpuConfig;
 
 /// One color buffer in main memory.

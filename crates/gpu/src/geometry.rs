@@ -3,8 +3,8 @@
 
 use re_math::{edge_function, Rect, Vec2, Vec4};
 
+use crate::access::{Event, VB_BASE};
 use crate::api::FrameDesc;
-use crate::hooks::{GpuHooks, VB_BASE};
 use crate::stats::GeometryStats;
 use crate::tiling::PolygonListBuilder;
 use crate::GpuConfig;
@@ -117,7 +117,7 @@ fn clip_against(poly: &[ClipVertex], f: impl Fn(&Vec4) -> f32) -> Vec<ClipVertex
 pub fn run_geometry(
     config: &GpuConfig,
     frame: &FrameDesc,
-    hooks: &mut dyn GpuHooks,
+    events: &mut Vec<Event>,
 ) -> GeometryOutput {
     let mut stats = GeometryStats::default();
     let mut plb = PolygonListBuilder::new(config);
@@ -141,7 +141,10 @@ pub fn run_geometry(
             let mut shaded: Vec<ClipVertex> = Vec::with_capacity(3);
             for v in tri {
                 let stride = v.stride();
-                hooks.vertex_fetch(vb_base + cursor, stride);
+                events.push(Event::VertexFetch {
+                    addr: vb_base + cursor,
+                    bytes: stride,
+                });
                 cursor += stride as u64;
                 stats.vertices_fetched += 1;
                 stats.vertex_bytes_fetched += stride as u64;
@@ -218,7 +221,7 @@ pub fn run_geometry(
                 }
 
                 // --- Polygon List Builder -------------------------------
-                let prim_idx = plb.push_prim(dc_idx as u32, verts, bbox, &mut stats, hooks);
+                let prim_idx = plb.push_prim(dc_idx as u32, verts, bbox, &mut stats, events);
                 meta.prim_indices.push(prim_idx);
             }
         }
@@ -238,7 +241,6 @@ pub fn run_geometry(
 mod tests {
     use super::*;
     use crate::api::{DrawCall, PipelineState, Vertex};
-    use crate::hooks::{CountingHooks, NullHooks};
     use re_math::Mat4;
 
     fn cfg() -> GpuConfig {
@@ -278,7 +280,7 @@ mod tests {
     #[test]
     fn onscreen_triangle_is_assembled_and_binned() {
         let f = frame_of(vec![tri_dc([(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)])]);
-        let geo = run_geometry(&cfg(), &f, &mut NullHooks);
+        let geo = run_geometry(&cfg(), &f, &mut Vec::new());
         assert_eq!(geo.prims.len(), 1);
         assert_eq!(geo.stats.prims_binned, 1);
         assert!(geo.stats.prim_tile_pairs >= 4, "spans several 16px tiles");
@@ -289,7 +291,7 @@ mod tests {
     #[test]
     fn offscreen_triangle_is_culled() {
         let f = frame_of(vec![tri_dc([(5.0, 5.0), (6.0, 5.0), (5.0, 6.0)])]);
-        let geo = run_geometry(&cfg(), &f, &mut NullHooks);
+        let geo = run_geometry(&cfg(), &f, &mut Vec::new());
         assert_eq!(geo.prims.len(), 0);
         assert_eq!(geo.stats.prims_culled, 1);
     }
@@ -297,7 +299,7 @@ mod tests {
     #[test]
     fn degenerate_triangle_is_culled() {
         let f = frame_of(vec![tri_dc([(0.0, 0.0), (0.5, 0.5), (0.25, 0.25)])]);
-        let geo = run_geometry(&cfg(), &f, &mut NullHooks);
+        let geo = run_geometry(&cfg(), &f, &mut Vec::new());
         assert_eq!(geo.prims.len(), 0);
     }
 
@@ -309,7 +311,7 @@ mod tests {
             v.attrs[0].w = -1.0;
         }
         // Identity VS passes w through.
-        let geo = run_geometry(&cfg(), &frame_of(vec![dc]), &mut NullHooks);
+        let geo = run_geometry(&cfg(), &frame_of(vec![dc]), &mut Vec::new());
         assert_eq!(geo.prims.len(), 0);
         assert_eq!(geo.stats.prims_culled, 1);
     }
@@ -320,14 +322,14 @@ mod tests {
         // quad fans into two triangles.
         let mut dc = tri_dc([(0.0, -0.5), (0.5, 0.5), (-0.5, 0.5)]);
         dc.vertices[0].attrs[0].w = -0.5;
-        let geo = run_geometry(&cfg(), &frame_of(vec![dc]), &mut NullHooks);
+        let geo = run_geometry(&cfg(), &frame_of(vec![dc]), &mut Vec::new());
         assert!(geo.stats.prims_from_clipping > 0 || !geo.prims.is_empty());
     }
 
     #[test]
     fn screen_mapping_covers_viewport() {
         let f = frame_of(vec![tri_dc([(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)])]);
-        let geo = run_geometry(&cfg(), &f, &mut NullHooks);
+        let geo = run_geometry(&cfg(), &f, &mut Vec::new());
         let p = &geo.prims[0];
         assert_eq!(p.bbox, Rect::new(0, 0, 64, 64));
         // NDC (−1,−1) is bottom-left → screen (0, 64) with y-down.
@@ -340,7 +342,7 @@ mod tests {
     fn param_record_is_48_bytes_per_attribute() {
         // Position + 1 varying = 2 attributes → 2 × 48 B per primitive.
         let f = frame_of(vec![tri_dc([(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)])]);
-        let geo = run_geometry(&cfg(), &f, &mut NullHooks);
+        let geo = run_geometry(&cfg(), &f, &mut Vec::new());
         assert_eq!(geo.prims[0].param_bytes.len(), 2 * 48);
         // Record plus one 8-byte polygon-list entry per overlapped tile.
         assert_eq!(
@@ -352,22 +354,30 @@ mod tests {
     #[test]
     fn vertex_fetch_traffic_reported() {
         let f = frame_of(vec![tri_dc([(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)])]);
-        let mut h = CountingHooks::default();
-        let _ = run_geometry(&cfg(), &f, &mut h);
+        let mut events = Vec::new();
+        let _ = run_geometry(&cfg(), &f, &mut events);
+        let (mut vertex_bytes, mut param_write_bytes) = (0, 0);
+        for e in &events {
+            match *e {
+                Event::VertexFetch { bytes, .. } => vertex_bytes += bytes,
+                Event::ParamWrite { bytes, .. } => param_write_bytes += bytes,
+                _ => panic!("geometry emits only vertex fetches and PB writes: {e:?}"),
+            }
+        }
         // 3 vertices × 2 attrs × 16 B.
-        assert_eq!(h.vertex_bytes, 96);
-        assert!(h.param_write_bytes >= 96, "record plus list entries");
+        assert_eq!(vertex_bytes, 96);
+        assert!(param_write_bytes >= 96, "record plus list entries");
     }
 
     #[test]
     fn backface_culling_respects_state_flag() {
         let mut dc = tri_dc([(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)]);
         dc.vertices.swap(0, 1); // reverse winding
-        let geo = run_geometry(&cfg(), &frame_of(vec![dc.clone()]), &mut NullHooks);
+        let geo = run_geometry(&cfg(), &frame_of(vec![dc.clone()]), &mut Vec::new());
         assert_eq!(geo.prims.len(), 1, "no culling when flag off");
         dc.state.cull_backface = true;
         // The reversed triangle must now be culled (winding-dependent).
-        let geo_ccw = run_geometry(&cfg(), &frame_of(vec![dc]), &mut NullHooks);
+        let geo_ccw = run_geometry(&cfg(), &frame_of(vec![dc]), &mut Vec::new());
         let reversed_culled = geo_ccw.prims.is_empty();
         assert!(reversed_culled, "reversed winding culled when flag on");
     }
@@ -376,8 +386,8 @@ mod tests {
     fn identical_frames_produce_identical_param_bytes() {
         // Determinism underpins RE: same inputs → same signature stream.
         let f = frame_of(vec![tri_dc([(-0.3, -0.4), (0.6, -0.2), (0.1, 0.7)])]);
-        let a = run_geometry(&cfg(), &f, &mut NullHooks);
-        let b = run_geometry(&cfg(), &f, &mut NullHooks);
+        let a = run_geometry(&cfg(), &f, &mut Vec::new());
+        let b = run_geometry(&cfg(), &f, &mut Vec::new());
         assert_eq!(a.prims[0].param_bytes, b.prims[0].param_bytes);
         assert_eq!(a.prims[0].overlapped_tiles, b.prims[0].overlapped_tiles);
         assert_eq!(

@@ -30,11 +30,11 @@
 //!
 //! Three cross-cutting facilities matter to consumers:
 //!
-//! * **Hooks** ([`hooks::GpuHooks`]) — every pipeline memory access
+//! * **Access events** ([`Event`]) — every pipeline memory access
 //!   (vertex fetch, Parameter Buffer read/write, texel fetch, color
-//!   flush, fragment-shaded probe) is reported to a caller-supplied sink,
-//!   which is how `re_core` records replayable event streams and
-//!   `re_timing`'s `MemorySystem` simulates cache hierarchies.
+//!   flush, fragment-shaded probe) is appended to a caller-supplied
+//!   `Vec<Event>`, which is the stream `re_core` records per tile and
+//!   `re_timing`'s `MemorySystem` replays through its cache hierarchy.
 //! * **Activity counters** ([`stats::GeometryStats`],
 //!   [`stats::TileStats`]) — the per-frame / per-tile work counts the
 //!   cycle and energy models consume.
@@ -56,20 +56,23 @@
 //!
 //! let mut gpu = Gpu::new(GpuConfig { width: 64, height: 64, ..GpuConfig::default() });
 //! let frame = FrameDesc::new(); // empty frame: just clears
-//! let geo = gpu.run_geometry(&frame, &mut re_gpu::hooks::NullHooks);
+//! let mut events = Vec::new(); // pipeline memory accesses, in order
+//! let geo = gpu.run_geometry(&frame, &mut events);
 //! for t in 0..gpu.tile_count() {
-//!     gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::hooks::NullHooks);
+//!     gpu.rasterize_tile(&frame, &geo, t, &mut events);
 //! }
 //! gpu.end_frame();
+//! // An empty frame still flushes its pixels: 16 tiles × 16 rows.
+//! assert_eq!(events.len(), 16 * 16);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod api;
 pub mod framebuffer;
 pub mod geometry;
-pub mod hooks;
 pub mod image;
 pub mod raster;
 pub mod shader;
@@ -77,6 +80,7 @@ pub mod stats;
 pub mod texture;
 pub mod tiling;
 
+pub use access::Event;
 pub use api::{DrawCall, FrameDesc, PipelineState};
 pub use framebuffer::Framebuffer;
 pub use geometry::GeometryOutput;
@@ -210,18 +214,17 @@ impl Gpu {
     ///
     /// No pixels are touched; the returned [`GeometryOutput`] carries
     /// everything the Raster Pipeline (and the Signature Unit) needs.
-    pub fn run_geometry(
-        &mut self,
-        frame: &FrameDesc,
-        hooks: &mut dyn hooks::GpuHooks,
-    ) -> GeometryOutput {
-        geometry::run_geometry(&self.config, frame, hooks)
+    /// The frame's vertex fetches and Parameter Buffer writes are appended
+    /// to `events`.
+    pub fn run_geometry(&mut self, frame: &FrameDesc, events: &mut Vec<Event>) -> GeometryOutput {
+        geometry::run_geometry(&self.config, frame, events)
     }
 
     /// Rasterizes a single tile of the current frame into the back buffer:
     /// fetches the tile's primitives from the Parameter Buffer, rasterizes,
     /// early-Z tests, shades, blends and flushes the tile's colors.
     ///
+    /// The tile's memory accesses are appended to `events`.
     /// Returns the tile's activity counters. Tiles may be rasterized in any
     /// order; a tile that is never rasterized keeps its previous back-buffer
     /// content (which is what Rendering Elimination exploits). This is
@@ -232,7 +235,7 @@ impl Gpu {
         frame: &FrameDesc,
         geo: &GeometryOutput,
         tile_id: u32,
-        hooks: &mut dyn hooks::GpuHooks,
+        events: &mut Vec<Event>,
     ) -> TileStats {
         let base_addr = self.framebuffer.back().base_addr();
         let (stats, colors) = raster::rasterize_tile_detached(
@@ -242,7 +245,7 @@ impl Gpu {
             tile_id,
             &self.textures,
             base_addr,
-            hooks,
+            events,
         );
         self.apply_tile_colors(tile_id, &colors);
         stats
@@ -252,9 +255,8 @@ impl Gpu {
     /// [`ParallelRaster::bands`] band threads, returning per-tile results
     /// **in tile-id order**: the tile's activity counters, its final colors
     /// (row-major over the tile rect, ready for
-    /// [`apply_tile_colors`](Self::apply_tile_colors)), and the hook sink
-    /// that recorded its accesses (one fresh sink per tile, from
-    /// `make_hooks`).
+    /// [`apply_tile_colors`](Self::apply_tile_colors)), and its memory
+    /// accesses in pipeline order.
     ///
     /// The frame is split into row-aligned bands
     /// ([`tiling::band_ranges`]) with exclusive tile ownership, so band
@@ -268,21 +270,16 @@ impl Gpu {
     /// The back buffer is **not** written — commit each tile's colors with
     /// [`apply_tile_colors`](Self::apply_tile_colors) (in any order) before
     /// [`end_frame`](Self::end_frame).
-    pub fn rasterize_bands<H, F>(
+    pub fn rasterize_bands(
         &self,
         frame: &FrameDesc,
         geo: &GeometryOutput,
         parallel: ParallelRaster,
-        make_hooks: F,
-    ) -> Vec<(TileStats, Vec<Color>, H)>
-    where
-        H: hooks::GpuHooks + Send,
-        F: Fn() -> H + Sync,
-    {
+    ) -> Vec<(TileStats, Vec<Color>, Vec<Event>)> {
         let base_addr = self.framebuffer.back().base_addr();
         let raster_band = |band: std::ops::Range<u32>| {
             band.map(|t| {
-                let mut h = make_hooks();
+                let mut events = Vec::new();
                 let (stats, colors) = raster::rasterize_tile_detached(
                     &self.config,
                     frame,
@@ -290,9 +287,9 @@ impl Gpu {
                     t,
                     &self.textures,
                     base_addr,
-                    &mut h,
+                    &mut events,
                 );
-                (stats, colors, h)
+                (stats, colors, events)
             })
             .collect::<Vec<_>>()
         };
@@ -300,7 +297,7 @@ impl Gpu {
         if bands.len() <= 1 {
             return raster_band(0..self.config.tile_count());
         }
-        let per_band: Vec<Vec<(TileStats, Vec<Color>, H)>> = std::thread::scope(|s| {
+        let per_band: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = bands
                 .into_iter()
                 .map(|band| s.spawn(|| raster_band(band)))
@@ -400,9 +397,9 @@ mod tests {
         });
         let mut frame = FrameDesc::new();
         frame.clear_color = Color::new(10, 20, 30, 255);
-        let geo = gpu.run_geometry(&frame, &mut hooks::NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut hooks::NullHooks);
+            gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
         }
         assert_eq!(gpu.back_pixel(0, 0), Color::new(10, 20, 30, 255));
         assert_eq!(gpu.back_pixel(31, 31), Color::new(10, 20, 30, 255));

@@ -6,23 +6,26 @@
 //! Elimination skips for redundant tiles:
 //!
 //! 1. The Tile Scheduler fetches the tile's primitives from the Parameter
-//!    Buffer (reported via [`GpuHooks::param_read`]).
+//!    Buffer ([`Event::ParamRead`]).
 //! 2. The Rasterizer discretizes each primitive into fragments with edge
 //!    functions (top-left fill rule) and interpolates attributes
 //!    perspective-correctly.
 //! 3. The Early Depth Test culls occluded fragments against the on-chip
 //!    Depth Buffer.
 //! 4. The Fragment Processors run the fragment program (texel fetches are
-//!    reported via [`GpuHooks::texel_fetch`]).
+//!    recorded as [`Event::Texel`]).
 //! 5. The Blending unit merges the output into the on-chip Color Buffer.
 //! 6. The Tile Flush writes the final colors to the Frame Buffer
-//!    ([`GpuHooks::color_flush`]).
+//!    ([`Event::ColorFlush`]).
+//!
+//! Every access, and one [`Event::FragShaded`] probe per shaded fragment,
+//! is appended to the caller's `Vec<Event>` in pipeline order.
 
 use re_math::{edge_function, Color, Vec2, Vec4};
 
+use crate::access::Event;
 use crate::api::FrameDesc;
 use crate::geometry::GeometryOutput;
-use crate::hooks::GpuHooks;
 use crate::shader::SampleCtx;
 use crate::stats::TileStats;
 use crate::texture::{Texture, TextureStore};
@@ -39,12 +42,12 @@ fn fnv1a(seed: u32, bytes: &[u8]) -> u32 {
     h
 }
 
-/// Sampler adapter counting texel fetches and reporting their addresses.
+/// Sampler adapter counting texel fetches and recording their addresses.
 struct TexSampler<'a> {
     texture: Option<&'a Texture>,
     filter: crate::texture::Filter,
     unit: u8,
-    hooks: &'a mut dyn GpuHooks,
+    events: &'a mut Vec<Event>,
     fetches: u64,
 }
 
@@ -53,13 +56,12 @@ impl SampleCtx for TexSampler<'_> {
         match self.texture {
             Some(t) => {
                 let unit = self.unit;
-                let hooks = &mut *self.hooks;
-                let mut n = 0u64;
+                let events = &mut *self.events;
+                let before = events.len();
                 let c = t.sample(u, v, self.filter, &mut |addr| {
-                    hooks.texel_fetch(unit, addr, 4);
-                    n += 1;
+                    events.push(Event::Texel { unit, addr });
                 });
-                self.fetches += n;
+                self.fetches += (events.len() - before) as u64;
                 c
             }
             None => Vec4::new(0.0, 0.0, 0.0, 1.0),
@@ -141,7 +143,7 @@ pub fn rasterize_tile_detached(
     tile_id: u32,
     textures: &TextureStore,
     back_base_addr: u64,
-    hooks: &mut dyn GpuHooks,
+    events: &mut Vec<Event>,
 ) -> (TileStats, Vec<Color>) {
     raster_counter().incr();
     let mut stats = TileStats::default();
@@ -160,7 +162,10 @@ pub fn rasterize_tile_detached(
 
         // Tile Scheduler: fetch the primitive record (Tile Cache handles
         // the actual locality; we report the architectural access).
-        hooks.param_read(prim.param_addr, prim.param_bytes.len() as u32);
+        events.push(Event::ParamRead {
+            addr: prim.param_addr,
+            bytes: prim.param_bytes.len() as u32,
+        });
         stats.param_bytes_read += prim.param_bytes.len() as u64;
         stats.prims_processed += 1;
 
@@ -269,7 +274,7 @@ pub fn rasterize_tile_detached(
                 texture,
                 filter: state.filter,
                 unit,
-                hooks,
+                events,
                 fetches: 0,
             };
             let regs = fs.run(varyings, &dc.constants, Some(&mut sampler));
@@ -283,7 +288,11 @@ pub fn rasterize_tile_detached(
             for (j, vy) in varyings.iter().enumerate() {
                 key[j * 16..(j + 1) * 16].copy_from_slice(&vy.to_le_bytes());
             }
-            hooks.fragment_shaded(tile_id, prim.drawcall, fnv1a(dc_seed, &key[..n_vary * 16]));
+            events.push(Event::FragShaded {
+                tile: tile_id,
+                drawcall: prim.drawcall,
+                hash: fnv1a(dc_seed, &key[..n_vary * 16]),
+            });
 
             // Blending into the on-chip Color Buffer.
             let src = Color::from_vec4(regs[0]);
@@ -296,13 +305,16 @@ pub fn rasterize_tile_detached(
         }
     }
 
-    // Tile Flush: report the tile's color writes to the back Frame Buffer,
+    // Tile Flush: record the tile's color writes to the back Frame Buffer,
     // one 64-byte line per 16-pixel run. Addresses reproduce
     // `ColorSurface::pixel_addr` exactly (base + (y·width + x)·4).
     for y in rect.y0..rect.y1 {
         let row_bytes = (tw * 4) as u32;
         let addr = back_base_addr + (y as u64 * config.width as u64 + rect.x0 as u64) * 4;
-        hooks.color_flush(addr, row_bytes);
+        events.push(Event::ColorFlush {
+            addr,
+            bytes: row_bytes,
+        });
     }
     stats.pixels_flushed += rect.area() as u64;
     stats.color_bytes_flushed += rect.area() as u64 * 4;
@@ -314,7 +326,6 @@ pub fn rasterize_tile_detached(
 mod tests {
     use super::*;
     use crate::api::{DrawCall, PipelineState, Vertex};
-    use crate::hooks::{CountingHooks, NullHooks};
     use crate::{Gpu, GpuConfig};
     use re_math::Mat4;
 
@@ -340,10 +351,10 @@ mod tests {
     }
 
     fn render_full(gpu: &mut Gpu, frame: &FrameDesc) -> TileStats {
-        let geo = gpu.run_geometry(frame, &mut NullHooks);
+        let geo = gpu.run_geometry(frame, &mut Vec::new());
         let mut agg = TileStats::default();
         for t in 0..gpu.tile_count() {
-            let s = gpu.rasterize_tile(frame, &geo, t, &mut NullHooks);
+            let s = gpu.rasterize_tile(frame, &geo, t, &mut Vec::new());
             agg.merge(&s);
         }
         agg
@@ -477,81 +488,67 @@ mod tests {
             constants: Mat4::IDENTITY.cols.to_vec(),
             vertices,
         });
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
-        let mut hooks = CountingHooks::default();
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        let mut events = Vec::new();
         let mut stats = TileStats::default();
         for t in 0..gpu.tile_count() {
-            stats.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut hooks));
+            stats.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut events));
         }
         assert_eq!(
             stats.texel_fetches,
             4 * stats.fragments_shaded,
             "bilinear: 4 texels/frag"
         );
-        assert_eq!(hooks.texel_bytes, stats.texel_fetches * 4);
+        let texels = events
+            .iter()
+            .filter(|e| matches!(e, Event::Texel { .. }))
+            .count();
+        assert_eq!(texels as u64, stats.texel_fetches);
     }
 
     #[test]
     fn flush_writes_whole_tile_rows() {
         let mut gpu = Gpu::new(cfg());
         let frame = FrameDesc::new();
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
-        let mut hooks = CountingHooks::default();
-        let s = gpu.rasterize_tile(&frame, &geo, 0, &mut hooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        let mut events = Vec::new();
+        let s = gpu.rasterize_tile(&frame, &geo, 0, &mut events);
         assert_eq!(s.pixels_flushed, 256);
-        assert_eq!(hooks.color_bytes, 1024, "16 rows × 64 B");
+        let color_bytes: u32 = events
+            .iter()
+            .map(|e| match *e {
+                Event::ColorFlush { bytes, .. } => bytes,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(color_bytes, 1024, "16 rows × 64 B");
     }
 
     #[test]
     fn fragment_hash_reported_and_screen_independent() {
-        struct HashCollect(Vec<(u32, u32)>);
-        impl GpuHooks for HashCollect {
-            fn fragment_shaded(&mut self, tile: u32, _dc: u32, h: u32) {
-                self.0.push((tile, h));
-            }
-        }
         let mut gpu = Gpu::new(cfg());
         let mut frame = FrameDesc::new();
         frame.drawcalls.push(flat_tri(
             [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
             Vec4::new(0.3, 0.6, 0.9, 1.0),
         ));
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
-        let mut hc = HashCollect(Vec::new());
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        let mut events = Vec::new();
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut hc);
+            gpu.rasterize_tile(&frame, &geo, t, &mut events);
         }
-        assert!(!hc.0.is_empty());
+        let hashes: Vec<(u32, u32)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::FragShaded { tile, hash, .. } => Some((tile, hash)),
+                _ => None,
+            })
+            .collect();
+        assert!(!hashes.is_empty());
         // Flat color ⇒ identical inputs everywhere ⇒ one unique hash,
         // across all tiles (screen coordinates excluded).
-        let first = hc.0[0].1;
-        assert!(hc.0.iter().all(|&(_, h)| h == first));
-    }
-
-    /// Records every hook call verbatim, for stream-equality assertions.
-    #[derive(Debug, Default, PartialEq)]
-    struct CaptureHooks(Vec<(u8, u64, u64, u64)>);
-
-    impl GpuHooks for CaptureHooks {
-        fn vertex_fetch(&mut self, addr: u64, bytes: u32) {
-            self.0.push((0, addr, bytes as u64, 0));
-        }
-        fn param_write(&mut self, addr: u64, bytes: u32) {
-            self.0.push((1, addr, bytes as u64, 0));
-        }
-        fn param_read(&mut self, addr: u64, bytes: u32) {
-            self.0.push((2, addr, bytes as u64, 0));
-        }
-        fn texel_fetch(&mut self, unit: u8, addr: u64, bytes: u32) {
-            self.0.push((3, addr, bytes as u64, unit as u64));
-        }
-        fn color_flush(&mut self, addr: u64, bytes: u32) {
-            self.0.push((4, addr, bytes as u64, 0));
-        }
-        fn fragment_shaded(&mut self, tile_id: u32, drawcall: u32, input_hash: u32) {
-            self.0
-                .push((5, tile_id as u64, drawcall as u64, input_hash as u64));
-        }
+        let first = hashes[0].1;
+        assert!(hashes.iter().all(|&(_, h)| h == first));
     }
 
     #[test]
@@ -594,45 +591,40 @@ mod tests {
 
         let mut serial = Gpu::new(cfg());
         let frame = build_frame(&mut serial);
-        let geo = serial.run_geometry(&frame, &mut NullHooks);
+        let geo = serial.run_geometry(&frame, &mut Vec::new());
         let mut serial_tiles = Vec::new();
         for t in 0..serial.tile_count() {
-            let mut hooks = CaptureHooks::default();
-            let stats = serial.rasterize_tile(&frame, &geo, t, &mut hooks);
+            let mut events = Vec::new();
+            let stats = serial.rasterize_tile(&frame, &geo, t, &mut events);
             let colors = serial
                 .framebuffer()
                 .back()
                 .read_rect(serial.config().tile_rect(t));
-            serial_tiles.push((stats, colors, hooks));
+            serial_tiles.push((stats, colors, events));
         }
 
         let mut parallel = Gpu::new(cfg());
         let frame2 = build_frame(&mut parallel);
         assert_eq!(frame, frame2);
-        let geo2 = parallel.run_geometry(&frame2, &mut NullHooks);
+        let geo2 = parallel.run_geometry(&frame2, &mut Vec::new());
         assert_eq!(geo, geo2);
-        // `rasterize_bands` makes one hook set per tile it rasterizes, so a
-        // local count of `make_hooks` calls is this call's exact raster
-        // count. The process-global counter also moves with sibling tests
-        // rasterizing on other threads, so only a lower bound holds there.
-        let hook_sets = std::sync::atomic::AtomicU64::new(0);
+        // `rasterize_bands` returns one result per tile it rasterizes, so
+        // the result count is this call's exact raster count. The
+        // process-global counter also moves with sibling tests rasterizing
+        // on other threads, so only a lower bound holds there.
         let before = raster_invocations();
-        let results = parallel.rasterize_bands(&frame2, &geo2, ParallelRaster { bands: 3 }, || {
-            hook_sets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            CaptureHooks::default()
-        });
+        let results = parallel.rasterize_bands(&frame2, &geo2, ParallelRaster { bands: 3 });
         assert_eq!(
-            hook_sets.into_inner(),
-            parallel.tile_count() as u64,
+            results.len(),
+            parallel.tile_count() as usize,
             "one invocation per tile, exactly"
         );
         assert!(raster_invocations() - before >= parallel.tile_count() as u64);
-        assert_eq!(results.len(), parallel.tile_count() as usize);
-        for (t, (stats, colors, hooks)) in results.into_iter().enumerate() {
-            let (ref s_stats, ref s_colors, ref s_hooks) = serial_tiles[t];
+        for (t, (stats, colors, events)) in results.into_iter().enumerate() {
+            let (ref s_stats, ref s_colors, ref s_events) = serial_tiles[t];
             assert_eq!(&stats, s_stats, "tile {t} stats");
             assert_eq!(&colors, s_colors, "tile {t} colors");
-            assert_eq!(&hooks, s_hooks, "tile {t} hook stream");
+            assert_eq!(&events, s_events, "tile {t} event stream");
             parallel.apply_tile_colors(t as u32, &colors);
         }
         for y in 0..32 {
@@ -654,8 +646,8 @@ mod tests {
             [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
             Vec4::splat(1.0),
         ));
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
-        let results = gpu.rasterize_bands(&frame, &geo, ParallelRaster { bands: 1 }, || NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        let results = gpu.rasterize_bands(&frame, &geo, ParallelRaster { bands: 1 });
         assert_eq!(results.len(), gpu.tile_count() as usize);
         let agg = results
             .iter()
@@ -671,9 +663,9 @@ mod tests {
         let mut gpu = Gpu::new(cfg());
         let mut frame = FrameDesc::new();
         frame.clear_color = Color::new(50, 50, 50, 255);
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         // Render only tile 0; tile 3's pixels stay black from init.
-        gpu.rasterize_tile(&frame, &geo, 0, &mut NullHooks);
+        gpu.rasterize_tile(&frame, &geo, 0, &mut Vec::new());
         assert_eq!(gpu.back_pixel(0, 0), Color::new(50, 50, 50, 255));
         assert_eq!(
             gpu.back_pixel(16, 16),

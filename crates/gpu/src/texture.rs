@@ -1,13 +1,13 @@
 //! RGBA8 textures and the simulated texture address space.
 //!
 //! Textures live in main memory in the region starting at
-//! [`crate::hooks::TEX_BASE`]; every sample reports its texel address so the
+//! [`crate::access::TEX_BASE`]; every sample reports its texel address so the
 //! Texture Caches (Table I: four 8 KB, 2-way, 64 B lines) see a realistic
 //! stream.
 
 use re_math::{Color, Vec4};
 
-use crate::hooks::TEX_BASE;
+use crate::access::TEX_BASE;
 
 /// Handle to a texture in the [`TextureStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,8 +14,8 @@
 
 use re_math::{edge_function, Rect, Vec2};
 
+use crate::access::{Event, PARAM_BASE};
 use crate::geometry::{AssembledPrim, ShadedVertex};
-use crate::hooks::{GpuHooks, PARAM_BASE};
 use crate::stats::GeometryStats;
 use crate::{BinningMode, GpuConfig};
 
@@ -152,12 +152,15 @@ impl PolygonListBuilder {
         verts: [ShadedVertex; 3],
         bbox: Rect,
         stats: &mut GeometryStats,
-        hooks: &mut dyn GpuHooks,
+        events: &mut Vec<Event>,
     ) -> u32 {
         let param_bytes = encode_prim(&verts);
         let param_addr = self.param_cursor;
         self.param_cursor += param_bytes.len() as u64;
-        hooks.param_write(param_addr, param_bytes.len() as u32);
+        events.push(Event::ParamWrite {
+            addr: param_addr,
+            bytes: param_bytes.len() as u32,
+        });
         stats.param_bytes_written += param_bytes.len() as u64;
         stats.prims_binned += 1;
 
@@ -170,7 +173,10 @@ impl PolygonListBuilder {
         // entry (an 8-byte primitive reference) to every overlapped tile's
         // list in the Parameter Buffer.
         let list_bytes = overlapped_tiles.len() as u64 * 8;
-        hooks.param_write(self.param_cursor, list_bytes as u32);
+        events.push(Event::ParamWrite {
+            addr: self.param_cursor,
+            bytes: list_bytes as u32,
+        });
         self.param_cursor += list_bytes;
         stats.param_bytes_written += list_bytes;
 
@@ -353,22 +359,29 @@ mod tests {
         let c = cfg();
         let mut plb = PolygonListBuilder::new(&c);
         let mut stats = GeometryStats::default();
-        let mut hooks = crate::hooks::CountingHooks::default();
+        let mut events = Vec::new();
         let verts = [sv(0.0, 0.0), sv(8.0, 0.0), sv(0.0, 8.0)];
         let a = plb.push_prim(
             0,
             verts.clone(),
             Rect::new(0, 0, 8, 8),
             &mut stats,
-            &mut hooks,
+            &mut events,
         );
-        let b = plb.push_prim(0, verts, Rect::new(0, 0, 8, 8), &mut stats, &mut hooks);
+        let b = plb.push_prim(0, verts, Rect::new(0, 0, 8, 8), &mut stats, &mut events);
         let (prims, bins) = plb.finish();
         assert_eq!((a, b), (0, 1));
         // 96-byte record + one 8-byte list entry (single overlapped tile).
         assert_eq!(prims[1].param_addr, prims[0].param_addr + 96 + 8);
         assert_eq!(bins[0], vec![0, 1], "bin preserves submission order");
         assert_eq!(stats.prim_tile_pairs, 2);
-        assert_eq!(hooks.param_write_bytes, 2 * (96 + 8));
+        let param_write_bytes: u32 = events
+            .iter()
+            .map(|e| match *e {
+                Event::ParamWrite { bytes, .. } => bytes,
+                _ => panic!("the PLB emits only PB writes: {e:?}"),
+            })
+            .sum();
+        assert_eq!(param_write_bytes, 2 * (96 + 8));
     }
 }

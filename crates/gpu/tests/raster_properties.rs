@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
-use re_gpu::hooks::NullHooks;
 use re_gpu::stats::TileStats;
 use re_gpu::{Gpu, GpuConfig};
 use re_math::{Color, Mat4, Vec4};
@@ -36,10 +35,10 @@ fn tri_frame(coords: [f32; 6], w: [f32; 3], color: [f32; 4]) -> FrameDesc {
 }
 
 fn render_all(gpu: &mut Gpu, frame: &FrameDesc) -> TileStats {
-    let geo = gpu.run_geometry(frame, &mut NullHooks);
+    let geo = gpu.run_geometry(frame, &mut Vec::new());
     let mut agg = TileStats::default();
     for t in 0..gpu.tile_count() {
-        agg.merge(&gpu.rasterize_tile(frame, &geo, t, &mut NullHooks));
+        agg.merge(&gpu.rasterize_tile(frame, &geo, t, &mut Vec::new()));
     }
     agg
 }
@@ -56,10 +55,10 @@ proptest! {
     ) {
         let mut gpu = Gpu::new(cfg());
         let frame = tri_frame(coords, [1.0; 3], color);
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         let mut agg = TileStats::default();
         for t in 0..gpu.tile_count() {
-            agg.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut NullHooks));
+            agg.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new()));
         }
         // Depth test off: every rasterized fragment is shaded and blended.
         prop_assert_eq!(agg.early_z_killed, 0);

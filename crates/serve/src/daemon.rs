@@ -622,11 +622,7 @@ fn submit(state: &Arc<DaemonState>, grid: &ExperimentGrid, shard: Option<ShardSp
         None => full,
     };
     plan.attach_cached_logs(&RenderLogCache::new(Some(state.config.root.join("cache"))));
-    let cached = plan
-        .render_jobs()
-        .iter()
-        .filter(|rj| rj.cached_log.is_some())
-        .count();
+    let cached = plan.satisfied_render_jobs();
     re_obs::metrics::counter(names::SERVE_DEDUP_CACHED).add(cached as u64);
     re_obs::metrics::counter(names::SERVE_SUBMISSIONS).incr();
 

@@ -75,7 +75,9 @@ impl TraceCache {
     }
 
     /// The trace of workload `alias` over `frames` frames: from memory, else
-    /// from the disk cache, else captured live (and then cached).
+    /// from the disk cache, else captured live (and then cached). A cached
+    /// file that does not decode (torn, corrupt, foreign) is a miss: it is
+    /// deleted and rewritten from a fresh capture.
     ///
     /// # Errors
     /// I/O errors from the disk cache, or an unknown alias (reported as
@@ -89,12 +91,20 @@ impl TraceCache {
         if let Some(dir) = &self.dir {
             let path = dir.join(&key);
             if path.exists() {
-                let t = Arc::new(Trace::load(&path)?);
-                re_obs::metrics::counter(re_obs::names::TRACE_HITS).incr();
-                re_obs::metrics::counter(re_obs::names::ARTIFACT_BYTES_READ)
-                    .add(std::fs::metadata(&path).map_or(0, |m| m.len()));
-                self.loaded.insert(key, Arc::clone(&t));
-                return Ok(t);
+                match Trace::load(&path) {
+                    Ok(t) => {
+                        let t = Arc::new(t);
+                        re_obs::metrics::counter(re_obs::names::TRACE_HITS).incr();
+                        re_obs::metrics::counter(re_obs::names::ARTIFACT_BYTES_READ)
+                            .add(std::fs::metadata(&path).map_or(0, |m| m.len()));
+                        self.loaded.insert(key, Arc::clone(&t));
+                        return Ok(t);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                        let _ = std::fs::remove_file(&path);
+                    }
+                    Err(e) => return Err(e),
+                }
             }
         }
         re_obs::metrics::counter(re_obs::names::TRACE_MISSES).incr();
@@ -322,6 +332,25 @@ mod tests {
         let mut cache2 = TraceCache::new(Some(dir.clone()));
         let second = cache2.get("tib", 3, cfg()).expect("load");
         assert_eq!(*first, *second);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_trace_is_a_miss_and_rewritten() {
+        let dir = std::env::temp_dir().join(format!("re_retrace_bad_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(TraceCache::file_key("tib", 3, cfg()));
+        std::fs::write(&path, b"not a trace").expect("write garbage");
+
+        let mut cache = TraceCache::new(Some(dir.clone()));
+        let captured = cache.get("tib", 3, cfg()).expect("a bad file is a miss");
+        assert_eq!(Trace::load(&path).expect("rewritten"), *captured);
+        // A fresh cache object hits the rewritten file.
+        let reloaded = TraceCache::new(Some(dir.clone()))
+            .get("tib", 3, cfg())
+            .expect("load");
+        assert_eq!(*reloaded, *captured);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,8 +13,8 @@
 //! * [`dram`] — a bandwidth/latency LPDDR3-like main-memory model with
 //!   traffic classified by stream (colors / texels / primitives / …), the
 //!   classification Fig. 15b reports.
-//! * [`memory`] — [`MemorySystem`], a [`re_gpu::hooks::GpuHooks`] sink that
-//!   routes every pipeline access through the cache hierarchy.
+//! * [`memory`] — [`MemorySystem`], which replays every recorded pipeline
+//!   access ([`re_gpu::Event`]) through the cache hierarchy.
 //! * [`pipeline`] — stage-throughput cycle model (geometry and per-tile
 //!   raster cycles).
 //! * [`energy`] — per-access energy table and static power integration.
@@ -23,8 +23,8 @@
 //!
 //! Each evaluated technique owns one [`MemorySystem`] (its private cache
 //! hierarchy + DRAM) and one [`EnergyModel`]. The recorded pipeline
-//! events are replayed into the memory system (it implements
-//! [`re_gpu::hooks::GpuHooks`]); after each frame/tile the accumulated
+//! events are replayed into the memory system
+//! ([`MemorySystem::replay`]); after each frame/tile the accumulated
 //! [`MemEpoch`] is drained and converted to cycles with
 //! [`geometry_cycles`] / [`raster_tile_cycles`] under a [`TimingConfig`],
 //! and at the end the DRAM traffic — classified per [`TrafficClass`] —
@@ -32,11 +32,12 @@
 //!
 //! ```
 //! use re_timing::{MemorySystem, TimingConfig};
-//! use re_gpu::hooks::GpuHooks;
+//! use re_gpu::Event;
 //!
 //! let cfg = TimingConfig::mali450();
 //! let mut mem = MemorySystem::new(cfg);
-//! mem.vertex_fetch(0x100, 48); // replayed pipeline access
+//! // A replayed pipeline access; `true` keeps color flushes.
+//! mem.replay(&[Event::VertexFetch { addr: 0x100, bytes: 48 }], true);
 //! let epoch = mem.take_epoch();
 //! assert!(epoch.vertex_misses > 0, "a cold vertex cache misses to DRAM");
 //! ```

@@ -1,5 +1,6 @@
-//! The memory hierarchy: a [`re_gpu::hooks::GpuHooks`] sink routing every
-//! pipeline access through the Table I caches into DRAM.
+//! The memory hierarchy: [`MemorySystem::replay`] routes every recorded
+//! pipeline access ([`re_gpu::Event`]) through the Table I caches into
+//! DRAM.
 //!
 //! Routing (paper Fig. 4):
 //!
@@ -14,7 +15,7 @@
 //! keeps **epoch** counters that a driver samples per tile / per pipeline
 //! phase to compute stall cycles; see [`MemorySystem::take_epoch`].
 
-use re_gpu::hooks::GpuHooks;
+use re_gpu::Event;
 
 use crate::cache::Cache;
 use crate::config::TimingConfig;
@@ -118,9 +119,27 @@ impl MemorySystem {
     fn line_bytes(&self) -> u64 {
         self.config.l2_cache.line_bytes as u64
     }
-}
 
-impl GpuHooks for MemorySystem {
+    /// Replays a recorded access stream, in order, through the hierarchy.
+    /// `include_flush` gates the [`Event::ColorFlush`] events (Transaction
+    /// Elimination); [`Event::FragShaded`] probes touch no memory.
+    pub fn replay(&mut self, events: &[Event], include_flush: bool) {
+        for e in events {
+            match *e {
+                Event::VertexFetch { addr, bytes } => self.vertex_fetch(addr, bytes),
+                Event::ParamWrite { addr, bytes } => self.param_write(addr, bytes),
+                Event::ParamRead { addr, bytes } => self.param_read(addr, bytes),
+                Event::Texel { unit, addr } => self.texel_fetch(unit, addr),
+                Event::ColorFlush { addr, bytes } => {
+                    if include_flush {
+                        self.color_flush(addr, bytes);
+                    }
+                }
+                Event::FragShaded { .. } => {}
+            }
+        }
+    }
+
     fn vertex_fetch(&mut self, addr: u64, bytes: u32) {
         let lb = self.line_bytes();
         if bytes == 0 {
@@ -169,7 +188,7 @@ impl GpuHooks for MemorySystem {
         }
     }
 
-    fn texel_fetch(&mut self, unit: u8, addr: u64, _bytes: u32) {
+    fn texel_fetch(&mut self, unit: u8, addr: u64) {
         let lb = self.line_bytes();
         let line_addr = addr / lb * lb;
         let unit = (unit as usize) % self.texture_caches.len();
@@ -194,7 +213,7 @@ impl GpuHooks for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use re_gpu::hooks::{FB_BASE, PARAM_BASE, TEX_BASE, VB_BASE};
+    use re_gpu::access::{FB_BASE, PARAM_BASE, TEX_BASE, VB_BASE};
 
     fn sys() -> MemorySystem {
         MemorySystem::new(TimingConfig::mali450())
@@ -203,7 +222,7 @@ mod tests {
     #[test]
     fn cold_texel_miss_reaches_dram() {
         let mut m = sys();
-        m.texel_fetch(0, TEX_BASE, 4);
+        m.texel_fetch(0, TEX_BASE);
         let e = m.take_epoch();
         assert_eq!(e.tex_misses, 1);
         assert_eq!(e.l2_misses, 1);
@@ -214,9 +233,9 @@ mod tests {
     #[test]
     fn warm_texel_hits_are_free_of_dram() {
         let mut m = sys();
-        m.texel_fetch(0, TEX_BASE, 4);
+        m.texel_fetch(0, TEX_BASE);
         m.take_epoch();
-        m.texel_fetch(0, TEX_BASE + 4, 4); // same line
+        m.texel_fetch(0, TEX_BASE + 4); // same line
         let e = m.take_epoch();
         assert_eq!(e.tex_misses, 0);
         assert_eq!(e.dram_busy_cycles, 0);
@@ -225,9 +244,9 @@ mod tests {
     #[test]
     fn texture_units_have_private_caches() {
         let mut m = sys();
-        m.texel_fetch(0, TEX_BASE, 4);
+        m.texel_fetch(0, TEX_BASE);
         m.take_epoch();
-        m.texel_fetch(1, TEX_BASE, 4); // other unit: cold, but L2 hit
+        m.texel_fetch(1, TEX_BASE); // other unit: cold, but L2 hit
         let e = m.take_epoch();
         assert_eq!(e.tex_misses, 1);
         assert_eq!(e.l2_misses, 0, "L2 absorbs the second unit's miss");
@@ -292,6 +311,79 @@ mod tests {
         let _ = m.take_epoch();
         let e = m.take_epoch();
         assert_eq!(e, MemEpoch::default());
+    }
+
+    /// One access of each kind, in the order Stage A records them.
+    fn sample() -> Vec<Event> {
+        vec![
+            Event::VertexFetch {
+                addr: VB_BASE,
+                bytes: 48,
+            },
+            Event::ParamWrite {
+                addr: PARAM_BASE,
+                bytes: 96,
+            },
+            Event::ParamRead {
+                addr: PARAM_BASE,
+                bytes: 96,
+            },
+            Event::Texel {
+                unit: 2,
+                addr: TEX_BASE,
+            },
+            Event::ColorFlush {
+                addr: FB_BASE,
+                bytes: 64,
+            },
+            Event::FragShaded {
+                tile: 3,
+                drawcall: 1,
+                hash: 0xABCD,
+            },
+        ]
+    }
+
+    #[test]
+    fn replay_reproduces_traffic() {
+        let mut m = sys();
+        m.replay(&sample(), true);
+        let e = m.take_epoch();
+        assert_eq!(e.vertex_misses, 1, "48 B in one line");
+        assert_eq!(e.tile_misses, 2, "96 B over two lines, written first");
+        assert_eq!(e.tex_misses, 1);
+        assert_eq!(e.l2_misses, 2, "vertex and texel paths");
+        assert_eq!(e.param_write_bytes, 96);
+        assert_eq!(e.color_bytes, 64);
+        for class in TrafficClass::ALL {
+            assert!(m.dram_stats().class_bytes(class) > 0, "{class:?}");
+        }
+    }
+
+    #[test]
+    fn replay_can_filter_flush() {
+        let (mut with, mut without) = (sys(), sys());
+        with.replay(&sample(), true);
+        without.replay(&sample(), false);
+        let (e_with, e_without) = (with.take_epoch(), without.take_epoch());
+        assert_eq!(e_without.color_bytes, 0);
+        assert_eq!(e_with.color_bytes, 64);
+        let misses = |e: &MemEpoch| (e.vertex_misses, e.tex_misses, e.l2_misses, e.tile_misses);
+        assert_eq!(
+            misses(&e_with),
+            misses(&e_without),
+            "cache behaviour untouched"
+        );
+        for class in TrafficClass::ALL {
+            let (w, wo) = (
+                with.dram_stats().class_bytes(class),
+                without.dram_stats().class_bytes(class),
+            );
+            match class {
+                TrafficClass::Colors => assert_eq!((w, wo), (64, 0)),
+                _ => assert_eq!(w, wo, "{class:?} untouched"),
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! update the constants — and re-validate the figure calibration in
 //! `EXPERIMENTS.md`, since the workloads define the reproduced results.
 
-use re_gpu::hooks::NullHooks;
 use re_gpu::{image, Gpu, GpuConfig};
 
 // Regenerated (cargo run --release -p re-bench --bin golden_gen) when the
@@ -32,9 +31,9 @@ fn render_frame0(alias: &str, cfg: GpuConfig) -> u64 {
     let mut gpu = Gpu::new(cfg);
     bench.scene.init(gpu.textures_mut());
     let frame = bench.scene.frame(0);
-    let geo = gpu.run_geometry(&frame, &mut NullHooks);
+    let geo = gpu.run_geometry(&frame, &mut Vec::new());
     for t in 0..gpu.tile_count() {
-        gpu.rasterize_tile(&frame, &geo, t, &mut NullHooks);
+        gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
     }
     image::fingerprint(gpu.framebuffer().back(), cfg.width, cfg.height)
 }

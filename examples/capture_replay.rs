@@ -7,7 +7,6 @@
 //! ```
 
 use rendering_elimination::core::{Scene, SimOptions, Simulator};
-use rendering_elimination::gpu::hooks::NullHooks;
 use rendering_elimination::gpu::{image, Gpu, GpuConfig};
 use rendering_elimination::trace::{capture, Trace, TraceScene};
 use rendering_elimination::workloads;
@@ -72,9 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scene = TraceScene::new(Trace::load(&path)?);
     scene.init(gpu.textures_mut());
     let frame = scene.frame(0);
-    let geo = gpu.run_geometry(&frame, &mut NullHooks);
+    let geo = gpu.run_geometry(&frame, &mut Vec::new());
     for t in 0..gpu.tile_count() {
-        gpu.rasterize_tile(&frame, &geo, t, &mut NullHooks);
+        gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
     }
     let img_path = std::env::temp_dir().join("tib_frame0.ppm");
     image::write_ppm(gpu.framebuffer().back(), cfg.width, cfg.height, &img_path)?;

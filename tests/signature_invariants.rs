@@ -4,7 +4,6 @@
 //! scene geometry.
 
 use rendering_elimination::core::signature::{reference_signatures, SignatureUnit};
-use rendering_elimination::gpu::hooks::NullHooks;
 use rendering_elimination::gpu::{Gpu, GpuConfig};
 use rendering_elimination::workloads;
 
@@ -24,7 +23,7 @@ fn hardware_unit_matches_reference_on_all_benchmarks() {
         let mut gpu = Gpu::new(cfg());
         bench.scene.init(gpu.textures_mut());
         let frame = bench.scene.frame(5);
-        let geo = gpu.run_geometry(&frame, &mut NullHooks);
+        let geo = gpu.run_geometry(&frame, &mut Vec::new());
         let mut su = SignatureUnit::new(16);
         let hw = su.process_frame(&geo, cfg().tile_count());
         let sw = reference_signatures(&geo, cfg().tile_count());
@@ -38,8 +37,8 @@ fn identical_frames_produce_identical_signatures() {
     let mut gpu = Gpu::new(cfg());
     bench.scene.init(gpu.textures_mut());
     // tib rests for many frames: frames 3 and 4 are bit-identical.
-    let g3 = gpu.run_geometry(&bench.scene.frame(3), &mut NullHooks);
-    let g4 = gpu.run_geometry(&bench.scene.frame(4), &mut NullHooks);
+    let g3 = gpu.run_geometry(&bench.scene.frame(3), &mut Vec::new());
+    let g4 = gpu.run_geometry(&bench.scene.frame(4), &mut Vec::new());
     assert_eq!(
         reference_signatures(&g3, cfg().tile_count()),
         reference_signatures(&g4, cfg().tile_count())
@@ -52,11 +51,11 @@ fn localized_motion_changes_localized_signatures() {
     let mut gpu = Gpu::new(cfg());
     bench.scene.init(gpu.textures_mut());
     let a = reference_signatures(
-        &gpu.run_geometry(&bench.scene.frame(4), &mut NullHooks),
+        &gpu.run_geometry(&bench.scene.frame(4), &mut Vec::new()),
         cfg().tile_count(),
     );
     let b = reference_signatures(
-        &gpu.run_geometry(&bench.scene.frame(5), &mut NullHooks),
+        &gpu.run_geometry(&bench.scene.frame(5), &mut Vec::new()),
         cfg().tile_count(),
     );
     let changed = a.iter().zip(&b).filter(|(x, y)| x != y).count();
@@ -73,7 +72,7 @@ fn queue_depth_never_changes_signatures() {
     let mut bench = workloads::by_alias("csn").expect("csn exists");
     let mut gpu = Gpu::new(cfg());
     bench.scene.init(gpu.textures_mut());
-    let geo = gpu.run_geometry(&bench.scene.frame(2), &mut NullHooks);
+    let geo = gpu.run_geometry(&bench.scene.frame(2), &mut Vec::new());
     let mut a = SignatureUnit::new(2);
     let mut b = SignatureUnit::new(256);
     assert_eq!(
@@ -88,7 +87,7 @@ fn empty_tiles_share_the_zero_signature() {
     // A frame with no drawcalls: every tile's input stream is empty.
     let mut gpu = Gpu::new(cfg());
     let frame = rendering_elimination::gpu::api::FrameDesc::new();
-    let geo = gpu.run_geometry(&frame, &mut NullHooks);
+    let geo = gpu.run_geometry(&frame, &mut Vec::new());
     let sigs = reference_signatures(&geo, cfg().tile_count());
     assert!(sigs.iter().all(|&s| s == 0));
 }
@@ -114,8 +113,8 @@ fn signature_covers_constants_not_just_attributes() {
         }
     };
     let mut gpu = Gpu::new(cfg());
-    let ga = gpu.run_geometry(&mk(1.0), &mut NullHooks);
-    let gb = gpu.run_geometry(&mk(2.0), &mut NullHooks);
+    let ga = gpu.run_geometry(&mk(1.0), &mut Vec::new());
+    let gb = gpu.run_geometry(&mk(2.0), &mut Vec::new());
     let sa = reference_signatures(&ga, cfg().tile_count());
     let sb = reference_signatures(&gb, cfg().tile_count());
     assert_ne!(
