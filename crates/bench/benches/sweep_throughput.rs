@@ -9,16 +9,14 @@
 //! Traces are captured once up front, so the timed region is pure job
 //! execution — no capture or cache I/O. The per-cell arms run the
 //! monolithic `run_cell` pipeline over the work-stealing pool; the
-//! render-once arms run a pre-compiled `SweepPlan` on `ThreadExecutor`.
+//! render-once arms run a pre-compiled `SweepPlan` through `execute`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use re_sweep::engine::render_key_log_parallel;
-use re_sweep::{
-    axis, pool, run_cell, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
-};
+use re_sweep::{axis, execute, pool, run_cell, ExperimentGrid, SweepOptions, SweepPlan};
 use re_trace::Trace;
 
 fn small_grid() -> ExperimentGrid {
@@ -88,14 +86,14 @@ fn bench_render_grouping(c: &mut Criterion) {
     g.bench_function("per-cell-render", |b| {
         b.iter(|| run_per_cell(&plan, &traces, 2))
     });
-    let exec = ThreadExecutor {
+    let opts = SweepOptions {
         workers: 2,
         // No heartbeat watchdog: the benchmark times pure execution.
         heartbeat: None,
-        ..ThreadExecutor::default()
+        ..quiet()
     };
     g.bench_function("render-once", |b| {
-        b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
+        b.iter(|| execute(&plan, &traces, &opts, &|_, _| {}))
     });
     g.finish();
 }

@@ -23,6 +23,7 @@ fn sweep(grid: &ExperimentGrid) -> Vec<CellOutcome> {
         },
     )
     .expect("in-memory ablation sweep cannot hit store I/O")
+    .outcomes
 }
 
 /// Quarter-resolution base grid shared by the ablation studies.

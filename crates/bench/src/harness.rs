@@ -121,7 +121,8 @@ pub fn run_benchmark(mut bench: Benchmark, opts: &HarnessOptions) -> SuiteResult
 /// reports come back in suite order regardless of scheduling.
 pub fn run_suite(opts: &HarnessOptions) -> Vec<SuiteResult> {
     let outcomes = re_sweep::run_grid(&opts.grid(), &opts.sweep_options())
-        .expect("in-memory suite sweep cannot hit store I/O");
+        .expect("in-memory suite sweep cannot hit store I/O")
+        .outcomes;
     outcomes
         .into_iter()
         .map(|o| {

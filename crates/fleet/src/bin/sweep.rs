@@ -261,7 +261,6 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> ExitCode {
 }
 
 fn run_sweep(mut args: RunArgs) -> ExitCode {
-    let rasters_before = re_gpu::raster_invocations();
     let cells = args.grid.cell_count();
     let scenes = args.grid.scene_aliases().len();
     eprintln!(
@@ -318,8 +317,9 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
 
     // Graceful SIGINT/SIGTERM: the store keeps every committed cell (the
     // run resumes with the same --out), the run log gets its `run_end`
-    // trailer, and --metrics still dumps. A monitor thread does the
-    // stateful work the signal handler itself cannot.
+    // trailer (without a raster count: the execution is cut short), and
+    // --metrics still dumps. A monitor thread does the stateful work the
+    // signal handler itself cannot.
     let finished = Arc::new(AtomicBool::new(false));
     {
         let stop = re_serve::sig::install();
@@ -332,8 +332,7 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
             }
             if stop.load(Ordering::Acquire) {
                 if let Some(observer) = &jsonl {
-                    let rasters = re_gpu::raster_invocations() - rasters_before;
-                    let _ = observer.finish_with_rasters("signal", Some(rasters));
+                    let _ = observer.finish("signal");
                 }
                 if let Some(path) = &metrics {
                     dump_metrics(path);
@@ -345,10 +344,12 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
         });
     }
 
-    let mut run_ok = true;
+    // The run log trailer's reason and the execution's raster count.
+    let (mut reason, mut rasters) = ("complete", 0);
     let code = if args.store {
         match re_sweep::run_plan_with_store(&plan, &args.opts, &args.out) {
             Ok(summary) => {
+                rasters = summary.rasters;
                 eprintln!(
                     "[sweep] done: {} ran, {} resumed → {}",
                     summary.ran,
@@ -358,10 +359,7 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
                 // A warm `--log-dir` makes this 0: every covered render
                 // key was replayed from its cached log (the CI resume
                 // smoke greps for exactly this line).
-                eprintln!(
-                    "[sweep] raster invocations this run: {}",
-                    re_gpu::raster_invocations() - rasters_before
-                );
+                eprintln!("[sweep] raster invocations this run: {}", summary.rasters);
                 if let Some(s) = args.shard {
                     eprintln!(
                         "[sweep] shard {s} complete; when every shard is done: \
@@ -372,27 +370,27 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                run_ok = false;
+                (reason, rasters) = ("error", re_sweep::failed_run_rasters(&e));
                 eprintln!("sweep: {e}");
                 ExitCode::FAILURE
             }
         }
     } else {
         match re_sweep::run_plan(&plan, &args.opts) {
-            Ok(outcomes) => {
-                eprintln!(
-                    "[sweep] raster invocations this run: {}",
-                    re_gpu::raster_invocations() - rasters_before
-                );
-                let records: Vec<re_sweep::CellRecord> = outcomes
+            Ok(run) => {
+                rasters = run.rasters;
+                eprintln!("[sweep] raster invocations this run: {}", run.rasters);
+                let records: Vec<re_sweep::CellRecord> = run
+                    .outcomes
                     .iter()
                     .map(|o| re_sweep::CellRecord::from_run(&o.cell, &o.report))
                     .collect();
                 print!("{}", re_sweep::render_csv(&records));
                 ExitCode::SUCCESS
             }
+            // Capture failed: nothing was rendered.
             Err(e) => {
-                run_ok = false;
+                reason = "error";
                 eprintln!("sweep: {e}");
                 ExitCode::FAILURE
             }
@@ -404,9 +402,7 @@ fn run_sweep(mut args: RunArgs) -> ExitCode {
     // the log sums these across shards.
     finished.store(true, Ordering::Release);
     if let Some(observer) = &jsonl {
-        let rasters = re_gpu::raster_invocations() - rasters_before;
-        let _ =
-            observer.finish_with_rasters(if run_ok { "complete" } else { "error" }, Some(rasters));
+        let _ = observer.finish_with_rasters(reason, Some(rasters));
     }
 
     if let Some(path) = &args.metrics {

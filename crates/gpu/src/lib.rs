@@ -41,10 +41,10 @@
 //! * **The raster-invocation counter** ([`raster_invocations`]) — a
 //!   process-wide count of tile rasterizations, incremented in
 //!   [`raster::rasterize_tile_detached`], which both
-//!   [`Gpu::rasterize_tile`] and [`Gpu::rasterize_bands`] run. The sweep's
-//!   render-once contract (each render key rasterized at most once, and
-//!   *zero* times when a cached render log covers it) is pinned in tests
-//!   against exactly this counter.
+//!   [`Gpu::rasterize_tile`] and [`Gpu::rasterize_bands`] run. It is the
+//!   total a metrics snapshot reports; the sweep pins its render-once
+//!   contract (each render key rasterized at most once, and *zero* times
+//!   when a cached render log covers it) on each execution's own count.
 //!
 //! The binning strategy is selectable per [`GpuConfig`] via
 //! [`BinningMode`]: conservative bounding-box (the paper's baseline) or

@@ -73,9 +73,9 @@ impl SampleCtx for TexSampler<'_> {
 /// by the [`re_obs`] metrics registry under
 /// [`re_obs::names::RASTER_INVOCATIONS`].
 ///
-/// The render/evaluate split's contract is that a sweep rasterizes each
-/// render-key group exactly once no matter how many evaluation-side
-/// configurations share it; this counter lets tests assert that directly.
+/// It is the process total that metrics snapshots report; a sweep
+/// execution counts the tiles of its own renders separately, exactly
+/// even while other executions rasterize.
 /// The `Arc` is resolved once and cached so the per-tile increment never
 /// touches the registry lock.
 fn raster_counter() -> &'static re_obs::Counter {
@@ -619,7 +619,7 @@ mod tests {
             parallel.tile_count() as usize,
             "one invocation per tile, exactly"
         );
-        assert!(raster_invocations() - before >= parallel.tile_count() as u64);
+        assert!(raster_invocations() >= before + parallel.tile_count() as u64);
         for (t, (stats, colors, events)) in results.into_iter().enumerate() {
             let (ref s_stats, ref s_colors, ref s_events) = serial_tiles[t];
             assert_eq!(&stats, s_stats, "tile {t} stats");

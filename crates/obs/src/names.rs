@@ -9,8 +9,8 @@
 /// per [`rasterize_tile_detached`] call (banded or not). The
 /// render/evaluate split's contract is that a sweep rasterizes each
 /// render-key group exactly once (and zero times under a warm `.relog`
-/// cache); this counter is what pins that. `re_gpu::raster_invocations()`
-/// reads the same counter.
+/// cache). This is the process-wide total, which `re_gpu::raster_invocations()`
+/// reads; each sweep execution also counts its own tiles.
 ///
 /// [`rasterize_tile_detached`]: ../../re_gpu/raster/fn.rasterize_tile_detached.html
 pub const RASTER_INVOCATIONS: &str = "gpu.raster_invocations";

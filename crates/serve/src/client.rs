@@ -410,7 +410,11 @@ fn submit(addr: &str, args: &[String]) -> ExitCode {
         };
         match status.field("state").and_then(Json::as_str) {
             Some("done") => {
-                let rasters = status.field("rasters").and_then(Json::as_u64).unwrap_or(0);
+                // A done job always carries its count; a missing one must
+                // not read as 0, which would pass CI's warm-dedup grep.
+                let Some(rasters) = status.field("rasters").and_then(Json::as_u64) else {
+                    return fail(&format!("job {job} is done but reports no raster count"));
+                };
                 // The daemon-side analog of the one-shot CLI's raster
                 // line (CI greps for it to pin warm-cache dedup).
                 eprintln!("[sweep client] job {job} raster invocations: {rasters}");

@@ -17,12 +17,13 @@
 //! Stage B sections across its cells, and persists for the next
 //! submission.
 //!
-//! Jobs run strictly one at a time, in submission order. That keeps the
-//! per-job `gpu.raster_invocations` delta exact (the counter is
-//! process-global) — which is what lets `status` report "this submission
-//! rasterized nothing" and lets tests pin warm-cache dedup to zero. It
-//! also means no two executions ever render at the same time, so a
-//! key one job persisted is a plan-time cache hit for every later job.
+//! Jobs run strictly one at a time, in submission order, so a key one job
+//! persists is a plan-time cache hit for every later job: two jobs that
+//! share a key never both render it. Each job's `status` reports
+//! `rasters`, the tiles its own execution rasterized
+//! ([`re_sweep::SweepSummary::rasters`]) — which is what lets it say "this
+//! submission rasterized nothing" and lets tests pin warm-cache dedup to
+//! zero. A failed job reports none.
 //!
 //! Shutdown (the `shutdown` verb, SIGINT or SIGTERM) is a graceful
 //! drain: no new submissions are accepted, every already-accepted job
@@ -139,7 +140,8 @@ struct Job {
     shard: Option<ShardSpec>,
     store: PathBuf,
     status: JobStatus,
-    /// Raster invocations this job performed (exact: jobs are serial).
+    /// Tiles this job's execution rasterized (`None` until it is done, and
+    /// for a failed job).
     rasters: Option<u64>,
     cells: usize,
     render_jobs: usize,
@@ -316,7 +318,6 @@ fn run_one_job(state: &Arc<DaemonState>, index: usize) {
         ..SweepOptions::default()
     };
 
-    let before = re_gpu::raster_invocations();
     let plan = SweepPlan::compile(&grid);
     // `submit` already validated the shard, so a failure here (the spec
     // was valid then) can only mean internal inconsistency — surface it
@@ -328,27 +329,23 @@ fn run_one_job(state: &Arc<DaemonState>, index: usize) {
         None => Ok(plan),
     }
     .and_then(|plan| re_sweep::run_plan_with_store(&plan, &opts, &store));
-    let rasters = re_gpu::raster_invocations() - before;
 
-    let status = match result {
-        Ok(_) => JobStatus::Done,
-        Err(e) => JobStatus::Failed(e.to_string()),
+    let (status, reason, rasters) = match result {
+        Ok(summary) => (JobStatus::Done, "complete", summary.rasters),
+        Err(e) => (
+            JobStatus::Failed(e.to_string()),
+            "error",
+            re_sweep::failed_run_rasters(&e),
+        ),
     };
     if let Some(jsonl) = jsonl {
-        let _ = jsonl.finish_with_rasters(
-            if status == JobStatus::Done {
-                "complete"
-            } else {
-                "error"
-            },
-            Some(rasters),
-        );
+        let _ = jsonl.finish_with_rasters(reason, Some(rasters));
     }
     {
         let mut jobs = state.jobs.lock().expect("jobs poisoned");
         let job = &mut jobs[index];
+        job.rasters = (status == JobStatus::Done).then_some(rasters);
         job.status = status;
-        job.rasters = Some(rasters);
     }
     events.close();
     re_obs::metrics::counter(names::SERVE_JOBS_DONE).incr();

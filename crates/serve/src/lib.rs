@@ -6,9 +6,9 @@
 //! a warm `--log-dir` happens to cover it. `sweep serve` keeps that
 //! warmth in a live process: every submission compiles to a
 //! [`re_sweep::SweepPlan`], dedups its render jobs against the shared
-//! disk cache, and executes on the same [`re_sweep::ThreadExecutor`] as
-//! a one-shot run, one job at a time. A re-submitted grid costs only
-//! Stage B and performs zero raster invocations.
+//! disk cache, and runs through the same [`re_sweep::execute`] as a
+//! one-shot run, one job at a time. A re-submitted grid costs only Stage
+//! B and its execution rasterizes nothing.
 //!
 //! * [`proto`] — the line-delimited JSON wire protocol (versioned,
 //!   hostile-input hardened; schema in `docs/SERVING.md`);

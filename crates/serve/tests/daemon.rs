@@ -1,28 +1,21 @@
 //! End-to-end daemon tests: a real `Daemon` on an ephemeral port, real
 //! TCP clients, and the dedup/determinism contract — a re-submitted grid
 //! performs **zero** raster invocations and returns a `results.csv`
-//! byte-identical to the one-shot `sweep run` of the same grid.
-//!
-//! The `gpu.raster_invocations` counter is process-global, so every test
-//! that renders serializes on [`DAEMON_LOCK`].
+//! byte-identical to the one-shot `sweep run` of the same grid. Each job
+//! reports the tiles its own execution rasterized, so the tests run
+//! concurrently.
 
 use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use re_serve::proto::{read_frame, write_frame};
 use re_serve::{Client, Daemon, Request, Response, ServeConfig, MAX_LINE};
 use re_sweep::json::Json;
 use re_sweep::ExperimentGrid;
-
-static DAEMON_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    DAEMON_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -107,7 +100,6 @@ fn fetch_csv(addr: &str, job: u64) -> String {
 /// each other and to a one-shot in-process run of the same plan.
 #[test]
 fn second_submission_rasterizes_nothing_and_matches_one_shot_csv() {
-    let _guard = lock();
     let root = tmp_dir("dedup");
     let (addr, handle) = start_daemon(root.clone());
     let grid = small_grid();
@@ -124,17 +116,21 @@ fn second_submission_rasterizes_nothing_and_matches_one_shot_csv() {
     let csv2 = fetch_csv(&addr, job2);
     assert_eq!(csv1, csv2, "daemon CSVs must be byte-identical");
 
-    // One-shot reference run of the same grid (serial — the daemon is
-    // idle now, so the global raster counter stays attributable).
+    // One-shot reference run of the same grid: same CSV, and the same
+    // Stage A work as the cold job.
     let out = tmp_dir("dedup-oneshot");
     let plan = re_sweep::SweepPlan::compile(&grid);
     let opts = re_sweep::SweepOptions {
         quiet: true,
         ..re_sweep::SweepOptions::default()
     };
-    re_sweep::run_plan_with_store(&plan, &opts, &out).expect("one-shot run");
+    let oneshot = re_sweep::run_plan_with_store(&plan, &opts, &out).expect("one-shot run");
     let reference = std::fs::read_to_string(out.join("results.csv")).expect("one-shot csv");
     assert_eq!(csv1, reference, "daemon CSV must match one-shot CSV");
+    assert_eq!(
+        rasters1, oneshot.rasters,
+        "the cold job renders every key once"
+    );
 
     // The submit response advertised the dedup: every render job of the
     // second submission was already cached.
@@ -159,7 +155,6 @@ fn second_submission_rasterizes_nothing_and_matches_one_shot_csv() {
 /// `watch` streams the job's events and terminates with `done:true`.
 #[test]
 fn watch_streams_events_until_done() {
-    let _guard = lock();
     let root = tmp_dir("watch");
     let (addr, handle) = start_daemon(root);
     let (job, _) = submit_and_wait(&addr, &small_grid());
@@ -192,7 +187,6 @@ fn watch_streams_events_until_done() {
 /// gets an error and a close; and the daemon serves normally afterwards.
 #[test]
 fn hostile_clients_get_errors_not_crashes() {
-    let _guard = lock();
     let root = tmp_dir("hostile");
     let (addr, handle) = start_daemon(root);
 
@@ -272,7 +266,6 @@ fn hostile_clients_get_errors_not_crashes() {
 /// CSV byte-identical to the unsharded one-shot run.
 #[test]
 fn sharded_submissions_merge_to_the_unsharded_csv() {
-    let _guard = lock();
     let root = tmp_dir("shard");
     let (addr, handle) = start_daemon(root);
     let grid = small_grid(); // two render keys → a 2-way partition
@@ -338,7 +331,6 @@ fn sharded_submissions_merge_to_the_unsharded_csv() {
 /// Draining rejects new submissions but still answers status queries.
 #[test]
 fn draining_daemon_rejects_new_submissions() {
-    let _guard = lock();
     let root = tmp_dir("drain");
     let (addr, handle) = start_daemon(root);
     // Connect BEFORE the drain: a draining daemon accepts no new
@@ -360,4 +352,32 @@ fn draining_daemon_rejects_new_submissions() {
     drop(client);
     drop(submitter);
     handle.join().expect("daemon thread");
+}
+
+/// `submit --wait` must not read a done job without a raster count as 0
+/// rasters (that would pass a warm-dedup check): it fails instead.
+#[test]
+fn submit_wait_fails_on_a_done_job_without_a_raster_count() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    // A fake daemon: accepts the submission, then reports it done with no
+    // `rasters` field.
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        for reply in [
+            r#"{"ok":true,"job":7,"cells":1,"render_jobs":1,"cached_jobs":0}"#,
+            r#"{"ok":true,"job":7,"state":"done","cells":1,"done":1}"#,
+        ] {
+            read_frame(&mut reader).expect("read").expect("a request");
+            write_frame(&mut writer, &Json::parse(reply).expect("reply")).expect("write");
+        }
+    });
+    let args = [
+        "--addr", &addr, "submit", "--wait", "--scenes", "ccs", "--frames", "1",
+    ]
+    .map(String::from);
+    assert_ne!(re_serve::client::main(&args), ExitCode::SUCCESS);
+    fake.join().expect("fake daemon");
 }

@@ -1,5 +1,5 @@
 //! The sweep engine: compile a grid into a [`SweepPlan`], capture traces,
-//! hand the plan to the [`ThreadExecutor`], aggregate results.
+//! hand the plan to [`execute`], aggregate results.
 //!
 //! Execution model:
 //!
@@ -8,7 +8,7 @@
 //! 2. every distinct scene of the plan is captured **once** into a trace
 //!    (from the disk cache when available) — scene generators never cross a
 //!    thread boundary;
-//! 3. the [`ThreadExecutor`] fans the jobs out over the work-stealing
+//! 3. [`execute`] fans the jobs out over the work-stealing
 //!    pool: the first worker to reach a render job runs Stage A (or
 //!    decodes the key's cached `.relog`) and every cell of the job runs
 //!    only Stage B against the shared log, so a sweep over
@@ -16,7 +16,10 @@
 //! 4. results are re-assembled in cell-id order, so every aggregate —
 //!    returned reports, store records, the final CSV — is independent of
 //!    worker count, scheduling, cache state and sharding, and equal to the
-//!    monolithic per-cell pipeline ([`run_cell`]).
+//!    monolithic per-cell pipeline ([`run_cell`]);
+//! 5. every entry point reports the tiles its execution rasterized
+//!    ([`Execution::rasters`], [`SweepSummary::rasters`]): the evidence
+//!    for render-once, exact under concurrent executions.
 //!
 //! [`run_grid`] is a thin wrapper (compile + execute) kept for its two
 //! non-test callers, the bench harness and the ablation studies; every
@@ -24,6 +27,7 @@
 //! [`run_plan_with_store`].
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -34,7 +38,7 @@ use re_gpu::ParallelRaster;
 use re_trace::{Trace, TraceScene};
 
 use crate::artifacts::TraceCache;
-use crate::exec::{NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor};
+use crate::exec::{execute, Execution, NullObserver, StderrObserver, SweepEvent, SweepObserver};
 use crate::grid::{Cell, ExperimentGrid, RenderKey};
 use crate::plan::SweepPlan;
 use crate::store::{CellRecord, ResultStore};
@@ -114,16 +118,6 @@ impl SweepOptions {
         }
     }
 
-    /// The executor these options describe.
-    fn executor(&self) -> ThreadExecutor {
-        ThreadExecutor {
-            workers: self.workers,
-            log_dir: self.log_dir.clone(),
-            relog_compress: self.relog_compress,
-            heartbeat: self.heartbeat,
-        }
-    }
-
     /// The plan with every render job a cached `.relog` covers marked
     /// satisfied. Borrowed (no copy) without a log directory.
     fn annotated<'a>(&self, plan: &'a SweepPlan) -> std::borrow::Cow<'a, SweepPlan> {
@@ -158,24 +152,51 @@ pub struct SweepSummary {
     pub resumed: usize,
     /// Cells executed by this run.
     pub ran: usize,
+    /// Tiles this run's execution rasterized ([`Execution::rasters`]; 0
+    /// when every pending key replayed a cached `.relog` or nothing was
+    /// pending).
+    pub rasters: u64,
 }
 
-/// Captures (or loads from cache) the named scenes.
-fn capture(
+/// A store run's error raised after its execution ran (store commit,
+/// record check, `results.csv` write), carrying the execution's raster
+/// count for [`failed_run_rasters`].
+#[derive(Debug)]
+struct FailedAfterExecution(u64, io::Error);
+
+impl fmt::Display for FailedAfterExecution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.1.fmt(f)
+    }
+}
+
+impl std::error::Error for FailedAfterExecution {}
+
+/// Tiles a failed [`run_plan_with_store`] rasterized: its execution's
+/// count when the failure came after the execution, else 0 (Stage A never
+/// started).
+pub fn failed_run_rasters(error: &io::Error) -> u64 {
+    let failed = error.get_ref().and_then(|e| e.downcast_ref());
+    failed.map_or(0, |FailedAfterExecution(rasters, _)| *rasters)
+}
+
+/// Captures (or loads from cache) `aliases` at `plan`'s frame count and
+/// screen size, announcing each with [`SweepEvent::CaptureStart`] and
+/// [`SweepEvent::CaptureDone`] and timing it into `sweep.stage.capture`.
+pub(crate) fn capture(
     aliases: &[&'static str],
-    frames: usize,
-    width: u32,
-    height: u32,
+    plan: &SweepPlan,
     opts: &SweepOptions,
 ) -> io::Result<HashMap<&'static str, Arc<Trace>>> {
     // Captures run the full geometry+raster pipeline per frame; the default
     // GpuConfig only carries screen geometry, and replay overrides it per
     // cell anyway.
     let capture_cfg = re_gpu::GpuConfig {
-        width,
-        height,
+        width: plan.width(),
+        height: plan.height(),
         ..re_gpu::GpuConfig::default()
     };
+    let frames = plan.frames();
     let observer = opts.effective_observer();
     let capture_hist = re_obs::metrics::histogram(re_obs::names::STAGE_CAPTURE);
     let mut cache = TraceCache::new(opts.trace_dir.clone());
@@ -210,29 +231,7 @@ pub fn capture_plan_traces(
     plan: &SweepPlan,
     opts: &SweepOptions,
 ) -> io::Result<HashMap<&'static str, Arc<Trace>>> {
-    capture(
-        &plan.scene_aliases(),
-        plan.frames(),
-        plan.width(),
-        plan.height(),
-        opts,
-    )
-}
-
-/// Captures exactly the traces an execution of `plan` will touch: only
-/// scenes with at least one *unsatisfied* render job (a plan fully
-/// covered by cached logs captures nothing).
-fn capture_execution_traces(
-    plan: &SweepPlan,
-    opts: &SweepOptions,
-) -> io::Result<HashMap<&'static str, Arc<Trace>>> {
-    capture(
-        &plan.pending_scene_aliases(),
-        plan.frames(),
-        plan.width(),
-        plan.height(),
-        opts,
-    )
+    capture(&plan.scene_aliases(), plan, opts)
 }
 
 /// Runs one cell against a shared trace through the monolithic per-cell
@@ -335,31 +334,30 @@ pub fn render_key_log_parallel(
     }
 }
 
-/// Runs a compiled plan in memory on the [`ThreadExecutor`] and
-/// returns every outcome in cell-id order. With a
-/// [`log_dir`](SweepOptions::log_dir), render jobs covered by valid cached
+/// Runs a compiled plan in memory through [`execute`] and returns every
+/// outcome in cell-id order, plus the tiles the execution rasterized.
+/// With a [`log_dir`](SweepOptions::log_dir), render jobs covered by valid cached
 /// `.relog` artifacts skip Stage A entirely (and are excluded from trace
 /// capture); fresh renders are persisted for the next run.
 ///
 /// # Errors
 /// Trace capture/caching errors.
-pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> io::Result<Vec<CellOutcome>> {
+pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> io::Result<Execution> {
     let plan = opts.annotated(plan);
-    let traces = capture_execution_traces(&plan, opts)?;
-    let observer = opts.effective_observer();
-    Ok(opts
-        .executor()
-        .execute(plan.as_ref(), &traces, observer.as_ref(), &|_, _| {}))
+    // Only scenes with an unsatisfied render job: a plan fully covered by
+    // cached logs captures nothing.
+    let traces = capture(&plan.pending_scene_aliases(), &plan, opts)?;
+    Ok(execute(&plan, &traces, opts, &|_, _| {}))
 }
 
 /// Runs the whole grid in memory and returns every outcome in cell-id
-/// order. This is the entry point `re-bench` layers its suite harness and
-/// ablation studies on — a thin wrapper over [`SweepPlan::compile`] +
-/// [`run_plan`].
+/// order, plus the tiles the execution rasterized. This is the entry
+/// point `re-bench` layers its suite harness and ablation studies on — a
+/// thin wrapper over [`SweepPlan::compile`] + [`run_plan`].
 ///
 /// # Errors
 /// Trace capture/caching errors.
-pub fn run_grid(grid: &ExperimentGrid, opts: &SweepOptions) -> io::Result<Vec<CellOutcome>> {
+pub fn run_grid(grid: &ExperimentGrid, opts: &SweepOptions) -> io::Result<Execution> {
     run_plan(&SweepPlan::compile(grid), opts)
 }
 
@@ -375,7 +373,8 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &SweepOptions) -> io::Result<Vec<Ce
 ///
 /// # Errors
 /// Store/trace I/O errors, including a store that belongs to a different
-/// grid or a different shard of this grid.
+/// grid or a different shard of this grid. An error raised after the
+/// execution ran still carries its raster count ([`failed_run_rasters`]).
 pub fn run_plan_with_store(
     plan: &SweepPlan,
     opts: &SweepOptions,
@@ -409,8 +408,13 @@ pub fn run_plan_with_store(
         });
     }
 
-    let outcomes = if ran == 0 {
-        Vec::new()
+    // Commit from the worker so a killed sweep keeps finished cells. A
+    // failed commit must not report success (an apparently complete store
+    // that silently lacks records would poison later resumes and merges),
+    // so the first store error is kept and returned after the pool drains.
+    let record_error = Mutex::new(None::<io::Error>);
+    let execution = if ran == 0 {
+        Execution::default()
     } else {
         // Cached render logs satisfy whatever keys they cover — a fully
         // warm resume rasterizes nothing.
@@ -418,55 +422,50 @@ pub fn run_plan_with_store(
         // Capture only the scenes that still have pending cells (a resume
         // with one cell left must not re-capture the other nine
         // workloads) — and, of those, only the ones no cached log covers.
-        let traces = capture_execution_traces(&pending, opts)?;
-        // Commit from the worker so a killed sweep keeps finished cells.
-        // A failed commit must not report success (an apparently complete
-        // store that silently lacks records would poison later resumes and
-        // merges), so the first store error is kept and returned after the
-        // pool drains.
-        let record_error = Mutex::new(None::<io::Error>);
-        let outcomes =
-            opts.executor()
-                .execute(&pending, &traces, observer.as_ref(), &|cell, report| {
-                    if let Err(e) = store.record(&CellRecord::from_run(cell, report)) {
-                        record_error
-                            .lock()
-                            .expect("record_error lock poisoned")
-                            .get_or_insert(e);
-                    }
-                });
-        if let Some(e) = record_error
-            .into_inner()
-            .expect("record_error lock poisoned")
-        {
-            return Err(io::Error::new(
-                e.kind(),
-                format!("failed to commit a cell record to the store: {e}"),
-            ));
-        }
-        outcomes
+        let traces = capture(&pending.pending_scene_aliases(), &pending, opts)?;
+        execute(&pending, &traces, opts, &|cell, report| {
+            if let Err(e) = store.record(&CellRecord::from_run(cell, report)) {
+                record_error
+                    .lock()
+                    .expect("record_error lock poisoned")
+                    .get_or_insert(e);
+            }
+        })
     };
+    let rasters = execution.rasters;
+    let failed = |e: io::Error| io::Error::new(e.kind(), FailedAfterExecution(rasters, e));
+    if let Some(e) = record_error
+        .into_inner()
+        .expect("record_error lock poisoned")
+    {
+        return Err(failed(io::Error::new(
+            e.kind(),
+            format!("failed to commit a cell record to the store: {e}"),
+        )));
+    }
 
     let mut records = existing;
     records.extend(
-        outcomes
+        execution
+            .outcomes
             .iter()
             .map(|o| CellRecord::from_run(&o.cell, &o.report)),
     );
     records.sort_by_key(|r| r.id);
     if records.len() != plan.cell_count() {
-        return Err(io::Error::other(format!(
+        return Err(failed(io::Error::other(format!(
             "sweep incomplete: {} of {} cells recorded",
             records.len(),
             plan.cell_count()
-        )));
+        ))));
     }
-    let csv_path = store.write_csv(&records)?;
+    let csv_path = store.write_csv(&records).map_err(failed)?;
     Ok(SweepSummary {
         records,
         csv_path,
         resumed,
         ran,
+        rasters,
     })
 }
 
@@ -494,7 +493,7 @@ mod tests {
 
     #[test]
     fn outcomes_arrive_in_cell_order() {
-        let outcomes = run_grid(&tiny_grid(), &quiet()).expect("run");
+        let outcomes = run_grid(&tiny_grid(), &quiet()).expect("run").outcomes;
         assert_eq!(outcomes.len(), 4);
         for (i, o) in outcomes.iter().enumerate() {
             assert_eq!(o.cell.id, i);
@@ -511,7 +510,7 @@ mod tests {
         let grid = tiny_grid()
             .with_axis(crate::axis::SIG_BITS, vec![16, 32])
             .with_axis(crate::axis::COMPARE_DISTANCE, vec![1, 2]);
-        let grouped = run_grid(&grid, &quiet()).expect("grouped");
+        let grouped = run_grid(&grid, &quiet()).expect("grouped").outcomes;
         let traces = capture_plan_traces(&SweepPlan::compile(&grid), &quiet()).expect("capture");
         let cells = grid.cells();
         assert_eq!(grouped.len(), cells.len());
@@ -569,13 +568,16 @@ mod tests {
         let first = run_plan_with_store(&plan, &quiet(), &dir).expect("run");
         assert_eq!(first.resumed, 0);
         assert_eq!(first.ran, 4);
+        // 4 render keys (2 scenes × 2 tile sizes), 3 frames each: 32
+        // 16px tiles or 8 32px tiles per frame.
+        assert_eq!(first.rasters, 2 * 3 * (32 + 8));
         let csv = std::fs::read_to_string(&first.csv_path).unwrap();
         assert_eq!(csv.lines().count(), 5);
 
         // Second invocation: everything already recorded.
         let second = run_plan_with_store(&plan, &quiet(), &dir).expect("rerun");
         assert_eq!(second.resumed, 4);
-        assert_eq!(second.ran, 0);
+        assert_eq!((second.ran, second.rasters), (0, 0));
         assert_eq!(std::fs::read_to_string(&second.csv_path).unwrap(), csv);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -592,7 +594,7 @@ mod tests {
 
         // Cold run writes one artifact per render key; warm run replays
         // them and must agree bit for bit with a cache-free run.
-        let cold = run_grid(&grid, &with_logs).expect("cold run");
+        let cold = run_grid(&grid, &with_logs).expect("cold run").outcomes;
         let plan = SweepPlan::compile(&grid);
         let mut annotated = plan.clone();
         let satisfied = annotated.attach_cached_logs(&crate::artifacts::RenderLogCache::new(
@@ -602,8 +604,8 @@ mod tests {
         assert_eq!(annotated.satisfied_render_jobs(), satisfied);
         assert!(annotated.pending_scene_aliases().is_empty());
 
-        let warm = run_grid(&grid, &with_logs).expect("warm run");
-        let memory_only = run_grid(&grid, &quiet()).expect("no cache");
+        let warm = run_grid(&grid, &with_logs).expect("warm run").outcomes;
+        let memory_only = run_grid(&grid, &quiet()).expect("no cache").outcomes;
         for ((a, b), c) in warm.iter().zip(&cold).zip(&memory_only) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.report, b.report, "cell {}", a.cell.id);
@@ -615,10 +617,33 @@ mod tests {
         let s1 = run_plan_with_store(&plan, &with_logs, base.join("store1")).expect("store cold");
         let s2 = run_plan_with_store(&plan, &with_logs, base.join("store2")).expect("store warm");
         assert_eq!(
+            (s1.rasters, s2.rasters),
+            (0, 0),
+            "both replay the cached logs"
+        );
+        assert_eq!(
             std::fs::read_to_string(&s1.csv_path).unwrap(),
             std::fs::read_to_string(&s2.csv_path).unwrap()
         );
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_store_failure_after_execution_keeps_the_raster_count() {
+        let dir = std::env::temp_dir().join(format!("re_sweep_failed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A non-empty directory where results.csv goes: every cell commits,
+        // then the CSV write fails.
+        std::fs::create_dir_all(dir.join("results.csv").join("in-the-way")).expect("mkdir");
+        let plan = SweepPlan::compile(&tiny_grid());
+        let err = run_plan_with_store(&plan, &quiet(), &dir).unwrap_err();
+        assert_eq!(failed_run_rasters(&err), 2 * 3 * (32 + 8), "{err}");
+        // A run that fails before executing rasterized nothing.
+        let other = SweepPlan::compile(&tiny_grid().with_scenes(&["ccs"]));
+        let err = run_plan_with_store(&other, &quiet(), &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(failed_run_rasters(&err), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Plan execution: the [`ThreadExecutor`] and the [`SweepObserver`]
-//! progress-event channel.
+//! Plan execution: [`execute`] and the [`SweepObserver`] progress-event
+//! channel.
 //!
-//! The executor takes a compiled [`SweepPlan`] plus the captured traces and
-//! runs the plan's jobs, returning outcomes in cell-id order. Its contract:
+//! [`execute`] takes a compiled [`SweepPlan`], the captured traces and the
+//! run's [`SweepOptions`], runs the plan's jobs and returns an
+//! [`Execution`]: the outcomes in cell-id order plus the number of tiles
+//! its own Stage A renders rasterized. Its contract:
 //!
 //! * **render-once** — each [`crate::plan::RenderJob`] runs Stage A at
 //!   most once (never when a cached `.relog` satisfies it) and its log is
@@ -28,8 +30,8 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,10 +42,10 @@ use re_obs::names;
 use re_obs::{Counter, Histogram, Stopwatch};
 use re_trace::Trace;
 
-use crate::artifacts::{capture_alias, RenderLogCache};
-use crate::engine::{render_key_log_parallel, CellOutcome};
+use crate::artifacts::RenderLogCache;
+use crate::engine::{self, render_key_log_parallel, CellOutcome, SweepOptions};
 use crate::grid::{Cell, RenderKey};
-use crate::plan::{EvalJob, RenderJob, ShardSpec, SweepPlan};
+use crate::plan::{EvalJob, ShardSpec, SweepPlan};
 use crate::pool;
 
 /// One progress event of a running sweep.
@@ -448,6 +450,38 @@ impl<'o> Progress<'o> {
         });
     }
 
+    /// Runs `body` with the heartbeat watchdog alive (when `heartbeat` is
+    /// set and there is work): ticks every interval, plus a final tick
+    /// after `body` returns so every execution's event stream ends with a
+    /// `done == total` progress record.
+    fn with_heartbeat<R>(&self, heartbeat: Option<Duration>, body: impl FnOnce() -> R) -> R {
+        let Some(interval) = heartbeat.filter(|_| self.total > 0) else {
+            return body();
+        };
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let ticker = s.spawn(|| {
+                // Poll well under the interval so shutdown is prompt.
+                let poll = interval
+                    .max(Duration::from_millis(1))
+                    .min(Duration::from_millis(25));
+                let mut since = Instant::now();
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(poll);
+                    if since.elapsed() >= interval {
+                        self.tick();
+                        since = Instant::now();
+                    }
+                }
+                self.tick();
+            });
+            let out = body();
+            stop.store(true, Ordering::Relaxed);
+            let _ = ticker.join();
+            out
+        })
+    }
+
     /// Emits one [`SweepEvent::Progress`] heartbeat.
     fn tick(&self) {
         let done = self.done.load(Ordering::Relaxed);
@@ -490,11 +524,12 @@ struct GroupSlot {
 
 /// What the workers of one execution share to run a plan grouped by
 /// render key: one slot per render job, the `.relog` cache, the Stage A
-/// budget, the metric handles (resolved once, so workers never touch the
-/// registry lock), and the progress and commit hooks.
+/// budget and raster count, the metric handles (resolved once, so workers
+/// never touch the registry lock), and the progress and commit hooks.
 struct Grouped<'a> {
-    render_jobs: &'a [RenderJob],
+    plan: &'a SweepPlan,
     traces: &'a HashMap<&'static str, Arc<Trace>>,
+    opts: &'a SweepOptions,
     progress: &'a Progress<'a>,
     on_done: &'a (dyn Fn(&Cell, &RunReport) + Sync),
     slots: Vec<GroupSlot>,
@@ -506,6 +541,8 @@ struct Grouped<'a> {
     /// adaptive budget never perturbs results.
     render_budget: usize,
     active_renders: AtomicUsize,
+    /// Tiles rasterized by this execution's renders.
+    rasters: AtomicU64,
     eval_hist: Arc<Histogram>,
     store_hist: Arc<Histogram>,
     render_hist: Arc<Histogram>,
@@ -521,11 +558,11 @@ struct Grouped<'a> {
 }
 
 impl<'a> Grouped<'a> {
-    /// Sets up one slot per render job of `plan` for `exec` running on
-    /// `workers` threads, and emits the execution's
+    /// Sets up one slot per render job of `plan` for an execution under
+    /// `opts` running on `workers` threads, and emits the execution's
     /// [`SweepEvent::GroupStart`].
     fn new(
-        exec: &ThreadExecutor,
+        opts: &'a SweepOptions,
         plan: &'a SweepPlan,
         traces: &'a HashMap<&'static str, Arc<Trace>>,
         progress: &'a Progress<'a>,
@@ -540,9 +577,13 @@ impl<'a> Grouped<'a> {
         });
         let histogram = re_obs::metrics::histogram;
         let counter = re_obs::metrics::counter;
+        // The GPU registers the process-wide raster total on its first
+        // tile; register it here so a raster-free run's metrics list it as 0.
+        counter(names::RASTER_INVOCATIONS);
         Grouped {
-            render_jobs: plan.render_jobs(),
+            plan,
             traces,
+            opts,
             progress,
             on_done,
             slots: plan
@@ -553,8 +594,8 @@ impl<'a> Grouped<'a> {
                     remaining: AtomicUsize::new(rj.cells.len()),
                 })
                 .collect(),
-            log_cache: RenderLogCache::new(exec.log_dir.clone()).with_compression(
-                if exec.relog_compress {
+            log_cache: RenderLogCache::new(opts.log_dir.clone()).with_compression(
+                if opts.relog_compress {
                     Compression::Lzss
                 } else {
                     Compression::None
@@ -562,6 +603,7 @@ impl<'a> Grouped<'a> {
             ),
             render_budget: workers,
             active_renders: AtomicUsize::new(0),
+            rasters: AtomicU64::new(0),
             eval_hist: histogram(names::STAGE_EVAL),
             store_hist: histogram(names::STAGE_STORE),
             render_hist: histogram(names::STAGE_RENDER),
@@ -578,9 +620,10 @@ impl<'a> Grouped<'a> {
     }
 
     /// Stage A for `key`, capturing the scene's trace first when the plan
-    /// captured none for it. With a log directory the log is also stored
-    /// in the `.relog` cache (best-effort: a failed write costs the cache
-    /// entry, never the sweep).
+    /// captured none for it, and counts its tiles (one per
+    /// `rasterize_tile_detached` call) into the execution's rasters. With
+    /// a log directory the log is also stored in the `.relog` cache
+    /// (best-effort: a failed write costs the cache entry, never the sweep).
     fn render(&self, key: &RenderKey, worker: usize) -> RenderLog {
         let observer = self.progress.observer;
         let (scene, tile_size) = (key.scene(), key.tile_size());
@@ -592,19 +635,11 @@ impl<'a> Grouped<'a> {
         let trace = match self.traces.get(scene) {
             Some(t) => Arc::clone(t),
             // Traces are only captured for unsatisfied jobs; if a satisfied
-            // job's artifact just vanished, capture its trace on the fly.
-            None => Arc::new(
-                capture_alias(
-                    scene,
-                    key.frames(),
-                    re_gpu::GpuConfig {
-                        width: key.gpu_config().width,
-                        height: key.gpu_config().height,
-                        ..re_gpu::GpuConfig::default()
-                    },
-                )
-                .expect("workload aliases in a plan are known"),
-            ),
+            // job's artifact just vanished, capture its trace now, the way
+            // the plan's captures run (trace cache, events, metrics).
+            None => engine::capture(&[scene], self.plan, self.opts)
+                .expect("capture the trace of a key whose artifact vanished")[scene]
+                .clone(),
         };
         let in_flight = self.active_renders.fetch_add(1, Ordering::AcqRel) + 1;
         let budget = (self.render_budget / in_flight).max(1);
@@ -612,6 +647,8 @@ impl<'a> Grouped<'a> {
         let rendered = render_key_log_parallel(&trace, key, budget);
         self.active_renders.fetch_sub(1, Ordering::AcqRel);
         let duration = sw.elapsed();
+        let tiles = rendered.log.frame_count() as u64 * u64::from(rendered.log.tile_count());
+        self.rasters.fetch_add(tiles, Ordering::Relaxed);
         self.render_hist.record(duration);
         self.frame_chunks.add(rendered.chunks.len() as u64);
         self.stitch_hist.record(rendered.stitch);
@@ -694,7 +731,7 @@ impl<'a> Grouped<'a> {
     /// cached artifact, every other job renders. Returns the state and the
     /// time to charge to the building cell's Stage B.
     fn build(&self, index: usize, worker: usize) -> (KeyState, Duration) {
-        let render_job = &self.render_jobs[index];
+        let render_job = &self.plan.render_jobs()[index];
         let key = &render_job.key;
         // The plan checked only the artifact's header. A failed load means
         // a corrupt frame or an artifact that changed underneath the plan:
@@ -760,121 +797,72 @@ impl<'a> Grouped<'a> {
     }
 }
 
-/// The sweep executor: std threads over the work-stealing [`pool`].
+/// What one execution produced.
+#[derive(Debug, Default)]
+pub struct Execution {
+    /// One outcome per eval job, in cell-id order.
+    pub outcomes: Vec<CellOutcome>,
+    /// Tiles its own Stage A renders rasterized (frames × tiles per frame
+    /// per rendered key; none for a key decoded from a cached `.relog`),
+    /// exact under concurrent executions, unlike [`re_gpu::raster_invocations`].
+    pub rasters: u64,
+}
+
+/// Executes every job of `plan` against already-captured traces under
+/// `opts` (worker count, `.relog` directory and compression, heartbeat,
+/// and the observer [`SweepOptions::effective_observer`] picks) and
+/// returns one outcome per eval job, in cell-id order regardless of
+/// scheduling, with the execution's raster count. `on_done` is invoked
+/// from worker context as each cell completes (the store's commit hook).
 ///
 /// Eval jobs are seeded round-robin, in cell-id order, over the
-/// work-stealing [`pool`]. Cell ids are contiguous per render job, so
-/// with one cell per job neighbouring workers start on different jobs and
-/// Stage A parallelizes across keys, but with several cells per job the
-/// workers start on the *same* job: cells 0 and 1 of the first job land
-/// on workers 0 and 1. Within a job, the first worker builds the key's
-/// log (holding only that job's lock) while the others wait for it, and
-/// every cell evaluates it, splitting the key's Stage B sections through
-/// its [`SectionTable`] (see [`re_core::share`]). The log and its
-/// sections are freed as the job's last cell finishes.
+/// work-stealing [`pool`] of std threads. Cell ids are contiguous per
+/// render job, so with one cell per job neighbouring workers start on
+/// different jobs and Stage A parallelizes across keys, but with several
+/// cells per job the workers start on the *same* job: cells 0 and 1 of
+/// the first job land on workers 0 and 1. Within a job, the first worker
+/// builds the key's log (holding only that job's lock) while the others
+/// wait for it, and every cell evaluates it, splitting the key's Stage B
+/// sections through its [`SectionTable`] (see [`re_core::share`]). The log
+/// and its sections are freed as the job's last cell finishes.
 ///
 /// Render jobs a cached `.relog` satisfies ([`RenderJob::cached_log`])
 /// never run Stage A at all: their first cell decodes the artifact into
 /// memory once for all of them, so warm and cold jobs take one evaluation
 /// path and hold at most one log per render key in flight. With
-/// [`log_dir`](Self::log_dir) set, every job that *does* render persists
+/// [`SweepOptions::log_dir`] set, every job that *does* render persists
 /// its log on completion, so the next execution of the same keys is
 /// raster-free; that includes a satisfied job whose artifact vanished
-/// after the plan was annotated, so the cache repairs itself.
+/// after the plan was annotated (its trace is captured on the spot), so
+/// the cache repairs itself.
 ///
 /// Stage A's parallelism budget is the worker count, divided among the
 /// renders in flight ([`render_key_log_parallel`]): a lone key spreads its
 /// frames and tiles over every worker, many keys split the workers.
 ///
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
-#[derive(Debug, Clone)]
-pub struct ThreadExecutor {
-    /// Worker threads; 0 means [`pool::default_workers`].
-    pub workers: usize,
-    /// Directory to persist freshly rendered `.relog` artifacts into
-    /// (`None` = don't write). Writes are best-effort: a full disk costs
-    /// the cache entry, never the sweep.
-    pub log_dir: Option<PathBuf>,
-    /// Persist `.relog` artifacts with LZSS-compressed frames instead of
-    /// stored ones. Both settings write the one `.relog` framing, so
-    /// replay reads either.
-    pub relog_compress: bool,
-    /// Interval of the [`SweepEvent::Progress`] heartbeat (`None` =
-    /// disabled). A watchdog thread emits the event even while every
-    /// worker is busy, plus one final tick as the execution ends.
-    pub heartbeat: Option<Duration>,
-}
-
-impl Default for ThreadExecutor {
-    fn default() -> Self {
-        ThreadExecutor {
-            workers: 0,
-            log_dir: None,
-            relog_compress: false,
-            heartbeat: Some(Duration::from_secs(10)),
-        }
+pub fn execute(
+    plan: &SweepPlan,
+    traces: &HashMap<&'static str, Arc<Trace>>,
+    opts: &SweepOptions,
+    on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
+) -> Execution {
+    let jobs = plan.eval_jobs().to_vec();
+    let workers = if opts.workers == 0 {
+        pool::default_workers()
+    } else {
+        opts.workers
     }
-}
-
-impl ThreadExecutor {
-    /// Executes every job of `plan` against already-captured traces and
-    /// returns one outcome per eval job, in cell-id order regardless of
-    /// scheduling. `on_done` is invoked from worker context as each cell
-    /// completes (the store's commit hook).
-    pub fn execute(
-        &self,
-        plan: &SweepPlan,
-        traces: &HashMap<&'static str, Arc<Trace>>,
-        observer: &dyn SweepObserver,
-        on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
-    ) -> Vec<CellOutcome> {
-        let jobs = plan.eval_jobs().to_vec();
-        let workers = if self.workers == 0 {
-            pool::default_workers()
-        } else {
-            self.workers
-        }
-        .clamp(1, jobs.len().max(1));
-        let progress = Progress::new(jobs.len(), observer);
-        let grouped = Grouped::new(self, plan, traces, &progress, on_done, workers);
-        self.with_heartbeat(&progress, || {
-            pool::run_indexed(jobs, workers, |worker, _i, job| grouped.cell(worker, job))
-        })
-    }
-
-    /// Runs `body` with the heartbeat watchdog alive (when enabled and
-    /// there is work): ticks every interval, plus a final tick after
-    /// `body` returns so every execution's event stream ends with a
-    /// `done == total` progress record.
-    fn with_heartbeat<R>(&self, progress: &Progress<'_>, body: impl FnOnce() -> R) -> R {
-        let Some(interval) = self.heartbeat else {
-            return body();
-        };
-        if progress.total == 0 {
-            return body();
-        }
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let ticker = s.spawn(|| {
-                // Poll well under the interval so shutdown is prompt.
-                let poll = interval
-                    .max(Duration::from_millis(1))
-                    .min(Duration::from_millis(25));
-                let mut since = Instant::now();
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(poll);
-                    if since.elapsed() >= interval {
-                        progress.tick();
-                        since = Instant::now();
-                    }
-                }
-                progress.tick();
-            });
-            let out = body();
-            stop.store(true, Ordering::Relaxed);
-            let _ = ticker.join();
-            out
-        })
+    .clamp(1, jobs.len().max(1));
+    let observer = opts.effective_observer();
+    let progress = Progress::new(jobs.len(), observer.as_ref());
+    let grouped = Grouped::new(opts, plan, traces, &progress, on_done, workers);
+    let outcomes = progress.with_heartbeat(opts.heartbeat, || {
+        pool::run_indexed(jobs, workers, |worker, _i, job| grouped.cell(worker, job))
+    });
+    Execution {
+        outcomes,
+        rasters: grouped.rasters.into_inner(),
     }
 }
 
@@ -884,7 +872,7 @@ mod tests {
     use crate::axis;
     use crate::engine::capture_plan_traces;
     use crate::grid::ExperimentGrid;
-    use crate::SweepOptions;
+    use std::sync::Barrier;
 
     fn tiny_grid() -> ExperimentGrid {
         let mut g = ExperimentGrid::default()
@@ -896,9 +884,37 @@ mod tests {
         g
     }
 
+    /// Tiles one render of a [`tiny_grid`] key rasterizes: 2 frames × 32
+    /// tiles.
+    const TINY_KEY_RASTERS: u64 = 2 * (128 / 16) * (64 / 16);
+
+    fn quiet() -> SweepOptions {
+        SweepOptions {
+            quiet: true,
+            ..SweepOptions::default()
+        }
+    }
+
+    /// Options for an execution on `workers` threads that reports to
+    /// `observer`.
+    fn observed(workers: usize, observer: &Arc<impl SweepObserver + 'static>) -> SweepOptions {
+        SweepOptions {
+            workers,
+            observer: Some(Arc::clone(observer) as Arc<dyn SweepObserver>),
+            ..SweepOptions::default()
+        }
+    }
+
     /// Collects events (thread-safely) for assertions.
     #[derive(Default)]
     struct Recorder(Mutex<Vec<String>>);
+
+    impl Recorder {
+        /// The events recorded so far, leaving the recorder empty.
+        fn take(&self) -> Vec<String> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
 
     impl SweepObserver for Recorder {
         fn on_event(&self, event: &SweepEvent<'_>) {
@@ -943,29 +959,23 @@ mod tests {
     }
 
     #[test]
-    fn thread_executor_runs_a_plan_and_reports_events() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
-        let recorder = Recorder::default();
+    fn execute_runs_a_plan_and_reports_events() {
+        let plan = SweepPlan::compile(&tiny_grid());
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
+        let recorder = Arc::new(Recorder::default());
         let count = AtomicUsize::new(0);
-        let exec = ThreadExecutor {
-            workers: 2,
-            ..ThreadExecutor::default()
-        };
-        let outcomes = exec.execute(&plan, &traces, &recorder, &|_, _| {
+        let run = execute(&plan, &traces, &observed(2, &recorder), &|_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(outcomes.len(), 2);
+        assert_eq!(run.outcomes.len(), 2);
         assert_eq!(count.load(Ordering::Relaxed), 2);
-        for (i, o) in outcomes.iter().enumerate() {
+        for (i, o) in run.outcomes.iter().enumerate() {
             assert_eq!(o.cell.id, i);
         }
-        let events = recorder.0.into_inner().unwrap();
+        // One key rendered once: its frames × tiles, whatever other tests
+        // rasterize at the same time.
+        assert_eq!(run.rasters, TINY_KEY_RASTERS);
+        let events = recorder.take();
         assert!(events.contains(&"group:2/1:w2".to_string()), "{events:?}");
         // One render (one key), two cell completions, two eval records.
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
@@ -979,42 +989,30 @@ mod tests {
 
     #[test]
     fn heartbeat_interval_ticks_during_execution() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
+        let plan = SweepPlan::compile(&tiny_grid());
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
+        let recorder = Arc::new(Recorder::default());
         let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
-        let recorder = Recorder::default();
-        let exec = ThreadExecutor {
-            workers: 1,
             heartbeat: Some(Duration::from_millis(1)),
-            ..ThreadExecutor::default()
+            ..observed(1, &recorder)
         };
-        exec.execute(&plan, &traces, &recorder, &|_, _| {});
-        let events = recorder.0.into_inner().unwrap();
+        execute(&plan, &traces, &opts, &|_, _| {});
+        let events = recorder.take();
         let ticks = events.iter().filter(|e| e.starts_with("progress:")).count();
         assert!(ticks >= 1, "{events:?}");
     }
 
     #[test]
     fn disabled_heartbeat_emits_no_progress() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
+        let plan = SweepPlan::compile(&tiny_grid());
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
+        let recorder = Arc::new(Recorder::default());
         let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
-        let recorder = Recorder::default();
-        let exec = ThreadExecutor {
-            workers: 2,
             heartbeat: None,
-            ..ThreadExecutor::default()
+            ..observed(2, &recorder)
         };
-        exec.execute(&plan, &traces, &recorder, &|_, _| {});
-        let events = recorder.0.into_inner().unwrap();
+        execute(&plan, &traces, &opts, &|_, _| {});
+        let events = recorder.take();
         assert!(
             !events.iter().any(|e| e.starts_with("progress:")),
             "{events:?}"
@@ -1028,19 +1026,13 @@ mod tests {
         let mut grid = tiny_grid().with_axis(axis::COMPARE_DISTANCE, vec![1, 2]);
         grid.frames = 6;
         let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
         let run = |workers| {
-            let recorder = Recorder::default();
-            let outcomes = ThreadExecutor {
-                workers,
-                ..ThreadExecutor::default()
-            }
-            .execute(&plan, &traces, &recorder, &|_, _| {});
-            (outcomes, recorder.0.into_inner().unwrap())
+            let recorder = Arc::new(Recorder::default());
+            let run = execute(&plan, &traces, &observed(workers, &recorder), &|_, _| {});
+            // Chunking and banding are raster-exact: 6 frames × 32 tiles.
+            assert_eq!(run.rasters, 6 * 32, "{workers} workers");
+            (run.outcomes, recorder.take())
         };
         let (serial, serial_events) = run(1);
         let (parallel, parallel_events) = run(4);
@@ -1067,18 +1059,13 @@ mod tests {
 
     #[test]
     fn grouped_and_per_cell_executors_agree() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
+        let plan = SweepPlan::compile(&tiny_grid());
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
         let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
-        let grouped = ThreadExecutor {
             workers: 2,
-            ..ThreadExecutor::default()
-        }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+            ..quiet()
+        };
+        let grouped = execute(&plan, &traces, &opts, &|_, _| {}).outcomes;
         assert_eq!(grouped.len(), plan.cell_count());
         for (a, job) in grouped.iter().zip(plan.eval_jobs()) {
             assert_eq!(a.cell, job.cell);
@@ -1096,35 +1083,35 @@ mod tests {
 
     #[test]
     fn log_dir_executions_agree_cold_warm_and_vanished() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
-        let reference = ThreadExecutor {
-            workers: 2,
-            ..ThreadExecutor::default()
-        }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+        let plan = SweepPlan::compile(&tiny_grid());
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
+        let reference = execute(
+            &plan,
+            &traces,
+            &SweepOptions {
+                workers: 2,
+                ..quiet()
+            },
+            &|_, _| {},
+        )
+        .outcomes;
 
-        // Cold: no artifacts yet, the executor renders and persists.
+        // Cold: no artifacts yet, the execution renders and persists.
         let dir = tmp_dir("log_dir");
-        let exec = ThreadExecutor {
-            workers: 2,
+        let recorder = Arc::new(Recorder::default());
+        let opts = SweepOptions {
             log_dir: Some(dir.clone()),
             heartbeat: None,
-            ..ThreadExecutor::default()
+            ..observed(2, &recorder)
         };
-        let recorder = Recorder::default();
-        let cold = exec.execute(&plan, &traces, &recorder, &|_, _| {});
-        assert_eq!(cold.len(), reference.len());
-        for (a, b) in cold.iter().zip(&reference) {
+        let cold = execute(&plan, &traces, &opts, &|_, _| {});
+        assert_eq!(cold.rasters, TINY_KEY_RASTERS);
+        assert_eq!(cold.outcomes.len(), reference.len());
+        for (a, b) in cold.outcomes.iter().zip(&reference) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.report, b.report, "cold cell {}", a.cell.id);
         }
-        let events = recorder.0.into_inner().unwrap();
+        let events = recorder.take();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
         assert!(events.contains(&"logsaved:ccs".to_string()), "{events:?}");
 
@@ -1132,14 +1119,14 @@ mod tests {
         // cell replays the decoded artifact, nothing renders.
         let mut warm_plan = plan.clone();
         warm_plan.attach_cached_logs(&crate::artifacts::RenderLogCache::new(Some(dir.clone())));
-        let recorder = Recorder::default();
-        let warm = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
-        assert_eq!(warm.len(), reference.len());
-        for (a, b) in warm.iter().zip(&reference) {
+        let warm = execute(&warm_plan, &traces, &opts, &|_, _| {});
+        assert_eq!(warm.rasters, 0);
+        assert_eq!(warm.outcomes.len(), reference.len());
+        for (a, b) in warm.outcomes.iter().zip(&reference) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.report, b.report, "warm cell {}", a.cell.id);
         }
-        let events = recorder.0.into_inner().unwrap();
+        let events = recorder.take();
         assert!(
             !events.iter().any(|e| e.starts_with("render:")),
             "warm run must not render: {events:?}"
@@ -1152,12 +1139,12 @@ mod tests {
         for entry in std::fs::read_dir(&dir).expect("ls") {
             let _ = std::fs::remove_file(entry.expect("entry").path());
         }
-        let recorder = Recorder::default();
-        let refetched = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
-        for (a, b) in refetched.iter().zip(&reference) {
+        let refetched = execute(&warm_plan, &traces, &opts, &|_, _| {});
+        assert_eq!(refetched.rasters, TINY_KEY_RASTERS);
+        for (a, b) in refetched.outcomes.iter().zip(&reference) {
             assert_eq!(a.report, b.report, "refetch cell {}", a.cell.id);
         }
-        let events = recorder.0.into_inner().unwrap();
+        let events = recorder.take();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
         assert!(events.contains(&"logsaved:ccs".to_string()), "{events:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1167,17 +1154,13 @@ mod tests {
     fn another_scenes_artifact_is_never_replayed() {
         let grid = tiny_grid().with_scenes(&["ccs", "tib"]);
         let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_plan_traces(&plan, &opts).expect("capture");
+        let traces = capture_plan_traces(&plan, &quiet()).expect("capture");
         let dir = tmp_dir("foreign");
-        let exec = ThreadExecutor {
-            workers: 2,
+        let recorder = Arc::new(Recorder::default());
+        let opts = SweepOptions {
             log_dir: Some(dir.clone()),
             heartbeat: None,
-            ..ThreadExecutor::default()
+            ..observed(2, &recorder)
         };
         let csv_of = |outcomes: &[CellOutcome]| {
             let records: Vec<_> = outcomes
@@ -1186,7 +1169,7 @@ mod tests {
                 .collect();
             crate::render_csv(&records)
         };
-        let cold = csv_of(&exec.execute(&plan, &traces, &NullObserver, &|_, _| {}));
+        let cold = csv_of(&execute(&plan, &traces, &opts, &|_, _| {}).outcomes);
 
         // Annotate against the warm cache, then park tib's artifact (same
         // config and frame count) under ccs's file name.
@@ -1201,16 +1184,94 @@ mod tests {
         };
         std::fs::rename(file("tib"), file("ccs")).expect("rename");
 
-        let recorder = Recorder::default();
-        let outcomes = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
-        assert_eq!(csv_of(&outcomes), cold, "tib's log replayed into ccs cells");
-        let events = recorder.0.into_inner().unwrap();
+        recorder.take();
+        let run = execute(&warm_plan, &traces, &opts, &|_, _| {});
+        assert_eq!(
+            csv_of(&run.outcomes),
+            cold,
+            "tib's log replayed into ccs cells"
+        );
+        // ccs holds a foreign log and tib's own moved away: both render.
+        assert_eq!(run.rasters, 2 * TINY_KEY_RASTERS);
+        let events = recorder.take();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
         assert!(!events.contains(&"replay:ccs".to_string()), "{events:?}");
         // The re-render overwrote the foreign artifact with ccs's own.
         let mut rewarmed = plan.clone();
         assert_eq!(rewarmed.attach_cached_logs(&cache), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Holds its execution at the first event `at` accepts until the other
+    /// execution sharing the barrier reaches its own.
+    struct Meet {
+        barrier: Arc<Barrier>,
+        at: fn(&SweepEvent<'_>) -> bool,
+    }
+
+    impl SweepObserver for Meet {
+        fn on_event(&self, event: &SweepEvent<'_>) {
+            if (self.at)(event) {
+                self.barrier.wait();
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_executions_count_only_their_own_rasters() {
+        // The warm key: tib, rendered once into its own log directory.
+        let warm_dir = tmp_dir("concurrent_warm");
+        let warm_opts = SweepOptions {
+            workers: 2,
+            log_dir: Some(warm_dir.clone()),
+            heartbeat: None,
+            ..quiet()
+        };
+        let mut warm_plan = SweepPlan::compile(&tiny_grid().with_scenes(&["tib"]));
+        let traces = capture_plan_traces(&warm_plan, &quiet()).expect("capture tib");
+        execute(&warm_plan, &traces, &warm_opts, &|_, _| {});
+        assert_eq!(
+            warm_plan.attach_cached_logs(&RenderLogCache::new(Some(warm_dir.clone()))),
+            1
+        );
+
+        // The cold key: ccs, with a fresh log directory.
+        let cold_dir = tmp_dir("concurrent_cold");
+        let cold_plan = SweepPlan::compile(&tiny_grid());
+        let cold_traces = capture_plan_traces(&cold_plan, &quiet()).expect("capture ccs");
+
+        // Both executions are in flight at once: the cold one waits at its
+        // render's start, the warm one after decoding its artifact, and
+        // neither goes on until the other has arrived.
+        let barrier = Arc::new(Barrier::new(2));
+        let meet = |at| {
+            Some(Arc::new(Meet {
+                barrier: Arc::clone(&barrier),
+                at,
+            }) as Arc<dyn SweepObserver>)
+        };
+        let cold_opts = SweepOptions {
+            workers: 2,
+            log_dir: Some(cold_dir.clone()),
+            heartbeat: None,
+            observer: meet(|e| matches!(e, SweepEvent::RenderStart { .. })),
+            ..SweepOptions::default()
+        };
+        let warm_opts = SweepOptions {
+            observer: meet(|e| matches!(e, SweepEvent::RenderLogReplay { .. })),
+            ..warm_opts
+        };
+        let no_traces = HashMap::new();
+        let (cold, warm) = std::thread::scope(|s| {
+            let cold = s.spawn(|| execute(&cold_plan, &cold_traces, &cold_opts, &|_, _| {}));
+            let warm = s.spawn(|| execute(&warm_plan, &no_traces, &warm_opts, &|_, _| {}));
+            (cold.join().expect("cold"), warm.join().expect("warm"))
+        });
+        assert_eq!(cold.rasters, TINY_KEY_RASTERS, "the cold key, once");
+        assert_eq!(warm.rasters, 0, "the warm key replays its artifact");
+        assert_eq!((cold.outcomes.len(), warm.outcomes.len()), (2, 2));
+        let _ = std::fs::remove_dir_all(&warm_dir);
+        let _ = std::fs::remove_dir_all(&cold_dir);
     }
 
     #[test]
@@ -1225,7 +1286,7 @@ mod tests {
             resumed: 1,
             pending: 2,
         });
-        assert_eq!(*a.0.lock().unwrap(), vec!["resume:1+2".to_string()]);
-        assert_eq!(*b.0.lock().unwrap(), vec!["resume:1+2".to_string()]);
+        assert_eq!(a.take(), vec!["resume:1+2".to_string()]);
+        assert_eq!(b.take(), vec!["resume:1+2".to_string()]);
     }
 }

@@ -31,8 +31,10 @@
 //!   graph (one [`RenderJob`] per render key, one [`EvalJob`] per cell)
 //!   that callers can query, [shard by render key](SweepPlan::shard)
 //!   across machines, or execute directly;
-//! * [`exec`] — the work-stealing [`ThreadExecutor`] (the one executor:
-//!   one-shot runs, shards and the `sweep serve` daemon all use it), plus
+//! * [`exec`] — [`execute`], the one execution entry point (one-shot
+//!   runs, shards and the `sweep serve` daemon all use it, configured by
+//!   [`SweepOptions`]), returning each [`Execution`]'s outcomes and the
+//!   tiles it rasterized, plus
 //!   [`SweepObserver`] progress events (no more hardwired stderr),
 //!   including a periodic `Progress` heartbeat with a windowed ETA;
 //! * [`events`] — [`JsonlObserver`] writes every event as one line of a
@@ -70,9 +72,12 @@
 //! grid.width = 128;
 //! grid.height = 64;
 //! let opts = SweepOptions { workers: 2, quiet: true, ..SweepOptions::default() };
-//! let outcomes = re_sweep::run_grid(&grid, &opts).expect("sweep");
-//! assert_eq!(outcomes.len(), 2);
-//! assert!(outcomes[0].report.baseline.total_cycles() > 0);
+//! let run = re_sweep::run_grid(&grid, &opts).expect("sweep");
+//! assert_eq!(run.outcomes.len(), 2);
+//! assert!(run.outcomes[0].report.baseline.total_cycles() > 0);
+//! // Two render keys (one per tile size), each rendered once: 2 frames
+//! // of 32 16px tiles plus 2 frames of 8 32px tiles.
+//! assert_eq!(run.rasters, 2 * (32 + 8));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -96,14 +101,14 @@ pub mod store;
 
 pub use artifacts::{capture_alias, RenderLogCache, TraceCache};
 pub use axis::{AxisClass, AxisDef, AxisId, ParamPoint, Presence, AXES, AXIS_COUNT};
-pub use engine::{capture_plan_traces, run_cell};
+pub use engine::{capture_plan_traces, failed_run_rasters, run_cell};
 pub use engine::{run_grid, run_plan, run_plan_with_store};
 pub use engine::{CellOutcome, SweepOptions, SweepSummary};
 pub use events::{
     event_json, read_events, EventRecord, JsonlObserver, EVENTS_FILE, EVENTS_VERSION,
 };
 pub use exec::{
-    MultiObserver, NullObserver, StderrObserver, SweepEvent, SweepObserver, ThreadExecutor,
+    execute, Execution, MultiObserver, NullObserver, StderrObserver, SweepEvent, SweepObserver,
 };
 pub use grid::{binning_name, parse_binning, Cell, ExperimentGrid, RenderKey};
 pub use merge::{merge_stores, MergeSummary};

@@ -8,8 +8,8 @@
 //! * one [`EvalJob`] per grid cell — the Stage B unit, holding the cell
 //!   and the index of the render job it depends on.
 //!
-//! The plan is the seam every execution strategy plugs into: the
-//! work-stealing [`crate::exec::ThreadExecutor`] runs it in-process, and
+//! The plan is the seam every execution strategy plugs into:
+//! [`crate::exec::execute`] runs it in-process on a work-stealing pool, and
 //! **sharding** partitions it across machines. [`SweepPlan::shard`] splits the plan *by render
 //! key* — never by cell — so each shard still rasterizes each of its keys
 //! exactly once, and the union of all shards is exactly the original plan
@@ -105,7 +105,7 @@ pub struct EvalJob {
 
 /// The compiled job graph of one sweep (or one shard of it).
 ///
-/// Carries everything the [`crate::exec::ThreadExecutor`] or a store
+/// Carries everything [`crate::exec::execute`] or a store
 /// needs that would otherwise require the grid: the fingerprint and spec
 /// string (store identity), screen/frame scalars (trace capture), and the
 /// full grid's cell count (id-range validation) — so a shard can be

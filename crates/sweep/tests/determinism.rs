@@ -28,7 +28,9 @@ fn opts(workers: usize) -> SweepOptions {
 }
 
 fn csv_of_run(workers: usize) -> String {
-    let outcomes = re_sweep::run_grid(&grid(), &opts(workers)).expect("sweep");
+    let outcomes = re_sweep::run_grid(&grid(), &opts(workers))
+        .expect("sweep")
+        .outcomes;
     let records: Vec<CellRecord> = outcomes
         .iter()
         .map(|o| CellRecord::from_run(&o.cell, &o.report))

@@ -34,7 +34,9 @@ fn registry_pipeline_reproduces_the_pre_registry_csv_byte_for_byte() {
         quiet: true,
         ..SweepOptions::default()
     };
-    let outcomes = re_sweep::run_grid(&golden_grid(), &opts).expect("sweep");
+    let outcomes = re_sweep::run_grid(&golden_grid(), &opts)
+        .expect("sweep")
+        .outcomes;
     let records: Vec<CellRecord> = outcomes
         .iter()
         .map(|o| CellRecord::from_run(&o.cell, &o.report))
@@ -67,13 +69,17 @@ fn decoded_render_logs_reproduce_the_golden_csv_byte_for_byte() {
             .collect();
         re_sweep::render_csv(&records)
     };
-    let cold = re_sweep::run_grid(&golden_grid(), &opts).expect("cold sweep");
+    let cold = re_sweep::run_grid(&golden_grid(), &opts)
+        .expect("cold sweep")
+        .outcomes;
     assert_eq!(
         csv_of(&cold),
         GOLDEN,
         "cold log-dir run matches the fixture"
     );
-    let warm = re_sweep::run_grid(&golden_grid(), &opts).expect("warm sweep");
+    let warm = re_sweep::run_grid(&golden_grid(), &opts)
+        .expect("warm sweep")
+        .outcomes;
     assert_eq!(
         csv_of(&warm),
         GOLDEN,

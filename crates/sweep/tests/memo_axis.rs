@@ -31,7 +31,7 @@ fn memo_capacity_feeds_the_memo_pass_and_nothing_else() {
     // A starved 1 KiB LUT vs the paper's 16 KiB: same render, same RE
     // results, different memoization reuse.
     let grid = base_grid().with_axis(axis::MEMO_KB, vec![1, 16]);
-    let outcomes = re_sweep::run_grid(&grid, &opts()).expect("sweep");
+    let outcomes = re_sweep::run_grid(&grid, &opts()).expect("sweep").outcomes;
     assert_eq!(outcomes.len(), 2);
     let (small, big) = (&outcomes[0], &outcomes[1]);
     assert_eq!(small.cell.point.get(axis::MEMO_KB), 1);
@@ -65,7 +65,9 @@ fn memo_axis_shares_render_logs_like_any_eval_axis() {
     let keys: std::collections::HashSet<_> = cells.iter().map(|c| c.render_key()).collect();
     assert_eq!(keys.len(), 1);
 
-    let grouped = re_sweep::run_grid(&grid, &opts()).expect("grouped");
+    let grouped = re_sweep::run_grid(&grid, &opts())
+        .expect("grouped")
+        .outcomes;
     let traces =
         re_sweep::capture_plan_traces(&SweepPlan::compile(&grid), &opts()).expect("capture");
     assert_eq!(grouped.len(), 4);
@@ -78,7 +80,7 @@ fn memo_axis_shares_render_logs_like_any_eval_axis() {
 #[test]
 fn memo_axis_appears_in_artifacts_only_when_swept() {
     let grid = base_grid().with_axis(axis::MEMO_KB, vec![4, 16]);
-    let outcomes = re_sweep::run_grid(&grid, &opts()).expect("sweep");
+    let outcomes = re_sweep::run_grid(&grid, &opts()).expect("sweep").outcomes;
     let records: Vec<CellRecord> = outcomes
         .iter()
         .map(|o| CellRecord::from_run(&o.cell, &o.report))

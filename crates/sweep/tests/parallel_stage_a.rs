@@ -11,8 +11,7 @@
 //! * compressed `.relog` artifacts are strictly smaller than stored ones
 //!   and replay raster-free with identical results.
 //!
-//! The raster counter is process-global, so this file holds a single test
-//! (see `render_once.rs` for the same convention).
+//! Raster counts are the ones each run returns.
 
 use re_sweep::{axis, ExperimentGrid, SweepOptions, SweepPlan};
 
@@ -47,12 +46,10 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
     let mut csvs = Vec::new();
     for (workers, compress) in [(1, false), (4, false), (1, true), (4, true)] {
         let store = base.join(format!("store-w{workers}-c{compress}"));
-        let before = re_gpu::raster_invocations();
         let summary =
             re_sweep::run_plan_with_store(&plan, &opts(workers, compress), &store).expect("sweep");
-        let rasters = re_gpu::raster_invocations() - before;
         assert_eq!(
-            rasters,
+            summary.rasters,
             render_keys * per_render,
             "workers={workers} compress={compress}: parallel Stage A must \
              rasterize each key exactly once"
@@ -99,14 +96,13 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
     }
 
     // Warm compressed cache: zero raster invocations, identical results.
-    let before = re_gpu::raster_invocations();
     let warm = re_sweep::run_grid(&grid, &opts(4, true)).expect("warm sweep");
     assert_eq!(
-        re_gpu::raster_invocations() - before,
-        0,
+        warm.rasters, 0,
         "a warm compressed cache must replay raster-free"
     );
     let records: Vec<re_sweep::CellRecord> = warm
+        .outcomes
         .iter()
         .map(|o| re_sweep::CellRecord::from_run(&o.cell, &o.report))
         .collect();

@@ -1,16 +1,12 @@
 //! The render-once contract of sweep grouping — and of sharding.
 //!
 //! A sweep over evaluation-only axes must rasterize each (scene, tile
-//! size, binning) render key **exactly once** — asserted here via
-//! `re_gpu`'s process-wide raster-invocation counter — while producing a
-//! `results.csv` byte-identical to the monolithic per-cell reference
+//! size, binning) render key **exactly once** — asserted here via the
+//! raster count each execution returns — while producing a `results.csv`
+//! byte-identical to the monolithic per-cell reference
 //! ([`re_sweep::run_cell`]). Sharding partitions the plan *by render
 //! key*, so each shard must rasterize exactly its own keys once and
 //! nothing else.
-//!
-//! The counter is process-global, so this file holds a single test: other
-//! tests rasterizing concurrently in the same binary would pollute the
-//! deltas.
 
 use re_sweep::{
     axis, capture_plan_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
@@ -36,9 +32,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     let tile_count = (128 / 16) * (64 / 16); // 32 tiles per frame
     let per_render = grid.frames as u64 * tile_count;
 
-    // Trace capture rasterizes nothing (geometry-only command capture), but
-    // run it outside the measured windows anyway so every path starts from
-    // the same in-memory traces via the disk cache.
+    // Every path starts from the same traces via the disk cache.
     let trace_dir = std::env::temp_dir().join(format!("re_render_once_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&trace_dir);
     let opts = SweepOptions {
@@ -49,17 +43,15 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     };
 
     // Grouped: exactly one Stage A render per render key.
-    let before = re_gpu::raster_invocations();
     let grouped = re_sweep::run_grid(&grid, &opts).expect("grouped sweep");
-    let grouped_rasters = re_gpu::raster_invocations() - before;
     assert_eq!(
-        grouped_rasters,
+        grouped.rasters,
         2 * per_render,
         "grouping must rasterize each of the 2 render keys exactly once"
     );
+    let grouped = grouped.outcomes;
 
-    // Per-cell reference: the monolithic pipeline, one render per cell
-    // (outside every measured window).
+    // Per-cell reference: the monolithic pipeline, one render per cell.
     let traces = capture_plan_traces(&SweepPlan::compile(&grid), &opts).expect("capture");
     let per_cell: Vec<CellOutcome> = grid
         .cells()
@@ -91,16 +83,14 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     let mut shard_outcomes = Vec::new();
     for k in 0..2 {
         let shard = plan.shard(k, 2).expect("shard");
-        let before = re_gpu::raster_invocations();
-        let outcomes = re_sweep::run_plan(&shard, &opts).expect("shard sweep");
-        let shard_rasters = re_gpu::raster_invocations() - before;
+        let run = re_sweep::run_plan(&shard, &opts).expect("shard sweep");
         assert_eq!(
-            shard_rasters,
+            run.rasters,
             shard.render_job_count() as u64 * per_render,
             "shard {k} must rasterize exactly its own render keys once"
         );
-        assert_eq!(outcomes.len(), shard.cell_count());
-        shard_outcomes.extend(outcomes);
+        assert_eq!(run.outcomes.len(), shard.cell_count());
+        shard_outcomes.extend(run.outcomes);
     }
     shard_outcomes.sort_by_key(|o| o.cell.id);
     assert_eq!(shard_outcomes.len(), cells);
@@ -117,9 +107,8 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     };
 
     // Cold pass: still one raster per key, and the artifacts get written.
-    let before = re_gpu::raster_invocations();
     let cold = re_sweep::run_grid(&grid, &with_logs).expect("cold log-dir sweep");
-    assert_eq!(re_gpu::raster_invocations() - before, 2 * per_render);
+    assert_eq!(cold.rasters, 2 * per_render);
     assert_eq!(
         std::fs::read_dir(&log_dir).unwrap().count(),
         2,
@@ -128,15 +117,13 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
 
     // Warm pass: **zero** raster invocations — every key replays its
     // cached log — and the results are byte-identical to the grouped run.
-    let before = re_gpu::raster_invocations();
     let warm = re_sweep::run_grid(&grid, &with_logs).expect("warm log-dir sweep");
     assert_eq!(
-        re_gpu::raster_invocations() - before,
-        0,
+        warm.rasters, 0,
         "a warm render-log cache must not rasterize anything"
     );
-    assert_eq!(csv_of(&warm), csv_of(&grouped));
-    for ((a, b), c) in warm.iter().zip(&cold).zip(&grouped) {
+    assert_eq!(csv_of(&warm.outcomes), csv_of(&grouped));
+    for ((a, b), c) in warm.outcomes.iter().zip(&cold.outcomes).zip(&grouped) {
         assert_eq!(a.report, b.report, "cell {}", a.cell.id);
         assert_eq!(a.report, c.report, "cell {}", a.cell.id);
     }
@@ -144,11 +131,10 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     // A warm store-backed resume is raster-free too: fresh store, cached
     // logs — every cell "runs" but Stage A never does.
     let store_dir = trace_dir.join("store");
-    let before = re_gpu::raster_invocations();
     let summary = re_sweep::run_plan_with_store(&SweepPlan::compile(&grid), &with_logs, &store_dir)
         .expect("store run");
     assert_eq!(summary.ran, cells);
-    assert_eq!(re_gpu::raster_invocations() - before, 0);
+    assert_eq!(summary.rasters, 0);
     assert_eq!(
         std::fs::read_to_string(&summary.csv_path).unwrap(),
         csv_of(&grouped)
@@ -165,21 +151,14 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&corrupt, &bytes).unwrap();
-    let before = re_gpu::raster_invocations();
     let repaired = re_sweep::run_grid(&grid, &with_logs).expect("repair sweep");
     assert_eq!(
-        re_gpu::raster_invocations() - before,
-        per_render,
+        repaired.rasters, per_render,
         "only the corrupt key re-renders"
     );
-    assert_eq!(csv_of(&repaired), csv_of(&grouped));
-    let before = re_gpu::raster_invocations();
-    let _ = re_sweep::run_grid(&grid, &with_logs).expect("rewarmed sweep");
-    assert_eq!(
-        re_gpu::raster_invocations() - before,
-        0,
-        "the re-render must repair the cache"
-    );
+    assert_eq!(csv_of(&repaired.outcomes), csv_of(&grouped));
+    let rewarmed = re_sweep::run_grid(&grid, &with_logs).expect("rewarmed sweep");
+    assert_eq!(rewarmed.rasters, 0, "the re-render must repair the cache");
 
     let _ = std::fs::remove_dir_all(&trace_dir);
 }

@@ -5,27 +5,36 @@
 //! workers. At every worker count, cold and warm, the `results.csv` must
 //! be byte-identical to the monolithic per-cell pipeline's
 //! ([`re_sweep::run_cell`]), and no execution may hang. A warm plan whose
-//! artifact vanishes after the plan was annotated must render the key,
-//! still give the same CSV, and put the artifact back for the next run.
+//! artifact vanishes after the plan was annotated must capture the scene's
+//! trace the way a plan's captures run (one `capture_done` event), render
+//! the key, still give the same CSV, and put the artifact back for the
+//! next run.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use re_sweep::{
-    axis, capture_plan_traces, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid,
-    RenderLogCache, SweepEvent, SweepObserver, SweepOptions, SweepPlan, ThreadExecutor,
+    axis, capture_plan_traces, execute, render_csv, run_cell, CellOutcome, CellRecord,
+    ExperimentGrid, RenderLogCache, SweepEvent, SweepObserver, SweepOptions, SweepPlan,
 };
 
-/// Counts Stage A renders.
+/// Counts Stage A renders and trace captures.
 #[derive(Default)]
-struct Renders(AtomicUsize);
+struct Counts {
+    renders: AtomicUsize,
+    captures: AtomicUsize,
+}
 
-impl SweepObserver for Renders {
+impl SweepObserver for Counts {
     fn on_event(&self, event: &SweepEvent<'_>) {
-        if let SweepEvent::RenderStart { .. } = event {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
+        let count = match event {
+            SweepEvent::RenderStart { .. } => &self.renders,
+            SweepEvent::CaptureDone { scene, .. } if scene == "ccs" => &self.captures,
+            _ => return,
+        };
+        count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -68,15 +77,30 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
         })
         .collect::<Vec<_>>());
 
-    // Runs one execution on its own thread and returns its CSV and render
-    // count; an execution that hangs (or panics) fails the test.
-    let run = |exec: &ThreadExecutor, plan: &SweepPlan, what: String| {
-        let (exec, plan, traces) = (exec.clone(), plan.clone(), traces.clone());
+    // Runs one execution on its own thread and returns its CSV, render
+    // count and ccs capture count; an execution that hangs (or panics)
+    // fails the test. A warm plan gets the traces an execution of it would
+    // capture: none.
+    let run = |opts: &SweepOptions, plan: &SweepPlan, what: String| {
+        let counts = Arc::new(Counts::default());
+        let opts = SweepOptions {
+            observer: Some(Arc::clone(&counts) as Arc<dyn SweepObserver>),
+            ..opts.clone()
+        };
+        let plan = plan.clone();
+        let traces = if plan.pending_scene_aliases().is_empty() {
+            HashMap::new()
+        } else {
+            traces.clone()
+        };
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
-            let renders = Renders::default();
-            let outcomes = exec.execute(&plan, &traces, &renders, &|_, _| {});
-            let _ = tx.send((csv(&outcomes), renders.0.into_inner()));
+            let outcomes = execute(&plan, &traces, &opts, &|_, _| {}).outcomes;
+            let counts = (
+                counts.renders.load(Ordering::Relaxed),
+                counts.captures.load(Ordering::Relaxed),
+            );
+            let _ = tx.send((csv(&outcomes), counts));
         });
         let out = rx
             .recv_timeout(Duration::from_secs(300))
@@ -87,11 +111,11 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
 
     for workers in [1, 3, 8] {
         let logs = root.join(format!("workers-{workers}"));
-        let exec = ThreadExecutor {
+        let opts = SweepOptions {
             workers,
             log_dir: Some(logs.clone()),
             heartbeat: None,
-            ..ThreadExecutor::default()
+            ..SweepOptions::default()
         };
         let label = |state: &str| format!("{workers} workers, {state}");
         let annotated = || {
@@ -100,21 +124,22 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
             (warm_plan.attach_cached_logs(&cache), warm_plan)
         };
 
-        let (cold, renders) = run(&exec, &plan, label("cold"));
-        assert_eq!(renders, 1, "{}", label("cold"));
+        let (cold, counts) = run(&opts, &plan, label("cold"));
+        assert_eq!(counts, (1, 0), "{}", label("cold"));
         let (satisfied, warm_plan) = annotated();
         assert_eq!(satisfied, 1, "{}", label("cold run persisted its key"));
-        let (warm, renders) = run(&exec, &warm_plan, label("warm"));
-        assert_eq!(renders, 0, "{}", label("warm"));
-        // The artifact vanishes after the plan was annotated: the key
-        // renders again, and the render puts the artifact back.
+        let (warm, counts) = run(&opts, &warm_plan, label("warm"));
+        assert_eq!(counts, (0, 0), "{}", label("warm"));
+        // The artifact vanishes after the plan was annotated: the key's
+        // trace is captured once, the key renders again, and the render
+        // puts the artifact back.
         std::fs::remove_dir_all(&logs).expect("remove artifacts");
-        let (vanished, renders) = run(&exec, &warm_plan, label("vanished"));
-        assert_eq!(renders, 1, "{}", label("vanished"));
+        let (vanished, counts) = run(&opts, &warm_plan, label("vanished"));
+        assert_eq!(counts, (1, 1), "{}", label("vanished"));
         let (satisfied, rewarmed_plan) = annotated();
         assert_eq!(satisfied, 1, "{}", label("vanished run repaired the cache"));
-        let (rewarmed, renders) = run(&exec, &rewarmed_plan, label("rewarmed"));
-        assert_eq!(renders, 0, "{}", label("rewarmed"));
+        let (rewarmed, counts) = run(&opts, &rewarmed_plan, label("rewarmed"));
+        assert_eq!(counts, (0, 0), "{}", label("rewarmed"));
         for (got, state) in [
             (cold, "cold"),
             (warm, "warm"),

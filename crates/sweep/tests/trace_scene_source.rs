@@ -3,18 +3,19 @@
 //!
 //! The contract mirrors the built-in scenes': `results.csv` is
 //! byte-identical across worker counts, and a warm artifact cache replays
-//! the whole grid with **zero** raster invocations. The counter is
-//! process-global, so this file holds a single test.
+//! the whole grid with **zero** raster invocations.
 
 use re_sweep::{axis, CellRecord, ExperimentGrid, SweepOptions};
 
-fn csv_for(grid: &ExperimentGrid, opts: &SweepOptions) -> String {
-    let outcomes = re_sweep::run_grid(grid, opts).expect("sweep");
-    let records: Vec<CellRecord> = outcomes
+/// The grid's `results.csv` and the tiles its execution rasterized.
+fn csv_for(grid: &ExperimentGrid, opts: &SweepOptions) -> (String, u64) {
+    let run = re_sweep::run_grid(grid, opts).expect("sweep");
+    let records: Vec<CellRecord> = run
+        .outcomes
         .iter()
         .map(|o| CellRecord::from_run(&o.cell, &o.report))
         .collect();
-    re_sweep::render_csv(&records)
+    (re_sweep::render_csv(&records), run.rasters)
 }
 
 #[test]
@@ -67,12 +68,9 @@ fn imported_trace_grids_are_deterministic_and_replay_from_a_warm_cache() {
 
     // Cold: renders once, caches `.retrace` + `.relog` artifacts (with
     // the `:` sanitized out of the file names).
-    let before = re_gpu::raster_invocations();
-    let cold = csv_for(&grid, &opts(1));
-    assert!(
-        re_gpu::raster_invocations() - before > 0,
-        "cold run must rasterize"
-    );
+    let (cold, rasters) = csv_for(&grid, &opts(1));
+    // One key: 8 frames × 32 16px tiles.
+    assert_eq!(rasters, 8 * 32, "cold run renders its key once");
     let cached: Vec<String> = std::fs::read_dir(&cache)
         .expect("cache dir exists")
         .filter_map(|e| e.ok())
@@ -88,11 +86,9 @@ fn imported_trace_grids_are_deterministic_and_replay_from_a_warm_cache() {
     );
 
     // Warm, different worker count: byte-identical CSV, zero rasters.
-    let before = re_gpu::raster_invocations();
-    let warm = csv_for(&grid, &opts(4));
+    let (warm, rasters) = csv_for(&grid, &opts(4));
     assert_eq!(
-        re_gpu::raster_invocations() - before,
-        0,
+        rasters, 0,
         "a warm cache must replay the imported-trace grid without rasterizing"
     );
     assert_eq!(

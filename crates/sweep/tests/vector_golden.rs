@@ -29,7 +29,9 @@ fn vector_grid() -> ExperimentGrid {
 }
 
 fn csv_for(opts: &SweepOptions) -> String {
-    let outcomes = re_sweep::run_grid(&vector_grid(), opts).expect("sweep");
+    let outcomes = re_sweep::run_grid(&vector_grid(), opts)
+        .expect("sweep")
+        .outcomes;
     let records: Vec<CellRecord> = outcomes
         .iter()
         .map(|o| CellRecord::from_run(&o.cell, &o.report))
@@ -105,7 +107,8 @@ fn vector_scenes_produce_distinct_redundancy_profiles() {
             ..SweepOptions::default()
         },
     )
-    .expect("sweep");
+    .expect("sweep")
+    .outcomes;
     let mut skip: Vec<(String, f64)> = outcomes
         .iter()
         .map(|o| {
