@@ -8,7 +8,7 @@
 //!
 //! Traces are captured once up front, so the timed region is pure job
 //! execution — no capture or cache I/O. The per-cell arms run the
-//! monolithic `run_cell` pipeline over the work-stealing pool; the
+//! per-cell `run_cell` pipeline over the work-stealing pool; the
 //! render-once arms run a pre-compiled `SweepPlan` through `execute`.
 
 use std::collections::HashMap;
@@ -50,7 +50,7 @@ fn quiet() -> SweepOptions {
     }
 }
 
-/// Every cell of `plan` through the monolithic per-cell pipeline (Stage A
+/// Every cell of `plan` through the per-cell pipeline (Stage A
 /// rebuilt per cell) on `workers` pool threads.
 fn run_per_cell(plan: &SweepPlan, traces: &HashMap<&'static str, Arc<Trace>>, workers: usize) {
     pool::run_indexed(plan.eval_jobs().to_vec(), workers, |_, _, job| {

@@ -23,40 +23,41 @@
 //!
 //! ```text
 //!  Stage A — render + record                Stage B — evaluate
-//!  ┌─────────────────────────┐   RenderLog  ┌─────────────────────────┐
-//!  │ render::Renderer        │  ──────────▸ │ passes::Evaluation      │
-//!  │  functional GPU, once   │  (Send+Sync, │  ordered TechniquePass  │
-//!  │  per (screen, tile,     │   replayable │  stack: Baseline → RE → │
-//!  │  binning) render key    │   N times)   │  Redundancy → TE → Memo │
-//!  └─────────────────────────┘              └─────────────────────────┘
+//!  ┌─────────────────────────┐   RenderLog  ┌──────────────────────────┐
+//!  │ render::render_chunk    │  ──────────▸ │ share::evaluate_shared   │
+//!  │  functional GPU, once   │  (Send+Sync, │  sections: Baseline, RE  │
+//!  │  per (screen, tile,     │   replayable │  decision (+ Redundancy),│
+//!  │  binning) render key    │   N times)   │  RE replay, TE, Memo     │
+//!  └─────────────────────────┘              └──────────────────────────┘
 //! ```
 //!
-//! [`Simulator::run`] composes A then B frame by frame;
-//! [`render::render_scene`] + [`passes::evaluate`] run them decoupled so a
-//! sweep renders each render key exactly once and fans out evaluation-only
-//! jobs (signature width, compare distance, refresh, queue depths, cache
-//! geometry) over the shared log, and [`share::evaluate_shared`] computes
-//! each technique pass once per distinct input among those jobs.
+//! Stage B has one path: [`share::evaluate_shared`] computes a cell's
+//! sections, each once per distinct input among the cells of one log. A
+//! sweep renders each render key exactly once and fans out
+//! evaluation-only jobs (signature width, compare distance, refresh, queue
+//! depths, cache geometry) over the shared log. [`passes::evaluate`] is
+//! one cell over a fresh table, and [`Simulator::run`] is
+//! [`render::render_scene`] followed by [`passes::evaluate`].
 //!
 //! # Modules
 //!
-//! * [`render`] — Stage A: the [`render::Renderer`] and the recorded
-//!   [`render::RenderLog`] artifact. Every render is frame chunks
-//!   ([`render::render_chunk`], each rasterizing its tiles in bands)
-//!   stitched back by [`render::stitch_chunks`]; [`render::render_scene`]
-//!   is the one-chunk, one-band case on the calling thread.
-//! * [`passes`] — Stage B: the [`passes::TechniquePass`] trait, the
-//!   built-in passes and the [`passes::Evaluation`] driver.
-//! * [`share`] — Stage B work sharing: each pass section computed once per
+//! * [`render`] — Stage A: the recorded [`render::RenderLog`] artifact.
+//!   Every render is frame chunks ([`render::render_chunk`], each
+//!   rasterizing its tiles in bands) stitched back by
+//!   [`render::stitch_chunks`]; [`render::render_scene`] is the one-chunk,
+//!   one-band case on the calling thread.
+//! * [`passes`] — Stage B: the built-in technique passes and
+//!   [`passes::evaluate`].
+//! * [`share`] — Stage B sections: each pass section computed once per
 //!   distinct input among the cells of one render log.
 //! * [`signature`] — the Signature Unit (Compute/Accumulate CRC units,
 //!   OT queue, constants bitmap) and the Signature Buffer.
 //! * [`redundancy`] — ground-truth tile classification (Figs. 2, 15a).
 //! * [`te`] — Transaction Elimination (ARM's flush-elision baseline).
 //! * [`memo`] — PFR-aided Fragment Memoization (ISCA'14 baseline).
-//! * [`sim`] — [`Simulator`]: runs a [`Scene`] and reports cycles, energy,
-//!   DRAM traffic, redundancy and false-positive/negative counts for every
-//!   technique at once.
+//! * [`sim`] — [`Simulator`]: renders a [`Scene`], evaluates it, and
+//!   reports cycles, energy, DRAM traffic, redundancy and
+//!   false-positive/negative counts for every technique at once.
 //!
 //! # Quickstart
 //!
@@ -99,9 +100,7 @@ pub use memo::{FragmentMemo, MemoStats};
 pub use passes::{evaluate, Evaluation, TechniquePass};
 pub use redundancy::TileClassCounts;
 pub use relog::{Compression, RelogError, RelogReader};
-pub use render::{
-    chunk_ranges, render_chunk, render_scene, stitch_chunks, RenderChunk, RenderLog, Renderer,
-};
+pub use render::{chunk_ranges, render_chunk, render_scene, stitch_chunks, RenderChunk, RenderLog};
 pub use share::{evaluate_shared, SectionKey, SectionTable, SharedEval};
 pub use signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 pub use sim::{RunReport, Scene, SimOptions, Simulator, TechniqueReport};

@@ -1,14 +1,10 @@
-//! Stage B of the simulator: replay a [`RenderLog`] through technique
-//! passes.
+//! Stage B of the simulator: the technique passes over a [`RenderLog`].
 //!
-//! An [`Evaluation`] owns an ordered set of [`TechniquePass`] objects and
-//! drives them over a recorded render, frame by frame and tile by tile.
 //! Each pass owns its own machine state (memory system, energy model,
 //! signature buffers, …) and contributes its section of the final
 //! [`RunReport`]; passes never touch pixels — the ground-truth color
-//! verdicts come interned from the log.
-//!
-//! The default stack reproduces the paper's evaluation exactly:
+//! verdicts come interned from the log. The paper's evaluation is five
+//! passes:
 //!
 //! 1. [`BaselinePass`] — renders everything; the denominator.
 //! 2. [`RePass`] — Rendering Elimination: Signature Unit timing, Signature
@@ -17,26 +13,22 @@
 //!    fate from signatures alone and touches no memory system, and a
 //!    *replay* half that replays the tiles it did not skip.
 //! 3. [`RedundancyPass`] — ground-truth tile classification (Figs. 2, 15a);
-//!    reads the RE verdict published in [`TileCtx`].
+//!    reads RE's per-tile signature verdict.
 //! 4. [`TePass`] — Transaction Elimination flush elision.
 //! 5. [`MemoPass`] — PFR-aided fragment memoization counters.
 //!
-//! # Adding a technique
+//! # One Stage B path
 //!
-//! Implement [`TechniquePass`], keep any cross-frame state in your struct,
-//! and either append it to the default stack or build a custom stack with
-//! [`Evaluation::with_passes`]. A pass that depends on another pass's
-//! per-tile verdict (as the classifier depends on RE) reads it from
-//! [`TileCtx`] — order in the stack is evaluation order.
+//! Each pass declares, as `share_key`, the [`SimOptions`] fields it reads,
+//! and [`crate::share::evaluate_shared`] computes each distinct section
+//! once among the cells of a render key. RE's decision half and the
+//! classifier form one section; RE's replay half reads the timing config
+//! and its decision half's [`SkipBitmap`] alone, so cells whose skip
+//! verdicts agree replay once. [`evaluate`] is one cell over a fresh
+//! table, and [`crate::Simulator::run`] is `render_scene` then `evaluate`.
 //!
-//! # Sharing work between evaluations
-//!
-//! Each built-in pass declares, as `share_key`, the [`SimOptions`] fields
-//! it reads. Evaluations of one log that agree on those fields compute the
-//! same pass output, so [`crate::share::evaluate_shared`] runs each
-//! distinct pass once among the cells of a render key. RE's replay half
-//! reads the timing config and its decision half's [`SkipBitmap`] alone,
-//! so cells whose skip verdicts agree replay once.
+//! [`Evaluation`] drives a stack of [`TechniquePass`]es frame by frame;
+//! the sections use it to run their one pass.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -49,7 +41,7 @@ use re_timing::{MemorySystem, TimingConfig};
 use crate::memo::FragmentMemo;
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
-use crate::share::SectionKey;
+use crate::share::{evaluate_shared, SectionKey, SectionTable};
 use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
 use crate::te::TransactionElimination;
@@ -167,6 +159,10 @@ impl MachineTotals {
 /// Shared per-tile facts: ground-truth color verdicts computed by the
 /// [`Evaluation`] driver, plus verdicts published by earlier passes for
 /// later ones (RE's input-match feeds the redundancy classifier).
+///
+/// The benchmark's per-layer walk (`sweepbench/src/walk.rs`) is its only
+/// user outside the sections. ROADMAP direction 4 deletes it once that
+/// walk runs the sections (direction 2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TileCtx {
     /// Whether the tile's colors equal those `compare_distance` frames ago
@@ -179,6 +175,11 @@ pub struct TileCtx {
 }
 
 /// One technique's evaluation logic, driven tile by tile over a render log.
+///
+/// The sections drive the baseline, TE and memo passes through it, and the
+/// benchmark's per-layer walk (`sweepbench/src/walk.rs`) drives the whole
+/// [`default_passes`] stack. ROADMAP direction 4 deletes it once that walk
+/// runs the sections (direction 2).
 pub trait TechniquePass {
     /// Display name (diagnostics).
     fn name(&self) -> &'static str;
@@ -457,8 +458,9 @@ impl ReReplay {
 }
 
 /// Rendering Elimination: Signature Unit timing, Signature Buffer
-/// compares, skip decisions and false-positive cross-checks. Its decision
-/// half and its replay half run in lockstep, tile by tile.
+/// compares, skip decisions and false-positive cross-checks.
+///
+/// The sections run its decision and replay halves as two sections.
 pub struct RePass {
     decision: ReDecision,
     replay: ReReplay,
@@ -535,6 +537,9 @@ impl RePass {
     }
 }
 
+/// RE's two halves in lockstep, tile by tile. The benchmark's per-layer
+/// walk (`sweepbench/src/walk.rs`) is its only caller. ROADMAP direction 4
+/// deletes it once that walk runs the sections (direction 2).
 impl TechniquePass for RePass {
     fn name(&self) -> &'static str {
         "re"
@@ -724,7 +729,12 @@ impl TechniquePass for MemoPass {
     }
 }
 
-/// The paper's full evaluation stack for `opts` over `tile_count` tiles.
+/// The paper's full evaluation stack for `opts` over `tile_count` tiles,
+/// in lockstep order.
+///
+/// The benchmark's per-layer walk (`sweepbench/src/walk.rs`) is its only
+/// caller. ROADMAP direction 4 deletes it once that walk runs the sections
+/// (direction 2).
 pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn TechniquePass>> {
     vec![
         Box::new(BaselinePass::new(opts)),
@@ -735,13 +745,13 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
     ]
 }
 
-/// Stage B driver: streams [`FrameLog`]s through the pass stack.
+/// Lockstep driver: streams [`FrameLog`]s through a pass stack.
 ///
-/// Incremental by design — [`crate::Simulator::run`] feeds frames as Stage A
-/// produces them (memory stays bounded to one frame), while the sweep
-/// engine evaluates a complete shared [`RenderLog`] through
-/// [`crate::share::evaluate_shared`], which drives one `Evaluation` over
-/// the passes a cell has to compute itself.
+/// [`crate::share::evaluate_shared`] drives one `Evaluation` per baseline,
+/// TE or memo section, over that section's one pass. The benchmark's
+/// per-layer walk (`sweepbench/src/walk.rs`) is its only caller outside
+/// the sections. ROADMAP direction 4 deletes it once that walk runs the
+/// sections (direction 2).
 pub struct Evaluation {
     tile_count: u32,
     passes: Vec<Box<dyn TechniquePass>>,
@@ -795,14 +805,11 @@ impl ColorIds {
 }
 
 impl Evaluation {
-    /// An evaluation with the default (paper) pass stack.
-    pub fn new(opts: SimOptions, tile_count: u32) -> Self {
-        let passes = default_passes(&opts, tile_count);
-        Evaluation::with_passes(opts, tile_count, passes)
-    }
-
-    /// An evaluation over a custom pass stack (stack order = evaluation
-    /// order; see the module docs on pass dependencies).
+    /// An evaluation over a pass stack (stack order = evaluation order: a
+    /// pass reads the [`TileCtx`] verdicts of the passes before it).
+    ///
+    /// The sections and the benchmark's per-layer walk are its callers;
+    /// see [`Evaluation`].
     pub fn with_passes(
         opts: SimOptions,
         tile_count: u32,
@@ -816,7 +823,8 @@ impl Evaluation {
         }
     }
 
-    /// Feeds one recorded frame through every pass.
+    /// Feeds one recorded frame through every pass. The sections and the
+    /// benchmark's per-layer walk are its callers; see [`Evaluation`].
     ///
     /// # Panics
     /// Panics if the frame's tile count does not match the evaluation's.
@@ -844,13 +852,13 @@ impl Evaluation {
         self.colors.push(frame);
     }
 
-    /// Settles every pass and assembles the report.
+    /// Settles every pass, counts the evaluation, and assembles the
+    /// report. The benchmark's per-layer walk is its only caller; see
+    /// [`Evaluation`].
     pub fn finish(self, name: &str) -> RunReport {
-        // One completed evaluation, however it was driven (simulator,
-        // in-memory replay or streamed `.relog`), and one pass execution
-        // per stack entry — the registry counters behind the sweep's
-        // `metrics.json`. A sweep cell's sections count themselves in
-        // `evaluate_shared`.
+        // One completed evaluation and one pass execution per stack entry,
+        // the registry counters behind `metrics.json`. Sections count
+        // themselves in `evaluate_shared`.
         re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
         re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.passes.len() as u64);
         self.settle(name)
@@ -866,25 +874,18 @@ impl Evaluation {
     }
 }
 
-/// Replays a complete [`RenderLog`] under `opts` — the render-once /
-/// evaluate-many entry point.
+/// Evaluates a complete [`RenderLog`] under `opts`: one cell over a fresh
+/// [`SectionTable`], so it computes every section itself.
 ///
 /// `opts.gpu` must match the geometry the log was rendered under: the log
 /// *is* the render, so only evaluation-side options (timing, signature
 /// width, compare distance, refresh) may vary across calls.
 ///
 /// # Panics
-/// Panics if `opts.gpu` differs from the log's recorded configuration.
+/// Panics if `opts.gpu` differs from the log's recorded configuration or
+/// a frame's tile count differs from it.
 pub fn evaluate(log: &RenderLog, opts: &SimOptions) -> RunReport {
-    assert_eq!(
-        opts.gpu, log.config,
-        "evaluation gpu config must match the render log's"
-    );
-    let mut eval = Evaluation::new(*opts, log.tile_count());
-    for frame in &log.frames {
-        eval.push_frame(frame);
-    }
-    eval.finish(&log.name)
+    evaluate_shared(log, opts, &SectionTable::new()).report
 }
 
 #[cfg(test)]
@@ -978,6 +979,18 @@ mod tests {
                 tile_size: 32,
                 ..cfg()
             },
+            ..SimOptions::default()
+        };
+        let _ = evaluate(&log, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame tile count mismatch")]
+    fn a_frame_missing_a_tile_panics_with_its_tile_count() {
+        let mut log = render_scene(&mut Tri, cfg(), 4);
+        log.frames[2].tiles.pop();
+        let opts = SimOptions {
+            gpu: cfg(),
             ..SimOptions::default()
         };
         let _ = evaluate(&log, &opts);

@@ -33,7 +33,7 @@
 //! decompressor runs on the data. [`encode`] stores every frame plain;
 //! compression is opt-in via [`encode_with`].
 //!
-//! Three independent integrity layers, one per failure mode:
+//! Four independent integrity layers, one per failure mode:
 //!
 //! * **version** — the magic names the format revision; any layout change
 //!   bumps it, and an old reader rejects a new file (and vice versa)
@@ -44,7 +44,11 @@
 //! * **integrity** — every frame record carries a CRC32 of its stored
 //!   bytes, checked as the record is read for decoding, so torn writes and
 //!   bit rot are caught frame-by-frame without hashing the whole file up
-//!   front.
+//!   front;
+//! * **shape** — the header's configuration must have non-zero dimensions,
+//!   and every frame record must hold exactly the tiles that configuration
+//!   divides the screen into, so a forged record with valid CRCs fails its
+//!   decode ([`RelogError::BadTileCount`]) instead of Stage B.
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
@@ -117,6 +121,19 @@ pub enum RelogError {
         /// Zero-based index of the undecodable frame record.
         frame: u32,
     },
+    /// The header's render configuration has a zero width, height or tile
+    /// size, or more tiles per frame than a `u32` counts.
+    BadConfig,
+    /// A frame record holds a different number of tiles than the header's
+    /// render configuration divides the screen into.
+    BadTileCount {
+        /// Zero-based index of the frame record.
+        frame: u32,
+        /// Tiles per frame under the header's configuration.
+        expected: u32,
+        /// Tiles the frame record declares.
+        found: u32,
+    },
 }
 
 impl std::fmt::Display for RelogError {
@@ -134,6 +151,15 @@ impl std::fmt::Display for RelogError {
             RelogError::BadCompression { frame } => {
                 write!(f, "frame record {frame} failed to decompress")
             }
+            RelogError::BadConfig => write!(f, "header has a degenerate render configuration"),
+            RelogError::BadTileCount {
+                frame,
+                expected,
+                found,
+            } => write!(
+                f,
+                "frame record {frame} has {found} tiles; its header's configuration has {expected}"
+            ),
         }
     }
 }
@@ -637,8 +663,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Decodes one frame's payload bytes (CRC already verified by the caller).
-fn decode_frame(payload: &[u8]) -> Result<FrameLog, RelogError> {
+/// Decodes payload bytes (CRC already verified by the caller) of frame
+/// record `frame`, which must hold `tile_count` tiles.
+fn decode_frame(payload: &[u8], frame: u32, tile_count: u32) -> Result<FrameLog, RelogError> {
     let mut p = Parser {
         bytes: payload,
         pos: 0,
@@ -646,8 +673,15 @@ fn decode_frame(payload: &[u8]) -> Result<FrameLog, RelogError> {
     let re_unsafe = p.u8("re_unsafe flag")? != 0;
     let geo = p.geo()?;
     let geo_events = p.events("geometry events")?;
-    let tile_count = p.u32("tile count")? as usize;
-    let mut tiles = Vec::with_capacity(tile_count.min(1 << 20));
+    let found = p.u32("tile count")?;
+    if found != tile_count {
+        return Err(RelogError::BadTileCount {
+            frame,
+            expected: tile_count,
+            found,
+        });
+    }
+    let mut tiles = Vec::with_capacity((tile_count as usize).min(1 << 20));
     for _ in 0..tile_count {
         tiles.push(TileLog {
             events: p.events("tile events")?,
@@ -854,9 +888,13 @@ impl<R: Read> RelogReader<R> {
     /// I/O errors; checksum and format errors as
     /// [`io::ErrorKind::InvalidData`].
     pub fn next_frame(&mut self) -> io::Result<Option<FrameLog>> {
+        let frame = self.next;
+        // The header's configuration passed `parse_header`'s bounds, so
+        // its tile count fits a `u32`.
+        let tile_count = self.header.config.tile_count();
         match self.next_payload()? {
             None => Ok(None),
-            Some(payload) => Ok(Some(decode_frame(payload)?)),
+            Some(payload) => Ok(Some(decode_frame(payload, frame, tile_count)?)),
         }
     }
 
@@ -893,6 +931,13 @@ fn parse_header(p: &mut Parser<'_>) -> Result<RelogHeader, RelogError> {
         tile_size: p.u32("config tile size")?,
         binning: binning_from_tag(p.u8("binning mode")?)?,
     };
+    if config.width == 0 || config.height == 0 || config.tile_size == 0 {
+        return Err(RelogError::BadConfig);
+    }
+    let tiles = u64::from(config.tiles_x()) * u64::from(config.tiles_y());
+    if tiles > u64::from(u32::MAX) {
+        return Err(RelogError::BadConfig);
+    }
     let frame_count = p.u32("frame count")?;
     Ok(RelogHeader {
         fingerprint,

@@ -19,7 +19,7 @@
 //! * the per-frame `re_unsafe` flags.
 //!
 //! There is one render path. A render is a list of contiguous frame ranges
-//! ([`chunk_ranges`]), each rendered by its own [`Renderer`] with its tiles
+//! ([`chunk_ranges`]), each rendered by its own renderer with its tiles
 //! rasterized in bands ([`render_chunk`]), then stitched into one log
 //! ([`stitch_chunks`]). Tiles rasterize from tile-local state, so neither
 //! the chunk count nor the band count changes a byte of the log; a single
@@ -119,84 +119,40 @@ impl RenderLog {
 /// Stage A driver: a functional GPU plus the recording plumbing.
 ///
 /// Owns the color-id interner, so ids are comparable across every frame it
-/// renders (and only within one `Renderer`'s output).
+/// renders (and only within one `Renderer`'s output). Every distinct tile
+/// content stays interned, so a [`RenderLog`] can be evaluated at any
+/// compare distance later.
 #[derive(Debug)]
-pub struct Renderer {
+pub(crate) struct Renderer {
     gpu: Gpu,
-    /// Packed tile colors → (interned id, frame last seen).
-    interner: HashMap<Vec<u32>, (u32, u64)>,
-    /// Ids handed out so far (never reused, even across eviction).
-    next_id: u32,
-    /// Frames rendered so far.
-    frame_index: u64,
-    /// Retention window in frames (`None` = retain every distinct tile
-    /// content forever). Id equality is exact for comparisons reaching at
-    /// most this many frames back — see [`Renderer::with_id_window`].
-    id_window: Option<u64>,
+    /// Packed tile colors → interned id.
+    interner: HashMap<Vec<u32>, u32>,
     /// Bands each frame's tiles are rasterized in (1 = on the calling
     /// thread).
     parallel: ParallelRaster,
 }
 
 impl Renderer {
-    /// Creates a renderer for `config`'s screen geometry that keeps every
-    /// distinct tile content interned, so ids are comparable across
-    /// arbitrary frame distances (what [`render_scene`] needs: a
-    /// [`RenderLog`] can be evaluated at any compare distance later).
-    pub fn new(config: GpuConfig) -> Self {
-        Renderer::with_id_window(config, None)
-    }
-
-    /// Creates a renderer that evicts tile contents unseen for more than
-    /// `window` frames, bounding interner memory for long streamed runs.
-    ///
-    /// Eviction preserves exactness for comparisons at distances
-    /// `<= window`: if a tile's content at frame `f` equals its content at
-    /// frame `f - d` (`d <= window`), that content was seen `d` frames ago
-    /// and therefore not evicted, so both frames carry the same id; if the
-    /// contents differ, ids differ by construction (ids are never reused).
-    /// Comparisons beyond the window may see re-interned (fresh) ids for
-    /// recurring content and report spurious inequality — callers must
-    /// size the window to their maximum compare distance, as
-    /// [`crate::Simulator::run`] does.
-    pub fn with_id_window(config: GpuConfig, window: Option<u64>) -> Self {
+    /// Creates a renderer for `config`'s screen geometry that rasterizes
+    /// each frame's tiles in `parallel.bands` bands. The rendered output is
+    /// bit-identical at any band count — tiles are rasterized from
+    /// per-tile-local state and committed in tile-id order — so this is
+    /// purely a wall-clock knob.
+    pub(crate) fn new(config: GpuConfig, parallel: ParallelRaster) -> Self {
         Renderer {
             gpu: Gpu::new(config),
             interner: HashMap::new(),
-            next_id: 0,
-            frame_index: 0,
-            id_window: window,
-            parallel: ParallelRaster { bands: 1 },
+            parallel,
         }
     }
 
-    /// Sets how many bands each frame's tiles are rasterized in
-    /// (`bands <= 1` runs every tile on the calling thread; the default).
-    /// The rendered output is bit-identical at any band count — tiles are
-    /// rasterized from per-tile-local state and committed in tile-id order
-    /// — so this is purely a wall-clock knob. See
-    /// [`re_gpu::Gpu::rasterize_bands`].
-    pub fn set_parallel_raster(&mut self, parallel: ParallelRaster) {
-        self.parallel = parallel;
-    }
-
-    /// Mutable access to the GPU (texture uploads during scene init).
-    pub fn gpu_mut(&mut self) -> &mut Gpu {
-        &mut self.gpu
-    }
-
-    /// The GPU configuration.
-    pub fn config(&self) -> GpuConfig {
-        self.gpu.config()
-    }
-
     /// Runs `scene`'s one-time setup (texture uploads).
-    pub fn init_scene(&mut self, scene: &mut dyn Scene) {
+    pub(crate) fn init_scene(&mut self, scene: &mut dyn Scene) {
         scene.init(self.gpu.textures_mut());
     }
 
     /// Renders one frame, records everything, and swaps buffers.
-    pub fn render_frame(&mut self, desc: &FrameDesc) -> FrameLog {
+    pub(crate) fn render_frame(&mut self, desc: &FrameDesc) -> FrameLog {
         let mut geo_events = Vec::new();
         let geo = self.gpu.run_geometry(desc, &mut geo_events);
 
@@ -220,11 +176,6 @@ impl Renderer {
             });
         }
         self.gpu.end_frame();
-        if let Some(window) = self.id_window {
-            let horizon = self.frame_index.saturating_sub(window);
-            self.interner.retain(|_, &mut (_, seen)| seen >= horizon);
-        }
-        self.frame_index += 1;
 
         FrameLog {
             re_unsafe: desc.re_unsafe,
@@ -236,17 +187,8 @@ impl Renderer {
 
     /// Interns one tile's packed colors, assigning ids in first-seen order.
     fn intern(&mut self, packed: Vec<u32>) -> u32 {
-        let frame_index = self.frame_index;
-        let entry = self
-            .interner
-            .entry(packed)
-            .and_modify(|(_, seen)| *seen = frame_index)
-            .or_insert((self.next_id, frame_index));
-        let color_id = entry.0;
-        if color_id == self.next_id {
-            self.next_id += 1;
-        }
-        color_id
+        let next_id = self.interner.len() as u32;
+        *self.interner.entry(packed).or_insert(next_id)
     }
 
     /// Consumes the renderer and returns its interner inverted: `palette[id]`
@@ -256,17 +198,9 @@ impl Renderer {
     /// This is what makes chunked rendering stitchable: a chunk's
     /// [`FrameLog`]s plus its palette fully determine the global ids
     /// ([`stitch_chunks`]) without the stitcher re-reading any pixels.
-    ///
-    /// # Panics
-    /// Panics if the renderer was built with an id window — eviction drops
-    /// palette entries, so windowed ids are not invertible.
-    pub fn into_palette(self) -> Vec<Vec<u32>> {
-        assert!(
-            self.id_window.is_none(),
-            "palette export requires full id retention (no id window)"
-        );
-        let mut palette = vec![Vec::new(); self.next_id as usize];
-        for (packed, (id, _)) in self.interner {
+    pub(crate) fn into_palette(self) -> Vec<Vec<u32>> {
+        let mut palette = vec![Vec::new(); self.interner.len()];
+        for (packed, id) in self.interner {
             palette[id as usize] = packed;
         }
         palette
@@ -284,7 +218,7 @@ pub fn render_scene(scene: &mut dyn Scene, config: GpuConfig, frames: usize) -> 
     stitch_chunks(scene.name(), config, vec![chunk])
 }
 
-/// A contiguous frame range rendered by an independent [`Renderer`]: the
+/// A contiguous frame range rendered by an independent renderer: the
 /// building block of frame-parallel Stage A.
 ///
 /// Color ids inside `frames` are *chunk-local* (each chunk starts its own
@@ -298,7 +232,7 @@ pub struct RenderChunk {
     /// are chunk-local.
     pub frames: Vec<FrameLog>,
     /// Chunk-local color id → packed tile colors. Ids are dense and in
-    /// first-seen order (see [`Renderer::into_palette`]).
+    /// first-seen order.
     pub palette: Vec<Vec<u32>>,
 }
 
@@ -323,7 +257,7 @@ pub fn chunk_ranges(frames: usize, chunks: usize) -> Vec<Range<usize>> {
 
 /// Renders the frame range `range` of `scene` as an independent chunk,
 /// rasterizing each frame's tiles in `parallel.bands` bands (see
-/// [`Renderer::set_parallel_raster`]).
+/// [`re_gpu::Gpu::rasterize_bands`]; one band runs on the calling thread).
 ///
 /// Frame rendering is a pure function of the frame's [`FrameDesc`] plus the
 /// double-buffer parity — tiles rasterize from tile-local state seeded with
@@ -338,13 +272,12 @@ pub fn render_chunk(
     range: Range<usize>,
     parallel: ParallelRaster,
 ) -> RenderChunk {
-    let mut renderer = Renderer::new(config);
-    renderer.set_parallel_raster(parallel);
+    let mut renderer = Renderer::new(config, parallel);
     renderer.init_scene(scene);
     // Rendering alternates the double-buffered surfaces every frame, and
     // recorded flush addresses name the surface. Seed the parity a render
     // from frame 0 would have at this chunk's first frame.
-    renderer.gpu_mut().seed_frame_parity(range.start);
+    renderer.gpu.seed_frame_parity(range.start);
     let start = range.start;
     let frames = range
         .map(|f| {
@@ -509,50 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn id_window_bounds_interner_growth() {
-        // A scene whose tiles change every frame: with full retention the
-        // interner grows with every frame; with a window it stays bounded
-        // to (window + 1) frames of distinct contents.
-        let mut unbounded = Renderer::new(cfg());
-        let mut windowed = Renderer::with_id_window(cfg(), Some(2));
-        let mut scene_a = Tri { period: 1 };
-        let mut scene_b = Tri { period: 1 };
-        unbounded.init_scene(&mut scene_a);
-        windowed.init_scene(&mut scene_b);
-        let mut peak_windowed = 0usize;
-        for f in 0..12 {
-            let desc = scene_a.frame(f);
-            let _ = unbounded.render_frame(&desc);
-            let _ = windowed.render_frame(&desc);
-            peak_windowed = peak_windowed.max(windowed.interner.len());
-        }
-        assert!(
-            unbounded.interner.len() > windowed.interner.len(),
-            "window must evict stale contents ({} vs {})",
-            unbounded.interner.len(),
-            windowed.interner.len()
-        );
-        // 3 frames of ≤16 distinct tiles each can be live at once.
-        assert!(peak_windowed <= 3 * 16, "peak {peak_windowed}");
-    }
-
-    #[test]
-    fn windowed_ids_stay_exact_within_the_window() {
-        // Static scene: every frame's tile ids equal frame 0's even under
-        // the tightest window (content re-seen every frame, never evicted).
-        let mut r = Renderer::with_id_window(cfg(), Some(1));
-        let mut scene = Tri { period: 1_000_000 };
-        r.init_scene(&mut scene);
-        let first = r.render_frame(&scene.frame(0));
-        for f in 1..6 {
-            let frame = r.render_frame(&scene.frame(f));
-            for (a, b) in frame.tiles.iter().zip(&first.tiles) {
-                assert_eq!(a.color_id, b.color_id);
-            }
-        }
-    }
-
-    #[test]
     fn chunk_ranges_partition_exactly() {
         for frames in [0usize, 1, 2, 3, 7, 16, 33] {
             for chunks in [0usize, 1, 2, 3, 5, 8, 64] {
@@ -599,8 +488,7 @@ mod tests {
         let serial = render_scene(&mut Tri { period: 1 }, cfg(), 4);
         for bands in [2usize, 3, 4, 99] {
             let mut scene = Tri { period: 1 };
-            let mut r = Renderer::new(cfg());
-            r.set_parallel_raster(ParallelRaster { bands });
+            let mut r = Renderer::new(cfg(), ParallelRaster { bands });
             r.init_scene(&mut scene);
             let frames: Vec<FrameLog> = (0..4).map(|f| r.render_frame(&scene.frame(f))).collect();
             assert_eq!(serial.frames, frames, "bands={bands}");
@@ -623,12 +511,6 @@ mod tests {
             ParallelRaster { bands: 1 },
         );
         let _ = stitch_chunks("tri", cfg(), vec![chunk]);
-    }
-
-    #[test]
-    #[should_panic(expected = "full id retention")]
-    fn windowed_renderer_has_no_palette() {
-        let _ = Renderer::with_id_window(cfg(), Some(2)).into_palette();
     }
 
     #[test]

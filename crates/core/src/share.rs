@@ -27,8 +27,13 @@
 //! from the sections it computed and the ones other cells already had.
 //! A shared replay is a machine whose SRAM, DRAM and leakage energy is
 //! not yet charged; each cell charges its own Signature Unit SRAM on it
-//! first and then settles it, in the order a private [`RePass`] does, so
-//! every `f64` energy sum is bit-identical to [`crate::passes::evaluate`].
+//! first and then settles it, in the order a private machine would, so
+//! every `f64` energy sum is the same whichever cells share the section.
+//!
+//! These sections are the only Stage B path: [`crate::passes::evaluate`]
+//! is one cell over a fresh table. Its oracle is `reference_run` in
+//! `crates/core/tests/staged_equivalence.rs`, the seed's monolithic
+//! render-and-evaluate loop, which every report must equal bit for bit.
 //!
 //! # Claim, publish, wait
 //!
@@ -247,13 +252,14 @@ impl Drop for Claim<'_> {
 /// One cell's [`evaluate_shared`] result.
 #[derive(Debug)]
 pub struct SharedEval {
-    /// The cell's report, equal to [`crate::passes::evaluate`]'s.
+    /// The cell's report, equal to the one it gets computing every section
+    /// itself ([`crate::passes::evaluate`]).
     pub report: RunReport,
     /// Sections this call computed, one pass execution each: baseline, TE,
     /// memo, RE's decision half (with the redundancy classifier that
     /// reads its verdicts) and RE's replay half. A cell that computes
-    /// every section counts five, as many as `evaluate` runs passes; a
-    /// reused section counts none.
+    /// every section (as `evaluate` does) counts five; a reused section
+    /// counts none.
     pub pass_executions: usize,
     /// Time spent computing this call's own sections (waiting for other
     /// cells' sections is not included).
@@ -263,16 +269,21 @@ pub struct SharedEval {
 /// Evaluates one cell over `log`, sharing sections through `table` with
 /// the other cells of the same log: computes, one at a time, the sections
 /// nobody has claimed, then assembles the report from those and the
-/// sections other cells computed. The report equals
-/// [`crate::passes::evaluate`]`(log, opts)` exactly.
+/// sections other cells computed. The report does not depend on which
+/// cells share the table or in which order they run.
 ///
 /// # Panics
-/// Panics if `opts.gpu` differs from the log's recorded configuration.
+/// Panics if `opts.gpu` differs from the log's recorded configuration or
+/// a frame's tile count differs from it.
 pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable) -> SharedEval {
     assert_eq!(
         opts.gpu, log.config,
         "evaluation gpu config must match the render log's"
     );
+    let tile_count = log.tile_count() as usize;
+    for frame in &log.frames {
+        assert_eq!(frame.tiles.len(), tile_count, "frame tile count mismatch");
+    }
     // A cell needs five sections: the four `for_options` keys, RE's
     // decision first, and RE's replay, appended once the decision is
     // published.

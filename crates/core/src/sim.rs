@@ -1,34 +1,33 @@
-//! The unified technique simulator — a thin orchestrator over the
-//! render/evaluate split.
+//! The unified technique simulator: Stage A, then Stage B.
 //!
-//! [`Simulator::run`] composes the two stages frame by frame:
+//! [`Simulator::run`] renders a scene once and evaluates the whole log:
 //!
-//! * **Stage A (render + record)** — [`crate::render::Renderer`] runs the
-//!   functional GPU once and records everything evaluation needs into a
-//!   [`crate::render::FrameLog`]: access streams, signature-unit inputs,
-//!   tile color identities/hashes, activity counters.
-//! * **Stage B (evaluate)** — [`crate::passes::Evaluation`] replays the
-//!   log through the default [`crate::passes::TechniquePass`] stack
-//!   (Baseline, RE, redundancy classification, TE, fragment memoization),
-//!   each pass owning its own cache hierarchy, DRAM and energy model.
+//! * **Stage A (render + record)** — [`crate::render::render_scene`] runs
+//!   the functional GPU once and records everything evaluation needs into
+//!   a [`crate::render::RenderLog`]: access streams, signature-unit
+//!   inputs, tile color identities/hashes, activity counters.
+//! * **Stage B (evaluate)** — [`crate::passes::evaluate`] computes the
+//!   log's sections (Baseline, RE's decision and replay, TE, fragment
+//!   memoization; see [`crate::share`]), each machine section owning its
+//!   own cache hierarchy, DRAM and energy model.
 //!
 //! This is sound because none of the techniques changes the rendered
 //! colors (RE/TE reuse bit-identical tiles; collisions are *counted*, not
 //! silently absorbed), so one ground-truth render serves all machines —
-//! and, via [`crate::render::render_scene`] + [`crate::passes::evaluate`],
-//! any number of evaluation-side configurations (the sweep engine's
-//! render-once grouping).
+//! and any number of evaluation-side configurations (the sweep engine's
+//! render-once grouping). A run holds the whole log in memory until its
+//! report is assembled.
 
 use re_gpu::api::FrameDesc;
 use re_gpu::texture::TextureStore;
-use re_gpu::{Gpu, GpuConfig};
+use re_gpu::GpuConfig;
 use re_timing::energy::EnergyBreakdown;
 use re_timing::TimingConfig;
 
 use crate::memo::MemoStats;
-use crate::passes::Evaluation;
+use crate::passes::evaluate;
 use crate::redundancy::TileClassCounts;
-use crate::render::Renderer;
+use crate::render::render_scene;
 use crate::signature::SignatureUnitStats;
 use crate::te::TeStats;
 
@@ -37,7 +36,7 @@ use crate::te::TeStats;
 ///
 /// Initialization is deliberately narrow — a scene only ever needs the
 /// texture store, which keeps the trait independent of the render stage's
-/// GPU plumbing (workloads never see a [`Gpu`]).
+/// GPU plumbing (workloads never see a [`re_gpu::Gpu`]).
 pub trait Scene {
     /// One-time setup (texture uploads).
     fn init(&mut self, textures: &mut TextureStore) {
@@ -205,29 +204,16 @@ impl RunReport {
     }
 }
 
-/// The simulator: Stage A renderer + Stage B evaluation, composed.
+/// The simulator: Stage A render + Stage B evaluation, composed.
+#[derive(Debug)]
 pub struct Simulator {
     opts: SimOptions,
-    renderer: Renderer,
 }
 
 impl Simulator {
     /// Creates a simulator.
     pub fn new(opts: SimOptions) -> Self {
-        // The interleaved run only ever compares colors up to
-        // `compare_distance` frames back, so the renderer's color-id
-        // interner can evict beyond that window — keeping memory bounded
-        // to one frame's log plus the comparison window.
-        let window = opts.compare_distance.max(1) as u64;
-        Simulator {
-            opts,
-            renderer: Renderer::with_id_window(opts.gpu, Some(window)),
-        }
-    }
-
-    /// Mutable access to the GPU (texture uploads during scene init).
-    pub fn gpu_mut(&mut self) -> &mut Gpu {
-        self.renderer.gpu_mut()
+        Simulator { opts }
     }
 
     /// The options in use.
@@ -236,29 +222,10 @@ impl Simulator {
     }
 
     /// Runs `scene` for `frames` frames and reports every technique's
-    /// results.
-    ///
-    /// Stage A and Stage B run interleaved frame by frame, so memory stays
-    /// bounded to one frame's log; for render-once / evaluate-many, use
-    /// [`crate::render::render_scene`] + [`crate::passes::evaluate`].
+    /// results: [`render_scene`] followed by [`evaluate`]. To evaluate one
+    /// render under many options, call those two directly.
     pub fn run(&mut self, scene: &mut dyn Scene, frames: usize) -> RunReport {
-        let tile_count = self.opts.gpu.tile_count();
-        self.renderer.init_scene(scene);
-        let mut eval = Evaluation::new(self.opts, tile_count);
-        for f in 0..frames {
-            let desc = scene.frame(f);
-            let frame_log = self.renderer.render_frame(&desc);
-            eval.push_frame(&frame_log);
-        }
-        eval.finish(scene.name())
-    }
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("opts", &self.opts)
-            .finish_non_exhaustive()
+        evaluate(&render_scene(scene, self.opts.gpu, frames), &self.opts)
     }
 }
 

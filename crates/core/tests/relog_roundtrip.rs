@@ -12,7 +12,8 @@
 //! A third pins the one frame-record reader behind both entry points: on
 //! truncated or bit-flipped streams, [`relog::decode`] and
 //! [`RelogReader::into_log`] agree (same log or same error) and never
-//! panic.
+//! panic. Forged frames with valid CRCs but the wrong tile count, and
+//! headers with degenerate configurations, are errors too.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression, RelogError, RelogReader};
@@ -187,30 +188,128 @@ impl Stream {
 }
 
 /// An arbitrary log: the geometry/tile structure need not be mutually
-/// consistent — the codec must carry it regardless.
+/// consistent — the codec must carry it regardless. Only the tile count
+/// follows the configuration, because the reader checks it: each frame
+/// holds `tiles` tiles (at least one), a row of `tile_size` tiles whose
+/// last one may be partial.
 fn arbitrary_log(seed: u64, frames: usize, tiles: usize) -> RenderLog {
     let mut s = Stream(seed);
-    let configs = [
-        GpuConfig::default(),
-        GpuConfig {
-            width: 64,
-            height: 32,
-            tile_size: 16,
-            binning: BinningMode::ExactCoverage,
-        },
-        GpuConfig {
-            width: 400,
-            height: 256,
-            tile_size: 32,
-            binning: BinningMode::BoundingBox,
-        },
-    ];
-    let config = configs[s.below(configs.len() as u64) as usize];
+    let tile_size = [8u32, 16, 32][s.below(3) as usize];
+    let config = GpuConfig {
+        width: (tiles as u32 - 1) * tile_size + 1 + s.below(tile_size.into()) as u32,
+        height: 1 + s.below(tile_size.into()) as u32,
+        tile_size,
+        binning: [BinningMode::BoundingBox, BinningMode::ExactCoverage][s.below(2) as usize],
+    };
+    assert_eq!(config.tile_count() as usize, tiles);
     let names = ["", "t", "tri", "a workload name with spaces"];
     RenderLog {
         name: names[s.below(names.len() as u64) as usize].to_owned(),
         config,
         frames: (0..frames).map(|_| s.frame(tiles)).collect(),
+    }
+}
+
+/// A triangle that steps right every `.0` frames.
+struct Wob(usize);
+
+impl Scene for Wob {
+    fn frame(&mut self, i: usize) -> FrameDesc {
+        let step = ((i / self.0) as f32) * 0.07;
+        let verts = [(-0.6 + step, -0.4), (0.4 + step, -0.5), (step, 0.6)]
+            .iter()
+            .map(|&(x, y)| {
+                Vertex::new(vec![
+                    Vec4::new(x, y, 0.0, 1.0),
+                    Vec4::new(0.2, 0.7, 0.9, 1.0),
+                ])
+            })
+            .collect();
+        let mut frame = FrameDesc::new();
+        frame.drawcalls.push(DrawCall {
+            state: PipelineState::flat_2d(),
+            constants: Mat4::IDENTITY.cols.to_vec(),
+            vertices: verts,
+        });
+        frame
+    }
+    fn name(&self) -> &str {
+        "wob"
+    }
+}
+
+/// Both entry points' error for `bytes`.
+fn errors(bytes: &[u8]) -> (RelogError, RelogError) {
+    let whole = relog::decode(bytes).expect_err("decode must fail");
+    let streamed = RelogReader::new(bytes)
+        .and_then(RelogReader::into_log)
+        .expect_err("streaming must fail");
+    let streamed = *streamed
+        .into_inner()
+        .expect("wrapped RelogError")
+        .downcast::<RelogError>()
+        .expect("a RelogError");
+    (whole, streamed)
+}
+
+#[test]
+fn frames_with_the_wrong_tile_count_are_rejected() {
+    // 64×32 in 16-pixel tiles: 8 tiles per frame. Re-encoding gives every
+    // forged frame a valid CRC, so only the tile count can catch it.
+    let cfg = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let log = render_scene(&mut Wob(2), cfg, 4);
+    let mut short = log.clone();
+    short.frames[2].tiles.pop();
+    let mut long = log.clone();
+    let extra = long.frames[2].tiles[0].clone();
+    long.frames[2].tiles.push(extra);
+    for (forged, found) in [(short, 7), (long, 9)] {
+        let expected = RelogError::BadTileCount {
+            frame: 2,
+            expected: 8,
+            found,
+        };
+        let (whole, streamed) = errors(&relog::encode(&forged));
+        assert_eq!(whole, expected);
+        assert_eq!(streamed, expected);
+    }
+}
+
+#[test]
+fn degenerate_header_configurations_are_rejected() {
+    let base = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let zero_width = GpuConfig { width: 0, ..base };
+    let zero_height = GpuConfig { height: 0, ..base };
+    let zero_tile = GpuConfig {
+        tile_size: 0,
+        ..base
+    };
+    // u32::MAX² tiles per frame: more than a u32 counts.
+    let huge = GpuConfig {
+        width: u32::MAX,
+        height: u32::MAX,
+        tile_size: 1,
+        ..base
+    };
+    for config in [zero_width, zero_height, zero_tile, huge] {
+        let log = RenderLog {
+            name: "degenerate".to_owned(),
+            config,
+            frames: Vec::new(),
+        };
+        let (whole, streamed) = errors(&relog::encode(&log));
+        assert_eq!(whole, RelogError::BadConfig, "{config:?}");
+        assert_eq!(streamed, RelogError::BadConfig, "{config:?}");
     }
 }
 
@@ -221,7 +320,7 @@ proptest! {
     fn arbitrary_logs_roundtrip_losslessly(
         seed in any::<u64>(),
         frames in 0usize..4,
-        tiles in 0usize..5,
+        tiles in 1usize..5,
     ) {
         let log = arbitrary_log(seed, frames, tiles);
         let bytes = relog::encode(&log);
@@ -258,31 +357,6 @@ proptest! {
     ) {
         // A *real* render this time: evaluation semantics only make sense
         // on consistent logs.
-        struct Wob(usize);
-        impl Scene for Wob {
-            fn frame(&mut self, i: usize) -> FrameDesc {
-                let step = ((i / self.0) as f32) * 0.07;
-                let verts = [(-0.6 + step, -0.4), (0.4 + step, -0.5), (step, 0.6)]
-                    .iter()
-                    .map(|&(x, y)| {
-                        Vertex::new(vec![
-                            Vec4::new(x, y, 0.0, 1.0),
-                            Vec4::new(0.2, 0.7, 0.9, 1.0),
-                        ])
-                    })
-                    .collect();
-                let mut frame = FrameDesc::new();
-                frame.drawcalls.push(DrawCall {
-                    state: PipelineState::flat_2d(),
-                    constants: Mat4::IDENTITY.cols.to_vec(),
-                    vertices: verts,
-                });
-                frame
-            }
-            fn name(&self) -> &str {
-                "wob"
-            }
-        }
         let cfg = GpuConfig { width: 64, height: 64, tile_size: 16, ..Default::default() };
         let log = render_scene(&mut Wob(2), cfg, frames);
         let opts = SimOptions {
@@ -301,7 +375,7 @@ proptest! {
     fn decode_and_streaming_reader_agree_on_hostile_bytes(
         seed in any::<u64>(),
         frames in 0usize..4,
-        tiles in 0usize..5,
+        tiles in 1usize..5,
         lzss in any::<bool>(),
         flip in any::<bool>(),
         at in any::<u64>(),

@@ -1,12 +1,15 @@
-//! Shared-section evaluation against plain `evaluate`.
+//! Shared-section evaluation against each cell evaluated alone.
 //!
 //! Random logs and random cell sets — exact duplicates included — over
 //! every option a section key reads: signature width, compare distance,
 //! refresh period, memo capacity, L2 size, OT-queue depth and
 //! signature-compare cost. Evaluating the cells in a random order through
 //! one `SectionTable` must give every cell a report equal to
-//! `evaluate(log, opts)`, per-frame series included, while computing each
-//! distinct section exactly once, as the evaluator itself reports. RE's
+//! `evaluate(log, opts)` (the same sections over a fresh table), per-frame
+//! series included, while computing each distinct section exactly once,
+//! as the evaluator itself reports. So sharing never changes a report.
+//! That the sections compute the right report is the job of the
+//! independent oracle, `reference_run` in `staged_equivalence.rs`. RE's
 //! replay is one section per distinct timing config and skip bitmap; the
 //! bitmaps here come from a reference of RE's decision rule built on the
 //! public `SignatureUnit` and `SignatureBuffer`.

@@ -4,18 +4,23 @@
 //! `reference_run` below is a line-for-line port of the pre-split
 //! `Simulator::run`: one loop that renders and evaluates every technique
 //! tile by tile, with ground truth taken from live framebuffer compares.
-//! The property: for random scenes and random option points across every
-//! evaluation axis, the staged `Simulator::run` AND the decoupled
-//! `render_scene` → `evaluate` path produce `RunReport`s **bit-identical**
-//! (PartialEq covers every counter and f64 energy total) to the reference.
+//! It is the independent oracle for Stage B's one path: `Simulator::run`
+//! is `render_scene` followed by `evaluate`, which computes every
+//! section of `evaluate_shared` over a fresh table. The property: for
+//! random scenes and random option points across every evaluation axis
+//! (signature width, compare distance, refresh period, compare cost,
+//! OT-queue depth, L2 capacity and memo capacity), `Simulator::run`
+//! produces `RunReport`s **bit-identical** (PartialEq covers every counter
+//! and f64 energy total) to the reference.
 
 use proptest::prelude::*;
+use re_core::memo::MemoLut;
 use re_core::passes::Machine;
 use re_core::redundancy::{classify, ColorHistory, TileClassCounts};
 use re_core::sim::FrameSample;
 use re_core::{
-    evaluate, render_scene, FragmentMemo, RunReport, Scene, SignatureBuffer, SignatureUnit,
-    SignatureUnitStats, SimOptions, Simulator, TransactionElimination,
+    FragmentMemo, RunReport, Scene, SignatureBuffer, SignatureUnit, SignatureUnitStats, SimOptions,
+    Simulator, TransactionElimination,
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
@@ -40,7 +45,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
     let mut su_stats = SignatureUnitStats::default();
     let mut sig_buffer = SignatureBuffer::with_sig_bits(tile_count, distance, opts.sig_bits);
     let mut te = TransactionElimination::new(tile_count, distance);
-    let mut memo = FragmentMemo::new();
+    let mut memo = FragmentMemo::with_lut(MemoLut::with_kb(opts.memo_kb));
 
     let mut history = ColorHistory::new(distance.max(1));
     let mut classes = TileClassCounts::default();
@@ -260,15 +265,12 @@ fn arb_tri() -> impl Strategy<Value = ([f32; 6], u32, [f32; 4])> {
 }
 
 /// Builds the option point from raw draws (the vendored proptest has no
-/// `prop_oneof`/`prop_map`, so mapping happens in the test body).
-fn opts_from(
-    tile_pick: usize,
-    sig_pick: usize,
-    compare_distance: usize,
-    refresh_pick: usize,
-    sig_compare_pick: usize,
-    ot_pick: usize,
-) -> SimOptions {
+/// `prop_oneof`/`prop_map`, so mapping happens in the test body): tile
+/// size, signature width, compare distance, refresh period, compare cost,
+/// OT-queue depth, L2 capacity and memo capacity, in that order.
+fn opts_from(picks: [usize; 8]) -> SimOptions {
+    let [tile_pick, sig_pick, compare_distance, refresh_pick, sig_compare_pick, ot_pick, l2_pick, memo_pick] =
+        picks;
     let mut opts = SimOptions {
         gpu: GpuConfig {
             width: 48,
@@ -279,18 +281,20 @@ fn opts_from(
         compare_distance,
         refresh_period: [None, Some(2), Some(4)][refresh_pick % 3],
         sig_bits: [4u32, 8, 32][sig_pick % 3],
+        memo_kb: [1u32, 4, 16][memo_pick % 3],
         ..SimOptions::default()
     };
     opts.timing.sig_compare_cycles = [1u64, 4, 9][sig_compare_pick % 3];
     opts.timing.ot_queue_entries = [2u32, 16][ot_pick % 2];
+    opts.timing.set_l2_kb([8u32, 64, 256][l2_pick % 3]);
     opts
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The staged simulator and the render-once path both reproduce the
-    /// monolithic reference bit for bit across random configs.
+    /// The simulator reproduces the monolithic reference bit for bit
+    /// across random configs.
     #[test]
     fn staged_paths_match_monolithic_reference(
         tris in proptest::collection::vec(arb_tri(), 1..5),
@@ -301,28 +305,25 @@ proptest! {
         refresh_pick in 0usize..3,
         sig_compare_pick in 0usize..3,
         ot_pick in 0usize..2,
+        l2_pick in 0usize..3,
+        memo_pick in 0usize..3,
         frames in 4usize..8,
     ) {
-        let opts = opts_from(
+        let opts = opts_from([
             tile_pick,
             sig_pick,
             compare_distance,
             refresh_pick,
             sig_compare_pick,
             ot_pick,
-        );
+            l2_pick,
+            memo_pick,
+        ]);
         let unsafe_every = [0u32, 0, 5][unsafe_pick % 3];
         let scene = RandomScene { tris, unsafe_every, texture: None };
 
         let reference = reference_run(&mut scene.clone(), opts, frames);
-
-        // Path 1: the staged Simulator (Stage A + Stage B interleaved).
         let staged = Simulator::new(opts).run(&mut scene.clone(), frames);
         prop_assert_eq!(&staged, &reference);
-
-        // Path 2: render once, evaluate the shared log.
-        let log = render_scene(&mut scene.clone(), opts.gpu, frames);
-        let replayed = evaluate(&log, &opts);
-        prop_assert_eq!(&replayed, &reference);
     }
 }

@@ -16,7 +16,7 @@
 //! 4. results are re-assembled in cell-id order, so every aggregate —
 //!    returned reports, store records, the final CSV — is independent of
 //!    worker count, scheduling, cache state and sharding, and equal to the
-//!    monolithic per-cell pipeline ([`run_cell`]);
+//!    per-cell pipeline ([`run_cell`]);
 //! 5. every entry point reports the tiles its execution rasterized
 //!    ([`Execution::rasters`], [`SweepSummary::rasters`]): the evidence
 //!    for render-once, exact under concurrent executions.
@@ -234,10 +234,12 @@ pub fn capture_plan_traces(
     capture(&plan.scene_aliases(), plan, opts)
 }
 
-/// Runs one cell against a shared trace through the monolithic per-cell
-/// path (Stage A + Stage B interleaved) — the reference the executor is
-/// tested against. The grouped path in [`run_plan`]/[`run_grid`]
-/// produces identical reports while rendering each key once.
+/// Runs one cell against a shared trace on its own: one
+/// [`Simulator::run`] renders the cell's key and computes every Stage B
+/// section for it alone. This per-cell path is the reference the executor
+/// is tested against; the grouped path in [`run_plan`]/[`run_grid`]
+/// produces identical reports while rendering each key once and sharing
+/// sections among its cells.
 pub fn run_cell(trace: &Arc<Trace>, cell: &Cell) -> RunReport {
     let mut scene = TraceScene::with_name(Arc::clone(trace), cell.scene());
     let mut sim = Simulator::new(cell.point.sim_options());

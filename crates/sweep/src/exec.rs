@@ -12,7 +12,7 @@
 //! * **deterministic output** — outcomes are returned in cell-id order and
 //!   each report is a pure function of the cell, so results are
 //!   byte-identical across worker counts, scheduling and cache states,
-//!   and equal to the monolithic per-cell pipeline ([`crate::run_cell`]).
+//!   and equal to the per-cell pipeline ([`crate::run_cell`]).
 //!
 //! Progress is reported through [`SweepObserver`] events instead of
 //! hardwired `eprintln!`: the CLI installs [`StderrObserver`] (the classic

@@ -3,7 +3,7 @@
 //! A sweep over evaluation-only axes must rasterize each (scene, tile
 //! size, binning) render key **exactly once** — asserted here via the
 //! raster count each execution returns — while producing a `results.csv`
-//! byte-identical to the monolithic per-cell reference
+//! byte-identical to the per-cell reference
 //! ([`re_sweep::run_cell`]). Sharding partitions the plan *by render
 //! key*, so each shard must rasterize exactly its own keys once and
 //! nothing else.
@@ -51,7 +51,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     );
     let grouped = grouped.outcomes;
 
-    // Per-cell reference: the monolithic pipeline, one render per cell.
+    // Per-cell reference: one render per cell.
     let traces = capture_plan_traces(&SweepPlan::compile(&grid), &opts).expect("capture");
     let per_cell: Vec<CellOutcome> = grid
         .cells()

@@ -3,12 +3,13 @@
 //! One render key carries 16 cells, so every pass section is wanted by
 //! several cells at once and is claimed, published and waited on across
 //! workers. At every worker count, cold and warm, the `results.csv` must
-//! be byte-identical to the monolithic per-cell pipeline's
+//! be byte-identical to the per-cell pipeline's
 //! ([`re_sweep::run_cell`]), and no execution may hang. A warm plan whose
 //! artifact vanishes after the plan was annotated must capture the scene's
 //! trace the way a plan's captures run (one `capture_done` event), render
 //! the key, still give the same CSV, and put the artifact back for the
-//! next run.
+//! next run. So must one whose frame was forged with a valid CRC but a
+//! tile missing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,5 +154,51 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_forged_artifact_is_re_rendered() {
+    let mut grid = ExperimentGrid::default()
+        .with_scenes(&["ccs"])
+        .with_axis(axis::SIG_BITS, vec![16, 32]);
+    grid.frames = 3;
+    grid.width = 128;
+    grid.height = 64;
+    let plan = SweepPlan::compile(&grid);
+    let key = plan.render_jobs()[0].key;
+    let key_rasters = key.frames() as u64 * u64::from(key.gpu_config().tile_count());
+    let root = std::env::temp_dir().join(format!("re_forged_relog_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let logs = root.join("logs");
+    let opts = SweepOptions {
+        workers: 2,
+        log_dir: Some(logs.clone()),
+        quiet: true,
+        heartbeat: None,
+        ..SweepOptions::default()
+    };
+    let traces = capture_plan_traces(&plan, &opts).expect("capture");
+    let cold = execute(&plan, &traces, &opts, &|_, _| {});
+    assert_eq!(cold.rasters, key_rasters);
+
+    // Frame 1 loses its last tile. Re-encoding gives the forged frame a
+    // valid CRC and leaves the header as the plan expects it.
+    let path = logs.join(RenderLogCache::file_key(&key));
+    let mut log =
+        re_core::relog::decode(&std::fs::read(&path).expect("artifact")).expect("a valid artifact");
+    log.frames[1].tiles.pop();
+    std::fs::write(&path, re_core::relog::encode(&log)).expect("forge");
+    let mut warm_plan = plan.clone();
+    let satisfied = warm_plan.attach_cached_logs(&RenderLogCache::new(Some(logs.clone())));
+    assert_eq!(satisfied, 1, "the forged header passes plan annotation");
+
+    // The forged frame fails its decode: the key renders again.
+    let forged = execute(&warm_plan, &HashMap::new(), &opts, &|_, _| {});
+    assert_eq!(forged.rasters, key_rasters);
+    assert!(
+        csv(&forged.outcomes) == csv(&cold.outcomes),
+        "results.csv differs from the cold run"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
