@@ -1,10 +1,15 @@
-//! Stage B of one `eval_warm` render key on one thread: `evaluate_shared`
-//! over the key's 8 cells (signature widths 8/16/24/32 × compare
-//! distances 1/2) from a fresh `SectionTable`, on a suite scene rendered
-//! at the sweep benchmark's 200×128 screen for 4 frames. The sweep
-//! benchmark's `eval_warm` grid is ten such keys.
+//! Stage B of one `eval_warm` render key on one thread, on a suite scene
+//! rendered at the sweep benchmark's 200×128 screen for 4 frames:
+//!
+//! * `eval_warm_key_8_cells` — `evaluate_shared` over the key's 8 cells
+//!   (signature widths 8/16/24/32 × compare distances 1/2) from a fresh
+//!   `SectionTable`. The sweep benchmark's `eval_warm` grid is ten such
+//!   keys.
+//! * `te_sections` — the key's two TE sections (compare distances 1/2)
+//!   over its published baseline section.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use re_core::passes::{BaselinePass, TePass};
 use re_core::{evaluate_shared, SectionTable, SimOptions};
 use re_gpu::GpuConfig;
 
@@ -36,6 +41,14 @@ fn bench_stage_b(c: &mut Criterion) {
             let table = SectionTable::new();
             for opts in &cells {
                 std::hint::black_box(evaluate_shared(&log, opts, &table));
+            }
+        })
+    });
+    let baseline = BaselinePass::section(&log, cells[0].timing);
+    g.bench_function("te_sections", |b| {
+        b.iter(|| {
+            for compare_distance in [1, 2] {
+                std::hint::black_box(TePass::section(&log, compare_distance, &baseline));
             }
         })
     });

@@ -27,16 +27,21 @@
 //! verdicts agree replay once. [`evaluate`] is one cell over a fresh
 //! table, and [`crate::Simulator::run`] is `render_scene` then `evaluate`.
 //!
+//! The baseline section runs the memory system's two stages itself
+//! ([`BaselinePass::section`]): its caches replay the log once into a
+//! DRAM-bound stream, which it keeps, and TE's sections service that
+//! stream instead of replaying the caches again ([`TePass::section`]).
+//!
 //! [`Evaluation`] drives a stack of [`TechniquePass`]es frame by frame;
-//! the sections use it to run their one pass.
+//! the memo section uses it to run its one pass.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use re_gpu::stats::{GeometryStats, TileStats};
-use re_timing::dram::DramStats;
+use re_timing::dram::{Dram, DramStats};
 use re_timing::energy::EnergyModel;
-use re_timing::{MemorySystem, TimingConfig};
+use re_timing::{Caches, DramStream, MemEpoch, MemorySystem, TimingConfig, TrafficClass};
 
 use crate::memo::FragmentMemo;
 use crate::redundancy::{classify, TileClassCounts};
@@ -44,7 +49,7 @@ use crate::render::{FrameLog, RenderLog, TileLog};
 use crate::share::{evaluate_shared, SectionKey, SectionTable};
 use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
-use crate::te::TransactionElimination;
+use crate::te::{TeStats, TransactionElimination};
 
 /// Per-technique mutable machine state: a cache hierarchy + DRAM fed by
 /// replay, an energy model, and cycle/tile accounting.
@@ -156,6 +161,97 @@ impl MachineTotals {
     }
 }
 
+/// A [`Machine`] whose caches were replayed once, into a recorded
+/// [`DramStream`]: a fresh DRAM services each recorded epoch's requests,
+/// and the epoch's cache-side counters come from the recording. It charges
+/// geometry and tiles the way a `Machine` does, so its totals — every
+/// `f64` energy sum included — equal those of a `Machine` that replays the
+/// same events with the same flushes.
+struct StreamMachine<'s> {
+    tcfg: TimingConfig,
+    stream: &'s DramStream,
+    /// The next epoch to charge.
+    next: usize,
+    dram: Dram,
+    energy: EnergyModel,
+    geometry_cycles: u64,
+    raster_cycles: u64,
+    tiles_rendered: u64,
+    fragments_shaded: u64,
+}
+
+impl<'s> StreamMachine<'s> {
+    /// A fresh DRAM under `tcfg` over `stream`'s first epoch.
+    fn new(tcfg: TimingConfig, stream: &'s DramStream) -> Self {
+        StreamMachine {
+            tcfg,
+            stream,
+            next: 0,
+            dram: Dram::new(tcfg),
+            energy: EnergyModel::new(),
+            geometry_cycles: 0,
+            raster_cycles: 0,
+            tiles_rendered: 0,
+            fragments_shaded: 0,
+        }
+    }
+
+    /// Services the next recorded epoch; without `flush`, its Color Buffer
+    /// flushes never reach DRAM.
+    fn service(&mut self, flush: bool) -> MemEpoch {
+        let (requests, mut epoch) = self.stream.epoch(self.next);
+        self.next += 1;
+        if flush {
+            self.dram.service(requests, &mut epoch);
+        } else {
+            epoch.color_bytes = 0;
+            let kept = requests.filter(|r| r.class != TrafficClass::Colors);
+            self.dram.service(kept, &mut epoch);
+        }
+        epoch
+    }
+
+    /// Charges one frame's geometry work ([`Machine::charge_geometry`]).
+    fn charge_geometry(&mut self, g: &GeometryStats) {
+        let epoch = self.service(true);
+        self.geometry_cycles += re_timing::geometry_cycles(&self.tcfg, g, &epoch);
+        self.energy.add_geometry(g);
+    }
+
+    /// Charges one rendered tile ([`Machine::charge_tile`]), whose flush
+    /// reaches DRAM only with `flush`.
+    fn charge_tile(&mut self, t: &TileStats, flush: bool) {
+        let epoch = self.service(flush);
+        let mut t = *t;
+        if !flush {
+            t.color_bytes_flushed = 0;
+        }
+        self.raster_cycles += re_timing::raster_tile_cycles(&self.tcfg, &t, &epoch);
+        self.energy.add_raster(&t, &self.tcfg);
+        self.tiles_rendered += 1;
+        self.fragments_shaded += t.fragments_shaded;
+    }
+
+    /// The machine's totals, with the recording caches' SRAM accesses.
+    fn totals(self, sram_accesses: Vec<(u32, u64)>) -> MachineTotals {
+        assert_eq!(
+            self.next,
+            self.stream.epoch_count(),
+            "every recorded epoch charged"
+        );
+        MachineTotals {
+            energy: self.energy,
+            sram_accesses,
+            dram: *self.dram.stats(),
+            geometry_cycles: self.geometry_cycles,
+            raster_cycles: self.raster_cycles,
+            tiles_rendered: self.tiles_rendered,
+            tiles_skipped: 0,
+            fragments_shaded: self.fragments_shaded,
+        }
+    }
+}
+
 /// Shared per-tile facts: ground-truth color verdicts computed by the
 /// [`Evaluation`] driver, plus verdicts published by earlier passes for
 /// later ones (RE's input-match feeds the redundancy classifier).
@@ -176,10 +272,11 @@ pub struct TileCtx {
 
 /// One technique's evaluation logic, driven tile by tile over a render log.
 ///
-/// The sections drive the baseline, TE and memo passes through it, and the
-/// benchmark's per-layer walk (`sweepbench/src/walk.rs`) drives the whole
-/// [`default_passes`] stack. ROADMAP direction 4 deletes it once that walk
-/// runs the sections (direction 2).
+/// The sections drive the memo pass through it, the tests use the lockstep
+/// baseline and TE passes as oracles, and the benchmark's per-layer walk
+/// (`sweepbench/src/walk.rs`) drives the whole [`default_passes`] stack.
+/// ROADMAP direction 4 deletes it once that walk runs the sections
+/// (direction 2).
 pub trait TechniquePass {
     /// Display name (diagnostics).
     fn name(&self) -> &'static str;
@@ -199,6 +296,10 @@ pub trait TechniquePass {
 }
 
 /// The baseline GPU: renders every tile, skips nothing.
+///
+/// The sections compute it with [`BaselinePass::section`]; the lockstep
+/// [`TechniquePass`] impl serves the benchmark's per-layer walk and the
+/// tests.
 pub struct BaselinePass {
     tcfg: TimingConfig,
     machine: Machine,
@@ -221,6 +322,55 @@ impl BaselinePass {
             timing: opts.timing,
         }
     }
+
+    /// The baseline section over a whole log under `timing`, in the memory
+    /// system's two stages: the caches replay every event once into a
+    /// [`DramStream`], one epoch per frame's geometry and per tile, and a
+    /// fresh DRAM services it as the section charges each epoch. The
+    /// section keeps the stream for [`TePass::section`].
+    pub fn section(log: &RenderLog, timing: TimingConfig) -> BaselineSection {
+        let mut caches = Caches::new(timing);
+        let mut stream = DramStream::default();
+        for frame in &log.frames {
+            stream.record(&mut caches, &frame.geo_events);
+            for tile in &frame.tiles {
+                stream.record(&mut caches, &tile.events);
+            }
+        }
+        let sram_accesses = caches.sram_accesses();
+        let mut machine = StreamMachine::new(timing, &stream);
+        let mut raster_cycles = Vec::with_capacity(log.frames.len());
+        for frame in &log.frames {
+            let mark = machine.raster_cycles;
+            machine.charge_geometry(&frame.geo.stats);
+            for tile in &frame.tiles {
+                machine.charge_tile(&tile.stats, true);
+            }
+            raster_cycles.push(machine.raster_cycles - mark);
+        }
+        let report = machine.totals(sram_accesses.clone()).settle();
+        BaselineSection {
+            report,
+            raster_cycles,
+            timing,
+            stream,
+            sram_accesses,
+        }
+    }
+}
+
+/// The baseline section ([`BaselinePass::section`]): the baseline's report
+/// and per-frame raster cycles, with what TE reads of its cache replay —
+/// the DRAM-bound stream and the caches' SRAM access counts.
+#[derive(Debug, Clone)]
+pub struct BaselineSection {
+    /// The baseline's report section.
+    pub report: TechniqueReport,
+    /// Each frame's baseline raster cycles.
+    pub raster_cycles: Vec<u64>,
+    timing: TimingConfig,
+    stream: DramStream,
+    sram_accesses: Vec<(u32, u64)>,
 }
 
 impl TechniquePass for BaselinePass {
@@ -617,6 +767,12 @@ impl TechniquePass for RedundancyPass {
 }
 
 /// Transaction Elimination: hashes rendered colors, may drop the flush.
+///
+/// The sections compute TE with [`TePass::section`], from the baseline's
+/// DRAM-bound stream. The lockstep [`TechniquePass`] impl replays the
+/// whole cache hierarchy; it serves only the benchmark's per-layer walk
+/// (`sweepbench/src/walk.rs`, through [`default_passes`]) and the tests,
+/// as the oracle `TePass::section` must equal bit for bit.
 pub struct TePass {
     tcfg: TimingConfig,
     machine: Machine,
@@ -633,15 +789,54 @@ impl TePass {
         }
     }
 
-    /// The options TE reads: timing and compare distance.
+    /// The options TE reads: timing and compare distance, with its
+    /// baseline's DRAM-bound stream.
     pub fn share_key(opts: &SimOptions) -> SectionKey {
         SectionKey::Te {
             timing: opts.timing,
             compare_distance: opts.compare_distance,
         }
     }
+
+    /// TE's section over a whole log at `compare_distance`, from
+    /// `baseline`, the log's baseline section (whose timing config TE
+    /// shares).
+    ///
+    /// A Color Buffer flush touches only DRAM, so TE's caches behave
+    /// exactly as the baseline's: TE probes no cache. It services the
+    /// baseline's recorded stream on a fresh DRAM, dropping the flushes of
+    /// the tiles whose colors match, and charges every frame and tile in
+    /// the lockstep pass's order, so its report equals the lockstep
+    /// [`TePass`]'s bit for bit.
+    pub fn section(
+        log: &RenderLog,
+        compare_distance: usize,
+        baseline: &BaselineSection,
+    ) -> (TechniqueReport, TeStats) {
+        let mut te = TransactionElimination::new(log.tile_count(), compare_distance);
+        let mut machine = StreamMachine::new(baseline.timing, &baseline.stream);
+        for frame in &log.frames {
+            machine.charge_geometry(&frame.geo.stats);
+            for (tile_id, tile) in (0..).zip(&frame.tiles) {
+                let skip_flush = te.observe_signature(tile_id, tile.te_sig, tile.color_bytes);
+                machine.charge_tile(&tile.stats, !skip_flush);
+            }
+            te.end_frame();
+        }
+        let mut totals = machine.totals(baseline.sram_accesses.clone());
+        charge_te_hardware(&mut totals.energy, &te);
+        (totals.settle(), te.stats)
+    }
 }
 
+/// TE hardware energy: the CRC unit and its signature buffer.
+fn charge_te_hardware(energy: &mut EnergyModel, te: &TransactionElimination) {
+    energy.add_sram(te.storage_bytes() as u32, te.stats.sig_buffer_accesses);
+    energy.add_sram(1024, te.stats.lut_accesses);
+}
+
+/// TE over its own cache hierarchy, tile by tile: the benchmark's
+/// per-layer walk and the tests' oracle for [`TePass::section`].
 impl TechniquePass for TePass {
     fn name(&self) -> &'static str {
         "te"
@@ -669,14 +864,7 @@ impl TechniquePass for TePass {
     }
 
     fn finish(mut self: Box<Self>, report: &mut RunReport) {
-        // TE hardware energy: CRC unit + its signature buffer.
-        self.machine.energy.add_sram(
-            self.te.storage_bytes() as u32,
-            self.te.stats.sig_buffer_accesses,
-        );
-        self.machine
-            .energy
-            .add_sram(1024, self.te.stats.lut_accesses);
+        charge_te_hardware(&mut self.machine.energy, &self.te);
         report.te_stats = self.te.stats;
         report.te = self.machine.finish();
     }
@@ -747,10 +935,10 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
 
 /// Lockstep driver: streams [`FrameLog`]s through a pass stack.
 ///
-/// [`crate::share::evaluate_shared`] drives one `Evaluation` per baseline,
-/// TE or memo section, over that section's one pass. The benchmark's
-/// per-layer walk (`sweepbench/src/walk.rs`) is its only caller outside
-/// the sections. ROADMAP direction 4 deletes it once that walk runs the
+/// [`crate::share::evaluate_shared`] drives one `Evaluation` per memo
+/// section, over its one pass. The benchmark's per-layer walk
+/// (`sweepbench/src/walk.rs`) is its only caller outside the sections
+/// and the tests. ROADMAP direction 4 deletes it once that walk runs the
 /// sections (direction 2).
 pub struct Evaluation {
     tile_count: u32,

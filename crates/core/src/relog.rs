@@ -48,7 +48,9 @@
 //! * **shape** — the header's configuration must have non-zero dimensions,
 //!   and every frame record must hold exactly the tiles that configuration
 //!   divides the screen into, so a forged record with valid CRCs fails its
-//!   decode ([`RelogError::BadTileCount`]) instead of Stage B.
+//!   decode ([`RelogError::BadTileCount`]) instead of Stage B; likewise no
+//!   access event's byte range `[addr, addr + bytes)` may wrap past the end
+//!   of the 64-bit address space ([`RelogError::BadExtent`]).
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
@@ -124,6 +126,12 @@ pub enum RelogError {
     /// The header's render configuration has a zero width, height or tile
     /// size, or more tiles per frame than a `u32` counts.
     BadConfig,
+    /// An access event's byte range `[addr, addr + bytes)` wraps past the
+    /// end of the 64-bit address space.
+    BadExtent {
+        /// What was being read.
+        context: &'static str,
+    },
     /// A frame record holds a different number of tiles than the header's
     /// render configuration divides the screen into.
     BadTileCount {
@@ -152,6 +160,9 @@ impl std::fmt::Display for RelogError {
                 write!(f, "frame record {frame} failed to decompress")
             }
             RelogError::BadConfig => write!(f, "header has a degenerate render configuration"),
+            RelogError::BadExtent { context } => {
+                write!(f, "{context} address range wraps past the address space")
+            }
             RelogError::BadTileCount {
                 frame,
                 expected,
@@ -522,28 +533,38 @@ impl<'a> Parser<'a> {
         }
         Ok(out)
     }
+    /// An access's address and byte count, whose range must not wrap past
+    /// the end of the address space.
+    fn extent(&mut self, context: &'static str) -> Result<(u64, u32), RelogError> {
+        let addr = self.u64(context)?;
+        let bytes = self.u32(context)?;
+        if addr.checked_add(bytes as u64).is_none() {
+            return Err(RelogError::BadExtent { context });
+        }
+        Ok((addr, bytes))
+    }
     fn event(&mut self) -> Result<Event, RelogError> {
         Ok(match self.u8("event tag")? {
-            0 => Event::VertexFetch {
-                addr: self.u64("vertex fetch")?,
-                bytes: self.u32("vertex fetch")?,
-            },
-            1 => Event::ParamWrite {
-                addr: self.u64("param write")?,
-                bytes: self.u32("param write")?,
-            },
-            2 => Event::ParamRead {
-                addr: self.u64("param read")?,
-                bytes: self.u32("param read")?,
-            },
+            0 => {
+                let (addr, bytes) = self.extent("vertex fetch")?;
+                Event::VertexFetch { addr, bytes }
+            }
+            1 => {
+                let (addr, bytes) = self.extent("param write")?;
+                Event::ParamWrite { addr, bytes }
+            }
+            2 => {
+                let (addr, bytes) = self.extent("param read")?;
+                Event::ParamRead { addr, bytes }
+            }
             3 => Event::Texel {
                 unit: self.u8("texel event")?,
                 addr: self.u64("texel event")?,
             },
-            4 => Event::ColorFlush {
-                addr: self.u64("color flush")?,
-                bytes: self.u32("color flush")?,
-            },
+            4 => {
+                let (addr, bytes) = self.extent("color flush")?;
+                Event::ColorFlush { addr, bytes }
+            }
             5 => Event::FragShaded {
                 tile: self.u32("frag shaded")?,
                 drawcall: self.u32("frag shaded")?,

@@ -1,14 +1,14 @@
 //! Stage B work sharing among the cells of one render log.
 //!
-//! Each built-in pass reads only a few [`SimOptions`] fields, and RE's
-//! replay reads its own decisions:
+//! Each built-in pass reads only a few [`SimOptions`] fields, RE's replay
+//! reads its own decisions, and TE reads the baseline's cache replay:
 //!
 //! | section | passes | reads |
 //! |---|---|---|
 //! | RE decision | [`RePass`]'s decision half, [`RedundancyPass`] | `timing.ot_queue_entries`, `compare_distance`, `sig_bits`, `refresh_period` |
 //! | RE replay | [`RePass`]'s replay half | `timing`, the decision's [`SkipBitmap`] |
 //! | baseline | [`BaselinePass`] | `timing` |
-//! | TE | [`TePass`] | `timing`, `compare_distance` |
+//! | TE | [`TePass`] | `timing`, `compare_distance`, the baseline's DRAM-bound stream |
 //! | memo | [`MemoPass`] | `memo_kb` |
 //!
 //! RE decides a tile's fate from signatures alone, before any memory
@@ -20,6 +20,12 @@
 //! the memory system once. Redundancy rides in the decision section
 //! because it classifies tiles by RE's
 //! [`TileCtx::inputs_eq`](crate::passes::TileCtx::inputs_eq) verdict.
+//!
+//! TE differs from the baseline only in which Color Buffer flushes reach
+//! DRAM, and a flush touches no cache. So the baseline section keeps the
+//! stream its caches send to DRAM, and a TE section services that stream
+//! on a fresh DRAM, minus the flushes it elides, instead of replaying the
+//! caches again ([`TePass::section`]).
 //!
 //! Two cells over the same log whose options agree on a section's
 //! [`SectionKey`] get the same section, so [`evaluate_shared`] computes
@@ -42,23 +48,27 @@
 //! and repeats; only when every section it still needs is claimed by
 //! other cells does it wait. Claiming one section per round lets the cells
 //! of a key split its sections across workers instead of one cell
-//! computing them all while the others wait. A cell learns its replay key
-//! once its decision section is published. A cell never waits while it
-//! holds an unpublished claim, so the owner of any section it waits on is
-//! computing, not waiting: no wait can deadlock. A cell that panics
-//! withdraws its unpublished claim, and a waiting cell claims it instead.
+//! computing them all while the others wait. A section that reads another
+//! becomes claimable only once that one is published: a cell learns its
+//! replay key once its decision section is published, and its TE key once
+//! its baseline is. A cell never waits while it holds an unpublished
+//! claim, so the owner of any section it waits on is computing, not
+//! waiting: no wait can deadlock. A cell that panics withdraws its
+//! unpublished claim, and a waiting cell claims it instead.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use re_timing::TimingConfig;
 
+use crate::memo::MemoStats;
 use crate::passes::{
-    BaselinePass, Evaluation, MachineTotals, MemoPass, RePass, ReVerdicts, RedundancyPass,
-    SkipBitmap, TePass, TechniquePass,
+    BaselinePass, BaselineSection, Evaluation, MachineTotals, MemoPass, RePass, ReVerdicts,
+    RedundancyPass, SkipBitmap, TePass,
 };
 use crate::render::RenderLog;
-use crate::sim::{FrameSample, RunReport, SimOptions};
+use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
+use crate::te::TeStats;
 
 /// The inputs one section of the default pass stack reads (each pass
 /// declares its key next to its definition, as `share_key`).
@@ -88,7 +98,8 @@ pub enum SectionKey {
         /// Table I machine parameters.
         timing: TimingConfig,
     },
-    /// [`TePass`].
+    /// [`TePass`], which also reads the [`SectionKey::Baseline`] of its
+    /// `timing`.
     Te {
         /// Table I machine parameters.
         timing: TimingConfig,
@@ -103,63 +114,83 @@ pub enum SectionKey {
 }
 
 impl SectionKey {
-    /// The sections a cell under `opts` needs before it has RE's verdicts,
-    /// in claim order. Its [`SectionKey::ReReplay`] follows from the
-    /// published decision section.
-    pub fn for_options(opts: &SimOptions) -> [SectionKey; 4] {
+    /// The sections a cell under `opts` needs that read no other section,
+    /// in claim order. Its [`SectionKey::ReReplay`] follows from its
+    /// published decision section, and its [`SectionKey::Te`] from its
+    /// published baseline.
+    pub fn for_options(opts: &SimOptions) -> [SectionKey; 3] {
         [
             RePass::share_key(opts),
             BaselinePass::share_key(opts),
-            TePass::share_key(opts),
             MemoPass::share_key(opts),
         ]
     }
 
-    /// Computes the section over `log` under `opts` (whose fields match
-    /// the key). A replay reads `decision`, the cell's published decision
-    /// section.
-    fn compute(&self, log: &RenderLog, opts: &SimOptions, decision: Option<&Section>) -> Section {
-        let tile_count = log.tile_count();
-        let pass: Box<dyn TechniquePass> = match self {
-            SectionKey::ReDecision { .. } => {
-                let (verdicts, redundancy) = RePass::decide(log, opts);
-                return Section::Decision(verdicts, redundancy);
+    /// The key of the section a cell under `opts` computes from this one's
+    /// published `section`, if any: RE's replay reads its decision's
+    /// verdicts, and TE reads its baseline's DRAM-bound stream.
+    fn dependent(&self, section: &Section, opts: &SimOptions) -> Option<SectionKey> {
+        match (self, section) {
+            (SectionKey::ReDecision { .. }, Section::Decision(verdicts, _)) => {
+                Some(verdicts.replay_key(opts))
             }
-            SectionKey::ReReplay { timing, .. } => {
-                let Some(Section::Decision(verdicts, _)) = decision else {
-                    unreachable!("a replay is computed after its decision");
-                };
-                let (machine, per_frame) = RePass::replay(log, *timing, verdicts);
-                return Section::Replay(machine, per_frame);
-            }
-            SectionKey::Baseline { .. } => Box::new(BaselinePass::new(opts)),
-            SectionKey::Te { .. } => Box::new(TePass::new(opts, tile_count)),
-            SectionKey::Memo { .. } => Box::new(MemoPass::new(opts, tile_count)),
-        };
-        let mut eval = Evaluation::with_passes(*opts, tile_count, vec![pass]);
-        for frame in &log.frames {
-            eval.push_frame(frame);
+            (SectionKey::Baseline { .. }, Section::Baseline(_)) => Some(TePass::share_key(opts)),
+            _ => None,
         }
-        eval.settle(&log.name).into()
+    }
+
+    /// Computes the section over `log` under `opts` (whose fields match
+    /// the key). A replay reads `parent`, the cell's published decision
+    /// section, and TE its published baseline section.
+    fn compute(&self, log: &RenderLog, opts: &SimOptions, parent: Option<&Section>) -> Section {
+        match (self, parent) {
+            (SectionKey::ReDecision { .. }, _) => {
+                let (verdicts, redundancy) = RePass::decide(log, opts);
+                Section::Decision(verdicts, redundancy)
+            }
+            (SectionKey::ReReplay { timing, .. }, Some(Section::Decision(verdicts, _))) => {
+                let (machine, per_frame) = RePass::replay(log, *timing, verdicts);
+                Section::Replay(machine, per_frame)
+            }
+            (SectionKey::Baseline { timing }, _) => {
+                Section::Baseline(BaselinePass::section(log, *timing))
+            }
+            (
+                SectionKey::Te {
+                    compare_distance, ..
+                },
+                Some(Section::Baseline(baseline)),
+            ) => {
+                let (report, stats) = TePass::section(log, *compare_distance, baseline);
+                Section::Te(report, stats)
+            }
+            (SectionKey::Memo { .. }, _) => {
+                let tile_count = log.tile_count();
+                let pass = Box::new(MemoPass::new(opts, tile_count));
+                let mut eval = Evaluation::with_passes(*opts, tile_count, vec![pass]);
+                for frame in &log.frames {
+                    eval.push_frame(frame);
+                }
+                Section::Memo(eval.settle(&log.name).memo)
+            }
+            _ => unreachable!("a dependent section is computed after its parent"),
+        }
     }
 }
 
 /// A computed section.
 #[derive(Debug)]
 enum Section {
-    /// The report of the evaluation that computed a baseline, TE or memo
-    /// section.
-    Report(Box<RunReport>),
     /// RE's verdicts and the redundancy classification.
     Decision(ReVerdicts, RedundancyPass),
     /// RE's replayed machine, not yet settled, and its per-frame series.
     Replay(MachineTotals, Vec<FrameSample>),
-}
-
-impl From<RunReport> for Section {
-    fn from(report: RunReport) -> Self {
-        Section::Report(Box::new(report))
-    }
+    /// The baseline's report, with the DRAM-bound stream TE reads.
+    Baseline(BaselineSection),
+    /// TE's report section and hardware counters.
+    Te(TechniqueReport, TeStats),
+    /// Memoization's fragment counts.
+    Memo(MemoStats),
 }
 
 /// A section's state in a [`SectionTable`].
@@ -232,8 +263,8 @@ struct Claim<'t> {
 }
 
 impl Claim<'_> {
-    fn publish(self, section: impl Into<Section>) {
-        self.table.lock()[self.slot].1 = Entry::Ready(Arc::new(section.into()));
+    fn publish(self, section: Section) {
+        self.table.lock()[self.slot].1 = Entry::Ready(Arc::new(section));
     }
 }
 
@@ -284,46 +315,33 @@ pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable)
     for frame in &log.frames {
         assert_eq!(frame.tiles.len(), tile_count, "frame tile count mismatch");
     }
-    // A cell needs five sections: the four `for_options` keys, RE's
-    // decision first, and RE's replay, appended once the decision is
-    // published.
+    // A cell needs five sections: the three `for_options` keys, then RE's
+    // replay and TE, each added once the section it reads is published.
     const SECTIONS: usize = 5;
-    let mut keys = SectionKey::for_options(opts).to_vec();
     let mut entries = table.lock();
-    let mut slots: Vec<usize> = keys.iter().map(|key| slot(&mut entries, key)).collect();
+    let mut cell = CellSections::new(&mut entries, opts);
     let mut pass_executions = 0;
     let mut busy = Duration::ZERO;
     loop {
-        let decision = match &entries[slots[0]].1 {
-            Entry::Ready(section) => Some(Arc::clone(section)),
-            _ => None,
-        };
-        match decision.as_deref() {
-            Some(Section::Decision(verdicts, _)) if keys.len() < SECTIONS => {
-                let key = verdicts.replay_key(opts);
-                slots.push(slot(&mut entries, &key));
-                keys.push(key);
-            }
-            _ => {}
-        }
-        if let Some((i, claim)) = claim_next(table, &mut entries, &slots) {
+        cell.unlock(&mut entries, opts);
+        if let Some((i, claim)) = claim_next(table, &mut entries, &cell.slots) {
+            let parent = cell.parents[i]
+                .map(|p| ready(&entries, cell.slots[p]).expect("a published parent"));
             drop(entries);
             let start = Instant::now();
-            claim.publish(keys[i].compute(log, opts, decision.as_deref()));
+            claim.publish(cell.keys[i].compute(log, opts, parent.as_deref()));
             busy += start.elapsed();
             pass_executions += 1;
             entries = table.lock();
             continue;
         }
-        let sections: Option<Vec<Arc<Section>>> = slots
+        let sections: Option<Vec<Arc<Section>>> = cell
+            .slots
             .iter()
-            .map(|&slot| match &entries[slot].1 {
-                Entry::Ready(section) => Some(Arc::clone(section)),
-                _ => None,
-            })
+            .map(|&slot| ready(&entries, slot))
             .collect();
         match sections {
-            Some(sections) if keys.len() == SECTIONS => {
+            Some(sections) if cell.keys.len() == SECTIONS => {
                 drop(entries);
                 if pass_executions > 0 {
                     re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
@@ -331,7 +349,7 @@ pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable)
                         .add(pass_executions as u64);
                 }
                 return SharedEval {
-                    report: assemble(log, &keys, &sections),
+                    report: assemble(log, &cell.keys, &sections),
                     pass_executions,
                     busy,
                 };
@@ -341,6 +359,54 @@ pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable)
                     .published
                     .wait(entries)
                     .expect("section table poisoned");
+            }
+        }
+    }
+}
+
+/// The published section in `slot`, if any.
+fn ready(entries: &[(SectionKey, Entry)], slot: usize) -> Option<Arc<Section>> {
+    match &entries[slot].1 {
+        Entry::Ready(section) => Some(Arc::clone(section)),
+        _ => None,
+    }
+}
+
+/// The sections one cell needs so far: their keys, their table slots, and
+/// for each key the index of the key whose section it reads.
+struct CellSections {
+    keys: Vec<SectionKey>,
+    slots: Vec<usize>,
+    parents: Vec<Option<usize>>,
+}
+
+impl CellSections {
+    /// The sections a cell under `opts` needs that read no other section
+    /// ([`SectionKey::for_options`]), slotted in `entries`.
+    fn new(entries: &mut Vec<(SectionKey, Entry)>, opts: &SimOptions) -> Self {
+        let keys = SectionKey::for_options(opts).to_vec();
+        CellSections {
+            slots: keys.iter().map(|key| slot(entries, key)).collect(),
+            parents: vec![None; keys.len()],
+            keys,
+        }
+    }
+
+    /// Adds the key of each section that reads one of the cell's sections,
+    /// once that section is published. Until then the dependent key is in
+    /// none of the cell's slots, so the cell cannot claim it.
+    fn unlock(&mut self, entries: &mut Vec<(SectionKey, Entry)>, opts: &SimOptions) {
+        for parent in 0..self.keys.len() {
+            if self.parents.contains(&Some(parent)) {
+                continue;
+            }
+            let Some(section) = ready(entries, self.slots[parent]) else {
+                continue;
+            };
+            if let Some(key) = self.keys[parent].dependent(&section, opts) {
+                self.slots.push(slot(entries, &key));
+                self.keys.push(key);
+                self.parents.push(Some(parent));
             }
         }
     }
@@ -369,17 +435,17 @@ fn assemble(log: &RenderLog, keys: &[SectionKey], sections: &[Arc<Section>]) -> 
                 }
                 machine = Some(m);
             }
-            (SectionKey::Baseline { .. }, Section::Report(from)) => {
-                for (to, f) in frames.zip(&from.per_frame) {
-                    to.baseline_raster_cycles = f.baseline_raster_cycles;
+            (SectionKey::Baseline { .. }, Section::Baseline(baseline)) => {
+                for (to, &cycles) in frames.zip(&baseline.raster_cycles) {
+                    to.baseline_raster_cycles = cycles;
                 }
-                report.baseline = from.baseline.clone();
+                report.baseline = baseline.report.clone();
             }
-            (SectionKey::Te { .. }, Section::Report(from)) => {
-                report.te = from.te.clone();
-                report.te_stats = from.te_stats;
+            (SectionKey::Te { .. }, Section::Te(te, stats)) => {
+                report.te = te.clone();
+                report.te_stats = *stats;
             }
-            (SectionKey::Memo { .. }, Section::Report(from)) => report.memo = from.memo,
+            (SectionKey::Memo { .. }, Section::Memo(memo)) => report.memo = *memo,
             _ => unreachable!("a section matches its key"),
         }
     }
@@ -450,10 +516,11 @@ mod tests {
         let table = SectionTable::new();
         let other = claim(&table, &BaselinePass::share_key(&opts));
         std::thread::scope(|s| {
-            // The cell computes the four passes nobody holds, then waits
-            // for the baseline until the other cell publishes it.
+            // The cell computes RE's decision and replay and memo, waits
+            // for the baseline until the other cell publishes it, and then
+            // computes TE from it.
             let cell = s.spawn(|| evaluate_shared(&log, &opts, &table));
-            other.publish(evaluate(&log, &opts));
+            other.publish(Section::Baseline(BaselinePass::section(&log, opts.timing)));
             let shared = cell.join().expect("cell");
             assert_eq!(shared.pass_executions, 4);
             assert_eq!(shared.report, evaluate(&log, &opts));
@@ -474,18 +541,76 @@ mod tests {
                 .filter(|&&slot| matches!(entries[slot].1, Entry::Open))
                 .count()
         };
-        assert_eq!(open(&entries), 3, "decision, TE and memo are open");
-        // A cell's round claims the first open section alone, leaving TE
-        // and memo to the other cells of the key ...
+        assert_eq!(open(&entries), 2, "decision and memo are open");
+        // A cell's round claims the first open section alone, leaving memo
+        // to the other cells of the key ...
         let (first, decision) = claim_next(&table, &mut entries, &slots).expect("open sections");
         assert_eq!(keys[first], RePass::share_key(&opts));
-        assert_eq!(open(&entries), 2);
-        // ... so the next cell to arrive claims the next one.
-        let (second, te) = claim_next(&table, &mut entries, &slots).expect("open sections");
-        assert_eq!(keys[second], TePass::share_key(&opts));
         assert_eq!(open(&entries), 1);
+        // ... so the next cell to arrive claims the next one.
+        let (second, memo) = claim_next(&table, &mut entries, &slots).expect("open sections");
+        assert_eq!(keys[second], MemoPass::share_key(&opts));
+        assert_eq!(open(&entries), 0);
         drop(entries);
-        drop((decision, te, other));
+        drop((decision, memo, other));
+    }
+
+    #[test]
+    fn a_te_slot_is_not_claimable_while_its_baseline_is_open_or_claimed() {
+        let (log, opts) = setup();
+        let table = SectionTable::new();
+        let mut entries = table.lock();
+        let mut cell = CellSections::new(&mut entries, &opts);
+        let baseline = 1;
+        assert_eq!(cell.keys[baseline], BaselinePass::share_key(&opts));
+        let te = TePass::share_key(&opts);
+        // Open, then claimed: the cell has no TE slot to claim.
+        for state in [Entry::Open, Entry::Claimed] {
+            entries[cell.slots[baseline]].1 = state;
+            cell.unlock(&mut entries, &opts);
+            assert!(!cell.keys.contains(&te));
+            assert!(entries.iter().all(|(key, _)| *key != te));
+        }
+        // Published: TE reads it, and is the section left to claim.
+        let section = Section::Baseline(BaselinePass::section(&log, opts.timing));
+        entries[cell.slots[baseline]].1 = Entry::Ready(Arc::new(section));
+        entries[cell.slots[0]].1 = Entry::Claimed;
+        entries[cell.slots[2]].1 = Entry::Claimed;
+        cell.unlock(&mut entries, &opts);
+        assert_eq!(cell.keys.last(), Some(&te));
+        assert_eq!(cell.parents.last(), Some(&Some(baseline)));
+        let (i, claim) = claim_next(&table, &mut entries, &cell.slots).expect("TE is open");
+        assert_eq!(cell.keys[i], te);
+        drop(entries);
+        drop(claim);
+    }
+
+    #[test]
+    fn a_dropped_baseline_claim_reopens_and_the_waiting_cell_computes_baseline_then_te() {
+        let (log, opts) = setup();
+        let table = SectionTable::new();
+        let other = claim(&table, &BaselinePass::share_key(&opts));
+        let published = |table: &SectionTable| {
+            let entries = table.lock();
+            entries
+                .iter()
+                .filter(|(_, entry)| matches!(entry, Entry::Ready(_)))
+                .count()
+        };
+        std::thread::scope(|s| {
+            let cell = s.spawn(|| evaluate_shared(&log, &opts, &table));
+            // RE's decision and replay and memo need no baseline; once they
+            // are published the cell waits on the baseline's claim.
+            while published(&table) < 3 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The claim's owner panics: its claim drops unpublished.
+            drop(other);
+            let shared = cell.join().expect("cell");
+            assert_eq!(shared.pass_executions, 5, "baseline and TE too");
+            assert_eq!(shared.report, evaluate(&log, &opts));
+        });
+        assert_eq!(published(&table), 5);
     }
 
     #[test]

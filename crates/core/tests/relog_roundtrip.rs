@@ -51,6 +51,14 @@ impl Stream {
             _ => self.u64(),
         }
     }
+    /// An access's address and byte count, boundary values included,
+    /// with a byte range that ends at or below the top of the address
+    /// space (a wrapping one fails to decode).
+    fn extent(&mut self) -> (u64, u32) {
+        let addr = self.wild();
+        let bytes = (self.u32() as u64).min(u64::MAX - addr);
+        (addr, bytes as u32)
+    }
     fn f32(&mut self) -> f32 {
         // Arbitrary bit patterns, finite-or-not: the codec must preserve
         // them verbatim (NaN payloads included — compare by bits below,
@@ -71,26 +79,26 @@ impl Stream {
     }
     fn event(&mut self) -> Event {
         match self.below(6) {
-            0 => Event::VertexFetch {
-                addr: self.wild(),
-                bytes: self.u32(),
-            },
-            1 => Event::ParamWrite {
-                addr: self.wild(),
-                bytes: self.u32(),
-            },
-            2 => Event::ParamRead {
-                addr: self.wild(),
-                bytes: self.u32(),
-            },
+            0 => {
+                let (addr, bytes) = self.extent();
+                Event::VertexFetch { addr, bytes }
+            }
+            1 => {
+                let (addr, bytes) = self.extent();
+                Event::ParamWrite { addr, bytes }
+            }
+            2 => {
+                let (addr, bytes) = self.extent();
+                Event::ParamRead { addr, bytes }
+            }
             3 => Event::Texel {
                 unit: self.u64() as u8,
                 addr: self.wild(),
             },
-            4 => Event::ColorFlush {
-                addr: self.wild(),
-                bytes: self.u32(),
-            },
+            4 => {
+                let (addr, bytes) = self.extent();
+                Event::ColorFlush { addr, bytes }
+            }
             _ => Event::FragShaded {
                 tile: self.u32(),
                 drawcall: self.u32(),
@@ -278,6 +286,69 @@ fn frames_with_the_wrong_tile_count_are_rejected() {
         assert_eq!(whole, expected);
         assert_eq!(streamed, expected);
     }
+}
+
+#[test]
+fn accesses_that_wrap_past_the_address_space_are_rejected() {
+    let cfg = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let log = render_scene(&mut Wob(2), cfg, 3);
+    // A color flush 8 bytes below the top, in a tile's events, and a
+    // Parameter Buffer write ending one byte past it, in the geometry's:
+    // both re-encoded with valid CRCs.
+    let mut flush = log.clone();
+    flush.frames[1].tiles[3].events.push(Event::ColorFlush {
+        addr: u64::MAX - 8,
+        bytes: 64,
+    });
+    let mut write = log.clone();
+    write.frames[2].geo_events.push(Event::ParamWrite {
+        addr: u64::MAX - 63,
+        bytes: 65,
+    });
+    for (forged, context) in [(flush, "color flush"), (write, "param write")] {
+        let expected = RelogError::BadExtent { context };
+        let (whole, streamed) = errors(&relog::encode(&forged));
+        assert_eq!(whole, expected);
+        assert_eq!(streamed, expected);
+    }
+}
+
+#[test]
+fn accesses_ending_at_the_top_of_the_address_space_decode_and_evaluate() {
+    let cfg = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let mut log = render_scene(&mut Wob(2), cfg, 3);
+    log.frames[1].tiles[3].events.extend([
+        Event::ColorFlush {
+            addr: u64::MAX - 64,
+            bytes: 64,
+        },
+        Event::Texel {
+            unit: 0,
+            addr: u64::MAX,
+        },
+    ]);
+    log.frames[1].geo_events.push(Event::VertexFetch {
+        addr: u64::MAX - 10,
+        bytes: 10,
+    });
+    let back = relog::decode(&relog::encode(&log)).expect("decode");
+    assert_eq!(back, log);
+    let opts = SimOptions {
+        gpu: cfg,
+        ..SimOptions::default()
+    };
+    // The top lines replay without overflow.
+    assert!(re_core::evaluate(&back, &opts).baseline.dram.total_bytes() > 0);
 }
 
 #[test]

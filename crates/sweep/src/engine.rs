@@ -210,7 +210,17 @@ pub(crate) fn capture(
             frames,
         });
         let sw = re_obs::Stopwatch::start();
-        traces.insert(alias, cache.get(alias, frames, capture_cfg)?);
+        // Capture on a short-lived thread, so the capture's working memory
+        // (textures, the encoded trace) comes from that thread's allocator
+        // arena, which the executor's threads reuse once it exits, instead
+        // of from the caller's arena, where any long-lived allocation the
+        // caller makes afterwards can keep it resident for good.
+        let trace = std::thread::scope(|s| {
+            s.spawn(|| cache.get(alias, frames, capture_cfg))
+                .join()
+                .expect("capture thread")
+        })?;
+        traces.insert(alias, trace);
         let duration = sw.elapsed();
         capture_hist.record(duration);
         observer.on_event(&SweepEvent::CaptureDone {

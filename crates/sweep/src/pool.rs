@@ -52,11 +52,12 @@ where
 
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let tx = tx.clone();
             let deques = &deques;
             let work = &work;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 loop {
                     // Own queue first (front), then steal (back). The own
                     // pop must be a separate statement: chaining `.or_else`
@@ -84,9 +85,23 @@ where
                         None => break,
                     }
                 }
-            });
+            }));
         }
         drop(tx);
+        // Join every worker instead of only waiting for its closure to
+        // return, which is all the end of the scope waits for. Each thread
+        // allocates from an allocator arena, and a thread hands its arena
+        // to the next thread that starts only once it has exited. Joined,
+        // this call's workers hand the arenas they grew to the next call's
+        // workers, which would otherwise start while some of them are
+        // still exiting, take other arenas and grow those too: in a
+        // long-lived process running many executions, resident memory
+        // would creep up with each one.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();

@@ -87,3 +87,32 @@ fn decoded_render_logs_reproduce_the_golden_csv_byte_for_byte() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn l2_by_te_grid_reproduces_its_golden_csv_byte_for_byte() {
+    // `--scenes ccs,tib --frames 3 --width 128 --height 64 --l2-kb 64,256
+    //  --distances 1,2,3`: TE sections computed from each L2 size's
+    // baseline stream, at three compare distances. The fixture was
+    // written by the sweep that replayed TE's caches itself.
+    let mut grid = ExperimentGrid::default()
+        .with_scenes(&["ccs", "tib"])
+        .with_axis(axis::L2_KB, vec![64, 256])
+        .with_axis(axis::COMPARE_DISTANCE, vec![1, 2, 3]);
+    grid.frames = 3;
+    grid.width = 128;
+    grid.height = 64;
+    let opts = SweepOptions {
+        workers: 2,
+        quiet: true,
+        ..SweepOptions::default()
+    };
+    let outcomes = re_sweep::run_grid(&grid, &opts).expect("sweep").outcomes;
+    let records: Vec<CellRecord> = outcomes
+        .iter()
+        .map(|o| CellRecord::from_run(&o.cell, &o.report))
+        .collect();
+    assert_eq!(
+        re_sweep::render_csv(&records),
+        include_str!("fixtures/golden_l2_te.csv")
+    );
+}

@@ -104,7 +104,7 @@ impl Cache {
         }
         let lb = self.geometry.line_bytes as u64;
         let first = addr / lb;
-        let last = (addr + bytes as u64 - 1) / lb;
+        let last = (addr + (bytes as u64 - 1)) / lb;
         let mut misses = 0;
         for line in first..=last {
             if self.access(line * lb) == Access::Miss {
@@ -126,7 +126,7 @@ impl Cache {
         let sets = self.geometry.sets() as u64;
         let ways = self.geometry.ways as usize;
         let first = addr / lb;
-        let last = (addr + bytes as u64 - 1) / lb;
+        let last = (addr + (bytes as u64 - 1)) / lb;
         for line in first..=last {
             let base = (line % sets) as usize * ways;
             for w in 0..ways {

@@ -12,6 +12,7 @@
 //! [`TimingConfig::dram_latency_min`]: crate::config::TimingConfig
 
 use crate::config::TimingConfig;
+use crate::memory::MemEpoch;
 
 /// DRAM burst (line) size in bytes.
 pub const BURST_BYTES: u64 = 64;
@@ -53,6 +54,17 @@ impl TrafficClass {
             TrafficClass::Vertices => 4,
         }
     }
+}
+
+/// One request the caches send to DRAM: `bytes` at `addr` for `class`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DramRequest {
+    /// The stream the request belongs to.
+    pub class: TrafficClass,
+    /// First byte addressed.
+    pub addr: u64,
+    /// Bytes requested.
+    pub bytes: u32,
 }
 
 /// Cumulative DRAM statistics.
@@ -111,7 +123,7 @@ impl Dram {
         }
         let i = class.index();
         let first = addr / BURST_BYTES;
-        let last = (addr + bytes as u64 - 1) / BURST_BYTES;
+        let last = (addr + (bytes as u64 - 1)) / BURST_BYTES;
         let mut latency = 0u64;
         for burst in first..=last {
             let row = burst * BURST_BYTES / ROW_BYTES;
@@ -131,6 +143,27 @@ impl Dram {
         }
         self.stats.bytes[i] += (last - first + 1) * BURST_BYTES;
         latency
+    }
+
+    /// Services one epoch's requests in order, adding each latency to the
+    /// sum of its path (texel, Parameter Buffer read or vertex) in `epoch`
+    /// and the channel occupancy they generate to its busy cycles.
+    pub fn service<'a>(
+        &mut self,
+        requests: impl IntoIterator<Item = &'a DramRequest>,
+        epoch: &mut MemEpoch,
+    ) {
+        let busy_mark = self.stats.busy_cycles;
+        for r in requests {
+            let latency = self.request(r.class, r.addr, r.bytes);
+            match r.class {
+                TrafficClass::Texels => epoch.texel_latency_sum += latency,
+                TrafficClass::PrimitiveReads => epoch.prim_read_latency_sum += latency,
+                TrafficClass::Vertices => epoch.vertex_latency_sum += latency,
+                TrafficClass::Colors | TrafficClass::PrimitiveWrites => {}
+            }
+        }
+        epoch.dram_busy_cycles += self.stats.busy_cycles - busy_mark;
     }
 
     /// Cumulative statistics.

@@ -13,8 +13,11 @@
 //! * [`dram`] — a bandwidth/latency LPDDR3-like main-memory model with
 //!   traffic classified by stream (colors / texels / primitives / …), the
 //!   classification Fig. 15b reports.
-//! * [`memory`] — [`MemorySystem`], which replays every recorded pipeline
-//!   access ([`re_gpu::Event`]) through the cache hierarchy.
+//! * [`memory`] — the hierarchy's two stages: [`Caches`] turn every
+//!   recorded pipeline access ([`re_gpu::Event`]) into a DRAM-bound request
+//!   stream, which [`dram::Dram`] services; [`MemorySystem`] runs both per
+//!   epoch, and a [`DramStream`] keeps a whole replay's stream for
+//!   consumers that differ only in which requests reach DRAM.
 //! * [`pipeline`] — stage-throughput cycle model (geometry and per-tile
 //!   raster cycles).
 //! * [`energy`] — per-access energy table and static power integration.
@@ -24,8 +27,9 @@
 //! Each evaluated technique owns one [`MemorySystem`] (its private cache
 //! hierarchy + DRAM) and one [`EnergyModel`]. The recorded pipeline
 //! events are replayed into the memory system
-//! ([`MemorySystem::replay`]); after each frame/tile the accumulated
-//! [`MemEpoch`] is drained and converted to cycles with
+//! ([`MemorySystem::replay`]), whose DRAM services each request the
+//! caches send it; after each frame/tile the accumulated [`MemEpoch`] is
+//! drained and converted to cycles with
 //! [`geometry_cycles`] / [`raster_tile_cycles`] under a [`TimingConfig`],
 //! and at the end the DRAM traffic — classified per [`TrafficClass`] —
 //! and SRAM access counts are settled into an [`EnergyBreakdown`]:
@@ -55,5 +59,5 @@ pub mod pipeline;
 pub use config::TimingConfig;
 pub use dram::TrafficClass;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use memory::{MemEpoch, MemorySystem};
+pub use memory::{Caches, DramStream, MemEpoch, MemorySystem};
 pub use pipeline::{geometry_cycles, raster_tile_cycles};
