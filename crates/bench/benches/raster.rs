@@ -18,9 +18,10 @@ fn bench_tile_and_frame(c: &mut Criterion) {
         bench.scene.init(gpu.textures_mut());
         let frame = bench.scene.frame(0);
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
-        // The recorded accesses are part of the raster work; clearing them
-        // each iteration keeps the buffer from growing across iterations.
-        let mut events = Vec::new();
+        // The recorded accesses and hashes are part of the raster work;
+        // clearing them each iteration keeps the buffers from growing
+        // across iterations.
+        let mut record = re_gpu::TileRecord::default();
 
         // Busiest tile of the frame.
         let busiest = (0..cfg.tile_count())
@@ -28,16 +29,18 @@ fn bench_tile_and_frame(c: &mut Criterion) {
             .expect("tiles exist");
         c.bench_function(format!("rasterize_busiest_tile_{alias}"), |b| {
             b.iter(|| {
-                events.clear();
-                gpu.rasterize_tile(&frame, &geo, busiest, &mut events)
+                record.events.clear();
+                record.hashes.clear();
+                gpu.rasterize_tile(&frame, &geo, busiest, &mut record)
             })
         });
 
         c.bench_function(format!("rasterize_full_frame_{alias}"), |b| {
             b.iter(|| {
-                events.clear();
+                record.events.clear();
+                record.hashes.clear();
                 for t in 0..cfg.tile_count() {
-                    gpu.rasterize_tile(&frame, &geo, t, &mut events);
+                    gpu.rasterize_tile(&frame, &geo, t, &mut record);
                 }
             })
         });

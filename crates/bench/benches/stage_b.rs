@@ -5,11 +5,16 @@
 //!   (signature widths 8/16/24/32 × compare distances 1/2) from a fresh
 //!   `SectionTable`. The sweep benchmark's `eval_warm` grid is ten such
 //!   keys.
+//! * `baseline_section` — the key's baseline section: one cache replay of
+//!   every event into a DRAM-bound stream, serviced on a fresh DRAM.
 //! * `te_sections` — the key's two TE sections (compare distances 1/2)
 //!   over its published baseline section.
+//! * `decode_key` — decoding the key's uncompressed `.relog` artifact
+//!   from memory, what a warm sweep does once per key before Stage B.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use re_core::passes::{BaselinePass, TePass};
+use re_core::relog;
 use re_core::{evaluate_shared, SectionTable, SimOptions};
 use re_gpu::GpuConfig;
 
@@ -44,6 +49,9 @@ fn bench_stage_b(c: &mut Criterion) {
             }
         })
     });
+    g.bench_function("baseline_section", |b| {
+        b.iter(|| std::hint::black_box(BaselinePass::section(&log, cells[0].timing)))
+    });
     let baseline = BaselinePass::section(&log, cells[0].timing);
     g.bench_function("te_sections", |b| {
         b.iter(|| {
@@ -51,6 +59,10 @@ fn bench_stage_b(c: &mut Criterion) {
                 std::hint::black_box(TePass::section(&log, compare_distance, &baseline));
             }
         })
+    });
+    let bytes = relog::encode(&log);
+    g.bench_function("decode_key", |b| {
+        b.iter(|| std::hint::black_box(relog::decode(&bytes).expect("a valid artifact")))
     });
     g.finish();
 }

@@ -20,7 +20,7 @@ fn main() {
         let frame = bench.scene.frame(0);
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
+            gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::TileRecord::default());
         }
         let fp = re_gpu::image::fingerprint(gpu.framebuffer().back(), cfg.width, cfg.height);
         println!("(\"{}\", {:#018x}),", bench.alias, fp);

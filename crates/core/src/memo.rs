@@ -152,12 +152,8 @@ impl FragmentMemo {
             Some(first) => {
                 let tiles = first.len().max(frame.len());
                 for t in 0..tiles {
-                    for &h in first.get(t).map(Vec::as_slice).unwrap_or(&[]) {
-                        self.probe(h);
-                    }
-                    for &h in frame.get(t).map(Vec::as_slice).unwrap_or(&[]) {
-                        self.probe(h);
-                    }
+                    self.probe_tile(first.get(t).map_or(&[], Vec::as_slice));
+                    self.probe_tile(frame.get(t).map_or(&[], Vec::as_slice));
                 }
             }
         }
@@ -166,19 +162,23 @@ impl FragmentMemo {
     /// Processes a trailing unpaired frame (end of the run).
     pub fn finish(&mut self) {
         if let Some(first) = self.pending.take() {
-            for tile in first {
-                for h in tile {
-                    self.probe(h);
-                }
+            for tile in &first {
+                self.probe_tile(tile);
             }
         }
     }
 
-    fn probe(&mut self, hash: u32) {
-        if self.lut.probe_insert(hash) {
-            self.stats.fragments_reused += 1;
-        } else {
-            self.stats.fragments_shaded += 1;
+    /// Probes the LUT with one tile's fragment hashes, in shading order.
+    /// [`push_frame`](Self::push_frame) and [`finish`](Self::finish) feed
+    /// it tile by tile in PFR order; a caller holding a whole log feeds it
+    /// that order directly.
+    pub fn probe_tile(&mut self, hashes: &[u32]) {
+        for &hash in hashes {
+            if self.lut.probe_insert(hash) {
+                self.stats.fragments_reused += 1;
+            } else {
+                self.stats.fragments_shaded += 1;
+            }
         }
     }
 }

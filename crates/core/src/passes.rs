@@ -32,8 +32,11 @@
 //! DRAM-bound stream, which it keeps, and TE's sections service that
 //! stream instead of replaying the caches again ([`TePass::section`]).
 //!
-//! [`Evaluation`] drives a stack of [`TechniquePass`]es frame by frame;
-//! the memo section uses it to run its one pass.
+//! The memo section reads each tile's fragment-hash column alone
+//! ([`MemoPass::section`]).
+//!
+//! [`Evaluation`] drives a stack of [`TechniquePass`]es frame by frame,
+//! for the benchmark's per-layer walk and the tests.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,7 +46,7 @@ use re_timing::dram::{Dram, DramStats};
 use re_timing::energy::EnergyModel;
 use re_timing::{Caches, DramStream, MemEpoch, MemorySystem, TimingConfig, TrafficClass};
 
-use crate::memo::FragmentMemo;
+use crate::memo::{FragmentMemo, MemoLut, MemoStats};
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
 use crate::share::{evaluate_shared, SectionKey, SectionTable};
@@ -272,8 +275,8 @@ pub struct TileCtx {
 
 /// One technique's evaluation logic, driven tile by tile over a render log.
 ///
-/// The sections drive the memo pass through it, the tests use the lockstep
-/// baseline and TE passes as oracles, and the benchmark's per-layer walk
+/// No section runs through it: the tests use the lockstep baseline and TE
+/// passes as oracles, and the benchmark's per-layer walk
 /// (`sweepbench/src/walk.rs`) drives the whole [`default_passes`] stack.
 /// ROADMAP direction 4 deletes it once that walk runs the sections
 /// (direction 2).
@@ -871,6 +874,9 @@ impl TechniquePass for TePass {
 }
 
 /// PFR-aided fragment memoization fragment counts (ISCA'14 baseline).
+///
+/// The sections compute it with [`MemoPass::section`]; the lockstep
+/// [`TechniquePass`] impl serves the benchmark's per-layer walk.
 pub struct MemoPass {
     memo: FragmentMemo,
     current: Vec<Vec<u32>>,
@@ -881,7 +887,7 @@ impl MemoPass {
     /// `opts.memo_kb` selects (the paper's 16 KiB by default).
     pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
         MemoPass {
-            memo: FragmentMemo::with_lut(crate::memo::MemoLut::with_kb(opts.memo_kb)),
+            memo: FragmentMemo::with_lut(MemoLut::with_kb(opts.memo_kb)),
             current: vec![Vec::new(); tile_count as usize],
         }
     }
@@ -891,6 +897,22 @@ impl MemoPass {
         SectionKey::Memo {
             memo_kb: opts.memo_kb,
         }
+    }
+
+    /// The memo section over a whole log with a `memo_kb` KiB LUT, read
+    /// straight from the tiles' hash columns: each PFR pair of frames
+    /// probes the LUT tile by tile, the pair's two tiles back to back, and
+    /// a trailing unpaired frame probes alone — [`FragmentMemo`]'s order.
+    pub fn section(log: &RenderLog, memo_kb: u32) -> MemoStats {
+        let mut memo = FragmentMemo::with_lut(MemoLut::with_kb(memo_kb));
+        for pair in log.frames.chunks(2) {
+            for t in 0..pair[0].tiles.len() {
+                for frame in pair {
+                    memo.probe_tile(&frame.tiles[t].hashes);
+                }
+            }
+        }
+        memo.stats
     }
 }
 
@@ -904,7 +926,7 @@ impl TechniquePass for MemoPass {
     }
 
     fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        self.current[tile_id as usize] = tile.frag_hashes().collect();
+        self.current[tile_id as usize] = tile.hashes.clone();
     }
 
     fn end_frame(&mut self, _frame: &FrameLog, _sample: &mut FrameSample) {
@@ -935,11 +957,9 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
 
 /// Lockstep driver: streams [`FrameLog`]s through a pass stack.
 ///
-/// [`crate::share::evaluate_shared`] drives one `Evaluation` per memo
-/// section, over its one pass. The benchmark's per-layer walk
-/// (`sweepbench/src/walk.rs`) is its only caller outside the sections
-/// and the tests. ROADMAP direction 4 deletes it once that walk runs the
-/// sections (direction 2).
+/// The benchmark's per-layer walk (`sweepbench/src/walk.rs`) is its only
+/// caller outside the tests; no section uses it. ROADMAP direction 4
+/// deletes it once that walk runs the sections (direction 2).
 pub struct Evaluation {
     tile_count: u32,
     passes: Vec<Box<dyn TechniquePass>>,
@@ -996,8 +1016,7 @@ impl Evaluation {
     /// An evaluation over a pass stack (stack order = evaluation order: a
     /// pass reads the [`TileCtx`] verdicts of the passes before it).
     ///
-    /// The sections and the benchmark's per-layer walk are its callers;
-    /// see [`Evaluation`].
+    /// The benchmark's per-layer walk is its caller; see [`Evaluation`].
     pub fn with_passes(
         opts: SimOptions,
         tile_count: u32,
@@ -1011,8 +1030,8 @@ impl Evaluation {
         }
     }
 
-    /// Feeds one recorded frame through every pass. The sections and the
-    /// benchmark's per-layer walk are its callers; see [`Evaluation`].
+    /// Feeds one recorded frame through every pass. The benchmark's
+    /// per-layer walk is its caller; see [`Evaluation`].
     ///
     /// # Panics
     /// Panics if the frame's tile count does not match the evaluation's.
@@ -1049,11 +1068,6 @@ impl Evaluation {
         // themselves in `evaluate_shared`.
         re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
         re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.passes.len() as u64);
-        self.settle(name)
-    }
-
-    /// [`finish`](Self::finish) without counting.
-    pub(crate) fn settle(self, name: &str) -> RunReport {
         let mut report = RunReport::empty(name, self.tile_count, self.per_frame);
         for pass in self.passes {
             pass.finish(&mut report);

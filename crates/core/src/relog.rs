@@ -12,7 +12,7 @@
 //! `docs/FORMATS.md`):
 //!
 //! ```text
-//! magic        "RELOG002"                                   8 bytes
+//! magic        "RELOG003"                                   8 bytes
 //! fingerprint  u64   FNV-1a over name/config/frame count (see
 //!                    [`log_fingerprint`]) — stale-artifact detection
 //! name         len u16 + UTF-8
@@ -24,8 +24,14 @@
 //!                payload (raw or LZSS-compressed):
 //!                  re_unsafe u8
 //!                  geometry output (drawcalls, prims, bins, stats)
-//!                  geometry events, per-tile records
+//!                  geometry events, per-tile records (events,
+//!                  fragment-hash column, stats, color identity)
 //! ```
+//!
+//! Events are fixed-width records, one per cache-visible access: a texel
+//! record is a run of `count` fetches of one unit within one 64-byte line
+//! (see [`re_gpu::access`]). A tile's fragment hashes are a `u32` column
+//! beside its events.
 //!
 //! A frame record may be LZSS-compressed (std-only codec in
 //! `crate::lzss`) and declares both its raw and stored sizes, with the
@@ -50,7 +56,11 @@
 //!   divides the screen into, so a forged record with valid CRCs fails its
 //!   decode ([`RelogError::BadTileCount`]) instead of Stage B; likewise no
 //!   access event's byte range `[addr, addr + bytes)` may wrap past the end
-//!   of the 64-bit address space ([`RelogError::BadExtent`]).
+//!   of the 64-bit address space ([`RelogError::BadExtent`]), no texel run
+//!   may be empty ([`RelogError::EmptyTexelRun`]) or name a texture unit a
+//!   render never uses ([`RelogError::BadTexelUnit`]), and each tile's
+//!   hash column and texel runs must agree with its own counters
+//!   ([`RelogError::BadHashCount`], [`RelogError::BadTexelFetches`]).
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
@@ -69,6 +79,7 @@ use std::io::{self, Read};
 use std::path::Path;
 
 use re_crc::Crc32;
+use re_gpu::access::TEXEL_UNITS;
 use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{BinningMode, Event, GpuConfig};
@@ -77,7 +88,7 @@ use re_math::{Rect, Vec4};
 use crate::render::{FrameLog, RenderLog, TileLog};
 
 /// Format magic; the trailing digits are the format revision.
-pub const MAGIC: &[u8; 8] = b"RELOG002";
+pub const MAGIC: &[u8; 8] = b"RELOG003";
 
 /// Per-frame payload compression for [`encode_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,12 +153,44 @@ pub enum RelogError {
         /// Tiles the frame record declares.
         found: u32,
     },
+    /// A texel run counts zero fetches.
+    EmptyTexelRun,
+    /// A texel event names a texture unit at or above
+    /// [`TEXEL_UNITS`].
+    BadTexelUnit {
+        /// The offending unit.
+        unit: u8,
+    },
+    /// A tile record's hash column holds a different number of hashes
+    /// than the fragments its stats shaded.
+    BadHashCount {
+        /// Zero-based index of the frame record.
+        frame: u32,
+        /// Tile id within the frame.
+        tile: u32,
+        /// The tile's `fragments_shaded`.
+        expected: u64,
+        /// Hashes in the column.
+        found: u64,
+    },
+    /// A tile record's texel runs add up to a different number of fetches
+    /// than its stats count.
+    BadTexelFetches {
+        /// Zero-based index of the frame record.
+        frame: u32,
+        /// Tile id within the frame.
+        tile: u32,
+        /// The tile's `texel_fetches`.
+        expected: u64,
+        /// The sum of its texel runs' counts.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for RelogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RelogError::BadMagic => write!(f, "not a RELOG002 stream"),
+            RelogError::BadMagic => write!(f, "not a RELOG003 stream"),
             RelogError::Truncated { context } => write!(f, "truncated while reading {context}"),
             RelogError::BadTag { context, value } => {
                 write!(f, "invalid tag {value:#04x} while reading {context}")
@@ -170,6 +213,28 @@ impl std::fmt::Display for RelogError {
             } => write!(
                 f,
                 "frame record {frame} has {found} tiles; its header's configuration has {expected}"
+            ),
+            RelogError::EmptyTexelRun => write!(f, "a texel run counts no fetches"),
+            RelogError::BadTexelUnit { unit } => {
+                write!(f, "texel event names texture unit {unit} (of {TEXEL_UNITS})")
+            }
+            RelogError::BadHashCount {
+                frame,
+                tile,
+                expected,
+                found,
+            } => write!(
+                f,
+                "frame record {frame} tile {tile} has {found} fragment hashes; it shaded {expected}"
+            ),
+            RelogError::BadTexelFetches {
+                frame,
+                tile,
+                expected,
+                found,
+            } => write!(
+                f,
+                "frame record {frame} tile {tile}'s texel runs hold {found} fetches; it counts {expected}"
             ),
         }
     }
@@ -278,25 +343,16 @@ impl Writer {
                 self.u64(addr);
                 self.u32(bytes);
             }
-            Event::Texel { unit, addr } => {
+            Event::Texel { unit, count, addr } => {
                 self.u8(3);
                 self.u8(unit);
+                self.u32(count);
                 self.u64(addr);
             }
             Event::ColorFlush { addr, bytes } => {
                 self.u8(4);
                 self.u64(addr);
                 self.u32(bytes);
-            }
-            Event::FragShaded {
-                tile,
-                drawcall,
-                hash,
-            } => {
-                self.u8(5);
-                self.u32(tile);
-                self.u32(drawcall);
-                self.u32(hash);
             }
         }
     }
@@ -394,6 +450,7 @@ fn encode_frame(frame: &FrameLog) -> Vec<u8> {
     w.u32(frame.tiles.len() as u32);
     for t in &frame.tiles {
         w.events(&t.events);
+        w.u32s(&t.hashes);
         w.tile_stats(&t.stats);
         w.u32(t.color_id);
         w.u32(t.te_sig);
@@ -557,19 +614,22 @@ impl<'a> Parser<'a> {
                 let (addr, bytes) = self.extent("param read")?;
                 Event::ParamRead { addr, bytes }
             }
-            3 => Event::Texel {
-                unit: self.u8("texel event")?,
-                addr: self.u64("texel event")?,
-            },
+            3 => {
+                let unit = self.u8("texel event")?;
+                let count = self.u32("texel event")?;
+                let addr = self.u64("texel event")?;
+                if unit >= TEXEL_UNITS {
+                    return Err(RelogError::BadTexelUnit { unit });
+                }
+                if count == 0 {
+                    return Err(RelogError::EmptyTexelRun);
+                }
+                Event::Texel { unit, count, addr }
+            }
             4 => {
                 let (addr, bytes) = self.extent("color flush")?;
                 Event::ColorFlush { addr, bytes }
             }
-            5 => Event::FragShaded {
-                tile: self.u32("frag shaded")?,
-                drawcall: self.u32("frag shaded")?,
-                hash: self.u32("frag shaded")?,
-            },
             value => {
                 return Err(RelogError::BadTag {
                     context: "event",
@@ -703,14 +763,41 @@ fn decode_frame(payload: &[u8], frame: u32, tile_count: u32) -> Result<FrameLog,
         });
     }
     let mut tiles = Vec::with_capacity((tile_count as usize).min(1 << 20));
-    for _ in 0..tile_count {
-        tiles.push(TileLog {
+    for tile in 0..tile_count {
+        let t = TileLog {
             events: p.events("tile events")?,
+            hashes: p.u32s("fragment hashes")?,
             stats: p.tile_stats()?,
             color_id: p.u32("color id")?,
             te_sig: p.u32("te signature")?,
             color_bytes: p.u64("color bytes")?,
-        });
+        };
+        let hashes = t.hashes.len() as u64;
+        if hashes != t.stats.fragments_shaded {
+            return Err(RelogError::BadHashCount {
+                frame,
+                tile,
+                expected: t.stats.fragments_shaded,
+                found: hashes,
+            });
+        }
+        let fetches = t
+            .events
+            .iter()
+            .map(|e| match *e {
+                Event::Texel { count, .. } => u64::from(count),
+                _ => 0,
+            })
+            .sum();
+        if fetches != t.stats.texel_fetches {
+            return Err(RelogError::BadTexelFetches {
+                frame,
+                tile,
+                expected: t.stats.texel_fetches,
+                found: fetches,
+            });
+        }
+        tiles.push(t);
     }
     if p.pos != payload.len() {
         return Err(RelogError::Truncated {
@@ -1106,13 +1193,15 @@ mod tests {
         // A future revision (different magic digits) is rejected, not
         // misparsed.
         let mut vnext = bytes.clone();
-        vnext[7] = b'3';
+        vnext[7] = b'4';
         assert_eq!(decode(&vnext), Err(RelogError::BadMagic));
-        // So is the retired plain-only revision: an old cache file is a
-        // miss, not a misparse.
-        let mut vold = bytes.clone();
-        vold[7] = b'1';
-        assert_eq!(decode(&vold), Err(RelogError::BadMagic));
+        // So are the retired revisions: an old cache file is a miss, not
+        // a misparse.
+        for old in [b'1', b'2'] {
+            let mut vold = bytes.clone();
+            vold[7] = old;
+            assert_eq!(decode(&vold), Err(RelogError::BadMagic));
+        }
         // Trailing garbage is an error, not silently ignored.
         let mut long = bytes;
         long.push(0);

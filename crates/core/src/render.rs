@@ -11,7 +11,10 @@
 //!   stream (constants blocks, attribute blocks, overlapped-tile lists) and
 //!   the geometry activity counters;
 //! * the geometry-pipeline and per-tile raster memory-access streams
-//!   (recorded [`Event`]s), replayable into any technique's cache hierarchy;
+//!   (recorded [`Event`]s, texel fetches folded into runs), replayable into
+//!   any technique's cache hierarchy;
+//! * per-tile fragment-input hashes, the fragment-memoization baseline's
+//!   only input;
 //! * per-tile raster activity counters ([`re_gpu::stats::TileStats`]);
 //! * per-tile color identity: an interned id that is equal iff the tile's
 //!   exact pixel contents are equal (ground-truth redundancy verdicts at
@@ -47,8 +50,13 @@ use crate::te::TransactionElimination;
 /// Everything Stage A records about one tile of one frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileLog {
-    /// The tile's raster-pipeline memory accesses, in pipeline order.
+    /// The tile's raster-pipeline memory accesses, in pipeline order, one
+    /// per cache-visible access (texel fetches folded into runs).
     pub events: Vec<Event>,
+    /// The fragment-input hashes recorded while shading this tile, in
+    /// shading order (fragment-memoization probes): one per shaded
+    /// fragment.
+    pub hashes: Vec<u32>,
     /// The tile's raster activity counters.
     pub stats: TileStats,
     /// Interned color id: two tiles (any frames, any tile index) have equal
@@ -58,17 +66,6 @@ pub struct TileLog {
     pub te_sig: u32,
     /// Bytes of color data the tile holds (`pixels × 4`).
     pub color_bytes: u64,
-}
-
-impl TileLog {
-    /// The fragment-input hashes recorded while shading this tile, in
-    /// shading order (fragment-memoization probes).
-    pub fn frag_hashes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            Event::FragShaded { hash, .. } => Some(*hash),
-            _ => None,
-        })
-    }
 }
 
 /// Everything Stage A records about one frame.
@@ -162,13 +159,14 @@ impl Renderer {
         // depend on the band count.
         let results = self.gpu.rasterize_bands(desc, &geo, self.parallel);
         let mut tiles = Vec::with_capacity(results.len());
-        for (t, (stats, colors, events)) in results.into_iter().enumerate() {
+        for (t, (stats, colors, record)) in results.into_iter().enumerate() {
             self.gpu.apply_tile_colors(t as u32, &colors);
             let te_sig = TransactionElimination::color_signature(&colors);
             let color_bytes = colors.len() as u64 * 4;
             let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
             tiles.push(TileLog {
-                events,
+                events: record.events,
+                hashes: record.hashes,
                 stats,
                 color_id,
                 te_sig,
@@ -519,44 +517,14 @@ mod tests {
         let frame = &log.frames[0];
         assert!(!frame.geo_events.is_empty(), "vertex fetches recorded");
         assert_eq!(frame.tiles.len(), 16);
-        let shaded: u64 = frame.tiles.iter().map(|t| t.stats.fragments_shaded).sum();
-        let hashes: usize = frame.tiles.iter().map(|t| t.frag_hashes().count()).sum();
-        assert_eq!(shaded as usize, hashes, "one hash per shaded fragment");
+        for t in &frame.tiles {
+            assert_eq!(
+                t.hashes.len() as u64,
+                t.stats.fragments_shaded,
+                "one hash per shaded fragment"
+            );
+        }
+        assert!(frame.tiles.iter().any(|t| !t.hashes.is_empty()));
         assert!(frame.tiles.iter().all(|t| t.color_bytes == 16 * 16 * 4));
-    }
-
-    #[test]
-    fn frag_hash_iterator() {
-        let tile = TileLog {
-            events: vec![
-                Event::ParamRead {
-                    addr: 0x8000_0000,
-                    bytes: 96,
-                },
-                Event::FragShaded {
-                    tile: 3,
-                    drawcall: 1,
-                    hash: 0xABCD,
-                },
-                Event::Texel {
-                    unit: 2,
-                    addr: 0x4000_0000,
-                },
-                Event::FragShaded {
-                    tile: 3,
-                    drawcall: 2,
-                    hash: 0x1234,
-                },
-                Event::ColorFlush {
-                    addr: 0xC000_0000,
-                    bytes: 64,
-                },
-            ],
-            stats: TileStats::default(),
-            color_id: 0,
-            te_sig: 0,
-            color_bytes: 0,
-        };
-        assert_eq!(tile.frag_hashes().collect::<Vec<_>>(), [0xABCD, 0x1234]);
     }
 }

@@ -9,7 +9,7 @@
 //! | RE replay | [`RePass`]'s replay half | `timing`, the decision's [`SkipBitmap`] |
 //! | baseline | [`BaselinePass`] | `timing` |
 //! | TE | [`TePass`] | `timing`, `compare_distance`, the baseline's DRAM-bound stream |
-//! | memo | [`MemoPass`] | `memo_kb` |
+//! | memo | [`MemoPass`] | `memo_kb`, the tiles' fragment-hash columns |
 //!
 //! RE decides a tile's fate from signatures alone, before any memory
 //! access, so its decision half (Signature Unit, Signature Buffer
@@ -59,12 +59,13 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use re_gpu::access::{TEXEL_RUN_BYTES, TEXEL_UNITS};
 use re_timing::TimingConfig;
 
 use crate::memo::MemoStats;
 use crate::passes::{
-    BaselinePass, BaselineSection, Evaluation, MachineTotals, MemoPass, RePass, ReVerdicts,
-    RedundancyPass, SkipBitmap, TePass,
+    BaselinePass, BaselineSection, MachineTotals, MemoPass, RePass, ReVerdicts, RedundancyPass,
+    SkipBitmap, TePass,
 };
 use crate::render::RenderLog;
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
@@ -164,15 +165,7 @@ impl SectionKey {
                 let (report, stats) = TePass::section(log, *compare_distance, baseline);
                 Section::Te(report, stats)
             }
-            (SectionKey::Memo { .. }, _) => {
-                let tile_count = log.tile_count();
-                let pass = Box::new(MemoPass::new(opts, tile_count));
-                let mut eval = Evaluation::with_passes(*opts, tile_count, vec![pass]);
-                for frame in &log.frames {
-                    eval.push_frame(frame);
-                }
-                Section::Memo(eval.settle(&log.name).memo)
-            }
+            (SectionKey::Memo { memo_kb }, _) => Section::Memo(MemoPass::section(log, *memo_kb)),
             _ => unreachable!("a dependent section is computed after its parent"),
         }
     }
@@ -305,12 +298,33 @@ pub struct SharedEval {
 ///
 /// # Panics
 /// Panics if `opts.gpu` differs from the log's recorded configuration or
-/// a frame's tile count differs from it.
+/// a frame's tile count differs from it, or if `opts.timing` breaks the
+/// texel-run contract: fewer fragment processors (texture caches) than
+/// recorded texture units, or a texture or L2 line that is not a multiple
+/// of the run line ([`re_gpu::access`]).
 pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable) -> SharedEval {
     assert_eq!(
         opts.gpu, log.config,
         "evaluation gpu config must match the render log's"
     );
+    // A texel run replays as one probe plus `count − 1` hits. That is
+    // exact only if no other unit shares the run's texture cache and no
+    // cache line boundary splits the run's line.
+    let timing = &opts.timing;
+    assert!(
+        timing.num_fragment_processors >= u32::from(TEXEL_UNITS),
+        "timing config has {} fragment processors; texel runs need one texture cache per \
+         recorded unit ({TEXEL_UNITS})",
+        timing.num_fragment_processors
+    );
+    for (name, cache) in [("texture", timing.texture_cache), ("L2", timing.l2_cache)] {
+        assert!(
+            u64::from(cache.line_bytes).is_multiple_of(TEXEL_RUN_BYTES),
+            "{name} cache line of {} bytes is not a multiple of the {TEXEL_RUN_BYTES}-byte \
+             texel run line",
+            cache.line_bytes
+        );
+    }
     let tile_count = log.tile_count() as usize;
     for frame in &log.frames {
         assert_eq!(frame.tiles.len(), tile_count, "frame tile count mismatch");
@@ -611,6 +625,30 @@ mod tests {
             assert_eq!(shared.report, evaluate(&log, &opts));
         });
         assert_eq!(published(&table), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "fragment processors")]
+    fn fewer_texture_caches_than_texel_units_panics() {
+        let (log, mut opts) = setup();
+        opts.timing.num_fragment_processors = 2;
+        let _ = evaluate(&log, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "texture cache line of 32 bytes")]
+    fn a_texture_line_shorter_than_a_run_panics() {
+        let (log, mut opts) = setup();
+        opts.timing.texture_cache.line_bytes = 32;
+        let _ = evaluate(&log, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 cache line of 32 bytes")]
+    fn an_l2_line_shorter_than_a_run_panics() {
+        let (log, mut opts) = setup();
+        opts.timing.l2_cache.line_bytes = 32;
+        let _ = evaluate(&log, &opts);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Round-trip property of the `.relog` codec: `decode(encode(log)) == log`
 //! for arbitrary [`RenderLog`]s — not just ones a well-behaved render
 //! produces. The generator below fills every field (events of every kind,
-//! stats counters, shaded vertices, bins, flags) from a seeded stream, so
-//! the property covers extreme values (0, `u64::MAX` addresses, empty and
-//! non-empty vectors) the renderer itself would never emit.
+//! texel runs, fragment-hash columns, stats counters, shaded vertices,
+//! bins, flags) from a seeded stream, so the property covers extreme
+//! values (0, `u64::MAX` addresses, `u32::MAX` runs, empty and non-empty
+//! vectors) the renderer itself would never emit. Only what the reader
+//! checks is kept consistent: a tile's hash count is its
+//! `fragments_shaded` and its run counts sum to its `texel_fetches`.
 //!
 //! A second property pins the reason the codec exists: a report evaluated
 //! from a decoded log is bit-identical to one evaluated from the in-memory
@@ -12,18 +15,32 @@
 //! A third pins the one frame-record reader behind both entry points: on
 //! truncated or bit-flipped streams, [`relog::decode`] and
 //! [`RelogReader::into_log`] agree (same log or same error) and never
-//! panic. Forged frames with valid CRCs but the wrong tile count, and
-//! headers with degenerate configurations, are errors too.
+//! panic. Forged frames with valid CRCs but the wrong tile count, an
+//! empty texel run, a texel unit no render uses, or a tile whose hash
+//! column or texel runs disagree with its counters, and headers with
+//! degenerate configurations, are errors too.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression, RelogError, RelogReader};
 use re_core::render::{FrameLog, RenderLog, TileLog};
 use re_core::{render_scene, Scene, SimOptions};
+use re_gpu::access::TEXEL_UNITS;
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{BinningMode, Event, GpuConfig};
 use re_math::{Mat4, Rect, Vec4};
+
+/// Fetches the texel runs among `events` hold.
+fn texel_fetches(events: &[Event]) -> u64 {
+    events
+        .iter()
+        .map(|e| match *e {
+            Event::Texel { count, .. } => u64::from(count),
+            _ => 0,
+        })
+        .sum()
+}
 
 /// Deterministic value stream (splitmix64) for building arbitrary logs.
 struct Stream(u64);
@@ -78,7 +95,7 @@ impl Stream {
         )
     }
     fn event(&mut self) -> Event {
-        match self.below(6) {
+        match self.below(5) {
             0 => {
                 let (addr, bytes) = self.extent();
                 Event::VertexFetch { addr, bytes }
@@ -92,18 +109,18 @@ impl Stream {
                 Event::ParamRead { addr, bytes }
             }
             3 => Event::Texel {
-                unit: self.u64() as u8,
+                unit: self.below(TEXEL_UNITS.into()) as u8,
+                count: match self.below(4) {
+                    0 => 1,
+                    1 => u32::MAX,
+                    _ => 1 + self.below(64) as u32,
+                },
                 addr: self.wild(),
             },
-            4 => {
+            _ => {
                 let (addr, bytes) = self.extent();
                 Event::ColorFlush { addr, bytes }
             }
-            _ => Event::FragShaded {
-                tile: self.u32(),
-                drawcall: self.u32(),
-                hash: self.u32(),
-            },
         }
     }
     fn events(&mut self, max: u64) -> Vec<Event> {
@@ -165,6 +182,23 @@ impl Stream {
             color_bytes_flushed: self.wild(),
         }
     }
+    /// A tile whose hash column and texel runs agree with its counters,
+    /// as the reader requires; every other field is arbitrary.
+    fn tile(&mut self) -> TileLog {
+        let events = self.events(16);
+        let hashes: Vec<u32> = (0..self.below(24)).map(|_| self.u32()).collect();
+        let mut stats = self.tile_stats();
+        stats.fragments_shaded = hashes.len() as u64;
+        stats.texel_fetches = texel_fetches(&events);
+        TileLog {
+            events,
+            hashes,
+            stats,
+            color_id: self.u32(),
+            te_sig: self.u32(),
+            color_bytes: self.wild(),
+        }
+    }
     fn frame(&mut self, tiles: usize) -> FrameLog {
         FrameLog {
             re_unsafe: self.below(2) == 1,
@@ -182,15 +216,7 @@ impl Stream {
                 stats: self.geometry_stats(),
             },
             geo_events: self.events(12),
-            tiles: (0..tiles)
-                .map(|_| TileLog {
-                    events: self.events(16),
-                    stats: self.tile_stats(),
-                    color_id: self.u32(),
-                    te_sig: self.u32(),
-                    color_bytes: self.wild(),
-                })
-                .collect(),
+            tiles: (0..tiles).map(|_| self.tile()).collect(),
         }
     }
 }
@@ -327,16 +353,19 @@ fn accesses_ending_at_the_top_of_the_address_space_decode_and_evaluate() {
         ..Default::default()
     };
     let mut log = render_scene(&mut Wob(2), cfg, 3);
-    log.frames[1].tiles[3].events.extend([
+    let tile = &mut log.frames[1].tiles[3];
+    tile.events.extend([
         Event::ColorFlush {
             addr: u64::MAX - 64,
             bytes: 64,
         },
         Event::Texel {
             unit: 0,
+            count: 3,
             addr: u64::MAX,
         },
     ]);
+    tile.stats.texel_fetches += 3;
     log.frames[1].geo_events.push(Event::VertexFetch {
         addr: u64::MAX - 10,
         bytes: 10,
@@ -349,6 +378,139 @@ fn accesses_ending_at_the_top_of_the_address_space_decode_and_evaluate() {
     };
     // The top lines replay without overflow.
     assert!(re_core::evaluate(&back, &opts).baseline.dram.total_bytes() > 0);
+}
+
+/// A real 8-tile render (64×32 in 16-pixel tiles) whose tiles shade
+/// fragments and fetch texels.
+fn textured_log() -> RenderLog {
+    let cfg = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let log = render_scene(&mut Tex(None), cfg, 3);
+    let tile = &log.frames[1].tiles[2];
+    assert!(tile.stats.fragments_shaded > 0 && tile.stats.texel_fetches > 0);
+    log
+}
+
+/// A textured quad over the whole screen, with the texture its `init`
+/// uploads.
+struct Tex(Option<re_gpu::texture::TextureId>);
+
+impl Scene for Tex {
+    fn init(&mut self, textures: &mut re_gpu::TextureStore) {
+        self.0 = Some(textures.upload_with(8, 8, |x, y| {
+            if (x + y) % 2 == 0 {
+                re_math::Color::WHITE
+            } else {
+                re_math::Color::BLACK
+            }
+        }));
+    }
+    fn frame(&mut self, _i: usize) -> FrameDesc {
+        let mut frame = FrameDesc::new();
+        for tri in [
+            [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
+            [(-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+        ] {
+            let vertices = tri
+                .iter()
+                .map(|&(x, y): &(f32, f32)| {
+                    Vertex::new(vec![
+                        Vec4::new(x, y, 0.0, 1.0),
+                        Vec4::splat(1.0),
+                        Vec4::new((x + 1.0) / 2.0, (y + 1.0) / 2.0, 0.0, 0.0),
+                    ])
+                })
+                .collect();
+            frame.drawcalls.push(DrawCall {
+                state: PipelineState::sprite_2d(self.0.expect("init uploads the texture")),
+                constants: Mat4::IDENTITY.cols.to_vec(),
+                vertices,
+            });
+        }
+        frame
+    }
+    fn name(&self) -> &str {
+        "tex"
+    }
+}
+
+/// The first texel run of frame 1's tile 2.
+fn first_run(log: &mut RenderLog) -> &mut Event {
+    log.frames[1].tiles[2]
+        .events
+        .iter_mut()
+        .find(|e| matches!(e, Event::Texel { .. }))
+        .expect("a texel run")
+}
+
+#[test]
+fn forged_texel_runs_and_hash_columns_are_rejected() {
+    let log = textured_log();
+    let tile = &log.frames[1].tiles[2];
+    let (shaded, fetched) = (tile.stats.fragments_shaded, tile.stats.texel_fetches);
+
+    // A run of no fetches, with the tile's count kept consistent.
+    let mut empty = log.clone();
+    if let Event::Texel { count, .. } = first_run(&mut empty) {
+        let n = u64::from(std::mem::replace(count, 0));
+        empty.frames[1].tiles[2].stats.texel_fetches -= n;
+    }
+    // A fifth texture unit.
+    let mut unit = log.clone();
+    if let Event::Texel { unit: u, .. } = first_run(&mut unit) {
+        *u = TEXEL_UNITS;
+    }
+    // One hash too many.
+    let mut hashes = log.clone();
+    hashes.frames[1].tiles[2].hashes.push(7);
+    // One fetch more in a run than the tile counts.
+    let mut fetches = log.clone();
+    if let Event::Texel { count, .. } = first_run(&mut fetches) {
+        *count += 1;
+    }
+
+    for (forged, expected) in [
+        (empty, RelogError::EmptyTexelRun),
+        (unit, RelogError::BadTexelUnit { unit: TEXEL_UNITS }),
+        (
+            hashes,
+            RelogError::BadHashCount {
+                frame: 1,
+                tile: 2,
+                expected: shaded,
+                found: shaded + 1,
+            },
+        ),
+        (
+            fetches,
+            RelogError::BadTexelFetches {
+                frame: 1,
+                tile: 2,
+                expected: fetched,
+                found: fetched + 1,
+            },
+        ),
+    ] {
+        let (whole, streamed) = errors(&relog::encode(&forged));
+        assert_eq!(whole, expected);
+        assert_eq!(streamed, expected);
+    }
+    // The unforged log decodes as it was.
+    assert_eq!(relog::decode(&relog::encode(&log)).expect("decode"), log);
+}
+
+#[test]
+fn a_retired_revision_is_rejected_by_its_magic() {
+    let mut bytes = relog::encode(&textured_log());
+    assert_eq!(&bytes[..8], b"RELOG003");
+    bytes[7] = b'2';
+    let (whole, streamed) = errors(&bytes);
+    assert_eq!(whole, RelogError::BadMagic);
+    assert_eq!(streamed, RelogError::BadMagic);
 }
 
 #[test]

@@ -24,8 +24,28 @@ use re_core::{
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
-use re_gpu::{Event, Gpu, GpuConfig};
+use re_gpu::{Event, Gpu, GpuConfig, TileRecord};
 use re_math::{Mat4, Vec4};
+
+/// `events` with every texel run expanded into `count` single fetches of
+/// its line, one event each, as the seed recorded them: the memory
+/// replays below then check that the staged path's one probe plus
+/// `count − 1` hits per run is exact. (Which fetches may share a run is
+/// pinned by `crates/timing/tests/texel_runs.rs`.)
+fn unfolded(events: &[Event]) -> Vec<Event> {
+    let mut out = Vec::with_capacity(events.len());
+    for e in events {
+        match *e {
+            Event::Texel { unit, count, addr } => out.extend((0..count).map(|_| Event::Texel {
+                unit,
+                count: 1,
+                addr,
+            })),
+            e => out.push(e),
+        }
+    }
+    out
+}
 
 /// The seed simulator's monolithic loop, kept verbatim as the reference
 /// semantics for the staged architecture.
@@ -87,15 +107,10 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
 
         let mut frame_hashes: Vec<Vec<u32>> = vec![Vec::new(); tile_count as usize];
         for t in 0..tile_count {
-            events.clear();
-            let tstats = gpu.rasterize_tile(&frame, &geo, t, &mut events);
-            frame_hashes[t as usize] = events
-                .iter()
-                .filter_map(|e| match *e {
-                    Event::FragShaded { hash, .. } => Some(hash),
-                    _ => None,
-                })
-                .collect();
+            let mut record = TileRecord::default();
+            let tstats = gpu.rasterize_tile(&frame, &geo, t, &mut record);
+            frame_hashes[t as usize] = record.hashes;
+            let events = unfolded(&record.events);
 
             base.mem.replay(&events, true);
             base.charge_tile(&tcfg, &tstats);

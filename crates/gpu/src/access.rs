@@ -8,6 +8,12 @@
 //! (spatial locality in texture and parameter-buffer streams is preserved
 //! by construction). Callers that only need pixels pass a `Vec` and ignore
 //! it.
+//!
+//! The stream holds one event per cache-visible access. A texel fetch that
+//! hits the same [`TEXEL_RUN_BYTES`] line as the same unit's previous fetch
+//! in the tile is a certain hit in that unit's private texture cache and
+//! reaches nothing else, so it is folded into that fetch's
+//! [`Event::Texel`] run (its `count`) instead of appended.
 
 /// Base of the vertex-buffer region (drawcall vertex data).
 pub const VB_BASE: u64 = 0x1000_0000;
@@ -20,7 +26,15 @@ pub const PARAM_BASE: u64 = 0x8000_0000;
 /// Base of the frame-buffer region (front and back buffers).
 pub const FB_BASE: u64 = 0xC000_0000;
 
-/// One pipeline memory access or stage event. Addresses are synthetic
+/// Texture units (one per fragment processor) a texel event can name.
+pub const TEXEL_UNITS: u8 = 4;
+
+/// The line size texel runs are folded at: consecutive fetches of one unit
+/// within one aligned block of this many bytes form one run. A cache whose
+/// line is a multiple of it sees every fetch of a run hit the run's line.
+pub const TEXEL_RUN_BYTES: u64 = 64;
+
+/// One pipeline memory access. Addresses are synthetic
 /// physical addresses from the regions above; `bytes` is the access
 /// footprint (the cache model splits it into lines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +61,16 @@ pub enum Event {
         /// Footprint in bytes.
         bytes: u32,
     },
-    /// A fragment processor samples one 4-byte RGBA8 texel through a
-    /// Texture Cache.
+    /// A fragment processor samples `count` 4-byte RGBA8 texels through
+    /// its Texture Cache, one after another within the
+    /// [`TEXEL_RUN_BYTES`] line of `addr` (the run's first fetch).
     Texel {
-        /// Texture-cache bank (0–3, one per fragment processor).
+        /// Texture-cache bank (`0..TEXEL_UNITS`, one per fragment
+        /// processor).
         unit: u8,
-        /// Address.
+        /// Fetches in the run (at least 1).
+        count: u32,
+        /// Address of the run's first fetch.
         addr: u64,
     },
     /// The Tile Flush writes a row of final colors to the Frame Buffer in
@@ -62,18 +80,6 @@ pub enum Event {
         addr: u64,
         /// Footprint in bytes.
         bytes: u32,
-    },
-    /// A fragment was shaded. `hash` is a 32-bit hash of the fragment's
-    /// shader inputs (interpolated varyings + drawcall constants),
-    /// *excluding screen coordinates* — the key used by the PFR
-    /// fragment-memoization baseline (paper §V-A).
-    FragShaded {
-        /// Tile id.
-        tile: u32,
-        /// Drawcall index.
-        drawcall: u32,
-        /// 32-bit input hash.
-        hash: u32,
     },
 }
 
@@ -85,5 +91,10 @@ mod tests {
     fn regions_are_disjoint_and_ordered() {
         let bases = [VB_BASE, TEX_BASE, PARAM_BASE, FB_BASE];
         assert!(bases.windows(2).all(|w| w[0] < w[1]), "{bases:?}");
+    }
+
+    #[test]
+    fn an_event_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 }

@@ -31,10 +31,11 @@
 //! Three cross-cutting facilities matter to consumers:
 //!
 //! * **Access events** ([`Event`]) — every pipeline memory access
-//!   (vertex fetch, Parameter Buffer read/write, texel fetch, color
-//!   flush, fragment-shaded probe) is appended to a caller-supplied
-//!   `Vec<Event>`, which is the stream `re_core` records per tile and
-//!   `re_timing`'s `MemorySystem` replays through its cache hierarchy.
+//!   (vertex fetch, Parameter Buffer read/write, texel fetch run, color
+//!   flush) is appended to a caller-supplied `Vec<Event>`, which is the
+//!   stream `re_core` records per tile and `re_timing`'s `MemorySystem`
+//!   replays through its cache hierarchy. A tile's events and its shaded
+//!   fragments' input hashes make up its [`TileRecord`].
 //! * **Activity counters** ([`stats::GeometryStats`],
 //!   [`stats::TileStats`]) — the per-frame / per-tile work counts the
 //!   cycle and energy models consume.
@@ -58,12 +59,14 @@
 //! let frame = FrameDesc::new(); // empty frame: just clears
 //! let mut events = Vec::new(); // pipeline memory accesses, in order
 //! let geo = gpu.run_geometry(&frame, &mut events);
+//! let mut tiles = re_gpu::TileRecord::default(); // accesses + fragment hashes
 //! for t in 0..gpu.tile_count() {
-//!     gpu.rasterize_tile(&frame, &geo, t, &mut events);
+//!     gpu.rasterize_tile(&frame, &geo, t, &mut tiles);
 //! }
 //! gpu.end_frame();
 //! // An empty frame still flushes its pixels: 16 tiles × 16 rows.
-//! assert_eq!(events.len(), 16 * 16);
+//! assert_eq!((events.len(), tiles.events.len()), (0, 16 * 16));
+//! assert!(tiles.hashes.is_empty(), "no fragment was shaded");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,7 +87,7 @@ pub use access::Event;
 pub use api::{DrawCall, FrameDesc, PipelineState};
 pub use framebuffer::Framebuffer;
 pub use geometry::GeometryOutput;
-pub use raster::{raster_invocations, ParallelRaster};
+pub use raster::{raster_invocations, ParallelRaster, TileRecord};
 pub use shader::ShaderProgram;
 pub use stats::{FrameStats, GeometryStats, TileStats};
 pub use texture::{Texture, TextureStore};
@@ -224,10 +227,11 @@ impl Gpu {
     /// fetches the tile's primitives from the Parameter Buffer, rasterizes,
     /// early-Z tests, shades, blends and flushes the tile's colors.
     ///
-    /// The tile's memory accesses are appended to `events`.
-    /// Returns the tile's activity counters. Tiles may be rasterized in any
-    /// order; a tile that is never rasterized keeps its previous back-buffer
-    /// content (which is what Rendering Elimination exploits). This is
+    /// The tile's memory accesses and fragment hashes are appended to
+    /// `record`. Returns the tile's activity counters. Tiles may be
+    /// rasterized in any order; a tile that is never rasterized keeps its
+    /// previous back-buffer content (which is what Rendering Elimination
+    /// exploits). This is
     /// [`raster::rasterize_tile_detached`] plus
     /// [`apply_tile_colors`](Self::apply_tile_colors).
     pub fn rasterize_tile(
@@ -235,7 +239,7 @@ impl Gpu {
         frame: &FrameDesc,
         geo: &GeometryOutput,
         tile_id: u32,
-        events: &mut Vec<Event>,
+        record: &mut TileRecord,
     ) -> TileStats {
         let base_addr = self.framebuffer.back().base_addr();
         let (stats, colors) = raster::rasterize_tile_detached(
@@ -245,7 +249,7 @@ impl Gpu {
             tile_id,
             &self.textures,
             base_addr,
-            events,
+            record,
         );
         self.apply_tile_colors(tile_id, &colors);
         stats
@@ -255,8 +259,9 @@ impl Gpu {
     /// [`ParallelRaster::bands`] band threads, returning per-tile results
     /// **in tile-id order**: the tile's activity counters, its final colors
     /// (row-major over the tile rect, ready for
-    /// [`apply_tile_colors`](Self::apply_tile_colors)), and its memory
-    /// accesses in pipeline order.
+    /// [`apply_tile_colors`](Self::apply_tile_colors)), and its
+    /// [`TileRecord`]: memory accesses in pipeline order and fragment
+    /// hashes in shading order.
     ///
     /// The frame is split into row-aligned bands
     /// ([`tiling::band_ranges`]) with exclusive tile ownership, so band
@@ -275,11 +280,11 @@ impl Gpu {
         frame: &FrameDesc,
         geo: &GeometryOutput,
         parallel: ParallelRaster,
-    ) -> Vec<(TileStats, Vec<Color>, Vec<Event>)> {
+    ) -> Vec<(TileStats, Vec<Color>, TileRecord)> {
         let base_addr = self.framebuffer.back().base_addr();
         let raster_band = |band: std::ops::Range<u32>| {
             band.map(|t| {
-                let mut events = Vec::new();
+                let mut record = TileRecord::default();
                 let (stats, colors) = raster::rasterize_tile_detached(
                     &self.config,
                     frame,
@@ -287,9 +292,9 @@ impl Gpu {
                     t,
                     &self.textures,
                     base_addr,
-                    &mut events,
+                    &mut record,
                 );
-                (stats, colors, events)
+                (stats, colors, record)
             })
             .collect::<Vec<_>>()
         };
@@ -399,7 +404,7 @@ mod tests {
         frame.clear_color = Color::new(10, 20, 30, 255);
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
+            gpu.rasterize_tile(&frame, &geo, t, &mut TileRecord::default());
         }
         assert_eq!(gpu.back_pixel(0, 0), Color::new(10, 20, 30, 255));
         assert_eq!(gpu.back_pixel(31, 31), Color::new(10, 20, 30, 255));

@@ -13,17 +13,20 @@
 //! 3. The Early Depth Test culls occluded fragments against the on-chip
 //!    Depth Buffer.
 //! 4. The Fragment Processors run the fragment program (texel fetches are
-//!    recorded as [`Event::Texel`]).
+//!    recorded as [`Event::Texel`] runs).
 //! 5. The Blending unit merges the output into the on-chip Color Buffer.
 //! 6. The Tile Flush writes the final colors to the Frame Buffer
 //!    ([`Event::ColorFlush`]).
 //!
-//! Every access, and one [`Event::FragShaded`] probe per shaded fragment,
-//! is appended to the caller's `Vec<Event>` in pipeline order.
+//! The tile's memory accesses are appended to the caller's
+//! [`TileRecord::events`] in pipeline order, one event per cache-visible
+//! access: a texel fetch on the same [`TEXEL_RUN_BYTES`] line as the same
+//! unit's previous fetch in the tile adds one to that fetch's run instead.
+//! Each shaded fragment's input hash goes to [`TileRecord::hashes`].
 
 use re_math::{edge_function, Color, Vec2, Vec4};
 
-use crate::access::Event;
+use crate::access::{Event, TEXEL_RUN_BYTES, TEXEL_UNITS};
 use crate::api::FrameDesc;
 use crate::geometry::GeometryOutput;
 use crate::shader::SampleCtx;
@@ -42,12 +45,63 @@ fn fnv1a(seed: u32, bytes: &[u8]) -> u32 {
     h
 }
 
-/// Sampler adapter counting texel fetches and recording their addresses.
+/// What rasterizing one tile records besides its pixels and counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TileRecord {
+    /// The tile's memory accesses in pipeline order, texel fetches folded
+    /// into runs (see the module docs).
+    pub events: Vec<Event>,
+    /// One 32-bit hash of each shaded fragment's shader inputs
+    /// (interpolated varyings + drawcall constants), *excluding screen
+    /// coordinates*, in shading order — the key of the PFR
+    /// fragment-memoization baseline (paper §V-A).
+    pub hashes: Vec<u32>,
+}
+
+/// Each texture unit's open texel run in one tile's event stream: the
+/// index of the unit's latest [`Event::Texel`]. The rasterizer starts one
+/// per tile.
+#[derive(Debug, Default)]
+pub struct TexelRuns {
+    open: [Option<usize>; TEXEL_UNITS as usize],
+}
+
+impl TexelRuns {
+    /// Records one fetch of `addr` by `unit` in `events`: it joins the
+    /// unit's open run when both fall in one [`TEXEL_RUN_BYTES`] line (and
+    /// the run's count has room), and is appended as a new run otherwise.
+    ///
+    /// # Panics
+    /// Panics if `unit` is not below [`TEXEL_UNITS`].
+    pub fn fetch(&mut self, events: &mut Vec<Event>, unit: u8, addr: u64) {
+        let slot = &mut self.open[unit as usize];
+        if let Some(i) = *slot {
+            if let Event::Texel {
+                count, addr: first, ..
+            } = &mut events[i]
+            {
+                if *first / TEXEL_RUN_BYTES == addr / TEXEL_RUN_BYTES && *count < u32::MAX {
+                    *count += 1;
+                    return;
+                }
+            }
+        }
+        *slot = Some(events.len());
+        events.push(Event::Texel {
+            unit,
+            count: 1,
+            addr,
+        });
+    }
+}
+
+/// Sampler adapter counting texel fetches and recording them as runs.
 struct TexSampler<'a> {
     texture: Option<&'a Texture>,
     filter: crate::texture::Filter,
     unit: u8,
     events: &'a mut Vec<Event>,
+    runs: &'a mut TexelRuns,
     fetches: u64,
 }
 
@@ -55,13 +109,13 @@ impl SampleCtx for TexSampler<'_> {
     fn sample(&mut self, u: f32, v: f32) -> Vec4 {
         match self.texture {
             Some(t) => {
-                let unit = self.unit;
-                let events = &mut *self.events;
-                let before = events.len();
+                let (unit, events, runs) = (self.unit, &mut *self.events, &mut *self.runs);
+                let mut fetches = 0;
                 let c = t.sample(u, v, self.filter, &mut |addr| {
-                    events.push(Event::Texel { unit, addr });
+                    runs.fetch(events, unit, addr);
+                    fetches += 1;
                 });
-                self.fetches += (events.len() - before) as u64;
+                self.fetches += fetches;
                 c
             }
             None => Vec4::new(0.0, 0.0, 0.0, 1.0),
@@ -135,7 +189,8 @@ pub struct ParallelRaster {
 /// ([`ParallelRaster`], [`crate::Gpu::rasterize_bands`]). The caller
 /// commits the colors to the back buffer
 /// ([`crate::Gpu::apply_tile_colors`]); [`crate::Gpu::rasterize_tile`] is
-/// this function plus that commit.
+/// this function plus that commit. The tile's events and fragment hashes
+/// are appended to `record`.
 pub fn rasterize_tile_detached(
     config: &GpuConfig,
     frame: &FrameDesc,
@@ -143,9 +198,11 @@ pub fn rasterize_tile_detached(
     tile_id: u32,
     textures: &TextureStore,
     back_base_addr: u64,
-    events: &mut Vec<Event>,
+    record: &mut TileRecord,
 ) -> (TileStats, Vec<Color>) {
     raster_counter().incr();
+    let TileRecord { events, hashes } = record;
+    let mut runs = TexelRuns::default();
     let mut stats = TileStats::default();
     let rect = config.tile_rect(tile_id);
     let tw = rect.width();
@@ -275,6 +332,7 @@ pub fn rasterize_tile_detached(
                 filter: state.filter,
                 unit,
                 events,
+                runs: &mut runs,
                 fetches: 0,
             };
             let regs = fs.run(varyings, &dc.constants, Some(&mut sampler));
@@ -282,17 +340,13 @@ pub fn rasterize_tile_detached(
             stats.fragments_shaded += 1;
             stats.fs_instr_slots += fs_cost;
 
-            // Report the fragment's input hash for the memoization baseline
+            // Record the fragment's input hash for the memoization baseline
             // (screen coordinates deliberately excluded).
             let mut key = [0u8; 8 * 16];
             for (j, vy) in varyings.iter().enumerate() {
                 key[j * 16..(j + 1) * 16].copy_from_slice(&vy.to_le_bytes());
             }
-            events.push(Event::FragShaded {
-                tile: tile_id,
-                drawcall: prim.drawcall,
-                hash: fnv1a(dc_seed, &key[..n_vary * 16]),
-            });
+            hashes.push(fnv1a(dc_seed, &key[..n_vary * 16]));
 
             // Blending into the on-chip Color Buffer.
             let src = Color::from_vec4(regs[0]);
@@ -354,7 +408,7 @@ mod tests {
         let geo = gpu.run_geometry(frame, &mut Vec::new());
         let mut agg = TileStats::default();
         for t in 0..gpu.tile_count() {
-            let s = gpu.rasterize_tile(frame, &geo, t, &mut Vec::new());
+            let s = gpu.rasterize_tile(frame, &geo, t, &mut TileRecord::default());
             agg.merge(&s);
         }
         agg
@@ -489,21 +543,75 @@ mod tests {
             vertices,
         });
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
-        let mut events = Vec::new();
+        let mut record = TileRecord::default();
         let mut stats = TileStats::default();
         for t in 0..gpu.tile_count() {
-            stats.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut events));
+            stats.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut record));
         }
         assert_eq!(
             stats.texel_fetches,
             4 * stats.fragments_shaded,
             "bilinear: 4 texels/frag"
         );
-        let texels = events
+        let runs: Vec<(u8, u32, u64)> = record
+            .events
             .iter()
-            .filter(|e| matches!(e, Event::Texel { .. }))
-            .count();
-        assert_eq!(texels as u64, stats.texel_fetches);
+            .filter_map(|e| match *e {
+                Event::Texel { unit, count, addr } => Some((unit, count, addr)),
+                _ => None,
+            })
+            .collect();
+        let fetched: u64 = runs.iter().map(|&(_, count, _)| u64::from(count)).sum();
+        assert_eq!(fetched, stats.texel_fetches, "run lengths sum to fetches");
+        assert!(
+            runs.len() < fetched as usize,
+            "an 8×8 texture folds repeat fetches into runs"
+        );
+        assert!(runs
+            .iter()
+            .all(|&(unit, count, _)| unit < TEXEL_UNITS && count >= 1));
+    }
+
+    #[test]
+    fn texel_runs_fold_only_same_unit_same_line_repeats() {
+        let mut runs = TexelRuns::default();
+        let mut events = Vec::new();
+        let line = 0x4000_0000;
+        for (unit, addr) in [
+            (0, line),
+            (0, line + 60), // same line: joins the run
+            (1, line),      // other unit: its own run
+            (0, line + 4),  // unit 0's run is still open
+            (0, line + 64), // next line: a new run
+            (0, line),      // back to the first line: a new run
+        ] {
+            runs.fetch(&mut events, unit, addr);
+        }
+        assert_eq!(
+            events,
+            [
+                Event::Texel {
+                    unit: 0,
+                    count: 3,
+                    addr: line
+                },
+                Event::Texel {
+                    unit: 1,
+                    count: 1,
+                    addr: line
+                },
+                Event::Texel {
+                    unit: 0,
+                    count: 1,
+                    addr: line + 64
+                },
+                Event::Texel {
+                    unit: 0,
+                    count: 1,
+                    addr: line
+                },
+            ]
+        );
     }
 
     #[test]
@@ -511,10 +619,11 @@ mod tests {
         let mut gpu = Gpu::new(cfg());
         let frame = FrameDesc::new();
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
-        let mut events = Vec::new();
-        let s = gpu.rasterize_tile(&frame, &geo, 0, &mut events);
+        let mut record = TileRecord::default();
+        let s = gpu.rasterize_tile(&frame, &geo, 0, &mut record);
         assert_eq!(s.pixels_flushed, 256);
-        let color_bytes: u32 = events
+        let color_bytes: u32 = record
+            .events
             .iter()
             .map(|e| match *e {
                 Event::ColorFlush { bytes, .. } => bytes,
@@ -533,22 +642,22 @@ mod tests {
             Vec4::new(0.3, 0.6, 0.9, 1.0),
         ));
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
-        let mut events = Vec::new();
+        let mut shaded = 0;
+        let mut hashes = Vec::new();
         for t in 0..gpu.tile_count() {
-            gpu.rasterize_tile(&frame, &geo, t, &mut events);
+            let mut record = TileRecord::default();
+            shaded += gpu
+                .rasterize_tile(&frame, &geo, t, &mut record)
+                .fragments_shaded;
+            assert!(!record.events.is_empty(), "tile {t} flushes");
+            hashes.extend(record.hashes);
         }
-        let hashes: Vec<(u32, u32)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                Event::FragShaded { tile, hash, .. } => Some((tile, hash)),
-                _ => None,
-            })
-            .collect();
         assert!(!hashes.is_empty());
+        assert_eq!(hashes.len() as u64, shaded, "one hash per shaded fragment");
         // Flat color ⇒ identical inputs everywhere ⇒ one unique hash,
         // across all tiles (screen coordinates excluded).
-        let first = hashes[0].1;
-        assert!(hashes.iter().all(|&(_, h)| h == first));
+        let first = hashes[0];
+        assert!(hashes.iter().all(|&h| h == first));
     }
 
     #[test]
@@ -594,13 +703,13 @@ mod tests {
         let geo = serial.run_geometry(&frame, &mut Vec::new());
         let mut serial_tiles = Vec::new();
         for t in 0..serial.tile_count() {
-            let mut events = Vec::new();
-            let stats = serial.rasterize_tile(&frame, &geo, t, &mut events);
+            let mut record = TileRecord::default();
+            let stats = serial.rasterize_tile(&frame, &geo, t, &mut record);
             let colors = serial
                 .framebuffer()
                 .back()
                 .read_rect(serial.config().tile_rect(t));
-            serial_tiles.push((stats, colors, events));
+            serial_tiles.push((stats, colors, record));
         }
 
         let mut parallel = Gpu::new(cfg());
@@ -620,11 +729,11 @@ mod tests {
             "one invocation per tile, exactly"
         );
         assert!(raster_invocations() >= before + parallel.tile_count() as u64);
-        for (t, (stats, colors, events)) in results.into_iter().enumerate() {
-            let (ref s_stats, ref s_colors, ref s_events) = serial_tiles[t];
+        for (t, (stats, colors, record)) in results.into_iter().enumerate() {
+            let (ref s_stats, ref s_colors, ref s_record) = serial_tiles[t];
             assert_eq!(&stats, s_stats, "tile {t} stats");
             assert_eq!(&colors, s_colors, "tile {t} colors");
-            assert_eq!(&events, s_events, "tile {t} event stream");
+            assert_eq!(&record, s_record, "tile {t} events and hashes");
             parallel.apply_tile_colors(t as u32, &colors);
         }
         for y in 0..32 {
@@ -665,7 +774,7 @@ mod tests {
         frame.clear_color = Color::new(50, 50, 50, 255);
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
         // Render only tile 0; tile 3's pixels stay black from init.
-        gpu.rasterize_tile(&frame, &geo, 0, &mut Vec::new());
+        gpu.rasterize_tile(&frame, &geo, 0, &mut TileRecord::default());
         assert_eq!(gpu.back_pixel(0, 0), Color::new(50, 50, 50, 255));
         assert_eq!(
             gpu.back_pixel(16, 16),

@@ -38,7 +38,7 @@ fn render_all(gpu: &mut Gpu, frame: &FrameDesc) -> TileStats {
     let geo = gpu.run_geometry(frame, &mut Vec::new());
     let mut agg = TileStats::default();
     for t in 0..gpu.tile_count() {
-        agg.merge(&gpu.rasterize_tile(frame, &geo, t, &mut Vec::new()));
+        agg.merge(&gpu.rasterize_tile(frame, &geo, t, &mut re_gpu::TileRecord::default()));
     }
     agg
 }
@@ -58,7 +58,7 @@ proptest! {
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
         let mut agg = TileStats::default();
         for t in 0..gpu.tile_count() {
-            agg.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new()));
+            agg.merge(&gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::TileRecord::default()));
         }
         // Depth test off: every rasterized fragment is shaded and blended.
         prop_assert_eq!(agg.early_z_killed, 0);

@@ -436,20 +436,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = RenderLogCache::new(Some(dir.clone()));
         let key3 = key_of(3);
-        let path = cache
-            .store(&key3, &log_for(&key3))
-            .expect("store")
-            .expect("enabled");
 
-        // Retired format revision: the same artifact under the old
-        // `RELOG001` magic is a miss. (A frame-corrupt artifact still hits
-        // here; its decode fails and the key re-renders, see
-        // `tests/render_once.rs`.)
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[7] = b'1';
-        std::fs::write(&path, &bytes).expect("write");
-        assert_eq!(cache.lookup(&key3), None, "old-revision artifact is a miss");
-        assert!(!path.exists(), "invalid artifact is cleaned up");
+        // Retired format revisions: the same artifact under the old
+        // `RELOG001` or `RELOG002` magic is a miss. (A frame-corrupt
+        // artifact still hits here; its decode fails and the key
+        // re-renders, see `tests/render_once.rs`.)
+        for old in [b'1', b'2'] {
+            let path = cache
+                .store(&key3, &log_for(&key3))
+                .expect("store")
+                .expect("enabled");
+            assert_eq!(cache.lookup(&key3), Some(path.clone()));
+            let mut bytes = std::fs::read(&path).expect("read");
+            assert_eq!(&bytes[..8], relog::MAGIC);
+            bytes[7] = old;
+            std::fs::write(&path, &bytes).expect("write");
+            assert_eq!(cache.lookup(&key3), None, "old-revision artifact is a miss");
+            assert!(!path.exists(), "invalid artifact is cleaned up");
+        }
+        let path = dir.join(RenderLogCache::file_key(&key3));
 
         // Stale: a valid artifact for another key parked under this key's
         // file name (e.g. hand-copied between cache dirs) fails the

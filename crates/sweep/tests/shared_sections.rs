@@ -9,7 +9,8 @@
 //! trace the way a plan's captures run (one `capture_done` event), render
 //! the key, still give the same CSV, and put the artifact back for the
 //! next run. So must one whose frame was forged with a valid CRC but a
-//! tile missing.
+//! tile missing, an empty or out-of-range texel run, or a tile whose hash
+//! column or run counts disagree with its counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -157,8 +158,16 @@ fn one_key_many_cells_agree_across_workers_executors_and_cache_states() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-#[test]
-fn a_forged_artifact_is_re_rendered() {
+/// A named edit of a decoded artifact.
+type Forgery = (&'static str, fn(&mut re_core::RenderLog));
+
+/// Renders a one-key `ccs` grid cold, then for each forgery rewrites the
+/// key's artifact as `forge` leaves the decoded log, re-encoded so every
+/// frame's CRC holds and the header still satisfies the plan. Each forged
+/// artifact must fail its decode, re-render the key (one key's worth of
+/// rasters) and give the cold run's CSV; the re-render puts a valid
+/// artifact back for the next forgery.
+fn assert_forgeries_re_render(tag: &str, forgeries: &[Forgery]) {
     let mut grid = ExperimentGrid::default()
         .with_scenes(&["ccs"])
         .with_axis(axis::SIG_BITS, vec![16, 32]);
@@ -168,7 +177,7 @@ fn a_forged_artifact_is_re_rendered() {
     let plan = SweepPlan::compile(&grid);
     let key = plan.render_jobs()[0].key;
     let key_rasters = key.frames() as u64 * u64::from(key.gpu_config().tile_count());
-    let root = std::env::temp_dir().join(format!("re_forged_relog_{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("re_forged_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let logs = root.join("logs");
     let opts = SweepOptions {
@@ -182,23 +191,91 @@ fn a_forged_artifact_is_re_rendered() {
     let cold = execute(&plan, &traces, &opts, &|_, _| {});
     assert_eq!(cold.rasters, key_rasters);
 
-    // Frame 1 loses its last tile. Re-encoding gives the forged frame a
-    // valid CRC and leaves the header as the plan expects it.
     let path = logs.join(RenderLogCache::file_key(&key));
-    let mut log =
-        re_core::relog::decode(&std::fs::read(&path).expect("artifact")).expect("a valid artifact");
-    log.frames[1].tiles.pop();
-    std::fs::write(&path, re_core::relog::encode(&log)).expect("forge");
-    let mut warm_plan = plan.clone();
-    let satisfied = warm_plan.attach_cached_logs(&RenderLogCache::new(Some(logs.clone())));
-    assert_eq!(satisfied, 1, "the forged header passes plan annotation");
+    for (name, forge) in forgeries {
+        let mut log = re_core::relog::decode(&std::fs::read(&path).expect("artifact"))
+            .expect("a valid artifact");
+        forge(&mut log);
+        std::fs::write(&path, re_core::relog::encode(&log)).expect("forge");
+        let mut warm_plan = plan.clone();
+        let satisfied = warm_plan.attach_cached_logs(&RenderLogCache::new(Some(logs.clone())));
+        assert_eq!(
+            satisfied, 1,
+            "{name}: the forged header passes plan annotation"
+        );
 
-    // The forged frame fails its decode: the key renders again.
-    let forged = execute(&warm_plan, &HashMap::new(), &opts, &|_, _| {});
-    assert_eq!(forged.rasters, key_rasters);
-    assert!(
-        csv(&forged.outcomes) == csv(&cold.outcomes),
-        "results.csv differs from the cold run"
-    );
+        // The forged frame fails its decode: the key renders again.
+        let forged = execute(&warm_plan, &HashMap::new(), &opts, &|_, _| {});
+        assert_eq!(forged.rasters, key_rasters, "{name}");
+        assert!(
+            csv(&forged.outcomes) == csv(&cold.outcomes),
+            "{name}: results.csv differs from the cold run"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_forged_artifact_is_re_rendered() {
+    // Frame 1 loses its last tile.
+    assert_forgeries_re_render(
+        "tiles",
+        &[("a missing tile", |log| {
+            log.frames[1].tiles.pop();
+        })],
+    );
+}
+
+/// The first texel run among frame 1's tiles, and its tile.
+fn first_run(log: &mut re_core::RenderLog) -> (&mut re_core::render::TileLog, usize) {
+    let tile = log.frames[1]
+        .tiles
+        .iter_mut()
+        .find(|t| {
+            t.events
+                .iter()
+                .any(|e| matches!(e, re_gpu::Event::Texel { .. }))
+        })
+        .expect("ccs samples textures");
+    let at = tile
+        .events
+        .iter()
+        .position(|e| matches!(e, re_gpu::Event::Texel { .. }))
+        .expect("a texel run");
+    (tile, at)
+}
+
+#[test]
+fn a_forged_texel_run_or_hash_column_is_re_rendered() {
+    assert_forgeries_re_render(
+        "runs",
+        &[
+            ("an empty texel run", |log| {
+                let (tile, at) = first_run(log);
+                if let re_gpu::Event::Texel { count, .. } = &mut tile.events[at] {
+                    tile.stats.texel_fetches -= u64::from(std::mem::replace(count, 0));
+                }
+            }),
+            ("a fifth texture unit", |log| {
+                let (tile, at) = first_run(log);
+                if let re_gpu::Event::Texel { unit, .. } = &mut tile.events[at] {
+                    *unit = 4;
+                }
+            }),
+            ("a missing fragment hash", |log| {
+                let tile = log.frames[1]
+                    .tiles
+                    .iter_mut()
+                    .find(|t| !t.hashes.is_empty())
+                    .expect("ccs shades fragments");
+                tile.hashes.pop();
+            }),
+            ("a run longer than the tile's fetches", |log| {
+                let (tile, at) = first_run(log);
+                if let re_gpu::Event::Texel { count, .. } = &mut tile.events[at] {
+                    *count += 1;
+                }
+            }),
+        ],
+    );
 }

@@ -14,10 +14,23 @@ pub enum Access {
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Tags only — the model tracks presence, not data. Accesses spanning
-/// several lines are split by [`Cache::access_range`].
+/// several lines are split by [`Cache::access_range`]. Lines are a power of
+/// two bytes, so a probe finds its line with a shift, and its set with a
+/// mask when the set count is a power of two too (every Table I cache and
+/// `--l2-kb` size), or a remainder otherwise. The set count and
+/// associativity are kept, so no probe recomputes them.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// Number of sets.
+    sets: u64,
+    /// `sets − 1` when `sets` is a power of two, so a probe indexes its
+    /// set with a mask; 0 otherwise, and a probe takes the remainder.
+    set_mask: u64,
+    /// Associativity.
+    ways: usize,
     /// `sets × ways` tag array; `u64::MAX` = invalid.
     tags: Vec<u64>,
     /// Per-(set,way) LRU stamp; larger = more recent.
@@ -31,13 +44,27 @@ impl Cache {
     /// Builds an empty (all-invalid) cache.
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero sets or ways).
+    /// Panics if the geometry is degenerate (zero sets or ways) or its line
+    /// size is not a power of two.
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(
+            geometry.line_bytes.is_power_of_two(),
+            "cache line size {} is not a power of two",
+            geometry.line_bytes
+        );
         let sets = geometry.sets();
         assert!(sets > 0 && geometry.ways > 0, "degenerate cache geometry");
         let n = (sets * geometry.ways) as usize;
         Cache {
             geometry,
+            line_shift: geometry.line_bytes.trailing_zeros(),
+            sets: u64::from(sets),
+            set_mask: if sets.is_power_of_two() {
+                u64::from(sets - 1)
+            } else {
+                0
+            },
+            ways: geometry.ways as usize,
             tags: vec![u64::MAX; n],
             stamps: vec![0; n],
             tick: 0,
@@ -66,14 +93,22 @@ impl Cache {
         self.hits + self.misses
     }
 
+    /// The set line number `line` maps to.
+    #[inline]
+    fn set(&self, line: u64) -> usize {
+        if self.set_mask != 0 {
+            (line & self.set_mask) as usize
+        } else {
+            (line % self.sets) as usize
+        }
+    }
+
     /// Looks up one line by address; fills it on miss (LRU eviction).
     pub fn access(&mut self, addr: u64) -> Access {
         self.tick += 1;
-        let line = addr / self.geometry.line_bytes as u64;
-        let sets = self.geometry.sets() as u64;
-        let set = (line % sets) as usize;
-        let ways = self.geometry.ways as usize;
-        let base = set * ways;
+        let line = addr >> self.line_shift;
+        let ways = self.ways;
+        let base = self.set(line) * ways;
 
         // Probe.
         for w in 0..ways {
@@ -102,16 +137,23 @@ impl Cache {
         if bytes == 0 {
             return 0;
         }
-        let lb = self.geometry.line_bytes as u64;
-        let first = addr / lb;
-        let last = (addr + (bytes as u64 - 1)) / lb;
+        let first = addr >> self.line_shift;
+        let last = (addr + (bytes as u64 - 1)) >> self.line_shift;
         let mut misses = 0;
         for line in first..=last {
-            if self.access(line * lb) == Access::Miss {
+            if self.access(line << self.line_shift) == Access::Miss {
                 misses += 1;
             }
         }
         misses
+    }
+
+    /// Counts `n` hits on a line an [`access`](Self::access) just touched,
+    /// with no access to any other line in between: each would find the
+    /// line present and most recent in its set, so only the hit count
+    /// changes.
+    pub fn add_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// Invalidates every line overlapping `[addr, addr + bytes)` without
@@ -122,13 +164,11 @@ impl Cache {
         if bytes == 0 {
             return;
         }
-        let lb = self.geometry.line_bytes as u64;
-        let sets = self.geometry.sets() as u64;
-        let ways = self.geometry.ways as usize;
-        let first = addr / lb;
-        let last = (addr + (bytes as u64 - 1)) / lb;
+        let ways = self.ways;
+        let first = addr >> self.line_shift;
+        let last = (addr + (bytes as u64 - 1)) >> self.line_shift;
         for line in first..=last {
-            let base = (line % sets) as usize * ways;
+            let base = self.set(line) * ways;
             for w in 0..ways {
                 if self.tags[base + w] == line {
                     self.tags[base + w] = u64::MAX;
@@ -212,6 +252,42 @@ mod tests {
         assert_eq!(c.access(64), Access::Hit);
         // Idempotent on absent lines.
         c.invalidate_range(4096, 64);
+    }
+
+    #[test]
+    fn added_hits_count_as_accesses() {
+        let mut c = tiny();
+        assert_eq!(c.access(0), Access::Miss);
+        c.add_hits(3);
+        assert_eq!((c.hits(), c.misses(), c.accesses()), (3, 1, 4));
+        assert_eq!(c.access(0), Access::Hit);
+    }
+
+    #[test]
+    fn non_power_of_two_sets_index_by_remainder() {
+        // 3 sets × 1 way: lines 0 and 3 share set 0.
+        let mut c = Cache::new(CacheGeometry {
+            size_bytes: 192,
+            line_bytes: 64,
+            ways: 1,
+            latency: 1,
+        });
+        c.access(0);
+        c.access(64);
+        assert_eq!(c.access(3 * 64), Access::Miss, "evicts line 0");
+        assert_eq!(c.access(64), Access::Hit, "set 1 untouched");
+        assert_eq!(c.access(0), Access::Miss);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_line_size_that_is_not_a_power_of_two_panics() {
+        let _ = Cache::new(CacheGeometry {
+            size_bytes: 96 * 4,
+            line_bytes: 96,
+            ways: 2,
+            latency: 1,
+        });
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Routing (paper Fig. 4):
 //!
 //! * vertex fetches → Vertex Cache → L2 → DRAM (`Vertices`)
-//! * texel fetches → per-processor Texture Cache → L2 → DRAM (`Texels`)
+//! * texel fetches → per-processor Texture Cache → L2 → DRAM (`Texels`);
+//!   a run of `count` fetches within one line is probed once, and its
+//!   other `count − 1` fetches are hits in that unit's Texture Cache
 //! * Parameter Buffer reads → Tile Cache → DRAM (`PrimitiveReads`)
 //! * Parameter Buffer writes → write-combined straight to DRAM
 //!   (`PrimitiveWrites`; the stream has no reuse)
@@ -111,10 +113,15 @@ impl Caches {
         self.config.l2_cache.line_bytes as u64
     }
 
+    /// `log2` of the L2 line size: the granularity every cached path
+    /// splits its accesses at.
+    fn line_shift(&self) -> u32 {
+        self.config.l2_cache.line_bytes.trailing_zeros()
+    }
+
     /// Replays a recorded access stream, in order, through the caches and
     /// hands each request that reaches DRAM to `out`. `include_flush`
-    /// gates the [`Event::ColorFlush`] events (Transaction Elimination);
-    /// [`Event::FragShaded`] probes touch no memory.
+    /// gates the [`Event::ColorFlush`] events (Transaction Elimination).
     pub fn replay(
         &mut self,
         events: &[Event],
@@ -126,32 +133,32 @@ impl Caches {
                 Event::VertexFetch { addr, bytes } => self.vertex_fetch(addr, bytes, out),
                 Event::ParamWrite { addr, bytes } => self.param_write(addr, bytes, out),
                 Event::ParamRead { addr, bytes } => self.param_read(addr, bytes, out),
-                Event::Texel { unit, addr } => self.texel_fetch(unit, addr, out),
+                Event::Texel { unit, count, addr } => self.texel_fetch(unit, count, addr, out),
                 Event::ColorFlush { addr, bytes } => {
                     if include_flush {
                         self.color_flush(addr, bytes, out);
                     }
                 }
-                Event::FragShaded { .. } => {}
             }
         }
     }
 
     fn vertex_fetch(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
-        let lb = self.line_bytes();
+        let (lb, shift) = (self.line_bytes(), self.line_shift());
         if bytes == 0 {
             return;
         }
-        let first = addr / lb;
-        let last = (addr + (bytes as u64 - 1)) / lb;
+        let first = addr >> shift;
+        let last = (addr + (bytes as u64 - 1)) >> shift;
         for line in first..=last {
-            if self.vertex_cache.access(line * lb) == Access::Miss {
+            let line_addr = line << shift;
+            if self.vertex_cache.access(line_addr) == Access::Miss {
                 self.epoch.vertex_misses += 1;
-                if self.l2.access(line * lb) == Access::Miss {
+                if self.l2.access(line_addr) == Access::Miss {
                     self.epoch.l2_misses += 1;
                     out(DramRequest {
                         class: TrafficClass::Vertices,
-                        addr: line * lb,
+                        addr: line_addr,
                         bytes: lb as u32,
                     });
                 }
@@ -172,29 +179,36 @@ impl Caches {
     }
 
     fn param_read(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
-        let lb = self.line_bytes();
+        let (lb, shift) = (self.line_bytes(), self.line_shift());
         if bytes == 0 {
             return;
         }
-        let first = addr / lb;
-        let last = (addr + (bytes as u64 - 1)) / lb;
+        let first = addr >> shift;
+        let last = (addr + (bytes as u64 - 1)) >> shift;
         for line in first..=last {
-            if self.tile_cache.access(line * lb) == Access::Miss {
+            let line_addr = line << shift;
+            if self.tile_cache.access(line_addr) == Access::Miss {
                 self.epoch.tile_misses += 1;
                 out(DramRequest {
                     class: TrafficClass::PrimitiveReads,
-                    addr: line * lb,
+                    addr: line_addr,
                     bytes: lb as u32,
                 });
             }
         }
     }
 
-    fn texel_fetch(&mut self, unit: u8, addr: u64, out: &mut impl FnMut(DramRequest)) {
+    /// A run of `count` fetches within one line: the first probes the
+    /// unit's Texture Cache (and L2 on a miss); the rest hit the line it
+    /// left most recent, touching nothing else.
+    fn texel_fetch(&mut self, unit: u8, count: u32, addr: u64, out: &mut impl FnMut(DramRequest)) {
         let lb = self.line_bytes();
-        let line_addr = addr / lb * lb;
+        let line_addr = addr & !(lb - 1);
         let unit = (unit as usize) % self.texture_caches.len();
-        if self.texture_caches[unit].access(line_addr) == Access::Miss {
+        let cache = &mut self.texture_caches[unit];
+        let first = cache.access(line_addr);
+        cache.add_hits(u64::from(count.saturating_sub(1)));
+        if first == Access::Miss {
             self.epoch.tex_misses += 1;
             if self.l2.access(line_addr) == Access::Miss {
                 self.epoch.l2_misses += 1;
@@ -332,8 +346,7 @@ impl MemorySystem {
 
     /// Replays a recorded access stream, in order, through the caches, and
     /// DRAM services the requests that reach it. `include_flush` gates the
-    /// [`Event::ColorFlush`] events (Transaction Elimination);
-    /// [`Event::FragShaded`] probes touch no memory.
+    /// [`Event::ColorFlush`] events (Transaction Elimination).
     pub fn replay(&mut self, events: &[Event], include_flush: bool) {
         let (dram, serviced) = (&mut self.dram, &mut self.serviced);
         self.caches.replay(events, include_flush, &mut |request| {
@@ -357,6 +370,7 @@ mod tests {
         m.replay(
             &[Event::Texel {
                 unit: 0,
+                count: 1,
                 addr: TEX_BASE,
             }],
             true,
@@ -374,6 +388,7 @@ mod tests {
         m.replay(
             &[Event::Texel {
                 unit: 0,
+                count: 1,
                 addr: TEX_BASE,
             }],
             true,
@@ -382,6 +397,7 @@ mod tests {
         m.replay(
             &[Event::Texel {
                 unit: 0,
+                count: 1,
                 addr: TEX_BASE + 4,
             }],
             true,
@@ -397,6 +413,7 @@ mod tests {
         m.replay(
             &[Event::Texel {
                 unit: 0,
+                count: 1,
                 addr: TEX_BASE,
             }],
             true,
@@ -405,6 +422,7 @@ mod tests {
         m.replay(
             &[Event::Texel {
                 unit: 1,
+                count: 1,
                 addr: TEX_BASE,
             }],
             true,
@@ -546,16 +564,12 @@ mod tests {
             },
             Event::Texel {
                 unit: 2,
+                count: 1,
                 addr: TEX_BASE,
             },
             Event::ColorFlush {
                 addr: FB_BASE,
                 bytes: 64,
-            },
-            Event::FragShaded {
-                tile: 3,
-                drawcall: 1,
-                hash: 0xABCD,
             },
         ]
     }
@@ -619,15 +633,15 @@ mod tests {
                     addr: addr + offset,
                     bytes,
                 },
-                Event::Texel { unit, addr } => Event::Texel {
+                Event::Texel { unit, count, addr } => Event::Texel {
                     unit,
+                    count,
                     addr: addr + offset,
                 },
                 Event::ColorFlush { addr, bytes } => Event::ColorFlush {
                     addr: addr + offset,
                     bytes,
                 },
-                e => e,
             })
             .collect()
     }
@@ -672,6 +686,7 @@ mod tests {
             (from..from + n)
                 .map(|line| Event::Texel {
                     unit: (line % 4) as u8,
+                    count: 1,
                     addr: TEX_BASE + line * 64,
                 })
                 .collect()

@@ -33,7 +33,7 @@ fn render_frame0(alias: &str, cfg: GpuConfig) -> u64 {
     let frame = bench.scene.frame(0);
     let geo = gpu.run_geometry(&frame, &mut Vec::new());
     for t in 0..gpu.tile_count() {
-        gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
+        gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::TileRecord::default());
     }
     image::fingerprint(gpu.framebuffer().back(), cfg.width, cfg.height)
 }

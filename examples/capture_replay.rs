@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frame = scene.frame(0);
     let geo = gpu.run_geometry(&frame, &mut Vec::new());
     for t in 0..gpu.tile_count() {
-        gpu.rasterize_tile(&frame, &geo, t, &mut Vec::new());
+        gpu.rasterize_tile(&frame, &geo, t, &mut re_gpu::TileRecord::default());
     }
     let img_path = std::env::temp_dir().join("tib_frame0.ppm");
     image::write_ppm(gpu.framebuffer().back(), cfg.width, cfg.height, &img_path)?;
