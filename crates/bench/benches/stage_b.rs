@@ -6,7 +6,8 @@
 //!   `SectionTable`. The sweep benchmark's `eval_warm` grid is ten such
 //!   keys.
 //! * `baseline_section` — the key's baseline section: one cache replay of
-//!   every event into a DRAM-bound stream, serviced on a fresh DRAM.
+//!   every event, each epoch charged on a fresh DRAM as it is replayed
+//!   and recorded into the DRAM-bound stream TE reads.
 //! * `te_sections` — the key's two TE sections (compare distances 1/2)
 //!   over its published baseline section.
 //! * `decode_key` — decoding the key's uncompressed `.relog` artifact

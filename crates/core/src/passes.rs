@@ -1,6 +1,6 @@
 //! Stage B of the simulator: the technique passes over a [`RenderLog`].
 //!
-//! Each pass owns its own machine state (memory system, energy model,
+//! Each pass owns its own machine state (caches, accounting machine,
 //! signature buffers, …) and contributes its section of the final
 //! [`RunReport`]; passes never touch pixels — the ground-truth color
 //! verdicts come interned from the log. The paper's evaluation is five
@@ -27,10 +27,20 @@
 //! verdicts agree replay once. [`evaluate`] is one cell over a fresh
 //! table, and [`crate::Simulator::run`] is `render_scene` then `evaluate`.
 //!
-//! The baseline section runs the memory system's two stages itself
-//! ([`BaselinePass::section`]): its caches replay the log once into a
-//! DRAM-bound stream, which it keeps, and TE's sections service that
-//! stream instead of replaying the caches again ([`TePass::section`]).
+//! # One replay machine
+//!
+//! The baseline, RE and TE run on the same memory hierarchy and differ
+//! only in which tiles reach it (RE skips whole tiles) and which Color
+//! Buffer flushes reach DRAM (TE elides those of unchanged tiles). Each
+//! charges one [`Machine`]: a DRAM, an energy model and cycle and tile
+//! counters, fed epoch by epoch (a frame's geometry, or one tile) by a
+//! source of DRAM-bound requests with the epoch's cache-side counters.
+//! Live [`Caches`] are the source of RE's replay, the lockstep passes and
+//! the baseline section, which appends each epoch it charges to a
+//! [`DramStream`]; TE's sections charge that recorded stream instead of
+//! replaying the caches again ([`TePass::section`]).
+//! [`Machine::charge_tile`]'s `flush` flag is the only place a flush is
+//! elided.
 //!
 //! The memo section reads each tile's fragment-hash column alone
 //! ([`MemoPass::section`]).
@@ -42,9 +52,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use re_gpu::stats::{GeometryStats, TileStats};
-use re_timing::dram::{Dram, DramStats};
+use re_timing::dram::{Dram, DramRequest, DramStats};
 use re_timing::energy::EnergyModel;
-use re_timing::{Caches, DramStream, MemEpoch, MemorySystem, TimingConfig, TrafficClass};
+use re_timing::{Caches, DramStream, MemEpoch, TimingConfig, TrafficClass};
 
 use crate::memo::{FragmentMemo, MemoLut, MemoStats};
 use crate::redundancy::{classify, TileClassCounts};
@@ -54,11 +64,15 @@ use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
 use crate::te::{TeStats, TransactionElimination};
 
-/// Per-technique mutable machine state: a cache hierarchy + DRAM fed by
-/// replay, an energy model, and cycle/tile accounting.
+/// One technique's accounting machine: a DRAM, an energy model, and
+/// cycle and tile counters. A source feeds it each epoch's DRAM-bound
+/// requests with the epoch's cache-side counters: live [`Caches`]
+/// replaying the log ([`Caches::replay`]), or the baseline's recorded
+/// [`DramStream`]. The machine services the requests and charges the
+/// epoch.
 pub struct Machine {
-    /// The technique's private memory system.
-    pub mem: MemorySystem,
+    tcfg: TimingConfig,
+    dram: Dram,
     /// The technique's energy accumulator.
     pub energy: EnergyModel,
     /// Geometry Pipeline cycles charged so far.
@@ -77,7 +91,8 @@ impl Machine {
     /// A fresh machine under `cfg`.
     pub fn new(cfg: TimingConfig) -> Self {
         Machine {
-            mem: MemorySystem::new(cfg),
+            tcfg: cfg,
+            dram: Dram::new(cfg),
             energy: EnergyModel::new(),
             geometry_cycles: 0,
             raster_cycles: 0,
@@ -87,33 +102,58 @@ impl Machine {
         }
     }
 
-    /// Charges one frame's geometry work (call after replaying the frame's
-    /// geometry events).
-    pub fn charge_geometry(&mut self, cfg: &TimingConfig, g: &GeometryStats) {
-        let epoch = self.mem.take_epoch();
-        self.geometry_cycles += re_timing::geometry_cycles(cfg, g, &epoch);
+    /// Charges one frame's geometry work: services the geometry epoch's
+    /// `requests` and charges `epoch`, its cache-side counters.
+    pub fn charge_geometry<'r>(
+        &mut self,
+        g: &GeometryStats,
+        requests: impl IntoIterator<Item = &'r DramRequest>,
+        mut epoch: MemEpoch,
+    ) {
+        self.dram.service(requests, &mut epoch);
+        self.geometry_cycles += re_timing::geometry_cycles(&self.tcfg, g, &epoch);
         self.energy.add_geometry(g);
     }
 
-    /// Charges one rendered tile (call after replaying the tile's events).
-    pub fn charge_tile(&mut self, cfg: &TimingConfig, t: &TileStats) {
-        let epoch = self.mem.take_epoch();
-        self.raster_cycles += re_timing::raster_tile_cycles(cfg, t, &epoch);
-        self.energy.add_raster(t, cfg);
+    /// Charges one rendered tile: services the tile epoch's `requests`
+    /// and charges `epoch`, its cache-side counters. Without `flush`, the
+    /// tile's Color Buffer flush is elided (Transaction Elimination): its
+    /// requests never reach DRAM and its color bytes count nowhere. This
+    /// is the one place a flush is elided.
+    pub fn charge_tile<'r>(
+        &mut self,
+        t: &TileStats,
+        requests: impl IntoIterator<Item = &'r DramRequest>,
+        mut epoch: MemEpoch,
+        flush: bool,
+    ) {
+        let mut t = *t;
+        if !flush {
+            epoch.color_bytes = 0;
+            t.color_bytes_flushed = 0;
+        }
+        let requests = requests
+            .into_iter()
+            .filter(|r| flush || r.class != TrafficClass::Colors);
+        self.dram.service(requests, &mut epoch);
+        self.raster_cycles += re_timing::raster_tile_cycles(&self.tcfg, &t, &epoch);
+        self.energy.add_raster(&t, &self.tcfg);
         self.tiles_rendered += 1;
         self.fragments_shaded += t.fragments_shaded;
     }
 
-    /// Settles SRAM/DRAM/leakage energy and produces the report section.
-    pub fn finish(self) -> TechniqueReport {
-        self.totals().settle()
+    /// Settles SRAM/DRAM/leakage energy, with `sram_accesses` the
+    /// source caches' access counts, and produces the report section.
+    pub fn finish(self, sram_accesses: Vec<(u32, u64)>) -> TechniqueReport {
+        self.totals(sram_accesses).settle()
     }
 
-    /// What settling reads of the machine.
-    fn totals(self) -> MachineTotals {
+    /// What settling reads of the machine and its source caches'
+    /// `sram_accesses`.
+    fn totals(self, sram_accesses: Vec<(u32, u64)>) -> MachineTotals {
         MachineTotals {
-            sram_accesses: self.mem.sram_accesses(),
-            dram: *self.mem.dram_stats(),
+            sram_accesses,
+            dram: *self.dram.stats(),
             energy: self.energy,
             geometry_cycles: self.geometry_cycles,
             raster_cycles: self.raster_cycles,
@@ -125,8 +165,8 @@ impl Machine {
 }
 
 /// A finished [`Machine`] with its SRAM, DRAM and leakage energy not yet
-/// charged: the memory system's access counts in place of the memory
-/// system itself. RE's shared replay section is one of these, and every
+/// charged: its source caches' access counts in place of the caches
+/// themselves. RE's shared replay section is one of these, and every
 /// cell sharing it charges its own Signature Unit SRAM first and then
 /// settles a copy, so each cell's energy sums in the same order as a
 /// private [`RePass`].
@@ -159,97 +199,6 @@ impl MachineTotals {
             dram: self.dram,
             tiles_rendered: self.tiles_rendered,
             tiles_skipped: self.tiles_skipped,
-            fragments_shaded: self.fragments_shaded,
-        }
-    }
-}
-
-/// A [`Machine`] whose caches were replayed once, into a recorded
-/// [`DramStream`]: a fresh DRAM services each recorded epoch's requests,
-/// and the epoch's cache-side counters come from the recording. It charges
-/// geometry and tiles the way a `Machine` does, so its totals — every
-/// `f64` energy sum included — equal those of a `Machine` that replays the
-/// same events with the same flushes.
-struct StreamMachine<'s> {
-    tcfg: TimingConfig,
-    stream: &'s DramStream,
-    /// The next epoch to charge.
-    next: usize,
-    dram: Dram,
-    energy: EnergyModel,
-    geometry_cycles: u64,
-    raster_cycles: u64,
-    tiles_rendered: u64,
-    fragments_shaded: u64,
-}
-
-impl<'s> StreamMachine<'s> {
-    /// A fresh DRAM under `tcfg` over `stream`'s first epoch.
-    fn new(tcfg: TimingConfig, stream: &'s DramStream) -> Self {
-        StreamMachine {
-            tcfg,
-            stream,
-            next: 0,
-            dram: Dram::new(tcfg),
-            energy: EnergyModel::new(),
-            geometry_cycles: 0,
-            raster_cycles: 0,
-            tiles_rendered: 0,
-            fragments_shaded: 0,
-        }
-    }
-
-    /// Services the next recorded epoch; without `flush`, its Color Buffer
-    /// flushes never reach DRAM.
-    fn service(&mut self, flush: bool) -> MemEpoch {
-        let (requests, mut epoch) = self.stream.epoch(self.next);
-        self.next += 1;
-        if flush {
-            self.dram.service(requests, &mut epoch);
-        } else {
-            epoch.color_bytes = 0;
-            let kept = requests.filter(|r| r.class != TrafficClass::Colors);
-            self.dram.service(kept, &mut epoch);
-        }
-        epoch
-    }
-
-    /// Charges one frame's geometry work ([`Machine::charge_geometry`]).
-    fn charge_geometry(&mut self, g: &GeometryStats) {
-        let epoch = self.service(true);
-        self.geometry_cycles += re_timing::geometry_cycles(&self.tcfg, g, &epoch);
-        self.energy.add_geometry(g);
-    }
-
-    /// Charges one rendered tile ([`Machine::charge_tile`]), whose flush
-    /// reaches DRAM only with `flush`.
-    fn charge_tile(&mut self, t: &TileStats, flush: bool) {
-        let epoch = self.service(flush);
-        let mut t = *t;
-        if !flush {
-            t.color_bytes_flushed = 0;
-        }
-        self.raster_cycles += re_timing::raster_tile_cycles(&self.tcfg, &t, &epoch);
-        self.energy.add_raster(&t, &self.tcfg);
-        self.tiles_rendered += 1;
-        self.fragments_shaded += t.fragments_shaded;
-    }
-
-    /// The machine's totals, with the recording caches' SRAM accesses.
-    fn totals(self, sram_accesses: Vec<(u32, u64)>) -> MachineTotals {
-        assert_eq!(
-            self.next,
-            self.stream.epoch_count(),
-            "every recorded epoch charged"
-        );
-        MachineTotals {
-            energy: self.energy,
-            sram_accesses,
-            dram: *self.dram.stats(),
-            geometry_cycles: self.geometry_cycles,
-            raster_cycles: self.raster_cycles,
-            tiles_rendered: self.tiles_rendered,
-            tiles_skipped: 0,
             fragments_shaded: self.fragments_shaded,
         }
     }
@@ -304,7 +253,7 @@ pub trait TechniquePass {
 /// [`TechniquePass`] impl serves the benchmark's per-layer walk and the
 /// tests.
 pub struct BaselinePass {
-    tcfg: TimingConfig,
+    caches: Caches,
     machine: Machine,
     frame_raster_mark: u64,
 }
@@ -313,7 +262,7 @@ impl BaselinePass {
     /// A baseline machine under `opts`' timing config.
     pub fn new(opts: &SimOptions) -> Self {
         BaselinePass {
-            tcfg: opts.timing,
+            caches: Caches::new(opts.timing),
             machine: Machine::new(opts.timing),
             frame_raster_mark: 0,
         }
@@ -326,34 +275,30 @@ impl BaselinePass {
         }
     }
 
-    /// The baseline section over a whole log under `timing`, in the memory
-    /// system's two stages: the caches replay every event once into a
-    /// [`DramStream`], one epoch per frame's geometry and per tile, and a
-    /// fresh DRAM services it as the section charges each epoch. The
-    /// section keeps the stream for [`TePass::section`].
+    /// The baseline section over a whole log under `timing`, in one pass:
+    /// the caches replay each epoch (a frame's geometry, or one tile), the
+    /// machine charges it, and the section appends it to a
+    /// [`DramStream`], which it keeps for [`TePass::section`].
     pub fn section(log: &RenderLog, timing: TimingConfig) -> BaselineSection {
         let mut caches = Caches::new(timing);
+        let mut machine = Machine::new(timing);
         let mut stream = DramStream::default();
-        for frame in &log.frames {
-            stream.record(&mut caches, &frame.geo_events);
-            for tile in &frame.tiles {
-                stream.record(&mut caches, &tile.events);
-            }
-        }
-        let sram_accesses = caches.sram_accesses();
-        let mut machine = StreamMachine::new(timing, &stream);
         let mut raster_cycles = Vec::with_capacity(log.frames.len());
         for frame in &log.frames {
             let mark = machine.raster_cycles;
-            machine.charge_geometry(&frame.geo.stats);
+            let (requests, epoch) = caches.replay(&frame.geo_events);
+            machine.charge_geometry(&frame.geo.stats, requests, epoch);
+            stream.push(requests, epoch);
             for tile in &frame.tiles {
-                machine.charge_tile(&tile.stats, true);
+                let (requests, epoch) = caches.replay(&tile.events);
+                machine.charge_tile(&tile.stats, requests, epoch, true);
+                stream.push(requests, epoch);
             }
             raster_cycles.push(machine.raster_cycles - mark);
         }
-        let report = machine.totals(sram_accesses.clone()).settle();
+        let sram_accesses = caches.sram_accesses();
         BaselineSection {
-            report,
+            report: machine.finish(sram_accesses.clone()),
             raster_cycles,
             timing,
             stream,
@@ -383,13 +328,14 @@ impl TechniquePass for BaselinePass {
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
         self.frame_raster_mark = self.machine.raster_cycles;
-        self.machine.mem.replay(&frame.geo_events, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
+        let (requests, epoch) = self.caches.replay(&frame.geo_events);
+        self.machine
+            .charge_geometry(&frame.geo.stats, requests, epoch);
     }
 
     fn tile(&mut self, _frame: &FrameLog, _tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        self.machine.mem.replay(&tile.events, true);
-        self.machine.charge_tile(&self.tcfg, &tile.stats);
+        let (requests, epoch) = self.caches.replay(&tile.events);
+        self.machine.charge_tile(&tile.stats, requests, epoch, true);
     }
 
     fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
@@ -397,7 +343,7 @@ impl TechniquePass for BaselinePass {
     }
 
     fn finish(self: Box<Self>, report: &mut RunReport) {
-        report.baseline = self.machine.finish();
+        report.baseline = self.machine.finish(self.caches.sram_accesses());
     }
 }
 
@@ -565,11 +511,13 @@ impl ReVerdicts {
     }
 }
 
-/// RE's replay half: the [`Machine`] replay of the tiles RE did not skip,
-/// plus the Signature Unit's stall cycles, driven by skip verdicts.
+/// RE's replay half: live caches feeding a [`Machine`] the tiles RE did
+/// not skip, plus the Signature Unit's stall cycles, driven by skip
+/// verdicts.
 struct ReReplay {
-    tcfg: TimingConfig,
+    caches: Caches,
     machine: Machine,
+    sig_compare_cycles: u64,
     frame_skip_mark: u64,
     frame_raster_mark: u64,
 }
@@ -577,8 +525,9 @@ struct ReReplay {
 impl ReReplay {
     fn new(timing: TimingConfig) -> Self {
         ReReplay {
-            tcfg: timing,
+            caches: Caches::new(timing),
             machine: Machine::new(timing),
+            sig_compare_cycles: timing.sig_compare_cycles,
             frame_skip_mark: 0,
             frame_raster_mark: 0,
         }
@@ -587,26 +536,32 @@ impl ReReplay {
     fn begin_frame(&mut self, frame: &FrameLog, stall_cycles: u64) {
         self.frame_skip_mark = self.machine.tiles_skipped;
         self.frame_raster_mark = self.machine.raster_cycles;
-        self.machine.mem.replay(&frame.geo_events, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
+        let (requests, epoch) = self.caches.replay(&frame.geo_events);
+        self.machine
+            .charge_geometry(&frame.geo.stats, requests, epoch);
         // The Signature Unit overlaps with geometry; only stalls count as
         // extra time.
         self.machine.geometry_cycles += stall_cycles;
     }
 
     fn tile(&mut self, tile: &TileLog, skip: bool) {
-        self.machine.raster_cycles += self.tcfg.sig_compare_cycles;
+        self.machine.raster_cycles += self.sig_compare_cycles;
         if skip {
             self.machine.tiles_skipped += 1;
         } else {
-            self.machine.mem.replay(&tile.events, true);
-            self.machine.charge_tile(&self.tcfg, &tile.stats);
+            let (requests, epoch) = self.caches.replay(&tile.events);
+            self.machine.charge_tile(&tile.stats, requests, epoch, true);
         }
     }
 
     fn end_frame(&self, sample: &mut FrameSample) {
         sample.tiles_skipped = (self.machine.tiles_skipped - self.frame_skip_mark) as u32;
         sample.re_raster_cycles = self.machine.raster_cycles - self.frame_raster_mark;
+    }
+
+    /// The replayed machine's totals.
+    fn totals(self) -> MachineTotals {
+        self.machine.totals(self.caches.sram_accesses())
     }
 }
 
@@ -686,7 +641,7 @@ impl RePass {
             }
             replay.end_frame(sample);
         }
-        (replay.machine.totals(), per_frame)
+        (replay.totals(), per_frame)
     }
 }
 
@@ -715,7 +670,7 @@ impl TechniquePass for RePass {
 
     fn finish(self: Box<Self>, report: &mut RunReport) {
         let RePass { decision, replay } = *self;
-        decision.finish().write(replay.machine.totals(), report);
+        decision.finish().write(replay.totals(), report);
     }
 }
 
@@ -772,12 +727,12 @@ impl TechniquePass for RedundancyPass {
 /// Transaction Elimination: hashes rendered colors, may drop the flush.
 ///
 /// The sections compute TE with [`TePass::section`], from the baseline's
-/// DRAM-bound stream. The lockstep [`TechniquePass`] impl replays the
-/// whole cache hierarchy; it serves only the benchmark's per-layer walk
-/// (`sweepbench/src/walk.rs`, through [`default_passes`]) and the tests,
-/// as the oracle `TePass::section` must equal bit for bit.
+/// recorded DRAM-bound stream. The lockstep [`TechniquePass`] impl feeds
+/// its machine from live caches; it serves only the benchmark's per-layer
+/// walk (`sweepbench/src/walk.rs`, through [`default_passes`]) and the
+/// tests, as the oracle `TePass::section` must equal bit for bit.
 pub struct TePass {
-    tcfg: TimingConfig,
+    caches: Caches,
     machine: Machine,
     te: TransactionElimination,
 }
@@ -786,7 +741,7 @@ impl TePass {
     /// TE state for `tile_count` tiles under `opts`.
     pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
         TePass {
-            tcfg: opts.timing,
+            caches: Caches::new(opts.timing),
             machine: Machine::new(opts.timing),
             te: TransactionElimination::new(tile_count, opts.compare_distance),
         }
@@ -806,26 +761,32 @@ impl TePass {
     /// shares).
     ///
     /// A Color Buffer flush touches only DRAM, so TE's caches behave
-    /// exactly as the baseline's: TE probes no cache. It services the
-    /// baseline's recorded stream on a fresh DRAM, dropping the flushes of
-    /// the tiles whose colors match, and charges every frame and tile in
-    /// the lockstep pass's order, so its report equals the lockstep
+    /// exactly as the baseline's: TE probes no cache. A fresh machine
+    /// charges the baseline's recorded stream, eliding the flushes of the
+    /// tiles whose colors match, and charges every frame and tile in the
+    /// lockstep pass's order, so its report equals the lockstep
     /// [`TePass`]'s bit for bit.
     pub fn section(
         log: &RenderLog,
         compare_distance: usize,
         baseline: &BaselineSection,
     ) -> (TechniqueReport, TeStats) {
+        let stream = &baseline.stream;
+        let mut epochs = (0..stream.epoch_count()).map(|i| stream.epoch(i));
+        let mut next = || epochs.next().expect("a recorded epoch per frame and tile");
         let mut te = TransactionElimination::new(log.tile_count(), compare_distance);
-        let mut machine = StreamMachine::new(baseline.timing, &baseline.stream);
+        let mut machine = Machine::new(baseline.timing);
         for frame in &log.frames {
-            machine.charge_geometry(&frame.geo.stats);
+            let (requests, epoch) = next();
+            machine.charge_geometry(&frame.geo.stats, requests, epoch);
             for (tile_id, tile) in (0..).zip(&frame.tiles) {
                 let skip_flush = te.observe_signature(tile_id, tile.te_sig, tile.color_bytes);
-                machine.charge_tile(&tile.stats, !skip_flush);
+                let (requests, epoch) = next();
+                machine.charge_tile(&tile.stats, requests, epoch, !skip_flush);
             }
             te.end_frame();
         }
+        assert!(epochs.next().is_none(), "every recorded epoch charged");
         let mut totals = machine.totals(baseline.sram_accesses.clone());
         charge_te_hardware(&mut totals.energy, &te);
         (totals.settle(), te.stats)
@@ -838,28 +799,26 @@ fn charge_te_hardware(energy: &mut EnergyModel, te: &TransactionElimination) {
     energy.add_sram(1024, te.stats.lut_accesses);
 }
 
-/// TE over its own cache hierarchy, tile by tile: the benchmark's
-/// per-layer walk and the tests' oracle for [`TePass::section`].
+/// TE over live caches, tile by tile: the benchmark's per-layer walk and
+/// the tests' oracle for [`TePass::section`].
 impl TechniquePass for TePass {
     fn name(&self) -> &'static str {
         "te"
     }
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
-        self.machine.mem.replay(&frame.geo_events, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
+        let (requests, epoch) = self.caches.replay(&frame.geo_events);
+        self.machine
+            .charge_geometry(&frame.geo.stats, requests, epoch);
     }
 
     fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
         let skip_flush = self
             .te
             .observe_signature(tile_id, tile.te_sig, tile.color_bytes);
-        self.machine.mem.replay(&tile.events, !skip_flush);
-        let mut stats = tile.stats;
-        if skip_flush {
-            stats.color_bytes_flushed = 0;
-        }
-        self.machine.charge_tile(&self.tcfg, &stats);
+        let (requests, epoch) = self.caches.replay(&tile.events);
+        self.machine
+            .charge_tile(&tile.stats, requests, epoch, !skip_flush);
     }
 
     fn end_frame(&mut self, _frame: &FrameLog, _sample: &mut FrameSample) {
@@ -869,7 +828,7 @@ impl TechniquePass for TePass {
     fn finish(mut self: Box<Self>, report: &mut RunReport) {
         charge_te_hardware(&mut self.machine.energy, &self.te);
         report.te_stats = self.te.stats;
-        report.te = self.machine.finish();
+        report.te = self.machine.finish(self.caches.sram_accesses());
     }
 }
 
@@ -1184,6 +1143,18 @@ mod tests {
             ..SimOptions::default()
         };
         let _ = evaluate(&log, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "fragment processors")]
+    fn the_lockstep_stack_checks_the_texel_run_contract() {
+        let mut opts = SimOptions {
+            gpu: cfg(),
+            ..SimOptions::default()
+        };
+        opts.timing.num_fragment_processors = 2;
+        let tile_count = render_scene(&mut Tri, cfg(), 1).tile_count();
+        let _ = Evaluation::with_passes(opts, tile_count, default_passes(&opts, tile_count));
     }
 
     #[test]

@@ -59,7 +59,6 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use re_gpu::access::{TEXEL_RUN_BYTES, TEXEL_UNITS};
 use re_timing::TimingConfig;
 
 use crate::memo::MemoStats;
@@ -299,32 +298,15 @@ pub struct SharedEval {
 /// # Panics
 /// Panics if `opts.gpu` differs from the log's recorded configuration or
 /// a frame's tile count differs from it, or if `opts.timing` breaks the
-/// texel-run contract: fewer fragment processors (texture caches) than
-/// recorded texture units, or a texture or L2 line that is not a multiple
-/// of the run line ([`re_gpu::access`]).
+/// texel-run contract [`Caches::new`](re_timing::Caches::new) checks:
+/// fewer fragment processors (texture caches) than recorded texture
+/// units, or a texture or L2 line that is not a multiple of the run line
+/// ([`re_gpu::access`]).
 pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable) -> SharedEval {
     assert_eq!(
         opts.gpu, log.config,
         "evaluation gpu config must match the render log's"
     );
-    // A texel run replays as one probe plus `count − 1` hits. That is
-    // exact only if no other unit shares the run's texture cache and no
-    // cache line boundary splits the run's line.
-    let timing = &opts.timing;
-    assert!(
-        timing.num_fragment_processors >= u32::from(TEXEL_UNITS),
-        "timing config has {} fragment processors; texel runs need one texture cache per \
-         recorded unit ({TEXEL_UNITS})",
-        timing.num_fragment_processors
-    );
-    for (name, cache) in [("texture", timing.texture_cache), ("L2", timing.l2_cache)] {
-        assert!(
-            u64::from(cache.line_bytes).is_multiple_of(TEXEL_RUN_BYTES),
-            "{name} cache line of {} bytes is not a multiple of the {TEXEL_RUN_BYTES}-byte \
-             texel run line",
-            cache.line_bytes
-        );
-    }
     let tile_count = log.tile_count() as usize;
     for frame in &log.frames {
         assert_eq!(frame.tiles.len(), tile_count, "frame tile count mismatch");

@@ -26,6 +26,7 @@ use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
 use re_gpu::{Event, Gpu, GpuConfig, TileRecord};
 use re_math::{Mat4, Vec4};
+use re_timing::Caches;
 
 /// `events` with every texel run expanded into `count` single fetches of
 /// its line, one event each, as the seed recorded them: the memory
@@ -60,6 +61,9 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
     let mut base = Machine::new(tcfg);
     let mut rem = Machine::new(tcfg);
     let mut tem = Machine::new(tcfg);
+    let mut base_caches = Caches::new(tcfg);
+    let mut re_caches = Caches::new(tcfg);
+    let mut te_caches = Caches::new(tcfg);
 
     let mut su = SignatureUnit::new(tcfg.ot_queue_entries as usize);
     let mut su_stats = SignatureUnitStats::default();
@@ -96,9 +100,13 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
 
         events.clear();
         let geo = gpu.run_geometry(&frame, &mut events);
-        for m in [&mut base, &mut rem, &mut tem] {
-            m.mem.replay(&events, true);
-            m.charge_geometry(&tcfg, &geo.stats);
+        for (m, caches) in [
+            (&mut base, &mut base_caches),
+            (&mut rem, &mut re_caches),
+            (&mut tem, &mut te_caches),
+        ] {
+            let (requests, epoch) = caches.replay(&events);
+            m.charge_geometry(&geo.stats, requests, epoch);
         }
 
         let sigs = su.process_frame(&geo, tile_count);
@@ -112,8 +120,8 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
             frame_hashes[t as usize] = record.hashes;
             let events = unfolded(&record.events);
 
-            base.mem.replay(&events, true);
-            base.charge_tile(&tcfg, &tstats);
+            let (requests, epoch) = base_caches.replay(&events);
+            base.charge_tile(&tstats, requests, epoch, true);
 
             let rect = opts.gpu.tile_rect(t);
             let colors_eq_cmp =
@@ -134,8 +142,8 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
                     false_positives += 1;
                 }
             } else {
-                rem.mem.replay(&events, true);
-                rem.charge_tile(&tcfg, &tstats);
+                let (requests, epoch) = re_caches.replay(&events);
+                rem.charge_tile(&tstats, requests, epoch, true);
             }
 
             if let Some(ceq) = colors_eq_cmp {
@@ -144,12 +152,20 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
 
             let tile_colors = gpu.framebuffer().back().read_rect(rect);
             let te_skip_flush = te.tile_rendered(t, &tile_colors);
-            tem.mem.replay(&events, !te_skip_flush);
+            // The reference elides TE's flush itself, as the seed did, by
+            // replaying the tile without its color flush: it checks the
+            // staged path's flush flag instead of relying on it.
+            let te_events: Vec<Event> = events
+                .iter()
+                .filter(|e| !(te_skip_flush && matches!(e, Event::ColorFlush { .. })))
+                .copied()
+                .collect();
+            let (requests, epoch) = te_caches.replay(&te_events);
             let mut te_tstats = tstats;
             if te_skip_flush {
                 te_tstats.color_bytes_flushed = 0;
             }
-            tem.charge_tile(&tcfg, &te_tstats);
+            tem.charge_tile(&te_tstats, requests, epoch, true);
         }
 
         per_frame.push(FrameSample {
@@ -184,9 +200,9 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
         name: scene.name().to_owned(),
         frames,
         tile_count,
-        baseline: base.finish(),
-        re: rem.finish(),
-        te: tem.finish(),
+        baseline: base.finish(base_caches.sram_accesses()),
+        re: rem.finish(re_caches.sram_accesses()),
+        te: tem.finish(te_caches.sram_accesses()),
         memo: memo.stats,
         classes,
         equal_tiles_dist1,

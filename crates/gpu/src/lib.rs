@@ -33,8 +33,8 @@
 //! * **Access events** ([`Event`]) — every pipeline memory access
 //!   (vertex fetch, Parameter Buffer read/write, texel fetch run, color
 //!   flush) is appended to a caller-supplied `Vec<Event>`, which is the
-//!   stream `re_core` records per tile and `re_timing`'s `MemorySystem`
-//!   replays through its cache hierarchy. A tile's events and its shaded
+//!   stream `re_core` records per tile and `re_timing`'s `Caches` replay
+//!   into the DRAM-bound requests an accounting machine charges. A tile's events and its shaded
 //!   fragments' input hashes make up its [`TileRecord`].
 //! * **Activity counters** ([`stats::GeometryStats`],
 //!   [`stats::TileStats`]) — the per-frame / per-tile work counts the

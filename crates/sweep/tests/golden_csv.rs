@@ -116,3 +116,35 @@ fn l2_by_te_grid_reproduces_its_golden_csv_byte_for_byte() {
         include_str!("fixtures/golden_l2_te.csv")
     );
 }
+
+#[test]
+fn ot_depth_by_compare_cost_grid_reproduces_its_golden_csv_byte_for_byte() {
+    // `--scenes ccs,tib --frames 3 --width 128 --height 64 --ot-depths 4,16
+    //  --sig-compare-cycles 2,4 --distances 1,2`: the timing axes RE's
+    // replay reads on top of its skip verdicts (Signature Unit stall
+    // cycles and per-tile compare cycles). The fixture was written before
+    // the replay's caches and DRAM were split into a source and one
+    // accounting machine.
+    let mut grid = ExperimentGrid::default()
+        .with_scenes(&["ccs", "tib"])
+        .with_axis(axis::OT_DEPTH, vec![4, 16])
+        .with_axis(axis::SIG_COMPARE_CYCLES, vec![2, 4])
+        .with_axis(axis::COMPARE_DISTANCE, vec![1, 2]);
+    grid.frames = 3;
+    grid.width = 128;
+    grid.height = 64;
+    let opts = SweepOptions {
+        workers: 2,
+        quiet: true,
+        ..SweepOptions::default()
+    };
+    let outcomes = re_sweep::run_grid(&grid, &opts).expect("sweep").outcomes;
+    let records: Vec<CellRecord> = outcomes
+        .iter()
+        .map(|o| CellRecord::from_run(&o.cell, &o.report))
+        .collect();
+    assert_eq!(
+        re_sweep::render_csv(&records),
+        include_str!("fixtures/golden_timing_axes.csv")
+    );
+}

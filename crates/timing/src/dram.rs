@@ -170,11 +170,6 @@ impl Dram {
     pub fn stats(&self) -> &DramStats {
         &self.stats
     }
-
-    /// Clears statistics (rows stay open — state persists across frames).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
 }
 
 #[cfg(test)]

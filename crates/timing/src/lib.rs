@@ -15,35 +15,38 @@
 //!   classification Fig. 15b reports.
 //! * [`memory`] — the hierarchy's two stages: [`Caches`] turn every
 //!   recorded pipeline access ([`re_gpu::Event`]) into a DRAM-bound request
-//!   stream, which [`dram::Dram`] services; [`MemorySystem`] runs both per
-//!   epoch, and a [`DramStream`] keeps a whole replay's stream for
-//!   consumers that differ only in which requests reach DRAM.
+//!   stream, which [`dram::Dram`] services; a [`DramStream`] keeps a whole
+//!   replay's stream for consumers that differ only in which requests
+//!   reach DRAM.
 //! * [`pipeline`] — stage-throughput cycle model (geometry and per-tile
 //!   raster cycles).
 //! * [`energy`] — per-access energy table and static power integration.
 //!
 //! # How a technique uses this crate
 //!
-//! Each evaluated technique owns one [`MemorySystem`] (its private cache
-//! hierarchy + DRAM) and one [`EnergyModel`]. The recorded pipeline
-//! events are replayed into the memory system
-//! ([`MemorySystem::replay`]), whose DRAM services each request the
-//! caches send it; after each frame/tile the accumulated [`MemEpoch`] is
-//! drained and converted to cycles with
-//! [`geometry_cycles`] / [`raster_tile_cycles`] under a [`TimingConfig`],
-//! and at the end the DRAM traffic — classified per [`TrafficClass`] —
-//! and SRAM access counts are settled into an [`EnergyBreakdown`]:
+//! Each evaluated technique charges one DRAM ([`dram::Dram`]) and one
+//! [`EnergyModel`]. Its DRAM-bound requests come epoch by epoch (a frame's
+//! geometry, or one tile) from a source: live [`Caches`] replaying the
+//! recorded pipeline events ([`Caches::replay`]), or a [`DramStream`] an
+//! earlier replay recorded. DRAM services each epoch's requests and fills
+//! in its latency sums and busy cycles; the [`MemEpoch`] is then
+//! converted to cycles with [`geometry_cycles`] / [`raster_tile_cycles`]
+//! under a [`TimingConfig`], and at the end the DRAM traffic — classified
+//! per [`TrafficClass`] — and the caches' SRAM access counts are settled
+//! into an [`EnergyBreakdown`]:
 //!
 //! ```
-//! use re_timing::{MemorySystem, TimingConfig};
+//! use re_timing::dram::Dram;
+//! use re_timing::{Caches, TimingConfig};
 //! use re_gpu::Event;
 //!
 //! let cfg = TimingConfig::mali450();
-//! let mut mem = MemorySystem::new(cfg);
-//! // A replayed pipeline access; `true` keeps color flushes.
-//! mem.replay(&[Event::VertexFetch { addr: 0x100, bytes: 48 }], true);
-//! let epoch = mem.take_epoch();
+//! let (mut caches, mut dram) = (Caches::new(cfg), Dram::new(cfg));
+//! // One epoch of replayed pipeline accesses.
+//! let (requests, mut epoch) = caches.replay(&[Event::VertexFetch { addr: 0x100, bytes: 48 }]);
+//! dram.service(requests, &mut epoch);
 //! assert!(epoch.vertex_misses > 0, "a cold vertex cache misses to DRAM");
+//! assert!(epoch.vertex_latency_sum > 0, "and waits for DRAM");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,5 +62,5 @@ pub mod pipeline;
 pub use config::TimingConfig;
 pub use dram::TrafficClass;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use memory::{Caches, DramStream, MemEpoch, MemorySystem};
+pub use memory::{Caches, DramStream, MemEpoch};
 pub use pipeline::{geometry_cycles, raster_tile_cycles};

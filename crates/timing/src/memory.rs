@@ -15,23 +15,28 @@
 //!
 //! No cache reads what DRAM returns, so the stages split cleanly at any
 //! **epoch** — the tile or pipeline phase a driver samples to compute
-//! stall cycles ([`MemorySystem::take_epoch`]). [`MemorySystem`] runs both
-//! stages per epoch. A [`DramStream`] keeps a whole replay's requests,
-//! epoch by epoch with each epoch's cache-side counters, so a consumer
+//! stall cycles. [`Caches::replay`] turns one epoch's events into its
+//! requests and cache-side counters, and [`Dram::service`] fills in the
+//! rest. A [`DramStream`] keeps a whole replay's epochs, so a consumer
 //! that differs only in which requests reach DRAM (Transaction
 //! Elimination drops color flushes) services it on a fresh [`Dram`]
 //! without replaying the caches.
+//!
+//! [`Dram`]: crate::dram::Dram
+//! [`Dram::service`]: crate::dram::Dram::service
 
+use re_gpu::access::{TEXEL_RUN_BYTES, TEXEL_UNITS};
 use re_gpu::Event;
 
 use crate::cache::{Access, Cache};
 use crate::config::TimingConfig;
-use crate::dram::{Dram, DramRequest, DramStats, TrafficClass};
+use crate::dram::{DramRequest, TrafficClass};
 
-/// Memory activity since the previous [`MemorySystem::take_epoch`] call.
+/// Memory activity of one epoch.
 ///
-/// The caches count the misses and the parameter-write and color bytes;
-/// [`Dram::service`] fills in the latency sums and busy cycles.
+/// The caches count the misses and the parameter-write and color bytes
+/// ([`Caches::replay`]); [`Dram::service`](crate::dram::Dram::service)
+/// fills in the latency sums and busy cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemEpoch {
     /// Vertex-cache line misses.
@@ -66,11 +71,35 @@ pub struct Caches {
     tile_cache: Cache,
     l2: Cache,
     epoch: MemEpoch,
+    /// The current epoch's requests, reused from epoch to epoch.
+    requests: Vec<DramRequest>,
 }
 
 impl Caches {
     /// Cold caches under a timing configuration.
+    ///
+    /// # Panics
+    /// Panics if `config` breaks the texel-run contract: a texel run
+    /// replays as one probe plus `count − 1` hits, which is exact only if
+    /// no other unit shares the run's texture cache (at least
+    /// [`TEXEL_UNITS`] fragment processors) and no cache line boundary
+    /// splits the run's line (texture and L2 lines a multiple of
+    /// [`TEXEL_RUN_BYTES`]).
     pub fn new(config: TimingConfig) -> Self {
+        assert!(
+            config.num_fragment_processors >= u32::from(TEXEL_UNITS),
+            "timing config has {} fragment processors; texel runs need one texture cache per \
+             recorded unit ({TEXEL_UNITS})",
+            config.num_fragment_processors
+        );
+        for (name, cache) in [("texture", config.texture_cache), ("L2", config.l2_cache)] {
+            assert!(
+                u64::from(cache.line_bytes).is_multiple_of(TEXEL_RUN_BYTES),
+                "{name} cache line of {} bytes is not a multiple of the {TEXEL_RUN_BYTES}-byte \
+                 texel run line",
+                cache.line_bytes
+            );
+        }
         Caches {
             config,
             vertex_cache: Cache::new(config.vertex_cache),
@@ -80,6 +109,7 @@ impl Caches {
             tile_cache: Cache::new(config.tile_cache),
             l2: Cache::new(config.l2_cache),
             epoch: MemEpoch::default(),
+            requests: Vec::new(),
         }
     }
 
@@ -103,12 +133,6 @@ impl Caches {
         v
     }
 
-    /// Returns and clears the cache-side epoch counters; the latency sums
-    /// and busy cycles are zero.
-    pub fn take_epoch(&mut self) -> MemEpoch {
-        std::mem::take(&mut self.epoch)
-    }
-
     fn line_bytes(&self) -> u64 {
         self.config.l2_cache.line_bytes as u64
     }
@@ -119,31 +143,25 @@ impl Caches {
         self.config.l2_cache.line_bytes.trailing_zeros()
     }
 
-    /// Replays a recorded access stream, in order, through the caches and
-    /// hands each request that reaches DRAM to `out`. `include_flush`
-    /// gates the [`Event::ColorFlush`] events (Transaction Elimination).
-    pub fn replay(
-        &mut self,
-        events: &[Event],
-        include_flush: bool,
-        out: &mut impl FnMut(DramRequest),
-    ) {
+    /// Replays one epoch's recorded access stream, in order, through the
+    /// caches. Returns the requests that reach DRAM, in order, and the
+    /// epoch's cache-side counters (its latency sums and busy cycles are
+    /// zero until DRAM services the requests).
+    pub fn replay(&mut self, events: &[Event]) -> (&[DramRequest], MemEpoch) {
+        self.requests.clear();
         for e in events {
             match *e {
-                Event::VertexFetch { addr, bytes } => self.vertex_fetch(addr, bytes, out),
-                Event::ParamWrite { addr, bytes } => self.param_write(addr, bytes, out),
-                Event::ParamRead { addr, bytes } => self.param_read(addr, bytes, out),
-                Event::Texel { unit, count, addr } => self.texel_fetch(unit, count, addr, out),
-                Event::ColorFlush { addr, bytes } => {
-                    if include_flush {
-                        self.color_flush(addr, bytes, out);
-                    }
-                }
+                Event::VertexFetch { addr, bytes } => self.vertex_fetch(addr, bytes),
+                Event::ParamWrite { addr, bytes } => self.param_write(addr, bytes),
+                Event::ParamRead { addr, bytes } => self.param_read(addr, bytes),
+                Event::Texel { unit, count, addr } => self.texel_fetch(unit, count, addr),
+                Event::ColorFlush { addr, bytes } => self.color_flush(addr, bytes),
             }
         }
+        (&self.requests, std::mem::take(&mut self.epoch))
     }
 
-    fn vertex_fetch(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
+    fn vertex_fetch(&mut self, addr: u64, bytes: u32) {
         let (lb, shift) = (self.line_bytes(), self.line_shift());
         if bytes == 0 {
             return;
@@ -156,7 +174,7 @@ impl Caches {
                 self.epoch.vertex_misses += 1;
                 if self.l2.access(line_addr) == Access::Miss {
                     self.epoch.l2_misses += 1;
-                    out(DramRequest {
+                    self.requests.push(DramRequest {
                         class: TrafficClass::Vertices,
                         addr: line_addr,
                         bytes: lb as u32,
@@ -166,19 +184,19 @@ impl Caches {
         }
     }
 
-    fn param_write(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
+    fn param_write(&mut self, addr: u64, bytes: u32) {
         self.epoch.param_write_bytes += bytes as u64;
         // The PLB rewrites the Parameter Buffer every frame; stale lines in
         // the Tile Cache must not survive (write-invalidate coherence).
         self.tile_cache.invalidate_range(addr, bytes);
-        out(DramRequest {
+        self.requests.push(DramRequest {
             class: TrafficClass::PrimitiveWrites,
             addr,
             bytes,
         });
     }
 
-    fn param_read(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
+    fn param_read(&mut self, addr: u64, bytes: u32) {
         let (lb, shift) = (self.line_bytes(), self.line_shift());
         if bytes == 0 {
             return;
@@ -189,7 +207,7 @@ impl Caches {
             let line_addr = line << shift;
             if self.tile_cache.access(line_addr) == Access::Miss {
                 self.epoch.tile_misses += 1;
-                out(DramRequest {
+                self.requests.push(DramRequest {
                     class: TrafficClass::PrimitiveReads,
                     addr: line_addr,
                     bytes: lb as u32,
@@ -201,18 +219,17 @@ impl Caches {
     /// A run of `count` fetches within one line: the first probes the
     /// unit's Texture Cache (and L2 on a miss); the rest hit the line it
     /// left most recent, touching nothing else.
-    fn texel_fetch(&mut self, unit: u8, count: u32, addr: u64, out: &mut impl FnMut(DramRequest)) {
+    fn texel_fetch(&mut self, unit: u8, count: u32, addr: u64) {
         let lb = self.line_bytes();
         let line_addr = addr & !(lb - 1);
-        let unit = (unit as usize) % self.texture_caches.len();
-        let cache = &mut self.texture_caches[unit];
+        let cache = &mut self.texture_caches[usize::from(unit)];
         let first = cache.access(line_addr);
         cache.add_hits(u64::from(count.saturating_sub(1)));
         if first == Access::Miss {
             self.epoch.tex_misses += 1;
             if self.l2.access(line_addr) == Access::Miss {
                 self.epoch.l2_misses += 1;
-                out(DramRequest {
+                self.requests.push(DramRequest {
                     class: TrafficClass::Texels,
                     addr: line_addr,
                     bytes: lb as u32,
@@ -221,9 +238,9 @@ impl Caches {
         }
     }
 
-    fn color_flush(&mut self, addr: u64, bytes: u32, out: &mut impl FnMut(DramRequest)) {
+    fn color_flush(&mut self, addr: u64, bytes: u32) {
         self.epoch.color_bytes += bytes as u64;
-        out(DramRequest {
+        self.requests.push(DramRequest {
             class: TrafficClass::Colors,
             addr,
             bytes,
@@ -237,7 +254,7 @@ impl Caches {
 const STREAM_BLOCK: usize = 4096;
 
 /// A whole replay's DRAM-bound request stream, epoch by epoch, each epoch
-/// with its cache-side counters ([`Caches::take_epoch`]).
+/// with its cache-side counters ([`Caches::replay`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStream {
     /// The requests in recording order, [`STREAM_BLOCK`] to a block (the
@@ -248,19 +265,19 @@ pub struct DramStream {
 }
 
 impl DramStream {
-    /// Replays `events` (color flushes included) through `caches` as one
-    /// epoch, and appends its requests and cache-side counters.
-    pub fn record(&mut self, caches: &mut Caches, events: &[Event]) {
-        let blocks = &mut self.blocks;
-        caches.replay(events, true, &mut |request| match blocks.last_mut() {
-            Some(block) if block.len() < STREAM_BLOCK => block.push(request),
-            _ => {
-                let mut block = Vec::with_capacity(STREAM_BLOCK);
-                block.push(request);
-                blocks.push(block);
+    /// Appends one epoch: its requests, in order, and its cache-side
+    /// counters.
+    pub fn push(&mut self, mut requests: &[DramRequest], epoch: MemEpoch) {
+        while !requests.is_empty() {
+            if self.blocks.last().is_none_or(|b| b.len() == STREAM_BLOCK) {
+                self.blocks.push(Vec::with_capacity(STREAM_BLOCK));
             }
-        });
-        self.epochs.push((self.len(), caches.take_epoch()));
+            let block = self.blocks.last_mut().expect("a block with room");
+            let n = requests.len().min(STREAM_BLOCK - block.len());
+            block.extend_from_slice(&requests[..n]);
+            requests = &requests[n..];
+        }
+        self.epochs.push((self.len(), epoch));
     }
 
     /// Requests recorded so far.
@@ -294,88 +311,65 @@ impl DramStream {
     }
 }
 
-/// The complete memory system: the cache stage and DRAM, run one epoch at
-/// a time. DRAM services each request as the caches send it.
-#[derive(Debug)]
-pub struct MemorySystem {
-    caches: Caches,
-    dram: Dram,
-    /// The current epoch's DRAM-side counters: its latency sums and busy
-    /// cycles.
-    serviced: MemEpoch,
-}
-
-impl MemorySystem {
-    /// Builds the hierarchy from a timing configuration.
-    pub fn new(config: TimingConfig) -> Self {
-        MemorySystem {
-            caches: Caches::new(config),
-            dram: Dram::new(config),
-            serviced: MemEpoch::default(),
-        }
-    }
-
-    /// The timing configuration this system was built from.
-    pub fn config(&self) -> &TimingConfig {
-        &self.caches.config
-    }
-
-    /// Cumulative DRAM statistics (traffic classes, bursts, row behaviour).
-    pub fn dram_stats(&self) -> &DramStats {
-        self.dram.stats()
-    }
-
-    /// Cumulative accesses of each SRAM structure, as
-    /// `(size_bytes, accesses)` pairs — input for the energy model.
-    pub fn sram_accesses(&self) -> Vec<(u32, u64)> {
-        self.caches.sram_accesses()
-    }
-
-    /// Returns and clears the epoch counters of both stages (call at
-    /// tile/phase boundaries).
-    pub fn take_epoch(&mut self) -> MemEpoch {
-        let serviced = std::mem::take(&mut self.serviced);
-        MemEpoch {
-            texel_latency_sum: serviced.texel_latency_sum,
-            prim_read_latency_sum: serviced.prim_read_latency_sum,
-            vertex_latency_sum: serviced.vertex_latency_sum,
-            dram_busy_cycles: serviced.dram_busy_cycles,
-            ..self.caches.take_epoch()
-        }
-    }
-
-    /// Replays a recorded access stream, in order, through the caches, and
-    /// DRAM services the requests that reach it. `include_flush` gates the
-    /// [`Event::ColorFlush`] events (Transaction Elimination).
-    pub fn replay(&mut self, events: &[Event], include_flush: bool) {
-        let (dram, serviced) = (&mut self.dram, &mut self.serviced);
-        self.caches.replay(events, include_flush, &mut |request| {
-            dram.service(std::iter::once(&request), serviced)
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::Dram;
     use re_gpu::access::{FB_BASE, PARAM_BASE, TEX_BASE, VB_BASE};
 
-    fn sys() -> MemorySystem {
-        MemorySystem::new(TimingConfig::mali450())
+    /// Cold caches and a DRAM that services each request as the caches
+    /// emit it: every event is replayed alone and its requests serviced
+    /// before the next event reaches the caches.
+    struct Live {
+        caches: Caches,
+        dram: Dram,
+    }
+
+    impl Live {
+        fn new() -> Self {
+            Live {
+                caches: Caches::new(TimingConfig::mali450()),
+                dram: Dram::new(TimingConfig::mali450()),
+            }
+        }
+
+        /// Replays `events` as one epoch and returns its counters.
+        fn replay(&mut self, events: &[Event]) -> MemEpoch {
+            let mut sum = MemEpoch::default();
+            for e in events {
+                let (requests, mut epoch) = self.caches.replay(std::slice::from_ref(e));
+                self.dram.service(requests, &mut epoch);
+                sum.vertex_misses += epoch.vertex_misses;
+                sum.tex_misses += epoch.tex_misses;
+                sum.l2_misses += epoch.l2_misses;
+                sum.tile_misses += epoch.tile_misses;
+                sum.texel_latency_sum += epoch.texel_latency_sum;
+                sum.prim_read_latency_sum += epoch.prim_read_latency_sum;
+                sum.vertex_latency_sum += epoch.vertex_latency_sum;
+                sum.param_write_bytes += epoch.param_write_bytes;
+                sum.color_bytes += epoch.color_bytes;
+                sum.dram_busy_cycles += epoch.dram_busy_cycles;
+            }
+            sum
+        }
+
+        fn dram_stats(&self) -> &crate::dram::DramStats {
+            self.dram.stats()
+        }
+    }
+
+    fn texel(unit: u8, addr: u64) -> Event {
+        Event::Texel {
+            unit,
+            count: 1,
+            addr,
+        }
     }
 
     #[test]
     fn cold_texel_miss_reaches_dram() {
-        let mut m = sys();
-        m.replay(
-            &[Event::Texel {
-                unit: 0,
-                count: 1,
-                addr: TEX_BASE,
-            }],
-            true,
-        );
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let e = m.replay(&[texel(0, TEX_BASE)]);
         assert_eq!(e.tex_misses, 1);
         assert_eq!(e.l2_misses, 1);
         assert!(e.texel_latency_sum >= 50);
@@ -384,65 +378,30 @@ mod tests {
 
     #[test]
     fn warm_texel_hits_are_free_of_dram() {
-        let mut m = sys();
-        m.replay(
-            &[Event::Texel {
-                unit: 0,
-                count: 1,
-                addr: TEX_BASE,
-            }],
-            true,
-        );
-        m.take_epoch();
-        m.replay(
-            &[Event::Texel {
-                unit: 0,
-                count: 1,
-                addr: TEX_BASE + 4,
-            }],
-            true,
-        ); // same line
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        m.replay(&[texel(0, TEX_BASE)]);
+        let e = m.replay(&[texel(0, TEX_BASE + 4)]); // same line
         assert_eq!(e.tex_misses, 0);
         assert_eq!(e.dram_busy_cycles, 0);
     }
 
     #[test]
     fn texture_units_have_private_caches() {
-        let mut m = sys();
-        m.replay(
-            &[Event::Texel {
-                unit: 0,
-                count: 1,
-                addr: TEX_BASE,
-            }],
-            true,
-        );
-        m.take_epoch();
-        m.replay(
-            &[Event::Texel {
-                unit: 1,
-                count: 1,
-                addr: TEX_BASE,
-            }],
-            true,
-        ); // other unit: cold, but L2 hit
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        m.replay(&[texel(0, TEX_BASE)]);
+        // other unit: cold, but L2 hit
+        let e = m.replay(&[texel(1, TEX_BASE)]);
         assert_eq!(e.tex_misses, 1);
         assert_eq!(e.l2_misses, 0, "L2 absorbs the second unit's miss");
     }
 
     #[test]
     fn param_write_is_pure_dram_traffic() {
-        let mut m = sys();
-        m.replay(
-            &[Event::ParamWrite {
-                addr: PARAM_BASE,
-                bytes: 144,
-            }],
-            true,
-        );
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let e = m.replay(&[Event::ParamWrite {
+            addr: PARAM_BASE,
+            bytes: 144,
+        }]);
         assert_eq!(e.param_write_bytes, 144);
         assert!(m.dram_stats().class_bytes(TrafficClass::PrimitiveWrites) >= 144);
         assert_eq!(e.tile_misses, 0);
@@ -450,68 +409,45 @@ mod tests {
 
     #[test]
     fn param_read_goes_through_tile_cache() {
-        let mut m = sys();
-        m.replay(
-            &[Event::ParamRead {
-                addr: PARAM_BASE,
-                bytes: 144,
-            }],
-            true,
-        ); // 3 lines cold
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let read = [Event::ParamRead {
+            addr: PARAM_BASE,
+            bytes: 144,
+        }];
+        let e = m.replay(&read); // 3 lines cold
         assert_eq!(e.tile_misses, 3);
-        m.replay(
-            &[Event::ParamRead {
-                addr: PARAM_BASE,
-                bytes: 144,
-            }],
-            true,
-        ); // warm
-        let e = m.take_epoch();
+        let e = m.replay(&read); // warm
         assert_eq!(e.tile_misses, 0);
     }
 
     #[test]
     fn param_write_invalidates_tile_cache() {
         // Next frame's PLB rewrite must not leave stale hits behind.
-        let mut m = sys();
-        m.replay(
-            &[Event::ParamRead {
+        let mut m = Live::new();
+        m.replay(&[Event::ParamRead {
+            addr: PARAM_BASE,
+            bytes: 64,
+        }]);
+        let e = m.replay(&[
+            Event::ParamWrite {
                 addr: PARAM_BASE,
                 bytes: 64,
-            }],
-            true,
-        );
-        m.take_epoch();
-        m.replay(
-            &[Event::ParamWrite {
+            },
+            Event::ParamRead {
                 addr: PARAM_BASE,
                 bytes: 64,
-            }],
-            true,
-        );
-        m.replay(
-            &[Event::ParamRead {
-                addr: PARAM_BASE,
-                bytes: 64,
-            }],
-            true,
-        );
-        let e = m.take_epoch();
+            },
+        ]);
         assert_eq!(e.tile_misses, 1, "rewritten line must re-miss");
     }
 
     #[test]
     fn color_flush_counts_bytes_and_busy_cycles() {
-        let mut m = sys();
-        m.replay(
-            &[Event::ColorFlush {
-                addr: FB_BASE,
-                bytes: 64,
-            }],
-            true,
-        );
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let e = m.replay(&[Event::ColorFlush {
+            addr: FB_BASE,
+            bytes: 64,
+        }]);
         assert_eq!(e.color_bytes, 64);
         assert_eq!(e.dram_busy_cycles, 64 / 4 + 2);
         assert_eq!(m.dram_stats().class_bytes(TrafficClass::Colors), 64);
@@ -519,32 +455,25 @@ mod tests {
 
     #[test]
     fn vertex_fetch_path() {
-        let mut m = sys();
-        m.replay(
-            &[Event::VertexFetch {
-                addr: VB_BASE,
-                bytes: 96,
-            }],
-            true,
-        );
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let e = m.replay(&[Event::VertexFetch {
+            addr: VB_BASE,
+            bytes: 96,
+        }]);
         assert!(e.vertex_misses >= 2, "96 B spans ≥2 lines");
         assert!(e.vertex_latency_sum > 0);
     }
 
     #[test]
-    fn epoch_resets_after_take() {
-        let mut m = sys();
-        m.replay(
-            &[Event::ColorFlush {
-                addr: FB_BASE,
-                bytes: 64,
-            }],
-            true,
-        );
-        let _ = m.take_epoch();
-        let e = m.take_epoch();
-        assert_eq!(e, MemEpoch::default());
+    fn epoch_resets_after_replay() {
+        let mut caches = Caches::new(TimingConfig::mali450());
+        caches.replay(&[Event::ColorFlush {
+            addr: FB_BASE,
+            bytes: 64,
+        }]);
+        let (requests, epoch) = caches.replay(&[]);
+        assert!(requests.is_empty());
+        assert_eq!(epoch, MemEpoch::default());
     }
 
     /// One access of each kind, in the order Stage A records them.
@@ -562,11 +491,7 @@ mod tests {
                 addr: PARAM_BASE,
                 bytes: 96,
             },
-            Event::Texel {
-                unit: 2,
-                count: 1,
-                addr: TEX_BASE,
-            },
+            texel(2, TEX_BASE),
             Event::ColorFlush {
                 addr: FB_BASE,
                 bytes: 64,
@@ -574,11 +499,19 @@ mod tests {
         ]
     }
 
+    /// `events` with its Color Buffer flushes removed.
+    fn without_flushes(events: &[Event]) -> Vec<Event> {
+        events
+            .iter()
+            .filter(|e| !matches!(e, Event::ColorFlush { .. }))
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn replay_reproduces_traffic() {
-        let mut m = sys();
-        m.replay(&sample(), true);
-        let e = m.take_epoch();
+        let mut m = Live::new();
+        let e = m.replay(&sample());
         assert_eq!(e.vertex_misses, 1, "48 B in one line");
         assert_eq!(e.tile_misses, 2, "96 B over two lines, written first");
         assert_eq!(e.tex_misses, 1);
@@ -591,11 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_can_filter_flush() {
-        let (mut with, mut without) = (sys(), sys());
-        with.replay(&sample(), true);
-        without.replay(&sample(), false);
-        let (e_with, e_without) = (with.take_epoch(), without.take_epoch());
+    fn flushes_touch_no_cache() {
+        let (mut with, mut without) = (Live::new(), Live::new());
+        let e_with = with.replay(&sample());
+        let e_without = without.replay(&without_flushes(&sample()));
         assert_eq!(e_without.color_bytes, 0);
         assert_eq!(e_with.color_bytes, 64);
         let misses = |e: &MemEpoch| (e.vertex_misses, e.tex_misses, e.l2_misses, e.tile_misses);
@@ -651,15 +583,21 @@ mod tests {
         [0, 64, 0, 4096, 64, 0].into_iter().map(shifted).collect()
     }
 
+    /// Replays `events` through `caches` as one epoch and appends it to
+    /// `stream`.
+    fn record(stream: &mut DramStream, caches: &mut Caches, events: &[Event]) {
+        let (requests, epoch) = caches.replay(events);
+        stream.push(requests, epoch);
+    }
+
     #[test]
     fn a_recorded_stream_serviced_on_a_fresh_dram_reproduces_the_replay() {
-        let (mut m, mut caches) = (sys(), Caches::new(TimingConfig::mali450()));
+        let (mut m, mut caches) = (Live::new(), Caches::new(TimingConfig::mali450()));
         let mut stream = DramStream::default();
         let mut replayed = Vec::new();
         for events in epochs() {
-            m.replay(&events, true);
-            replayed.push(m.take_epoch());
-            stream.record(&mut caches, &events);
+            replayed.push(m.replay(&events));
+            record(&mut stream, &mut caches, &events);
         }
         let mut dram = Dram::new(TimingConfig::mali450());
         let serviced: Vec<MemEpoch> = (0..stream.epoch_count())
@@ -674,7 +612,7 @@ mod tests {
             "every epoch's counters and latency sums"
         );
         assert_eq!(dram.stats(), m.dram_stats());
-        assert_eq!(caches.sram_accesses(), m.sram_accesses());
+        assert_eq!(caches.sram_accesses(), m.caches.sram_accesses());
     }
 
     #[test]
@@ -684,11 +622,7 @@ mod tests {
         // sits between them.
         let texels = |from: u64, n: u64| -> Vec<Event> {
             (from..from + n)
-                .map(|line| Event::Texel {
-                    unit: (line % 4) as u8,
-                    count: 1,
-                    addr: TEX_BASE + line * 64,
-                })
+                .map(|line| texel((line % 4) as u8, TEX_BASE + line * 64))
                 .collect()
         };
         let epochs = [
@@ -700,7 +634,7 @@ mod tests {
         let mut caches = Caches::new(TimingConfig::mali450());
         let mut stream = DramStream::default();
         for events in &epochs {
-            stream.record(&mut caches, events);
+            record(&mut stream, &mut caches, events);
         }
         let addrs: Vec<Vec<u64>> = (0..stream.epoch_count())
             .map(|i| stream.epoch(i).0.map(|r| r.addr).collect())
@@ -723,14 +657,17 @@ mod tests {
 
     #[test]
     fn dropping_an_epochs_colors_equals_replaying_it_without_flush() {
-        let mut m = sys();
+        let mut m = Live::new();
         let mut stream = DramStream::default();
         let mut caches = Caches::new(TimingConfig::mali450());
         let mut replayed = Vec::new();
         for (i, events) in epochs().into_iter().enumerate() {
-            m.replay(&events, i % 2 == 0);
-            replayed.push(m.take_epoch());
-            stream.record(&mut caches, &events);
+            replayed.push(if i % 2 == 0 {
+                m.replay(&events)
+            } else {
+                m.replay(&without_flushes(&events))
+            });
+            record(&mut stream, &mut caches, &events);
         }
         let mut dram = Dram::new(TimingConfig::mali450());
         let serviced: Vec<MemEpoch> = (0..stream.epoch_count())
@@ -752,8 +689,8 @@ mod tests {
 
     #[test]
     fn sram_access_report_covers_all_structures() {
-        let m = sys();
+        let caches = Caches::new(TimingConfig::mali450());
         // vertex + tile + L2 + 4 texture caches.
-        assert_eq!(m.sram_accesses().len(), 7);
+        assert_eq!(caches.sram_accesses().len(), 7);
     }
 }

@@ -35,8 +35,9 @@ pub fn geometry_cycles(cfg: &TimingConfig, g: &GeometryStats, mem: &MemEpoch) ->
 
 /// Cycles for the Raster Pipeline of a single tile.
 ///
-/// `mem` must be the memory epoch captured around this tile's
-/// rasterization (see [`crate::memory::MemorySystem::take_epoch`]).
+/// `mem` must be the memory epoch of this tile's rasterization: its
+/// replay through the caches ([`crate::memory::Caches::replay`]) with
+/// its requests serviced by DRAM ([`crate::dram::Dram::service`]).
 pub fn raster_tile_cycles(cfg: &TimingConfig, t: &TileStats, mem: &MemEpoch) -> u64 {
     // Triangle setup + attribute interpolation.
     let setup = t.prims_processed * 4;

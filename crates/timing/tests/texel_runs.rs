@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use re_gpu::access::{FB_BASE, PARAM_BASE, TEX_BASE, VB_BASE};
 use re_gpu::raster::TexelRuns;
 use re_gpu::Event;
-use re_timing::dram::DramStats;
-use re_timing::{MemEpoch, MemorySystem, TimingConfig};
+use re_timing::dram::{Dram, DramStats};
+use re_timing::{Caches, MemEpoch, TimingConfig};
 
 /// Deterministic value stream (splitmix64).
 struct Stream(u64);
@@ -110,15 +110,16 @@ fn replay(
     timing: TimingConfig,
     epochs: &[Vec<Event>],
 ) -> (Vec<MemEpoch>, DramStats, Vec<(u32, u64)>) {
-    let mut m = MemorySystem::new(timing);
+    let (mut caches, mut dram) = (Caches::new(timing), Dram::new(timing));
     let per_epoch = epochs
         .iter()
         .map(|events| {
-            m.replay(events, true);
-            m.take_epoch()
+            let (requests, mut epoch) = caches.replay(events);
+            dram.service(requests, &mut epoch);
+            epoch
         })
         .collect();
-    (per_epoch, *m.dram_stats(), m.sram_accesses())
+    (per_epoch, *dram.stats(), caches.sram_accesses())
 }
 
 proptest! {
