@@ -5,6 +5,10 @@
 //!   (signature widths 8/16/24/32 × compare distances 1/2) from a fresh
 //!   `SectionTable`. The sweep benchmark's `eval_warm` grid is ten such
 //!   keys.
+//! * `timing_axis_key_8_cells` — `evaluate_shared` over the key's 8
+//!   timing-axis cells (OT-queue depths 4/8/16/32 × compare costs 2/4)
+//!   from a fresh `SectionTable`: one baseline, TE, memo and RE replay
+//!   and four RE decisions, the compare cost added per cell.
 //! * `baseline_section` — the key's baseline section: one cache replay of
 //!   every event, each epoch charged on a fresh DRAM as it is replayed
 //!   and recorded into the DRAM-bound stream TE reads.
@@ -40,12 +44,33 @@ fn bench_stage_b(c: &mut Criterion) {
         }
     }
 
+    let mut timing_cells = Vec::new();
+    for ot_queue_entries in [4, 8, 16, 32] {
+        for sig_compare_cycles in [2, 4] {
+            timing_cells.push(SimOptions {
+                gpu,
+                ot_queue_entries,
+                sig_compare_cycles,
+                ..SimOptions::default()
+            });
+        }
+    }
+
     let mut g = c.benchmark_group("stage_b");
-    g.sample_size(10);
+    // 30 samples: 10 could not resolve changes under about 15%.
+    g.sample_size(30);
     g.bench_function("eval_warm_key_8_cells", |b| {
         b.iter(|| {
             let table = SectionTable::new();
             for opts in &cells {
+                std::hint::black_box(evaluate_shared(&log, opts, &table));
+            }
+        })
+    });
+    g.bench_function("timing_axis_key_8_cells", |b| {
+        b.iter(|| {
+            let table = SectionTable::new();
+            for opts in &timing_cells {
                 std::hint::black_box(evaluate_shared(&log, opts, &table));
             }
         })

@@ -56,7 +56,10 @@ pub fn table1() {
         "Rasterizer            : {} attributes/cycle",
         c.raster_attrs_per_cycle
     );
-    println!("OT queue (RE)         : {} entries", c.ot_queue_entries);
+    println!(
+        "OT queue (RE)         : {} entries",
+        re_core::SimOptions::default().ot_queue_entries
+    );
 }
 
 /// Table II — the benchmark suite.

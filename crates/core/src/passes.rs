@@ -22,9 +22,12 @@
 //! Each pass declares, as `share_key`, the [`SimOptions`] fields it reads,
 //! and [`crate::share::evaluate_shared`] computes each distinct section
 //! once among the cells of a render key. RE's decision half and the
-//! classifier form one section; RE's replay half reads the timing config
-//! and its decision half's [`SkipBitmap`] alone, so cells whose skip
-//! verdicts agree replay once. [`evaluate`] is one cell over a fresh
+//! classifier form one section; RE's replay half reads the memory
+//! machine ([`TimingConfig`]) and its decision half's [`SkipBitmap`]
+//! alone, so cells whose skip verdicts agree replay once, whatever their
+//! OT-queue depth or compare cost. Each cell adds RE's Signature Unit
+//! cycles (OT-queue stalls, one Signature Buffer compare per tile) when
+//! it assembles its report. [`evaluate`] is one cell over a fresh
 //! table, and [`crate::Simulator::run`] is `render_scene` then `evaluate`.
 //!
 //! # One replay machine
@@ -118,8 +121,8 @@ impl Machine {
     /// Charges one rendered tile: services the tile epoch's `requests`
     /// and charges `epoch`, its cache-side counters. Without `flush`, the
     /// tile's Color Buffer flush is elided (Transaction Elimination): its
-    /// requests never reach DRAM and its color bytes count nowhere. This
-    /// is the one place a flush is elided.
+    /// `Colors` requests never reach DRAM. This is the one place a flush
+    /// is elided.
     pub fn charge_tile<'r>(
         &mut self,
         t: &TileStats,
@@ -127,17 +130,12 @@ impl Machine {
         mut epoch: MemEpoch,
         flush: bool,
     ) {
-        let mut t = *t;
-        if !flush {
-            epoch.color_bytes = 0;
-            t.color_bytes_flushed = 0;
-        }
         let requests = requests
             .into_iter()
             .filter(|r| flush || r.class != TrafficClass::Colors);
         self.dram.service(requests, &mut epoch);
-        self.raster_cycles += re_timing::raster_tile_cycles(&self.tcfg, &t, &epoch);
-        self.energy.add_raster(&t, &self.tcfg);
+        self.raster_cycles += re_timing::raster_tile_cycles(&self.tcfg, t, &epoch);
+        self.energy.add_raster(t, &self.tcfg);
         self.tiles_rendered += 1;
         self.fragments_shaded += t.fragments_shaded;
     }
@@ -167,8 +165,8 @@ impl Machine {
 /// A finished [`Machine`] with its SRAM, DRAM and leakage energy not yet
 /// charged: its source caches' access counts in place of the caches
 /// themselves. RE's shared replay section is one of these, and every
-/// cell sharing it charges its own Signature Unit SRAM first and then
-/// settles a copy, so each cell's energy sums in the same order as a
+/// cell sharing it adds its own Signature Unit cycles and SRAM first and
+/// then settles a copy, so each cell's energy sums in the same order as a
 /// private [`RePass`].
 #[derive(Debug, Clone)]
 pub(crate) struct MachineTotals {
@@ -389,7 +387,6 @@ struct ReDecision {
     re_frames_disabled: u64,
     false_positives: u64,
     skips: SkipBitmap,
-    stall_cycles: Vec<u64>,
 }
 
 impl ReDecision {
@@ -397,7 +394,7 @@ impl ReDecision {
     fn new(opts: &SimOptions, tile_count: u32) -> Self {
         let distance = opts.compare_distance;
         ReDecision {
-            su: SignatureUnit::new(opts.timing.ot_queue_entries as usize),
+            su: SignatureUnit::new(opts.ot_queue_entries as usize),
             su_stats: SignatureUnitStats::default(),
             sig_buffer: SignatureBuffer::with_sig_bits(tile_count, distance, opts.sig_bits),
             sigs: Vec::new(),
@@ -409,13 +406,12 @@ impl ReDecision {
             re_frames_disabled: 0,
             false_positives: 0,
             skips: SkipBitmap::default(),
-            stall_cycles: Vec::new(),
         }
     }
 
     /// Starts frame `index`: enable/refresh logic and the frame's
-    /// signatures. Returns the Signature Unit's stall cycles.
-    fn begin_frame(&mut self, index: usize, frame: &FrameLog) -> u64 {
+    /// signatures.
+    fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
         if frame.re_unsafe {
             self.re_disabled_for = self.re_disabled_for.max(self.distance + 1);
         }
@@ -427,11 +423,8 @@ impl ReDecision {
             self.re_frames_disabled += 1;
         }
         let sigs = self.su.process_frame(&frame.geo, self.tile_count);
-        let stall_cycles = sigs.stats.stall_cycles;
         self.su_stats.merge(&sigs.stats);
-        self.stall_cycles.push(stall_cycles);
         self.sigs = sigs.sigs;
-        stall_cycles
     }
 
     /// Decides tile `tile_id` and publishes its signature verdict in
@@ -455,7 +448,6 @@ impl ReDecision {
     fn finish(self) -> ReVerdicts {
         ReVerdicts {
             skips: Arc::new(self.skips),
-            stall_cycles: self.stall_cycles,
             su_stats: self.su_stats,
             false_positives: self.false_positives,
             re_frames_disabled: self.re_frames_disabled,
@@ -466,12 +458,11 @@ impl ReDecision {
     }
 }
 
-/// What RE's decision half hands on: the skip verdicts and stall cycles
-/// its replay reads, and the counts and SRAM activity of its own hardware.
+/// What RE's decision half hands on: the skip verdicts its replay reads,
+/// and the counts, stall cycles and SRAM activity of its own hardware.
 #[derive(Debug)]
 pub(crate) struct ReVerdicts {
     skips: Arc<SkipBitmap>,
-    stall_cycles: Vec<u64>,
     su_stats: SignatureUnitStats,
     false_positives: u64,
     re_frames_disabled: u64,
@@ -481,8 +472,8 @@ pub(crate) struct ReVerdicts {
 }
 
 impl ReVerdicts {
-    /// The section key of RE's replay under `opts`: the timing config and
-    /// these verdicts' skip bitmap.
+    /// The section key of RE's replay under `opts`: the memory machine
+    /// and these verdicts' skip bitmap.
     pub(crate) fn replay_key(&self, opts: &SimOptions) -> SectionKey {
         SectionKey::ReReplay {
             timing: opts.timing,
@@ -490,9 +481,21 @@ impl ReVerdicts {
         }
     }
 
-    /// Writes RE's section of `report`: charges the Signature Buffer, CRC
-    /// LUT, bitmap and OT-queue SRAM, then settles the replayed `machine`.
-    pub(crate) fn write(&self, mut machine: MachineTotals, report: &mut RunReport) {
+    /// Writes RE's section of `report`: adds the Signature Unit's stall
+    /// cycles to the replayed `machine`'s geometry cycles and a Signature
+    /// Buffer compare of `sig_compare_cycles` per tile to its raster
+    /// cycles, charges the Signature Buffer, CRC LUT, bitmap and OT-queue
+    /// SRAM, then settles it.
+    pub(crate) fn write(
+        &self,
+        mut machine: MachineTotals,
+        sig_compare_cycles: u64,
+        report: &mut RunReport,
+    ) {
+        // The Signature Unit overlaps with geometry; only stalls count as
+        // extra time.
+        machine.geometry_cycles += self.su_stats.stall_cycles;
+        machine.raster_cycles += self.skips.len as u64 * sig_compare_cycles;
         let energy = &mut machine.energy;
         energy.add_sram(
             self.sig_buffer_bytes,
@@ -512,12 +515,11 @@ impl ReVerdicts {
 }
 
 /// RE's replay half: live caches feeding a [`Machine`] the tiles RE did
-/// not skip, plus the Signature Unit's stall cycles, driven by skip
-/// verdicts.
+/// not skip, driven by skip verdicts. It is a pure memory replay: the
+/// Signature Unit's own cycles are added per cell ([`ReVerdicts::write`]).
 struct ReReplay {
     caches: Caches,
     machine: Machine,
-    sig_compare_cycles: u64,
     frame_skip_mark: u64,
     frame_raster_mark: u64,
 }
@@ -527,25 +529,20 @@ impl ReReplay {
         ReReplay {
             caches: Caches::new(timing),
             machine: Machine::new(timing),
-            sig_compare_cycles: timing.sig_compare_cycles,
             frame_skip_mark: 0,
             frame_raster_mark: 0,
         }
     }
 
-    fn begin_frame(&mut self, frame: &FrameLog, stall_cycles: u64) {
+    fn begin_frame(&mut self, frame: &FrameLog) {
         self.frame_skip_mark = self.machine.tiles_skipped;
         self.frame_raster_mark = self.machine.raster_cycles;
         let (requests, epoch) = self.caches.replay(&frame.geo_events);
         self.machine
             .charge_geometry(&frame.geo.stats, requests, epoch);
-        // The Signature Unit overlaps with geometry; only stalls count as
-        // extra time.
-        self.machine.geometry_cycles += stall_cycles;
     }
 
     fn tile(&mut self, tile: &TileLog, skip: bool) {
-        self.machine.raster_cycles += self.sig_compare_cycles;
         if skip {
             self.machine.tiles_skipped += 1;
         } else {
@@ -568,10 +565,13 @@ impl ReReplay {
 /// Rendering Elimination: Signature Unit timing, Signature Buffer
 /// compares, skip decisions and false-positive cross-checks.
 ///
-/// The sections run its decision and replay halves as two sections.
+/// The sections run its decision and replay halves as two sections, and
+/// each cell adds its Signature Buffer compare cost when it assembles its
+/// report.
 pub struct RePass {
     decision: ReDecision,
     replay: ReReplay,
+    sig_compare_cycles: u64,
 }
 
 impl RePass {
@@ -580,17 +580,18 @@ impl RePass {
         RePass {
             decision: ReDecision::new(opts, tile_count),
             replay: ReReplay::new(opts.timing),
+            sig_compare_cycles: opts.sig_compare_cycles,
         }
     }
 
     /// The options RE's decision half reads, which the [`RedundancyPass`]
     /// after it shares through [`TileCtx::inputs_eq`]: OT-queue depth,
     /// compare distance, signature width and refresh period. The replay
-    /// half's key ([`SectionKey::ReReplay`]) is the timing config and the
+    /// half's key ([`SectionKey::ReReplay`]) is the memory machine and the
     /// skip verdicts the decision half produces.
     pub fn share_key(opts: &SimOptions) -> SectionKey {
         SectionKey::ReDecision {
-            ot_queue_entries: opts.timing.ot_queue_entries,
+            ot_queue_entries: opts.ot_queue_entries,
             compare_distance: opts.compare_distance,
             sig_bits: opts.sig_bits,
             refresh_period: opts.refresh_period,
@@ -617,26 +618,22 @@ impl RePass {
         (decision.finish(), redundancy)
     }
 
-    /// RE's replay section over a whole log: `verdicts` replayed on a
-    /// fresh machine under `timing`, with RE's points of the per-frame
-    /// series.
+    /// RE's replay section over a whole log: the tiles `skips` does not
+    /// skip, replayed on a fresh machine under `timing`, with RE's points
+    /// of the per-frame series. It charges memory work alone; each cell
+    /// adds its Signature Unit cycles when it assembles its report.
     pub(crate) fn replay(
         log: &RenderLog,
         timing: TimingConfig,
-        verdicts: &ReVerdicts,
+        skips: &SkipBitmap,
     ) -> (MachineTotals, Vec<FrameSample>) {
         let mut replay = ReReplay::new(timing);
         let mut per_frame = vec![FrameSample::default(); log.frames.len()];
         let mut bit = 0;
-        for ((frame, &stall_cycles), sample) in log
-            .frames
-            .iter()
-            .zip(&verdicts.stall_cycles)
-            .zip(&mut per_frame)
-        {
-            replay.begin_frame(frame, stall_cycles);
+        for (frame, sample) in log.frames.iter().zip(&mut per_frame) {
+            replay.begin_frame(frame);
             for tile in &frame.tiles {
-                replay.tile(tile, verdicts.skips.get(bit));
+                replay.tile(tile, skips.get(bit));
                 bit += 1;
             }
             replay.end_frame(sample);
@@ -654,8 +651,8 @@ impl TechniquePass for RePass {
     }
 
     fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
-        let stall_cycles = self.decision.begin_frame(index, frame);
-        self.replay.begin_frame(frame, stall_cycles);
+        self.decision.begin_frame(index, frame);
+        self.replay.begin_frame(frame);
     }
 
     fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, ctx: &mut TileCtx) {
@@ -665,12 +662,19 @@ impl TechniquePass for RePass {
 
     fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
         self.replay.end_frame(sample);
+        sample.re_raster_cycles += u64::from(self.decision.tile_count) * self.sig_compare_cycles;
         self.decision.end_frame();
     }
 
     fn finish(self: Box<Self>, report: &mut RunReport) {
-        let RePass { decision, replay } = *self;
-        decision.finish().write(replay.totals(), report);
+        let RePass {
+            decision,
+            replay,
+            sig_compare_cycles,
+        } = *self;
+        decision
+            .finish()
+            .write(replay.totals(), sig_compare_cycles, report);
     }
 }
 

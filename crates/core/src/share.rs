@@ -5,16 +5,22 @@
 //!
 //! | section | passes | reads |
 //! |---|---|---|
-//! | RE decision | [`RePass`]'s decision half, [`RedundancyPass`] | `timing.ot_queue_entries`, `compare_distance`, `sig_bits`, `refresh_period` |
-//! | RE replay | [`RePass`]'s replay half | `timing`, the decision's [`SkipBitmap`] |
+//! | RE decision | [`RePass`]'s decision half, [`RedundancyPass`] | `ot_queue_entries`, `compare_distance`, `sig_bits`, `refresh_period` |
+//! | RE replay | [`RePass`]'s replay half | `timing` (the memory machine), the decision's [`SkipBitmap`] |
 //! | baseline | [`BaselinePass`] | `timing` |
 //! | TE | [`TePass`] | `timing`, `compare_distance`, the baseline's DRAM-bound stream |
 //! | memo | [`MemoPass`] | `memo_kb`, the tiles' fragment-hash columns |
 //!
+//! No section reads `sig_compare_cycles`: each cell adds RE's Signature
+//! Buffer compares (tiles × `sig_compare_cycles`) and its decision's
+//! OT-queue stall cycles to its copy of RE's replay when it assembles its
+//! report. [`TimingConfig`] holds only the memory machine, so the
+//! baseline, TE and replay keys hold exactly what those sections read.
+//!
 //! RE decides a tile's fate from signatures alone, before any memory
 //! access, so its decision half (Signature Unit, Signature Buffer
 //! compares, enable/refresh logic, false-positive count) touches no
-//! memory system, and its replay half depends on the timing config and
+//! memory system, and its replay half depends on the memory machine and
 //! the per-tile skip verdicts only. The replay key holds the whole skip
 //! bitmap and compares it bit for bit: cells whose verdicts agree replay
 //! the memory system once. Redundancy rides in the decision section
@@ -32,9 +38,11 @@
 //! each distinct section once and assembles every cell's [`RunReport`]
 //! from the sections it computed and the ones other cells already had.
 //! A shared replay is a machine whose SRAM, DRAM and leakage energy is
-//! not yet charged; each cell charges its own Signature Unit SRAM on it
-//! first and then settles it, in the order a private machine would, so
-//! every `f64` energy sum is the same whichever cells share the section.
+//! not yet charged; each cell adds its own Signature Unit cycles and
+//! SRAM on it first and then settles it, in the order a private machine
+//! would, so every `f64` energy sum is the same whichever cells share the
+//! section. The cycles are `u64` sums, and leakage reads them only when
+//! the cell settles.
 //!
 //! These sections are the only Stage B path: [`crate::passes::evaluate`]
 //! is one cell over a fresh table. Its oracle is `reference_run` in
@@ -88,20 +96,20 @@ pub enum SectionKey {
     },
     /// [`RePass`]'s replay half.
     ReReplay {
-        /// Table I machine parameters.
+        /// Table I memory machine.
         timing: TimingConfig,
         /// The decision half's per-tile skip verdicts.
         skips: Arc<SkipBitmap>,
     },
     /// [`BaselinePass`].
     Baseline {
-        /// Table I machine parameters.
+        /// Table I memory machine.
         timing: TimingConfig,
     },
     /// [`TePass`], which also reads the [`SectionKey::Baseline`] of its
     /// `timing`.
     Te {
-        /// Table I machine parameters.
+        /// Table I memory machine.
         timing: TimingConfig,
         /// Frame distance of color-hash compares.
         compare_distance: usize,
@@ -140,16 +148,15 @@ impl SectionKey {
     }
 
     /// Computes the section over `log` under `opts` (whose fields match
-    /// the key). A replay reads `parent`, the cell's published decision
-    /// section, and TE its published baseline section.
+    /// the key). TE reads `parent`, the cell's published baseline section.
     fn compute(&self, log: &RenderLog, opts: &SimOptions, parent: Option<&Section>) -> Section {
         match (self, parent) {
             (SectionKey::ReDecision { .. }, _) => {
                 let (verdicts, redundancy) = RePass::decide(log, opts);
                 Section::Decision(verdicts, redundancy)
             }
-            (SectionKey::ReReplay { timing, .. }, Some(Section::Decision(verdicts, _))) => {
-                let (machine, per_frame) = RePass::replay(log, *timing, verdicts);
+            (SectionKey::ReReplay { timing, skips }, _) => {
+                let (machine, per_frame) = RePass::replay(log, *timing, skips);
                 Section::Replay(machine, per_frame)
             }
             (SectionKey::Baseline { timing }, _) => {
@@ -345,7 +352,7 @@ pub fn evaluate_shared(log: &RenderLog, opts: &SimOptions, table: &SectionTable)
                         .add(pass_executions as u64);
                 }
                 return SharedEval {
-                    report: assemble(log, &cell.keys, &sections),
+                    report: assemble(log, opts, &cell.keys, &sections),
                     pass_executions,
                     busy,
                 };
@@ -408,8 +415,17 @@ impl CellSections {
     }
 }
 
-/// A cell's report from its sections, one per key.
-fn assemble(log: &RenderLog, keys: &[SectionKey], sections: &[Arc<Section>]) -> RunReport {
+/// A cell's report under `opts` from its sections, one per key. RE's
+/// replay is shared memory work, so the cell adds its own Signature
+/// Buffer compare cost here: `tile_count × sig_compare_cycles` to each
+/// frame's point, and [`ReVerdicts::write`] the same per tile to the total.
+fn assemble(
+    log: &RenderLog,
+    opts: &SimOptions,
+    keys: &[SectionKey],
+    sections: &[Arc<Section>],
+) -> RunReport {
+    let frame_compare_cycles = u64::from(log.tile_count()) * opts.sig_compare_cycles;
     let mut report = RunReport::empty(
         &log.name,
         log.tile_count(),
@@ -427,7 +443,7 @@ fn assemble(log: &RenderLog, keys: &[SectionKey], sections: &[Arc<Section>]) -> 
             (SectionKey::ReReplay { .. }, Section::Replay(m, per_frame)) => {
                 for (to, f) in frames.zip(per_frame) {
                     to.tiles_skipped = f.tiles_skipped;
-                    to.re_raster_cycles = f.re_raster_cycles;
+                    to.re_raster_cycles = f.re_raster_cycles + frame_compare_cycles;
                 }
                 machine = Some(m);
             }
@@ -448,7 +464,7 @@ fn assemble(log: &RenderLog, keys: &[SectionKey], sections: &[Arc<Section>]) -> 
     let (Some(verdicts), Some(machine)) = (verdicts, machine) else {
         unreachable!("a cell has RE's decision and replay");
     };
-    verdicts.write(machine.clone(), &mut report);
+    verdicts.write(machine.clone(), opts.sig_compare_cycles, &mut report);
     report
 }
 

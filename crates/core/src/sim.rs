@@ -56,7 +56,9 @@ pub struct SimOptions {
     /// Screen/tile geometry (the render-side options: these — and only
     /// these — determine a [`crate::render::RenderLog`]'s contents).
     pub gpu: GpuConfig,
-    /// Table I machine parameters (evaluation-side).
+    /// Table I memory machine (evaluation-side): what the baseline, RE
+    /// and TE replay the log on. RE's own Signature Unit parameters are
+    /// the fields below.
     pub timing: TimingConfig,
     /// Frame distance for signature/color comparison: 2 with the
     /// double-buffered Frame Buffer (paper §IV-C), 1 for single-buffered.
@@ -71,6 +73,14 @@ pub struct SimOptions {
     /// Signature Buffer storage against false-positive (collision) risk and
     /// are an axis of the sweep subsystem's sensitivity studies.
     pub sig_bits: u32,
+    /// Overlapped-Tiles queue depth of RE's Signature Unit (16 entries;
+    /// paper §V: overflow stalls the Geometry Pipeline). Only RE's
+    /// decision section reads it.
+    pub ot_queue_entries: u32,
+    /// Cycles RE charges per tile for reading and comparing a Signature
+    /// Buffer entry at tile-scheduling time (paper: "a few cycles"; 4).
+    /// Each cell adds them to its RE report when it assembles it.
+    pub sig_compare_cycles: u64,
     /// Capacity of the fragment-memoization LUT in KiB
     /// ([`crate::memo::MEMO_ENTRY_BYTES`] per entry, 4-way). The paper's
     /// enlarged design point is 16 KiB (2048 entries); the sweep's
@@ -87,6 +97,8 @@ impl Default for SimOptions {
             compare_distance: 2,
             refresh_period: None,
             sig_bits: 32,
+            ot_queue_entries: 16,
+            sig_compare_cycles: 4,
             memo_kb: crate::memo::DEFAULT_MEMO_KB,
         }
     }
@@ -412,9 +424,9 @@ mod tests {
         // Doubling the signature-compare cost adds exactly one extra
         // compare's worth of raster cycles per tile per frame to RE.
         let cheap = small_opts();
-        let per_compare = cheap.timing.sig_compare_cycles;
+        let per_compare = cheap.sig_compare_cycles;
         let mut dear = small_opts();
-        dear.timing.sig_compare_cycles = 2 * per_compare;
+        dear.sig_compare_cycles = 2 * per_compare;
         let a = Simulator::new(cheap).run(&mut MovingTri { period: 1_000_000 }, 6);
         let b = Simulator::new(dear).run(&mut MovingTri { period: 1_000_000 }, 6);
         assert_eq!(

@@ -10,7 +10,8 @@
 //! as the evaluator itself reports. So sharing never changes a report.
 //! That the sections compute the right report is the job of the
 //! independent oracle, `reference_run` in `staged_equivalence.rs`. RE's
-//! replay is one section per distinct timing config and skip bitmap; the
+//! replay is one section per distinct memory machine (`timing`) and skip
+//! bitmap, whatever the cells' OT-queue depths and compare costs; the
 //! bitmaps here come from a reference of RE's decision rule built on the
 //! public `SignatureUnit` and `SignatureBuffer`.
 
@@ -68,11 +69,11 @@ fn cell_options(gpu: GpuConfig, a: [usize; 4], b: [usize; 3]) -> SimOptions {
         compare_distance: 1 + a[1] % 3,
         refresh_period: [None, Some(2), Some(3)][a[2] % 3],
         memo_kb: [4, 16][a[3] % 2],
+        ot_queue_entries: [2, 16][b[1] % 2],
+        sig_compare_cycles: [1, 4][b[2] % 2],
         ..SimOptions::default()
     };
     opts.timing.set_l2_kb([64, 256][b[0] % 2]);
-    opts.timing.set_ot_depth([2, 16][b[1] % 2]);
-    opts.timing.sig_compare_cycles = [1, 4][b[2] % 2];
     opts
 }
 
@@ -83,7 +84,7 @@ fn cell_options(gpu: GpuConfig, a: [usize; 4], b: [usize; 3]) -> SimOptions {
 fn reference_skips(log: &RenderLog, opts: &SimOptions) -> Vec<bool> {
     let tiles = log.tile_count();
     let distance = opts.compare_distance;
-    let mut unit = SignatureUnit::new(opts.timing.ot_queue_entries as usize);
+    let mut unit = SignatureUnit::new(opts.ot_queue_entries as usize);
     let mut buffer = SignatureBuffer::with_sig_bits(tiles, distance, opts.sig_bits);
     let mut disabled_for = 0;
     let mut skips = Vec::new();
@@ -120,15 +121,15 @@ fn distinct<T: PartialEq>(items: impl Iterator<Item = T>) -> usize {
 /// The pass executions sharing should cost for `cells` over `log`: one per
 /// distinct section. RE's decision section (with the redundancy
 /// classifier) reads the OT-queue depth, compare distance, signature
-/// width and refresh period; its replay reads the timing config and the
-/// skip verdicts.
+/// width and refresh period; its replay reads the memory machine and the
+/// skip verdicts. No section reads the compare cost.
 fn distinct_pass_executions(log: &RenderLog, cells: &[SimOptions]) -> usize {
     let baseline = distinct(cells.iter().map(|c| c.timing));
     let te = distinct(cells.iter().map(|c| (c.timing, c.compare_distance)));
     let memo = distinct(cells.iter().map(|c| c.memo_kb));
     let decision = distinct(cells.iter().map(|c| {
         (
-            c.timing.ot_queue_entries,
+            c.ot_queue_entries,
             c.compare_distance,
             c.sig_bits,
             c.refresh_period,
@@ -265,4 +266,42 @@ fn collision_free_widths_share_one_replay() {
     assert!(reports[3].false_positives > 0, "1-bit signatures collide");
     assert!(reports[3].re.tiles_skipped > reports[0].re.tiles_skipped);
     assert_eq!(run_shared(&log, &cells), 9);
+}
+
+/// The timing-axis grid's shape on one log at compare distance 1: 4
+/// OT-queue depths × 2 compare costs run 1 baseline + 1 TE + 1 memo + 4 RE decisions + 1 RE
+/// replay = 8 passes. Neither parameter touches the memory machine, and
+/// the signatures (so the skip verdicts) do not depend on the OT-queue
+/// depth, so every cell shares one replay; each cell adds its own compare
+/// cycles at assembly. Keying the machine sections by both parameters
+/// would run 8 baselines, 8 TEs and 8 replays: 29 passes.
+#[test]
+fn four_ot_depths_by_two_compare_costs_run_eight_passes() {
+    let log = stepping_log(6);
+    let mut cells = Vec::new();
+    for ot_queue_entries in [4, 8, 16, 32] {
+        for sig_compare_cycles in [2, 4] {
+            cells.push(SimOptions {
+                gpu: log.config,
+                compare_distance: 1,
+                ot_queue_entries,
+                sig_compare_cycles,
+                ..SimOptions::default()
+            });
+        }
+    }
+    let skips: Vec<Vec<bool>> = cells.iter().map(|c| reference_skips(&log, c)).collect();
+    assert!(skips.iter().all(|s| *s == skips[0]), "one skip bitmap");
+    assert!(skips[0].contains(&true));
+    let reports: Vec<_> = cells.iter().map(|opts| evaluate(&log, opts)).collect();
+    let tiles = u64::from(log.tile_count()) * log.frames.len() as u64;
+    for pair in reports.chunks(2) {
+        assert_eq!(
+            pair[1].re.raster_cycles - pair[0].re.raster_cycles,
+            2 * tiles
+        );
+        assert_eq!(pair[0].baseline, pair[1].baseline);
+    }
+    assert_eq!(distinct_pass_executions(&log, &cells), 8);
+    assert_eq!(run_shared(&log, &cells), 8);
 }

@@ -65,7 +65,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
     let mut re_caches = Caches::new(tcfg);
     let mut te_caches = Caches::new(tcfg);
 
-    let mut su = SignatureUnit::new(tcfg.ot_queue_entries as usize);
+    let mut su = SignatureUnit::new(opts.ot_queue_entries as usize);
     let mut su_stats = SignatureUnitStats::default();
     let mut sig_buffer = SignatureBuffer::with_sig_bits(tile_count, distance, opts.sig_bits);
     let mut te = TransactionElimination::new(tile_count, distance);
@@ -135,7 +135,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
             }
 
             let inputs_eq = sig_buffer.matches(&sigs.sigs, t);
-            rem.raster_cycles += tcfg.sig_compare_cycles;
+            rem.raster_cycles += opts.sig_compare_cycles;
             if re_enabled && inputs_eq {
                 rem.tiles_skipped += 1;
                 if colors_eq_cmp == Some(false) {
@@ -315,8 +315,8 @@ fn opts_from(picks: [usize; 8]) -> SimOptions {
         memo_kb: [1u32, 4, 16][memo_pick % 3],
         ..SimOptions::default()
     };
-    opts.timing.sig_compare_cycles = [1u64, 4, 9][sig_compare_pick % 3];
-    opts.timing.ot_queue_entries = [2u32, 16][ot_pick % 2];
+    opts.sig_compare_cycles = [1u64, 4, 9][sig_compare_pick % 3];
+    opts.ot_queue_entries = [2u32, 16][ot_pick % 2];
     opts.timing.set_l2_kb([8u32, 64, 256][l2_pick % 3]);
     opts
 }

@@ -474,7 +474,7 @@ pub static AXES: [AxisDef; AXIS_COUNT] = [
         default: 16,
         default_all: false,
         validate: |v| (1..=u32::MAX as u64).contains(&v),
-        apply: |v, o| o.timing.set_ot_depth(v as u32),
+        apply: |v, o| o.ot_queue_entries = v as u32,
     },
     AxisDef {
         name: "l2_kb",
@@ -506,7 +506,7 @@ pub static AXES: [AxisDef; AXIS_COUNT] = [
         default: 4,
         default_all: false,
         validate: |_| true,
-        apply: |v, o| o.timing.sig_compare_cycles = v,
+        apply: |v, o| o.sig_compare_cycles = v,
     },
     AxisDef {
         name: "memo_kb",
@@ -789,9 +789,9 @@ mod tests {
         assert_eq!(o.sig_bits, 16);
         assert_eq!(o.compare_distance, 1);
         assert_eq!(o.refresh_period, Some(6));
-        assert_eq!(o.timing.ot_queue_entries, 4);
+        assert_eq!(o.ot_queue_entries, 4);
         assert_eq!(o.timing.l2_cache.size_bytes, 64 << 10);
-        assert_eq!(o.timing.sig_compare_cycles, 7);
+        assert_eq!(o.sig_compare_cycles, 7);
         assert_eq!(o.memo_kb, 8);
     }
 

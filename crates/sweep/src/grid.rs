@@ -386,9 +386,9 @@ mod tests {
         assert_eq!(opts.sig_bits, 16);
         assert_eq!(opts.compare_distance, 1);
         assert_eq!(opts.refresh_period, Some(6));
-        assert_eq!(opts.timing.ot_queue_entries, 4);
+        assert_eq!(opts.ot_queue_entries, 4);
         assert_eq!(opts.timing.l2_cache.size_bytes, 64 << 10);
-        assert_eq!(opts.timing.sig_compare_cycles, 7);
+        assert_eq!(opts.sig_compare_cycles, 7);
     }
 
     #[test]

@@ -20,12 +20,19 @@ impl CacheGeometry {
     }
 }
 
-/// The full timing configuration (paper Table I).
+/// The memory machine of paper Table I: clock, caches, DRAM, queues and
+/// pipeline throughputs — everything the baseline, RE and TE machines
+/// replay a render log on. RE's own hardware (the Signature Unit's
+/// Overlapped-Tiles queue and the Signature Buffer compare cost) is part
+/// of RE's options, not of this machine, so a section keyed by a
+/// `TimingConfig` is keyed by exactly what it reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// Core clock in Hz (400 MHz).
     pub clock_hz: u64,
-    /// Supply voltage in volts (1 V) — used by the energy model.
+    /// Supply voltage in volts (1 V). Only the Table I printout reads it:
+    /// the energy model's per-event constants are fixed and do not scale
+    /// with it.
     pub voltage: f32,
     /// Vertex cache geometry (4 KB, 2-way, 64 B lines, 1 cycle).
     pub vertex_cache: CacheGeometry,
@@ -64,12 +71,6 @@ pub struct TimingConfig {
     pub queue_entries: u32,
     /// Fragment queue depth, entries (64).
     pub fragment_queue_entries: u32,
-    /// Overlapped-Tiles queue depth of the Signature Unit (16 entries,
-    /// paper §V: overflow stalls the Geometry Pipeline).
-    pub ot_queue_entries: u32,
-    /// Cycles charged per tile for reading and comparing a Signature Buffer
-    /// entry at tile-scheduling time (paper: "a few cycles"; design point 4).
-    pub sig_compare_cycles: u64,
 }
 
 impl TimingConfig {
@@ -117,8 +118,6 @@ impl TimingConfig {
             texture_outstanding: 8,
             queue_entries: 16,
             fragment_queue_entries: 64,
-            ot_queue_entries: 16,
-            sig_compare_cycles: 4,
         }
     }
 
@@ -133,12 +132,6 @@ impl TimingConfig {
     /// `u32` byte count.
     pub fn set_l2_kb(&mut self, kb: u32) {
         self.l2_cache.size_bytes = kb << 10;
-    }
-
-    /// Sets the Signature Unit's Overlapped-Tiles queue depth (the sweep's
-    /// `--ot-depths` axis).
-    pub fn set_ot_depth(&mut self, entries: u32) {
-        self.ot_queue_entries = entries;
     }
 }
 
@@ -165,7 +158,6 @@ mod tests {
         assert_eq!(c.num_vertex_processors, 1);
         assert_eq!(c.raster_attrs_per_cycle, 16);
         assert_eq!(c.dram_bytes_per_cycle, 4);
-        assert_eq!(c.sig_compare_cycles, 4);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::dram::{DramRequest, TrafficClass};
 
 /// Memory activity of one epoch.
 ///
-/// The caches count the misses and the parameter-write and color bytes
+/// The caches count the misses and the parameter-write bytes
 /// ([`Caches::replay`]); [`Dram::service`](crate::dram::Dram::service)
 /// fills in the latency sums and busy cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,8 +55,6 @@ pub struct MemEpoch {
     pub vertex_latency_sum: u64,
     /// Bytes written to the Parameter Buffer.
     pub param_write_bytes: u64,
-    /// Bytes of colors flushed.
-    pub color_bytes: u64,
     /// DRAM channel-occupancy cycles generated in this epoch.
     pub dram_busy_cycles: u64,
 }
@@ -239,7 +237,6 @@ impl Caches {
     }
 
     fn color_flush(&mut self, addr: u64, bytes: u32) {
-        self.epoch.color_bytes += bytes as u64;
         self.requests.push(DramRequest {
             class: TrafficClass::Colors,
             addr,
@@ -347,7 +344,6 @@ mod tests {
                 sum.prim_read_latency_sum += epoch.prim_read_latency_sum;
                 sum.vertex_latency_sum += epoch.vertex_latency_sum;
                 sum.param_write_bytes += epoch.param_write_bytes;
-                sum.color_bytes += epoch.color_bytes;
                 sum.dram_busy_cycles += epoch.dram_busy_cycles;
             }
             sum
@@ -356,6 +352,18 @@ mod tests {
         fn dram_stats(&self) -> &crate::dram::DramStats {
             self.dram.stats()
         }
+    }
+
+    /// Bytes of the `Colors` requests cold caches send to DRAM replaying
+    /// `events` as one epoch.
+    fn color_request_bytes(events: &[Event]) -> u64 {
+        let mut caches = Caches::new(TimingConfig::mali450());
+        let (requests, _) = caches.replay(events);
+        requests
+            .iter()
+            .filter(|r| r.class == TrafficClass::Colors)
+            .map(|r| u64::from(r.bytes))
+            .sum()
     }
 
     fn texel(unit: u8, addr: u64) -> Event {
@@ -444,11 +452,12 @@ mod tests {
     #[test]
     fn color_flush_counts_bytes_and_busy_cycles() {
         let mut m = Live::new();
-        let e = m.replay(&[Event::ColorFlush {
+        let flush = [Event::ColorFlush {
             addr: FB_BASE,
             bytes: 64,
-        }]);
-        assert_eq!(e.color_bytes, 64);
+        }];
+        let e = m.replay(&flush);
+        assert_eq!(color_request_bytes(&flush), 64);
         assert_eq!(e.dram_busy_cycles, 64 / 4 + 2);
         assert_eq!(m.dram_stats().class_bytes(TrafficClass::Colors), 64);
     }
@@ -517,7 +526,7 @@ mod tests {
         assert_eq!(e.tex_misses, 1);
         assert_eq!(e.l2_misses, 2, "vertex and texel paths");
         assert_eq!(e.param_write_bytes, 96);
-        assert_eq!(e.color_bytes, 64);
+        assert_eq!(color_request_bytes(&sample()), 64);
         for class in TrafficClass::ALL {
             assert!(m.dram_stats().class_bytes(class) > 0, "{class:?}");
         }
@@ -528,8 +537,8 @@ mod tests {
         let (mut with, mut without) = (Live::new(), Live::new());
         let e_with = with.replay(&sample());
         let e_without = without.replay(&without_flushes(&sample()));
-        assert_eq!(e_without.color_bytes, 0);
-        assert_eq!(e_with.color_bytes, 64);
+        assert_eq!(color_request_bytes(&without_flushes(&sample())), 0);
+        assert_eq!(color_request_bytes(&sample()), 64);
         let misses = |e: &MemEpoch| (e.vertex_misses, e.tex_misses, e.l2_misses, e.tile_misses);
         assert_eq!(
             misses(&e_with),
@@ -676,7 +685,6 @@ mod tests {
                 if i % 2 == 0 {
                     dram.service(requests, &mut epoch);
                 } else {
-                    epoch.color_bytes = 0;
                     let kept = requests.filter(|r| r.class != TrafficClass::Colors);
                     dram.service(kept, &mut epoch);
                 }

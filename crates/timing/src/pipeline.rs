@@ -88,7 +88,6 @@ mod tests {
             ..Default::default()
         };
         let mem = MemEpoch {
-            color_bytes: 1024,
             dram_busy_cycles: 1024 / 4 + 2 * 16,
             ..Default::default()
         };
