@@ -2,7 +2,7 @@
 //! entire frame's tile inputs (the work RE adds to the Geometry Pipeline).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use re_core::SignatureUnit;
+use re_core::{FrameGeometry, SignatureUnit};
 use re_gpu::{Gpu, GpuConfig};
 
 fn bench_process_frame(c: &mut Criterion) {
@@ -17,10 +17,11 @@ fn bench_process_frame(c: &mut Criterion) {
     bench.scene.init(gpu.textures_mut());
     let frame = bench.scene.frame(0);
     let geo = gpu.run_geometry(&frame, &mut Vec::new());
+    let recorded = FrameGeometry::record(&geo);
 
     c.bench_function("signature_unit_frame_ccs", |b| {
         let mut su = SignatureUnit::new(16);
-        b.iter(|| su.process_frame(std::hint::black_box(&geo), cfg.tile_count()))
+        b.iter(|| su.process_frame(std::hint::black_box(&recorded), cfg.tile_count()))
     });
 
     c.bench_function("reference_signatures_frame_ccs", |b| {

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use re_core::FrameGeometry;
 use re_crc::hashalt::all_hashers;
 use re_gpu::{Gpu, GpuConfig};
 use re_sweep::{axis, CellOutcome, ExperimentGrid, SweepOptions};
@@ -56,13 +57,12 @@ fn capture_tile_streams(alias: &str, frames: usize, cfg: GpuConfig) -> Vec<Vec<V
     let mut streams = Vec::new();
     for f in 0..frames {
         let frame = bench.scene.frame(f);
-        let geo = gpu.run_geometry(&frame, &mut Vec::new());
+        let geo = FrameGeometry::record(&gpu.run_geometry(&frame, &mut Vec::new()));
         let tc = cfg.tile_count() as usize;
         let mut per_tile: Vec<Vec<Vec<u8>>> = vec![Vec::new(); tc];
         for dc in &geo.drawcalls {
             let mut touched = vec![false; tc];
-            for &pi in &dc.prim_indices {
-                let prim = &geo.prims[pi as usize];
+            for prim in &dc.prims {
                 for &t in &prim.overlapped_tiles {
                     let t = t as usize;
                     if !touched[t] {
@@ -149,7 +149,7 @@ pub fn ot_depth(frames: usize, cfg: GpuConfig) {
     let geos: Vec<_> = (0..frames)
         .map(|f| {
             let frame = bench.scene.frame(f);
-            gpu.run_geometry(&frame, &mut Vec::new())
+            FrameGeometry::record(&gpu.run_geometry(&frame, &mut Vec::new()))
         })
         .collect();
     println!(

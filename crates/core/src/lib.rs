@@ -100,7 +100,9 @@ pub use memo::{FragmentMemo, MemoStats};
 pub use passes::{evaluate, Evaluation, TechniquePass};
 pub use redundancy::TileClassCounts;
 pub use relog::{Compression, RelogError, RelogReader};
-pub use render::{chunk_ranges, render_chunk, render_scene, stitch_chunks, RenderChunk, RenderLog};
+pub use render::{
+    chunk_ranges, render_chunk, render_scene, stitch_chunks, FrameGeometry, RenderChunk, RenderLog,
+};
 pub use share::{evaluate_shared, SectionKey, SectionTable, SharedEval};
 pub use signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 pub use sim::{RunReport, Scene, SimOptions, Simulator, TechniqueReport};

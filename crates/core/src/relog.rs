@@ -8,11 +8,15 @@
 //! and replays it instead of re-rasterizing (see `re_sweep`'s
 //! `RenderLogCache`).
 //!
+//! A frame records the Signature Unit's inputs in the order it folds them
+//! ([`FrameGeometry`]), not the rasterizer's shaded vertices, bounding
+//! boxes or bins: RE signs a tile's inputs before rasterization.
+//!
 //! Layout (all integers little-endian; full byte-level spec in
 //! `docs/FORMATS.md`):
 //!
 //! ```text
-//! magic        "RELOG003"                                   8 bytes
+//! magic        "RELOG004"                                   8 bytes
 //! fingerprint  u64   FNV-1a over name/config/frame count (see
 //!                    [`log_fingerprint`]) — stale-artifact detection
 //! name         len u16 + UTF-8
@@ -23,7 +27,8 @@
 //!                stored_crc u32 (CRC32 of the *stored* bytes)
 //!                payload (raw or LZSS-compressed):
 //!                  re_unsafe u8
-//!                  geometry output (drawcalls, prims, bins, stats)
+//!                  recorded geometry (per drawcall: constants, then
+//!                  per primitive: attributes, overlapped tiles; stats)
 //!                  geometry events, per-tile records (events,
 //!                  fragment-hash column, stats, color identity)
 //! ```
@@ -58,13 +63,15 @@
 //!   access event's byte range `[addr, addr + bytes)` may wrap past the end
 //!   of the 64-bit address space ([`RelogError::BadExtent`]), no texel run
 //!   may be empty ([`RelogError::EmptyTexelRun`]) or name a texture unit a
-//!   render never uses ([`RelogError::BadTexelUnit`]), and each tile's
+//!   render never uses ([`RelogError::BadTexelUnit`]), each tile's
 //!   hash column and texel runs must agree with its own counters
-//!   ([`RelogError::BadHashCount`], [`RelogError::BadTexelFetches`]).
+//!   ([`RelogError::BadHashCount`], [`RelogError::BadTexelFetches`]), and
+//!   no primitive may overlap a tile outside the frame
+//!   ([`RelogError::BadOverlappedTile`]).
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
-//! every field — including f32 bit patterns, which are copied verbatim.
+//! every field.
 //!
 //! # Streaming
 //!
@@ -80,15 +87,13 @@ use std::path::Path;
 
 use re_crc::Crc32;
 use re_gpu::access::TEXEL_UNITS;
-use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{BinningMode, Event, GpuConfig};
-use re_math::{Rect, Vec4};
 
-use crate::render::{FrameLog, RenderLog, TileLog};
+use crate::render::{DrawcallGeometry, FrameGeometry, FrameLog, PrimGeometry, RenderLog, TileLog};
 
 /// Format magic; the trailing digits are the format revision.
-pub const MAGIC: &[u8; 8] = b"RELOG003";
+pub const MAGIC: &[u8; 8] = b"RELOG004";
 
 /// Per-frame payload compression for [`encode_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,12 +190,22 @@ pub enum RelogError {
         /// The sum of its texel runs' counts.
         found: u64,
     },
+    /// A primitive of a frame record's geometry overlaps a tile id at or
+    /// above the tile count of the header's configuration.
+    BadOverlappedTile {
+        /// Zero-based index of the frame record.
+        frame: u32,
+        /// The offending tile id.
+        tile: u32,
+        /// Tiles per frame under the header's configuration.
+        tile_count: u32,
+    },
 }
 
 impl std::fmt::Display for RelogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RelogError::BadMagic => write!(f, "not a RELOG003 stream"),
+            RelogError::BadMagic => write!(f, "not a RELOG004 stream"),
             RelogError::Truncated { context } => write!(f, "truncated while reading {context}"),
             RelogError::BadTag { context, value } => {
                 write!(f, "invalid tag {value:#04x} while reading {context}")
@@ -235,6 +250,14 @@ impl std::fmt::Display for RelogError {
             } => write!(
                 f,
                 "frame record {frame} tile {tile}'s texel runs hold {found} fetches; it counts {expected}"
+            ),
+            RelogError::BadOverlappedTile {
+                frame,
+                tile,
+                tile_count,
+            } => write!(
+                f,
+                "frame record {frame} has a primitive overlapping tile {tile} of {tile_count}"
             ),
         }
     }
@@ -307,15 +330,6 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn i32(&mut self, v: i32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn vec4(&mut self, v: Vec4) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
         self.out.extend_from_slice(b);
@@ -362,22 +376,6 @@ impl Writer {
             self.event(e);
         }
     }
-    fn vertex(&mut self, v: &ShadedVertex) {
-        self.vec4(v.clip);
-        for s in v.screen {
-            self.f32(s);
-        }
-        self.f32(v.inv_w);
-        assert!(
-            v.varyings.len() <= u8::MAX as usize,
-            "vertex has {} varyings, more than the format's u8 count",
-            v.varyings.len()
-        );
-        self.u8(v.varyings.len() as u8);
-        for &vy in &v.varyings {
-            self.vec4(vy);
-        }
-    }
     fn geometry_stats(&mut self, s: &GeometryStats) {
         for v in [
             s.vertices_fetched,
@@ -412,28 +410,15 @@ impl Writer {
             self.u64(v);
         }
     }
-    fn geo(&mut self, g: &GeometryOutput) {
+    fn geo(&mut self, g: &FrameGeometry) {
         self.u32(g.drawcalls.len() as u32);
         for dc in &g.drawcalls {
             self.bytes(&dc.constants_bytes);
-            self.u32s(&dc.prim_indices);
-        }
-        self.u32(g.prims.len() as u32);
-        for p in &g.prims {
-            self.u32(p.drawcall);
-            for v in &p.verts {
-                self.vertex(v);
+            self.u32(dc.prims.len() as u32);
+            for p in &dc.prims {
+                self.bytes(&p.param_bytes);
+                self.u32s(&p.overlapped_tiles);
             }
-            for e in [p.bbox.x0, p.bbox.y0, p.bbox.x1, p.bbox.y1] {
-                self.i32(e);
-            }
-            self.u64(p.param_addr);
-            self.bytes(&p.param_bytes);
-            self.u32s(&p.overlapped_tiles);
-        }
-        self.u32(g.bins.len() as u32);
-        for bin in &g.bins {
-            self.u32s(bin);
         }
         self.geometry_stats(&g.stats);
     }
@@ -462,10 +447,10 @@ fn encode_frame(frame: &FrameLog) -> Vec<u8> {
 /// Serializes a complete log (see the module docs for the layout).
 ///
 /// # Panics
-/// Panics on values no real render produces but the format could not
-/// represent faithfully: a workload name over 65 535 bytes or a vertex
-/// with more than 255 varyings (silently truncating a length prefix
-/// would persist a self-inconsistent artifact, which is strictly worse).
+/// Panics on a workload name over 65 535 bytes, which no real render has
+/// but the format could not represent faithfully (silently truncating a
+/// length prefix would persist a self-inconsistent artifact, which is
+/// strictly worse).
 pub fn encode(log: &RenderLog) -> Vec<u8> {
     encode_with(log, Compression::None)
 }
@@ -560,24 +545,6 @@ impl<'a> Parser<'a> {
             self.take(8, context)?.try_into().expect("len 8"),
         ))
     }
-    fn i32(&mut self, context: &'static str) -> Result<i32, RelogError> {
-        Ok(i32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("len 4"),
-        ))
-    }
-    fn f32(&mut self, context: &'static str) -> Result<f32, RelogError> {
-        Ok(f32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("len 4"),
-        ))
-    }
-    fn vec4(&mut self, context: &'static str) -> Result<Vec4, RelogError> {
-        Ok(Vec4::new(
-            self.f32(context)?,
-            self.f32(context)?,
-            self.f32(context)?,
-            self.f32(context)?,
-        ))
-    }
     fn byte_vec(&mut self, context: &'static str) -> Result<Vec<u8>, RelogError> {
         let n = self.u32(context)? as usize;
         Ok(self.take(n, context)?.to_vec())
@@ -646,26 +613,6 @@ impl<'a> Parser<'a> {
         }
         Ok(out)
     }
-    fn vertex(&mut self) -> Result<ShadedVertex, RelogError> {
-        let clip = self.vec4("vertex clip")?;
-        let screen = [
-            self.f32("vertex screen")?,
-            self.f32("vertex screen")?,
-            self.f32("vertex screen")?,
-        ];
-        let inv_w = self.f32("vertex inv_w")?;
-        let n = self.u8("varying count")? as usize;
-        let mut varyings = Vec::with_capacity(n);
-        for _ in 0..n {
-            varyings.push(self.vec4("varyings")?);
-        }
-        Ok(ShadedVertex {
-            clip,
-            screen,
-            inv_w,
-            varyings,
-        })
-    }
     fn geometry_stats(&mut self) -> Result<GeometryStats, RelogError> {
         let c = "geometry stats";
         Ok(GeometryStats {
@@ -698,47 +645,37 @@ impl<'a> Parser<'a> {
             color_bytes_flushed: self.u64(c)?,
         })
     }
-    fn geo(&mut self) -> Result<GeometryOutput, RelogError> {
+    /// Frame record `frame`'s geometry, every overlapped tile of which
+    /// must lie below `tile_count`.
+    fn geo(&mut self, frame: u32, tile_count: u32) -> Result<FrameGeometry, RelogError> {
         let dc_count = self.u32("drawcall count")? as usize;
         let mut drawcalls = Vec::with_capacity(dc_count.min(1 << 16));
         for _ in 0..dc_count {
-            drawcalls.push(DrawcallMeta {
-                constants_bytes: self.byte_vec("constants bytes")?,
-                prim_indices: self.u32s("prim indices")?,
+            let constants_bytes = self.byte_vec("constants bytes")?;
+            let prim_count = self.u32("prim count")? as usize;
+            let mut prims = Vec::with_capacity(prim_count.min(1 << 20));
+            for _ in 0..prim_count {
+                let param_bytes = self.byte_vec("param bytes")?;
+                let overlapped_tiles = self.u32s("overlapped tiles")?;
+                if let Some(&tile) = overlapped_tiles.iter().find(|&&t| t >= tile_count) {
+                    return Err(RelogError::BadOverlappedTile {
+                        frame,
+                        tile,
+                        tile_count,
+                    });
+                }
+                prims.push(PrimGeometry {
+                    param_bytes,
+                    overlapped_tiles,
+                });
+            }
+            drawcalls.push(DrawcallGeometry {
+                constants_bytes,
+                prims,
             });
         }
-        let prim_count = self.u32("prim count")? as usize;
-        let mut prims = Vec::with_capacity(prim_count.min(1 << 20));
-        for _ in 0..prim_count {
-            let drawcall = self.u32("prim drawcall")?;
-            let verts = [self.vertex()?, self.vertex()?, self.vertex()?];
-            // Struct literal, not `Rect::new`: the constructor asserts
-            // non-inverted edges, and the decoder must reproduce whatever
-            // was written (and never panic on hostile bytes).
-            let bbox = Rect {
-                x0: self.i32("prim bbox")?,
-                y0: self.i32("prim bbox")?,
-                x1: self.i32("prim bbox")?,
-                y1: self.i32("prim bbox")?,
-            };
-            prims.push(AssembledPrim {
-                drawcall,
-                verts,
-                bbox,
-                param_addr: self.u64("param addr")?,
-                param_bytes: self.byte_vec("param bytes")?,
-                overlapped_tiles: self.u32s("overlapped tiles")?,
-            });
-        }
-        let bin_count = self.u32("bin count")? as usize;
-        let mut bins = Vec::with_capacity(bin_count.min(1 << 20));
-        for _ in 0..bin_count {
-            bins.push(self.u32s("bin")?);
-        }
-        Ok(GeometryOutput {
+        Ok(FrameGeometry {
             drawcalls,
-            prims,
-            bins,
             stats: self.geometry_stats()?,
         })
     }
@@ -752,7 +689,7 @@ fn decode_frame(payload: &[u8], frame: u32, tile_count: u32) -> Result<FrameLog,
         pos: 0,
     };
     let re_unsafe = p.u8("re_unsafe flag")? != 0;
-    let geo = p.geo()?;
+    let geo = p.geo(frame, tile_count)?;
     let geo_events = p.events("geometry events")?;
     let found = p.u32("tile count")?;
     if found != tile_count {
@@ -940,11 +877,6 @@ impl<R: Read> RelogReader<R> {
         self.header.config
     }
 
-    /// Frame records in the stream.
-    pub fn frame_count(&self) -> u32 {
-        self.header.frame_count
-    }
-
     /// Reads one frame record's raw (CRC-verified, decompressed) payload
     /// into the scratch buffers and returns a view of it, or `None` past
     /// the last frame.
@@ -1085,7 +1017,7 @@ mod tests {
     use crate::sim::Scene;
     use crate::SimOptions;
     use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
-    use re_math::Mat4;
+    use re_math::{Mat4, Vec4};
 
     fn cfg() -> GpuConfig {
         GpuConfig {
@@ -1140,7 +1072,7 @@ mod tests {
         let mut r = RelogReader::new(bytes.as_slice()).expect("header");
         assert_eq!(r.name(), "tri");
         assert_eq!(r.config(), cfg());
-        assert_eq!(r.frame_count(), 3);
+        assert_eq!(r.header().frame_count, 3);
         assert_eq!(
             r.header().fingerprint,
             log_fingerprint("tri", cfg(), 3),
@@ -1193,11 +1125,11 @@ mod tests {
         // A future revision (different magic digits) is rejected, not
         // misparsed.
         let mut vnext = bytes.clone();
-        vnext[7] = b'4';
+        vnext[7] = b'5';
         assert_eq!(decode(&vnext), Err(RelogError::BadMagic));
         // So are the retired revisions: an old cache file is a miss, not
         // a misparse.
-        for old in [b'1', b'2'] {
+        for old in [b'1', b'2', b'3'] {
             let mut vold = bytes.clone();
             vold[7] = old;
             assert_eq!(decode(&vold), Err(RelogError::BadMagic));
@@ -1312,7 +1244,7 @@ mod tests {
         let direct = crate::evaluate(&log, &opts);
         let packed = encode_with(&log, Compression::Lzss);
         let r = RelogReader::new(packed.as_slice()).expect("header");
-        assert_eq!(r.frame_count(), 4);
+        assert_eq!(r.header().frame_count, 4);
         assert_eq!(
             r.header().fingerprint,
             log_fingerprint("tri", cfg(), 4),
@@ -1364,35 +1296,6 @@ mod tests {
             let r = RelogReader::new(&bytes[..cut]).expect("header parses");
             assert!(r.into_log().is_err(), "stream cut at {cut} must error");
         }
-    }
-
-    #[test]
-    fn nan_bit_patterns_survive_compressed_roundtrip() {
-        // f32 fields are copied verbatim; a payload carrying NaN and other
-        // special bit patterns must come back bit-identical through the
-        // compressor. Hand-build a log with hostile floats in the vertex
-        // stream.
-        let mut log = render_scene(&mut Tri, cfg(), 1);
-        let specials = [
-            f32::NAN,
-            -f32::NAN,
-            f32::from_bits(0x7FC0_DEAD), // payload-carrying quiet NaN
-            f32::from_bits(0xFF80_0001), // signalling NaN
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            -0.0,
-        ];
-        let prim = &mut log.frames[0].geo.prims[0];
-        for (v, &s) in prim.verts.iter_mut().zip(specials.iter().cycle()) {
-            v.clip = Vec4::new(s, s, s, s);
-            v.inv_w = s;
-        }
-        let packed = encode_with(&log, Compression::Lzss);
-        let back = decode(&packed).expect("decode");
-        // PartialEq on f32 treats NaN != NaN, so compare re-encodings —
-        // byte equality is the actual contract.
-        assert_eq!(encode_with(&back, Compression::Lzss), packed);
-        assert_eq!(encode(&back), encode(&log));
     }
 
     #[test]

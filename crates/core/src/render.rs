@@ -7,9 +7,10 @@
 //! self-contained `Send + Sync` [`RenderLog`], every artifact the evaluate
 //! stage ([`crate::passes`]) needs:
 //!
-//! * the per-frame [`re_gpu::GeometryOutput`] — the Signature Unit's input
-//!   stream (constants blocks, attribute blocks, overlapped-tile lists) and
-//!   the geometry activity counters;
+//! * the per-frame [`FrameGeometry`] — the Signature Unit's inputs
+//!   (constants blocks, attribute blocks, overlapped-tile lists) and the
+//!   geometry activity counters, and nothing else of the rasterizer's
+//!   [`re_gpu::GeometryOutput`];
 //! * the geometry-pipeline and per-tile raster memory-access streams
 //!   (recorded [`Event`]s, texel fetches folded into runs), replayable into
 //!   any technique's cache hierarchy;
@@ -41,11 +42,68 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use re_gpu::api::FrameDesc;
-use re_gpu::stats::TileStats;
+use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{Event, GeometryOutput, Gpu, GpuConfig, ParallelRaster};
 
 use crate::sim::Scene;
 use crate::te::TransactionElimination;
+
+/// What the Signature Unit reads of one frame's geometry, plus the
+/// Geometry Pipeline's counters the technique machines charge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameGeometry {
+    /// Drawcalls in submission order.
+    pub drawcalls: Vec<DrawcallGeometry>,
+    /// The Geometry Pipeline + Tiling Engine activity counters.
+    pub stats: GeometryStats,
+}
+
+/// One drawcall's Signature Unit inputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DrawcallGeometry {
+    /// The constants block exactly as signed.
+    pub constants_bytes: Vec<u8>,
+    /// The drawcall's surviving primitives, in submission order.
+    pub prims: Vec<PrimGeometry>,
+}
+
+/// One primitive's Signature Unit inputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrimGeometry {
+    /// The attribute block (Parameter Buffer record) the unit signs.
+    pub param_bytes: Vec<u8>,
+    /// Overlapped tiles, in the order they enter the OT queue.
+    pub overlapped_tiles: Vec<u32>,
+}
+
+impl FrameGeometry {
+    /// Records `geo`'s Signature Unit inputs: each drawcall's primitives
+    /// follow its `prim_indices`, the order the unit consumes them in.
+    pub fn record(geo: &GeometryOutput) -> Self {
+        let drawcalls = geo
+            .drawcalls
+            .iter()
+            .map(|dc| DrawcallGeometry {
+                constants_bytes: dc.constants_bytes.clone(),
+                prims: dc
+                    .prim_indices
+                    .iter()
+                    .map(|&pi| {
+                        let prim = &geo.prims[pi as usize];
+                        PrimGeometry {
+                            param_bytes: prim.param_bytes.clone(),
+                            overlapped_tiles: prim.overlapped_tiles.clone(),
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        FrameGeometry {
+            drawcalls,
+            stats: geo.stats,
+        }
+    }
+}
 
 /// Everything Stage A records about one tile of one frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,9 +132,8 @@ pub struct FrameLog {
     /// Whether the frame carried a global-state change that makes skipping
     /// unsafe (paper §III-E).
     pub re_unsafe: bool,
-    /// The Geometry Pipeline + Tiling Engine output — the Signature Unit's
-    /// input stream plus the geometry activity counters.
-    pub geo: GeometryOutput,
+    /// The Signature Unit's inputs and the geometry activity counters.
+    pub geo: FrameGeometry,
     /// The geometry pipeline's memory accesses (vertex fetches, Parameter
     /// Buffer writes), shared by every technique machine.
     pub geo_events: Vec<Event>,
@@ -177,7 +234,7 @@ impl Renderer {
 
         FrameLog {
             re_unsafe: desc.re_unsafe,
-            geo,
+            geo: FrameGeometry::record(&geo),
             geo_events,
             tiles,
         }

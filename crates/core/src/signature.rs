@@ -42,6 +42,8 @@ use std::collections::VecDeque;
 use re_crc::units::{AccumulateCrcUnit, ComputeCrcUnit};
 use re_gpu::geometry::GeometryOutput;
 
+use crate::render::FrameGeometry;
+
 /// Hardware-activity counters of one frame's signature computation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SignatureUnitStats {
@@ -111,13 +113,17 @@ impl SignatureUnit {
         self.compute.storage_bytes() + self.accumulate.storage_bytes()
     }
 
-    /// Signs every tile's input stream for one frame of geometry.
+    /// Signs every tile's input stream for one frame of recorded geometry.
     ///
     /// Consumes the Polygon-List-Builder output in submission order,
     /// mirroring Fig. 6: for each drawcall, the constants block is folded
     /// into a tile's signature on first touch (bitmap), then every
     /// overlapping primitive's attribute block is folded via the OT queue.
-    pub fn process_frame(&mut self, geo: &GeometryOutput, tile_count: u32) -> FrameSignatures {
+    ///
+    /// # Panics
+    /// Panics if a primitive overlaps a tile id `>= tile_count` (a decoded
+    /// `.relog` never holds one).
+    pub fn process_frame(&mut self, geo: &FrameGeometry, tile_count: u32) -> FrameSignatures {
         let mut sigs = vec![0u32; tile_count as usize];
         let mut stats = SignatureUnitStats::default();
 
@@ -140,8 +146,7 @@ impl SignatureUnit {
             let mut bitmap = vec![false; tile_count as usize];
             compute_free = compute_free.max(plb_time) + cb.shift_amount as u64;
 
-            for &pi in &dc.prim_indices {
-                let prim = &geo.prims[pi as usize];
+            for prim in &dc.prims {
                 // Sign the primitive's attribute block.
                 let pb = self.compute.sign_block(&prim.param_bytes);
                 let compute_done = {
@@ -220,8 +225,9 @@ impl Default for SignatureUnit {
     }
 }
 
-/// Computes a frame's tile signatures *functionally* (no cycle model) —
-/// used by tests and analysis passes that only need the values.
+/// Computes a frame's tile signatures *functionally* (no cycle model)
+/// straight from the rasterizer's output — the reference the unit's run
+/// over the recorded [`FrameGeometry`] is checked against.
 pub fn reference_signatures(geo: &GeometryOutput, tile_count: u32) -> Vec<u32> {
     let mut sigs = vec![0u32; tile_count as usize];
     for dc in &geo.drawcalls {
@@ -365,11 +371,16 @@ mod tests {
         re_gpu::geometry::run_geometry(&cfg(), &frame, &mut Vec::new())
     }
 
+    /// The unit's run over `geo` as Stage A records it.
+    fn unit_run(su: &mut SignatureUnit, geo: &re_gpu::GeometryOutput) -> FrameSignatures {
+        su.process_frame(&FrameGeometry::record(geo), cfg().tile_count())
+    }
+
     #[test]
     fn unit_matches_reference_signatures() {
         let geo = geo_for(vec![tri(-0.8, -0.8, 1.0), tri(0.1, 0.1, 0.5)]);
         let mut su = SignatureUnit::default();
-        let out = su.process_frame(&geo, cfg().tile_count());
+        let out = unit_run(&mut su, &geo);
         assert_eq!(out.sigs, reference_signatures(&geo, cfg().tile_count()));
     }
 
@@ -377,7 +388,7 @@ mod tests {
     fn untouched_tiles_have_zero_signature() {
         let geo = geo_for(vec![tri(-0.9, -0.9, 0.1)]); // tiny, one corner
         let mut su = SignatureUnit::default();
-        let out = su.process_frame(&geo, cfg().tile_count());
+        let out = unit_run(&mut su, &geo);
         assert!(out.sigs.iter().filter(|&&s| s == 0).count() >= 14);
     }
 
@@ -386,8 +397,8 @@ mod tests {
         let g1 = geo_for(vec![tri(-0.5, -0.5, 1.0)]);
         let g2 = geo_for(vec![tri(-0.5, -0.5, 1.0)]);
         let mut su = SignatureUnit::default();
-        let s1 = su.process_frame(&g1, cfg().tile_count());
-        let s2 = su.process_frame(&g2, cfg().tile_count());
+        let s1 = unit_run(&mut su, &g1);
+        let s2 = unit_run(&mut su, &g2);
         assert_eq!(s1.sigs, s2.sigs);
     }
 
@@ -439,7 +450,7 @@ mod tests {
     fn compute_cycles_match_paper_rates() {
         let geo = geo_for(vec![tri(-0.5, -0.5, 0.2)]);
         let mut su = SignatureUnit::default();
-        let out = su.process_frame(&geo, cfg().tile_count());
+        let out = unit_run(&mut su, &geo);
         // Constants: 64 B → 8 cycles. One primitive: 2 attrs × 48 B = 96 B
         // → 12 cycles.
         assert_eq!(out.stats.compute_cycles, 8 + 12);
@@ -456,9 +467,9 @@ mod tests {
         // of them force the 2-entry queue to stall.
         let geo = geo_for(vec![tri(-1.0, -1.0, 4.0)]);
         let mut small = SignatureUnit::new(2);
-        let out_small = small.process_frame(&geo, cfg().tile_count());
+        let out_small = unit_run(&mut small, &geo);
         let mut big = SignatureUnit::new(1024);
-        let out_big = big.process_frame(&geo, cfg().tile_count());
+        let out_big = unit_run(&mut big, &geo);
         assert!(out_small.stats.stall_cycles > out_big.stats.stall_cycles);
         assert_eq!(
             out_small.sigs, out_big.sigs,

@@ -1,12 +1,13 @@
 //! Round-trip property of the `.relog` codec: `decode(encode(log)) == log`
 //! for arbitrary [`RenderLog`]s — not just ones a well-behaved render
 //! produces. The generator below fills every field (events of every kind,
-//! texel runs, fragment-hash columns, stats counters, shaded vertices,
-//! bins, flags) from a seeded stream, so the property covers extreme
-//! values (0, `u64::MAX` addresses, `u32::MAX` runs, empty and non-empty
-//! vectors) the renderer itself would never emit. Only what the reader
-//! checks is kept consistent: a tile's hash count is its
-//! `fragments_shaded` and its run counts sum to its `texel_fetches`.
+//! texel runs, fragment-hash columns, stats counters, recorded geometry,
+//! flags) from a seeded stream, so the property covers extreme values (0,
+//! `u64::MAX` addresses, `u32::MAX` runs, empty and non-empty vectors) the
+//! renderer itself would never emit. Only what the reader checks is kept
+//! consistent: a tile's hash count is its `fragments_shaded`, its run
+//! counts sum to its `texel_fetches`, and every overlapped tile lies in
+//! the frame.
 //!
 //! A second property pins the reason the codec exists: a report evaluated
 //! from a decoded log is bit-identical to one evaluated from the in-memory
@@ -15,21 +16,23 @@
 //! A third pins the one frame-record reader behind both entry points: on
 //! truncated or bit-flipped streams, [`relog::decode`] and
 //! [`RelogReader::into_log`] agree (same log or same error) and never
-//! panic. Forged frames with valid CRCs but the wrong tile count, an
-//! empty texel run, a texel unit no render uses, or a tile whose hash
-//! column or texel runs disagree with its counters, and headers with
-//! degenerate configurations, are errors too.
+//! panic. Forged frames with valid CRCs but the wrong tile count, a
+//! primitive overlapping a tile outside the frame, an empty texel run, a
+//! texel unit no render uses, or a tile whose hash column or texel runs
+//! disagree with its counters, and headers with degenerate
+//! configurations, are errors too.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression, RelogError, RelogReader};
-use re_core::render::{FrameLog, RenderLog, TileLog};
+use re_core::render::{
+    DrawcallGeometry, FrameGeometry, FrameLog, PrimGeometry, RenderLog, TileLog,
+};
 use re_core::{render_scene, Scene, SimOptions};
 use re_gpu::access::TEXEL_UNITS;
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
-use re_gpu::geometry::{AssembledPrim, DrawcallMeta, GeometryOutput, ShadedVertex};
 use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{BinningMode, Event, GpuConfig};
-use re_math::{Mat4, Rect, Vec4};
+use re_math::{Mat4, Vec4};
 
 /// Fetches the texel runs among `events` hold.
 fn texel_fetches(events: &[Event]) -> u64 {
@@ -76,24 +79,6 @@ impl Stream {
         let bytes = (self.u32() as u64).min(u64::MAX - addr);
         (addr, bytes as u32)
     }
-    fn f32(&mut self) -> f32 {
-        // Arbitrary bit patterns, finite-or-not: the codec must preserve
-        // them verbatim (NaN payloads included — compare by bits below,
-        // PartialEq would reject NaN == NaN).
-        f32::from_bits(self.u32())
-    }
-    /// A finite f32 (for fields compared with PartialEq).
-    fn finite_f32(&mut self) -> f32 {
-        (self.below(2_000_001) as f32 - 1_000_000.0) / 64.0
-    }
-    fn vec4(&mut self) -> Vec4 {
-        Vec4::new(
-            self.finite_f32(),
-            self.finite_f32(),
-            self.finite_f32(),
-            self.finite_f32(),
-        )
-    }
     fn event(&mut self) -> Event {
         match self.below(5) {
             0 => {
@@ -126,30 +111,28 @@ impl Stream {
     fn events(&mut self, max: u64) -> Vec<Event> {
         (0..self.below(max + 1)).map(|_| self.event()).collect()
     }
-    fn vertex(&mut self) -> ShadedVertex {
-        ShadedVertex {
-            clip: self.vec4(),
-            screen: [self.finite_f32(), self.finite_f32(), self.finite_f32()],
-            inv_w: self.finite_f32(),
-            varyings: (0..self.below(4)).map(|_| self.vec4()).collect(),
-        }
+    /// Up to `max - 1` arbitrary bytes.
+    fn bytes(&mut self, max: u64) -> Vec<u8> {
+        (0..self.below(max)).map(|_| self.u64() as u8).collect()
     }
-    fn prim(&mut self) -> AssembledPrim {
-        AssembledPrim {
-            drawcall: self.u32(),
-            verts: [self.vertex(), self.vertex(), self.vertex()],
-            bbox: {
-                let (x0, y0) = (self.u32() as i32, self.u32() as i32);
-                Rect {
-                    x0,
-                    y0,
-                    x1: x0.saturating_add(self.below(1 << 12) as i32),
-                    y1: y0.saturating_add(self.below(1 << 12) as i32),
-                }
-            },
-            param_addr: self.wild(),
-            param_bytes: (0..self.below(64)).map(|_| self.u64() as u8).collect(),
-            overlapped_tiles: (0..self.below(8)).map(|_| self.u32()).collect(),
+    /// Recorded geometry whose primitives overlap tiles of a `tiles`-tile
+    /// frame, as the reader requires; every other field is arbitrary.
+    fn geometry(&mut self, tiles: usize) -> FrameGeometry {
+        FrameGeometry {
+            drawcalls: (0..self.below(3))
+                .map(|_| DrawcallGeometry {
+                    constants_bytes: self.bytes(48),
+                    prims: (0..self.below(4))
+                        .map(|_| PrimGeometry {
+                            param_bytes: self.bytes(64),
+                            overlapped_tiles: (0..self.below(8))
+                                .map(|_| self.below(tiles as u64) as u32)
+                                .collect(),
+                        })
+                        .collect(),
+                })
+                .collect(),
+            stats: self.geometry_stats(),
         }
     }
     fn geometry_stats(&mut self) -> GeometryStats {
@@ -202,19 +185,7 @@ impl Stream {
     fn frame(&mut self, tiles: usize) -> FrameLog {
         FrameLog {
             re_unsafe: self.below(2) == 1,
-            geo: GeometryOutput {
-                drawcalls: (0..self.below(3))
-                    .map(|_| DrawcallMeta {
-                        constants_bytes: (0..self.below(48)).map(|_| self.u64() as u8).collect(),
-                        prim_indices: (0..self.below(4)).map(|_| self.u32()).collect(),
-                    })
-                    .collect(),
-                prims: (0..self.below(4)).map(|_| self.prim()).collect(),
-                bins: (0..self.below(5))
-                    .map(|_| (0..self.below(4)).map(|_| self.u32()).collect())
-                    .collect(),
-                stats: self.geometry_stats(),
-            },
+            geo: self.geometry(tiles),
             geo_events: self.events(12),
             tiles: (0..tiles).map(|_| self.tile()).collect(),
         }
@@ -225,7 +196,7 @@ impl Stream {
 /// consistent — the codec must carry it regardless. Only the tile count
 /// follows the configuration, because the reader checks it: each frame
 /// holds `tiles` tiles (at least one), a row of `tile_size` tiles whose
-/// last one may be partial.
+/// last one may be partial, and its primitives overlap only those.
 fn arbitrary_log(seed: u64, frames: usize, tiles: usize) -> RenderLog {
     let mut s = Stream(seed);
     let tile_size = [8u32, 16, 32][s.below(3) as usize];
@@ -312,6 +283,39 @@ fn frames_with_the_wrong_tile_count_are_rejected() {
         assert_eq!(whole, expected);
         assert_eq!(streamed, expected);
     }
+}
+
+#[test]
+fn primitives_overlapping_a_tile_outside_the_frame_are_rejected() {
+    // 64×32 in 16-pixel tiles: 8 tiles per frame. The first tile id past
+    // the frame and one further out, each re-encoded with a valid CRC.
+    let cfg = GpuConfig {
+        width: 64,
+        height: 32,
+        tile_size: 16,
+        ..Default::default()
+    };
+    let log = render_scene(&mut Wob(2), cfg, 4);
+    for tile in [8, 8 + 5] {
+        let mut forged = log.clone();
+        forged.frames[2].geo.drawcalls[0].prims[0]
+            .overlapped_tiles
+            .push(tile);
+        let expected = RelogError::BadOverlappedTile {
+            frame: 2,
+            tile,
+            tile_count: 8,
+        };
+        let (whole, streamed) = errors(&relog::encode(&forged));
+        assert_eq!(whole, expected);
+        assert_eq!(streamed, expected);
+    }
+    // The last tile in the frame is a valid one.
+    let mut last = log.clone();
+    last.frames[2].geo.drawcalls[0].prims[0]
+        .overlapped_tiles
+        .push(7);
+    assert_eq!(relog::decode(&relog::encode(&last)).expect("decode"), last);
 }
 
 #[test]
@@ -506,11 +510,13 @@ fn forged_texel_runs_and_hash_columns_are_rejected() {
 #[test]
 fn a_retired_revision_is_rejected_by_its_magic() {
     let mut bytes = relog::encode(&textured_log());
-    assert_eq!(&bytes[..8], b"RELOG003");
-    bytes[7] = b'2';
-    let (whole, streamed) = errors(&bytes);
-    assert_eq!(whole, RelogError::BadMagic);
-    assert_eq!(streamed, RelogError::BadMagic);
+    assert_eq!(&bytes[..8], b"RELOG004");
+    for old in [b'2', b'3'] {
+        bytes[7] = old;
+        let (whole, streamed) = errors(&bytes);
+        assert_eq!(whole, RelogError::BadMagic);
+        assert_eq!(streamed, RelogError::BadMagic);
+    }
 }
 
 #[test]
@@ -564,25 +570,6 @@ proptest! {
     }
 
     #[test]
-    fn nan_bit_patterns_survive_the_roundtrip(seed in any::<u64>()) {
-        // PartialEq can't see NaN equality, so check raw f32 bit patterns
-        // separately on a log whose floats are arbitrary bits.
-        let mut s = Stream(seed);
-        let mut log = arbitrary_log(seed, 1, 1);
-        if let Some(p) = log.frames[0].geo.prims.first_mut() {
-            for v in &mut p.verts {
-                v.clip = Vec4::new(s.f32(), s.f32(), s.f32(), s.f32());
-            }
-        }
-        let back = relog::decode(&relog::encode(&log)).expect("decode");
-        for (a, b) in log.frames[0].geo.prims.iter().zip(&back.frames[0].geo.prims) {
-            for (va, vb) in a.verts.iter().zip(&b.verts) {
-                prop_assert_eq!(va.clip.to_le_bytes(), vb.clip.to_le_bytes());
-            }
-        }
-    }
-
-    #[test]
     fn evaluation_from_decoded_logs_is_bit_identical(
         sig_bits in 1u32..=32,
         distance in 1usize..=3,
@@ -626,8 +613,7 @@ proptest! {
         let whole = relog::decode(&bytes);
         let streamed = RelogReader::new(bytes.as_slice()).and_then(RelogReader::into_log);
         match (whole, streamed) {
-            // Compare re-encodings: PartialEq would reject NaN == NaN.
-            (Ok(a), Ok(b)) => prop_assert_eq!(relog::encode(&a), relog::encode(&b)),
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => {
                 let b = *b
                     .into_inner()

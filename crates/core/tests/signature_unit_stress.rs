@@ -1,7 +1,10 @@
 //! Stress and edge-case tests for the Signature Unit's queue/timing model
-//! and the Signature Buffer.
+//! and the Signature Buffer. The unit runs over the geometry as Stage A
+//! records it ([`FrameGeometry`]); its reference runs over the
+//! rasterizer's own output.
 
 use re_core::signature::{reference_signatures, SignatureBuffer, SignatureUnit};
+use re_core::FrameGeometry;
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::{Gpu, GpuConfig};
 use re_math::{Mat4, Vec4};
@@ -45,7 +48,7 @@ fn many_fullscreen_layers_stress_the_queue() {
     let mut gpu = Gpu::new(cfg());
     let geo = gpu.run_geometry(&quad_frame(20), &mut Vec::new());
     let mut su = SignatureUnit::new(16);
-    let out = su.process_frame(&geo, cfg().tile_count());
+    let out = su.process_frame(&FrameGeometry::record(&geo), cfg().tile_count());
     assert_eq!(out.stats.ot_pushes, geo.stats.prim_tile_pairs);
     // The functional result is still exact.
     assert_eq!(out.sigs, reference_signatures(&geo, cfg().tile_count()));
@@ -67,7 +70,7 @@ fn deeper_queues_never_stall_more() {
     for depth in [1usize, 2, 4, 8, 16, 64, 4096] {
         let mut su = SignatureUnit::new(depth);
         let stalls = su
-            .process_frame(&geo, cfg().tile_count())
+            .process_frame(&FrameGeometry::record(&geo), cfg().tile_count())
             .stats
             .stall_cycles;
         assert!(stalls <= prev, "depth {depth}: {stalls} > {prev}");
@@ -150,11 +153,11 @@ fn ot_pushes_scale_with_coverage_not_primitive_count() {
     let g_full = gpu.run_geometry(&quad_frame(1), &mut Vec::new());
     let mut su = SignatureUnit::new(16);
     let tiny_pushes = su
-        .process_frame(&g_tiny, cfg().tile_count())
+        .process_frame(&FrameGeometry::record(&g_tiny), cfg().tile_count())
         .stats
         .ot_pushes;
     let full_pushes = su
-        .process_frame(&g_full, cfg().tile_count())
+        .process_frame(&FrameGeometry::record(&g_full), cfg().tile_count())
         .stats
         .ot_pushes;
     assert!(tiny_pushes <= 4);

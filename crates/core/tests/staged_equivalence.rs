@@ -19,8 +19,8 @@ use re_core::passes::Machine;
 use re_core::redundancy::{classify, ColorHistory, TileClassCounts};
 use re_core::sim::FrameSample;
 use re_core::{
-    FragmentMemo, RunReport, Scene, SignatureBuffer, SignatureUnit, SignatureUnitStats, SimOptions,
-    Simulator, TransactionElimination,
+    FragmentMemo, FrameGeometry, RunReport, Scene, SignatureBuffer, SignatureUnit,
+    SignatureUnitStats, SimOptions, Simulator, TransactionElimination,
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
@@ -109,7 +109,7 @@ fn reference_run(scene: &mut dyn Scene, opts: SimOptions, frames: usize) -> RunR
             m.charge_geometry(&geo.stats, requests, epoch);
         }
 
-        let sigs = su.process_frame(&geo, tile_count);
+        let sigs = su.process_frame(&FrameGeometry::record(&geo), tile_count);
         rem.geometry_cycles += sigs.stats.stall_cycles;
         su_stats.merge(&sigs.stats);
 

@@ -101,8 +101,9 @@ pub fn parse(args: &[String]) -> Result<FleetArgs, String> {
     let mut max_retries = 2usize;
     let mut stall_ms = 30_000u64;
     let mut poll_ms = 200u64;
+    // The run grammar's own default (10 s) is far too lazy for a 30 s
+    // stall timeout; 1 s keeps detection prompt and the log small.
     let mut heartbeat_ms = 1_000u64;
-    let mut explicit_heartbeat = false;
     let mut dry_run = false;
     let mut rest: Vec<String> = Vec::new();
 
@@ -154,7 +155,6 @@ pub fn parse(args: &[String]) -> Result<FleetArgs, String> {
                             .to_string(),
                     );
                 }
-                explicit_heartbeat = true;
             }
             "--dry-run" => dry_run = true,
             _ => rest.push(a.clone()),
@@ -193,12 +193,6 @@ pub fn parse(args: &[String]) -> Result<FleetArgs, String> {
             "a fleet needs at least one worker: --local-procs N and/or --daemon HOST:PORT"
                 .to_string(),
         );
-    }
-    if !explicit_heartbeat {
-        // The run grammar's own default (10 s) is far too lazy for a
-        // 30 s stall timeout; 1 s keeps detection prompt and the log
-        // small.
-        heartbeat_ms = 1_000;
     }
 
     Ok(FleetArgs {

@@ -89,7 +89,7 @@ pub use framebuffer::Framebuffer;
 pub use geometry::GeometryOutput;
 pub use raster::{raster_invocations, ParallelRaster, TileRecord};
 pub use shader::ShaderProgram;
-pub use stats::{FrameStats, GeometryStats, TileStats};
+pub use stats::{GeometryStats, TileStats};
 pub use texture::{Texture, TextureStore};
 
 use re_math::Color;

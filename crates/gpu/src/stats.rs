@@ -93,29 +93,6 @@ impl TileStats {
     }
 }
 
-/// Aggregate counters of one rendered frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameStats {
-    /// Geometry-pipeline counters.
-    pub geometry: GeometryStats,
-    /// Raster-pipeline counters summed over rendered tiles.
-    pub raster: TileStats,
-    /// Tiles dispatched to the Raster Pipeline.
-    pub tiles_rendered: u64,
-    /// Tiles skipped before rasterization (Rendering Elimination).
-    pub tiles_skipped: u64,
-}
-
-impl FrameStats {
-    /// Merges another frame into this aggregate.
-    pub fn merge(&mut self, other: &FrameStats) {
-        self.geometry.merge(&other.geometry);
-        self.raster.merge(&other.raster);
-        self.tiles_rendered += other.tiles_rendered;
-        self.tiles_skipped += other.tiles_skipped;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,24 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn frame_merge_accumulates_tiles() {
-        let mut f = FrameStats {
-            tiles_rendered: 100,
-            tiles_skipped: 20,
-            ..Default::default()
-        };
-        f.merge(&FrameStats {
-            tiles_rendered: 50,
-            tiles_skipped: 70,
-            ..Default::default()
-        });
-        assert_eq!(f.tiles_rendered, 150);
-        assert_eq!(f.tiles_skipped, 90);
-    }
-
-    #[test]
     fn defaults_are_zero() {
-        assert_eq!(FrameStats::default().raster.fragments_shaded, 0);
+        assert_eq!(TileStats::default().fragments_shaded, 0);
         assert_eq!(GeometryStats::default().prims_in, 0);
     }
 }

@@ -9,8 +9,9 @@
 //! trace the way a plan's captures run (one `capture_done` event), render
 //! the key, still give the same CSV, and put the artifact back for the
 //! next run. So must one whose frame was forged with a valid CRC but a
-//! tile missing, an empty or out-of-range texel run, or a tile whose hash
-//! column or run counts disagree with its counters.
+//! tile missing, a primitive overlapping a tile outside the frame, an
+//! empty or out-of-range texel run, or a tile whose hash column or run
+//! counts disagree with its counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -222,6 +223,25 @@ fn a_forged_artifact_is_re_rendered() {
         "tiles",
         &[("a missing tile", |log| {
             log.frames[1].tiles.pop();
+        })],
+    );
+}
+
+#[test]
+fn a_forged_geometry_is_re_rendered() {
+    // A primitive of frame 1 overlaps a tile 5 past the frame's last one.
+    assert_forgeries_re_render(
+        "geometry",
+        &[("a primitive overlapping a tile outside the frame", |log| {
+            let tile = log.tile_count() + 5;
+            let prim = log.frames[1]
+                .geo
+                .drawcalls
+                .iter_mut()
+                .flat_map(|dc| &mut dc.prims)
+                .next()
+                .expect("ccs draws primitives");
+            prim.overlapped_tiles.push(tile);
         })],
     );
 }

@@ -118,27 +118,9 @@ impl EnergyModel {
         }
     }
 
-    /// Creates a model with explicit parameters.
-    pub fn with_params(params: EnergyParams) -> Self {
-        EnergyModel {
-            params,
-            acc: EnergyBreakdown::default(),
-        }
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &EnergyParams {
-        &self.params
-    }
-
     /// Charges `accesses` reads/writes of an SRAM of `size_bytes`.
     pub fn add_sram(&mut self, size_bytes: u32, accesses: u64) {
         self.acc.gpu_dynamic_pj += sram_access_pj(size_bytes) * accesses as f64;
-    }
-
-    /// Charges generic datapath operations at `pj_each`.
-    pub fn add_ops(&mut self, ops: u64, pj_each: f64) {
-        self.acc.gpu_dynamic_pj += ops as f64 * pj_each;
     }
 
     /// Charges one frame's geometry-pipeline work.

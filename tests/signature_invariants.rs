@@ -4,6 +4,7 @@
 //! scene geometry.
 
 use rendering_elimination::core::signature::{reference_signatures, SignatureUnit};
+use rendering_elimination::core::FrameGeometry;
 use rendering_elimination::gpu::{Gpu, GpuConfig};
 use rendering_elimination::workloads;
 
@@ -25,7 +26,7 @@ fn hardware_unit_matches_reference_on_all_benchmarks() {
         let frame = bench.scene.frame(5);
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
         let mut su = SignatureUnit::new(16);
-        let hw = su.process_frame(&geo, cfg().tile_count());
+        let hw = su.process_frame(&FrameGeometry::record(&geo), cfg().tile_count());
         let sw = reference_signatures(&geo, cfg().tile_count());
         assert_eq!(hw.sigs, sw, "{}", bench.alias);
     }
@@ -72,7 +73,7 @@ fn queue_depth_never_changes_signatures() {
     let mut bench = workloads::by_alias("csn").expect("csn exists");
     let mut gpu = Gpu::new(cfg());
     bench.scene.init(gpu.textures_mut());
-    let geo = gpu.run_geometry(&bench.scene.frame(2), &mut Vec::new());
+    let geo = FrameGeometry::record(&gpu.run_geometry(&bench.scene.frame(2), &mut Vec::new()));
     let mut a = SignatureUnit::new(2);
     let mut b = SignatureUnit::new(256);
     assert_eq!(
