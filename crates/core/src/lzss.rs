@@ -1,4 +1,4 @@
-//! Minimal std-only LZSS codec backing `RELOG004` compressed frame records
+//! Minimal std-only LZSS codec backing `RELOG005` compressed frame records
 //! (see [`crate::relog`]).
 //!
 //! Classic byte-oriented LZSS: a control byte announces eight items, one

@@ -784,7 +784,8 @@ impl TePass {
             let (requests, epoch) = next();
             machine.charge_geometry(&frame.geo.stats, requests, epoch);
             for (tile_id, tile) in (0..).zip(&frame.tiles) {
-                let skip_flush = te.observe_signature(tile_id, tile.te_sig, tile.color_bytes);
+                let skip_flush =
+                    te.observe_signature(tile_id, tile.te_sig, tile.stats.color_bytes_flushed);
                 let (requests, epoch) = next();
                 machine.charge_tile(&tile.stats, requests, epoch, !skip_flush);
             }
@@ -817,9 +818,9 @@ impl TechniquePass for TePass {
     }
 
     fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        let skip_flush = self
-            .te
-            .observe_signature(tile_id, tile.te_sig, tile.color_bytes);
+        let skip_flush =
+            self.te
+                .observe_signature(tile_id, tile.te_sig, tile.stats.color_bytes_flushed);
         let (requests, epoch) = self.caches.replay(&tile.events);
         self.machine
             .charge_tile(&tile.stats, requests, epoch, !skip_flush);

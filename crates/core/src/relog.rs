@@ -16,7 +16,7 @@
 //! `docs/FORMATS.md`):
 //!
 //! ```text
-//! magic        "RELOG004"                                   8 bytes
+//! magic        "RELOG005"                                   8 bytes
 //! fingerprint  u64   FNV-1a over name/config/frame count (see
 //!                    [`log_fingerprint`]) — stale-artifact detection
 //! name         len u16 + UTF-8
@@ -28,9 +28,11 @@
 //!                payload (raw or LZSS-compressed):
 //!                  re_unsafe u8
 //!                  recorded geometry (per drawcall: constants, then
-//!                  per primitive: attributes, overlapped tiles; stats)
+//!                  per primitive: attributes, overlapped tiles; the
+//!                  2 stored geometry counters)
 //!                  geometry events, per-tile records (events,
-//!                  fragment-hash column, stats, color identity)
+//!                  fragment-hash column, the 4 stored tile counters,
+//!                  color identity)
 //! ```
 //!
 //! Events are fixed-width records, one per cache-visible access: a texel
@@ -63,11 +65,21 @@
 //!   access event's byte range `[addr, addr + bytes)` may wrap past the end
 //!   of the 64-bit address space ([`RelogError::BadExtent`]), no texel run
 //!   may be empty ([`RelogError::EmptyTexelRun`]) or name a texture unit a
-//!   render never uses ([`RelogError::BadTexelUnit`]), each tile's
-//!   hash column and texel runs must agree with its own counters
-//!   ([`RelogError::BadHashCount`], [`RelogError::BadTexelFetches`]), and
-//!   no primitive may overlap a tile outside the frame
-//!   ([`RelogError::BadOverlappedTile`]).
+//!   render never uses ([`RelogError::BadTexelUnit`]), no primitive may
+//!   overlap a tile outside the frame ([`RelogError::BadOverlappedTile`]),
+//!   and no counter may exceed the bound Stage A's code sets on it
+//!   ([`RelogError::BadCounter`]; see [Counters](#counters)).
+//!
+//! # Counters
+//!
+//! A record stores a [`TileStats`] or [`GeometryStats`] counter only when
+//! the record does not imply it: a tile stores `attr_interpolations`,
+//! `early_z_killed`, `fs_instr_slots` and `depth_accesses`, a frame
+//! `vs_instr_slots` and `prims_from_clipping`. The decoder derives the
+//! rest from the record's events, hash columns and primitives, as Stage A
+//! counts them, so they cannot disagree with the record, and holds the
+//! stored ones to bounds read off Stage A's code (`docs/FORMATS.md`
+//! tabulates both).
 //!
 //! Encoding is canonical (a pure function of the log), so
 //! encode → decode → encode is byte-stable, and decode(encode(x)) == x for
@@ -93,7 +105,7 @@ use re_gpu::{BinningMode, Event, GpuConfig};
 use crate::render::{DrawcallGeometry, FrameGeometry, FrameLog, PrimGeometry, RenderLog, TileLog};
 
 /// Format magic; the trailing digits are the format revision.
-pub const MAGIC: &[u8; 8] = b"RELOG004";
+pub const MAGIC: &[u8; 8] = b"RELOG005";
 
 /// Per-frame payload compression for [`encode_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,29 +178,15 @@ pub enum RelogError {
         /// The offending unit.
         unit: u8,
     },
-    /// A tile record's hash column holds a different number of hashes
-    /// than the fragments its stats shaded.
-    BadHashCount {
+    /// A tile's or a frame's counter exceeds the bound Stage A's code
+    /// sets on it (see the module docs' *Counters*).
+    BadCounter {
         /// Zero-based index of the frame record.
         frame: u32,
-        /// Tile id within the frame.
-        tile: u32,
-        /// The tile's `fragments_shaded`.
-        expected: u64,
-        /// Hashes in the column.
-        found: u64,
-    },
-    /// A tile record's texel runs add up to a different number of fetches
-    /// than its stats count.
-    BadTexelFetches {
-        /// Zero-based index of the frame record.
-        frame: u32,
-        /// Tile id within the frame.
-        tile: u32,
-        /// The tile's `texel_fetches`.
-        expected: u64,
-        /// The sum of its texel runs' counts.
-        found: u64,
+        /// Tile id within the frame, or `None` for a geometry counter.
+        tile: Option<u32>,
+        /// The [`TileStats`] or [`GeometryStats`] field out of bounds.
+        counter: &'static str,
     },
     /// A primitive of a frame record's geometry overlaps a tile id at or
     /// above the tile count of the header's configuration.
@@ -205,7 +203,7 @@ pub enum RelogError {
 impl std::fmt::Display for RelogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RelogError::BadMagic => write!(f, "not a RELOG004 stream"),
+            RelogError::BadMagic => write!(f, "not a RELOG005 stream"),
             RelogError::Truncated { context } => write!(f, "truncated while reading {context}"),
             RelogError::BadTag { context, value } => {
                 write!(f, "invalid tag {value:#04x} while reading {context}")
@@ -231,26 +229,24 @@ impl std::fmt::Display for RelogError {
             ),
             RelogError::EmptyTexelRun => write!(f, "a texel run counts no fetches"),
             RelogError::BadTexelUnit { unit } => {
-                write!(f, "texel event names texture unit {unit} (of {TEXEL_UNITS})")
+                write!(
+                    f,
+                    "texel event names texture unit {unit} (of {TEXEL_UNITS})"
+                )
             }
-            RelogError::BadHashCount {
+            RelogError::BadCounter {
                 frame,
-                tile,
-                expected,
-                found,
+                tile: Some(tile),
+                counter,
             } => write!(
                 f,
-                "frame record {frame} tile {tile} has {found} fragment hashes; it shaded {expected}"
+                "frame record {frame} tile {tile}'s {counter} exceeds its bound"
             ),
-            RelogError::BadTexelFetches {
+            RelogError::BadCounter {
                 frame,
-                tile,
-                expected,
-                found,
-            } => write!(
-                f,
-                "frame record {frame} tile {tile}'s texel runs hold {found} fetches; it counts {expected}"
-            ),
+                tile: None,
+                counter,
+            } => write!(f, "frame record {frame}'s {counter} exceeds its bound"),
             RelogError::BadOverlappedTile {
                 frame,
                 tile,
@@ -343,28 +339,28 @@ impl Writer {
     fn event(&mut self, e: &Event) {
         match *e {
             Event::VertexFetch { addr, bytes } => {
-                self.u8(0);
+                self.u8(VERTEX_FETCH);
                 self.u64(addr);
                 self.u32(bytes);
             }
             Event::ParamWrite { addr, bytes } => {
-                self.u8(1);
+                self.u8(PARAM_WRITE);
                 self.u64(addr);
                 self.u32(bytes);
             }
             Event::ParamRead { addr, bytes } => {
-                self.u8(2);
+                self.u8(PARAM_READ);
                 self.u64(addr);
                 self.u32(bytes);
             }
             Event::Texel { unit, count, addr } => {
-                self.u8(3);
+                self.u8(TEXEL);
                 self.u8(unit);
                 self.u32(count);
                 self.u64(addr);
             }
             Event::ColorFlush { addr, bytes } => {
-                self.u8(4);
+                self.u8(COLOR_FLUSH);
                 self.u64(addr);
                 self.u32(bytes);
             }
@@ -376,36 +372,18 @@ impl Writer {
             self.event(e);
         }
     }
+    /// The geometry counters the record does not imply.
     fn geometry_stats(&mut self, s: &GeometryStats) {
-        for v in [
-            s.vertices_fetched,
-            s.vertices_shaded,
-            s.vs_instr_slots,
-            s.prims_in,
-            s.prims_culled,
-            s.prims_from_clipping,
-            s.prims_binned,
-            s.prim_tile_pairs,
-            s.param_bytes_written,
-            s.vertex_bytes_fetched,
-        ] {
-            self.u64(v);
-        }
+        self.u64(s.vs_instr_slots);
+        self.u64(s.prims_from_clipping);
     }
+    /// The tile counters the record does not imply.
     fn tile_stats(&mut self, s: &TileStats) {
         for v in [
-            s.prims_processed,
-            s.param_bytes_read,
-            s.fragments_rasterized,
             s.attr_interpolations,
             s.early_z_killed,
-            s.fragments_shaded,
             s.fs_instr_slots,
-            s.texel_fetches,
-            s.blend_ops,
             s.depth_accesses,
-            s.pixels_flushed,
-            s.color_bytes_flushed,
         ] {
             self.u64(v);
         }
@@ -439,7 +417,6 @@ fn encode_frame(frame: &FrameLog) -> Vec<u8> {
         w.tile_stats(&t.stats);
         w.u32(t.color_id);
         w.u32(t.te_sig);
-        w.u64(t.color_bytes);
     }
     w.out
 }
@@ -505,6 +482,14 @@ pub fn encode_with(log: &RenderLog, compression: Compression) -> Vec<u8> {
     w.out
 }
 
+/// Event tags, one per [`Event`] variant; they also index
+/// [`EventTotals`].
+const VERTEX_FETCH: u8 = 0;
+const PARAM_WRITE: u8 = 1;
+const PARAM_READ: u8 = 2;
+const TEXEL: u8 = 3;
+const COLOR_FLUSH: u8 = 4;
+
 /// Frame flags: payload stored as-is.
 const FRAME_STORED: u8 = 0;
 /// Frame flags: payload LZSS-compressed ([`crate::lzss`]).
@@ -567,21 +552,22 @@ impl<'a> Parser<'a> {
         }
         Ok((addr, bytes))
     }
-    fn event(&mut self) -> Result<Event, RelogError> {
-        Ok(match self.u8("event tag")? {
-            0 => {
+    fn event(&mut self, totals: &mut EventTotals) -> Result<Event, RelogError> {
+        let tag = self.u8("event tag")?;
+        let (event, amount) = match tag {
+            VERTEX_FETCH => {
                 let (addr, bytes) = self.extent("vertex fetch")?;
-                Event::VertexFetch { addr, bytes }
+                (Event::VertexFetch { addr, bytes }, bytes)
             }
-            1 => {
+            PARAM_WRITE => {
                 let (addr, bytes) = self.extent("param write")?;
-                Event::ParamWrite { addr, bytes }
+                (Event::ParamWrite { addr, bytes }, bytes)
             }
-            2 => {
+            PARAM_READ => {
                 let (addr, bytes) = self.extent("param read")?;
-                Event::ParamRead { addr, bytes }
+                (Event::ParamRead { addr, bytes }, bytes)
             }
-            3 => {
+            TEXEL => {
                 let unit = self.u8("texel event")?;
                 let count = self.u32("texel event")?;
                 let addr = self.u64("texel event")?;
@@ -591,11 +577,11 @@ impl<'a> Parser<'a> {
                 if count == 0 {
                     return Err(RelogError::EmptyTexelRun);
                 }
-                Event::Texel { unit, count, addr }
+                (Event::Texel { unit, count, addr }, count)
             }
-            4 => {
+            COLOR_FLUSH => {
                 let (addr, bytes) = self.extent("color flush")?;
-                Event::ColorFlush { addr, bytes }
+                (Event::ColorFlush { addr, bytes }, bytes)
             }
             value => {
                 return Err(RelogError::BadTag {
@@ -603,46 +589,43 @@ impl<'a> Parser<'a> {
                     value,
                 })
             }
-        })
+        };
+        totals.events[tag as usize] += 1;
+        totals.amount[tag as usize] += u64::from(amount);
+        Ok(event)
     }
-    fn events(&mut self, context: &'static str) -> Result<Vec<Event>, RelogError> {
+    fn events(
+        &mut self,
+        context: &'static str,
+        totals: &mut EventTotals,
+    ) -> Result<Vec<Event>, RelogError> {
         let n = self.u32(context)? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            out.push(self.event()?);
+            out.push(self.event(totals)?);
         }
         Ok(out)
     }
+    /// The geometry counters the record stores;
+    /// [`complete_geometry_stats`] derives the rest.
     fn geometry_stats(&mut self) -> Result<GeometryStats, RelogError> {
         let c = "geometry stats";
         Ok(GeometryStats {
-            vertices_fetched: self.u64(c)?,
-            vertices_shaded: self.u64(c)?,
             vs_instr_slots: self.u64(c)?,
-            prims_in: self.u64(c)?,
-            prims_culled: self.u64(c)?,
             prims_from_clipping: self.u64(c)?,
-            prims_binned: self.u64(c)?,
-            prim_tile_pairs: self.u64(c)?,
-            param_bytes_written: self.u64(c)?,
-            vertex_bytes_fetched: self.u64(c)?,
+            ..GeometryStats::default()
         })
     }
+    /// The tile counters the record stores; [`complete_tile_stats`]
+    /// derives the rest.
     fn tile_stats(&mut self) -> Result<TileStats, RelogError> {
         let c = "tile stats";
         Ok(TileStats {
-            prims_processed: self.u64(c)?,
-            param_bytes_read: self.u64(c)?,
-            fragments_rasterized: self.u64(c)?,
             attr_interpolations: self.u64(c)?,
             early_z_killed: self.u64(c)?,
-            fragments_shaded: self.u64(c)?,
             fs_instr_slots: self.u64(c)?,
-            texel_fetches: self.u64(c)?,
-            blend_ops: self.u64(c)?,
             depth_accesses: self.u64(c)?,
-            pixels_flushed: self.u64(c)?,
-            color_bytes_flushed: self.u64(c)?,
+            ..TileStats::default()
         })
     }
     /// Frame record `frame`'s geometry, every overlapped tile of which
@@ -681,16 +664,155 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Instruction slots Stage A charges at most per shaded vertex or
+/// fragment: a shader program's cost is a `u32`.
+const MAX_SLOTS: u64 = u32::MAX as u64;
+/// Interpolations per rasterized fragment at most: its depth and up to 255
+/// varyings (a shader's varying count is a `u8`).
+const MAX_INTERPOLATIONS: u64 = 256;
+/// Depth accesses per rasterized fragment at most: a test and a write.
+const MAX_DEPTH_ACCESSES: u64 = 2;
+/// Triangles near-plane clipping adds to one input triangle at most: one
+/// per clip plane, of two.
+const MAX_CLIP_TRIANGLES: u64 = 2;
+
+/// Per event kind, indexed by its tag: how many events a list holds and
+/// the bytes (for texel runs, the fetches) they cover. The parser adds
+/// each event as it reads it, so counting takes no pass of its own.
+#[derive(Default)]
+struct EventTotals {
+    events: [u64; 5],
+    amount: [u64; 5],
+}
+
+/// `Err(counter)` when `value` exceeds its `bound`.
+fn within(counter: &'static str, value: u64, bound: u64) -> Result<(), &'static str> {
+    if value <= bound {
+        Ok(())
+    } else {
+        Err(counter)
+    }
+}
+
+/// Completes a tile's counters from its record. `s` holds the four the
+/// record stores; the totals `e` of the tile's events and its count of
+/// `hashes` yield the rest as Stage A's rasterizer counts them. The
+/// counters must then lie within the bounds the rasterizer sets on them
+/// in a tile of at most `tile_area` pixels; `Err` names the one that
+/// does not.
+///
+/// The bounds are what keeps Stage B's integer arithmetic in a `u64`.
+/// Every decoded counter is at most a Stage A constant times a count the
+/// record holds, or times the tile's area for fragments, so one recorded
+/// event or hash adds at most 2^33 cycles to the sums of
+/// `re_timing::pipeline` and [`crate::passes::Machine`]: a vertex fetch
+/// 2^32 vertex-shader slots, a hash 2^32 fragment-shader slots over at
+/// least four fragment processors (`re_timing::Caches::new` refuses
+/// fewer), a primitive read `257 × tile_area + 4` (under 2^25 for tiles
+/// up to 256×256). The memory terms add a configured latency per DRAM
+/// request, as they always have, and `EnergyModel` sums `f64`s. So the
+/// sums fit for any log of under 2^30 events and hashes.
+fn complete_tile_stats(
+    mut s: TileStats,
+    e: &EventTotals,
+    hashes: usize,
+    tile_area: u64,
+) -> Result<TileStats, &'static str> {
+    s.prims_processed = e.events[PARAM_READ as usize];
+    s.param_bytes_read = e.amount[PARAM_READ as usize];
+    s.texel_fetches = e.amount[TEXEL as usize];
+    s.color_bytes_flushed = e.amount[COLOR_FLUSH as usize];
+    s.fragments_shaded = hashes as u64;
+    s.blend_ops = s.fragments_shaded;
+    s.pixels_flushed = s.color_bytes_flushed / 4;
+    s.fragments_rasterized = s
+        .fragments_shaded
+        .checked_add(s.early_z_killed)
+        .ok_or("fragments_rasterized")?;
+    let rasterized = s.fragments_rasterized;
+    within(
+        "fragments_rasterized",
+        rasterized,
+        s.prims_processed.saturating_mul(tile_area),
+    )?;
+    within(
+        "depth_accesses",
+        s.depth_accesses,
+        MAX_DEPTH_ACCESSES.saturating_mul(rasterized),
+    )?;
+    let interpolations = MAX_INTERPOLATIONS.saturating_mul(rasterized);
+    within("attr_interpolations", s.attr_interpolations, interpolations)?;
+    within(
+        "fs_instr_slots",
+        s.fs_instr_slots,
+        MAX_SLOTS.saturating_mul(s.fragments_shaded),
+    )?;
+    within("pixels_flushed", s.pixels_flushed, tile_area)?;
+    Ok(s)
+}
+
+/// Completes a frame's geometry counters from its record, as
+/// [`complete_tile_stats`] does a tile's: `s` holds the two the record
+/// stores, and the totals `e` of the frame's geometry events and its
+/// recorded `drawcalls` yield the rest as Stage A's Geometry Pipeline
+/// counts them. Every input triangle or clip-fan triangle is either
+/// culled or binned.
+fn complete_geometry_stats(
+    mut s: GeometryStats,
+    drawcalls: &[DrawcallGeometry],
+    e: &EventTotals,
+) -> Result<GeometryStats, &'static str> {
+    s.vertices_fetched = e.events[VERTEX_FETCH as usize];
+    s.vertex_bytes_fetched = e.amount[VERTEX_FETCH as usize];
+    s.param_bytes_written = e.amount[PARAM_WRITE as usize];
+    s.vertices_shaded = s.vertices_fetched;
+    s.prims_in = s.vertices_fetched / 3;
+    for prim in drawcalls.iter().flat_map(|dc| &dc.prims) {
+        s.prims_binned += 1;
+        s.prim_tile_pairs += prim.overlapped_tiles.len() as u64;
+    }
+    within(
+        "vs_instr_slots",
+        s.vs_instr_slots,
+        MAX_SLOTS.saturating_mul(s.vertices_shaded),
+    )?;
+    let clipped = MAX_CLIP_TRIANGLES.saturating_mul(s.prims_in);
+    within("prims_from_clipping", s.prims_from_clipping, clipped)?;
+    within(
+        "prims_binned",
+        s.prims_binned,
+        s.prims_in + s.prims_from_clipping,
+    )?;
+    s.prims_culled = s.prims_in + s.prims_from_clipping - s.prims_binned;
+    Ok(s)
+}
+
 /// Decodes payload bytes (CRC already verified by the caller) of frame
-/// record `frame`, which must hold `tile_count` tiles.
-fn decode_frame(payload: &[u8], frame: u32, tile_count: u32) -> Result<FrameLog, RelogError> {
+/// record `frame`, which must hold `tile_count` tiles of at most
+/// `tile_area` pixels each.
+fn decode_frame(
+    payload: &[u8],
+    frame: u32,
+    tile_count: u32,
+    tile_area: u64,
+) -> Result<FrameLog, RelogError> {
     let mut p = Parser {
         bytes: payload,
         pos: 0,
     };
     let re_unsafe = p.u8("re_unsafe flag")? != 0;
-    let geo = p.geo(frame, tile_count)?;
-    let geo_events = p.events("geometry events")?;
+    let mut geo = p.geo(frame, tile_count)?;
+    let mut totals = EventTotals::default();
+    let geo_events = p.events("geometry events", &mut totals)?;
+    let bad_counter = |tile| {
+        move |counter| RelogError::BadCounter {
+            frame,
+            tile,
+            counter,
+        }
+    };
+    geo.stats =
+        complete_geometry_stats(geo.stats, &geo.drawcalls, &totals).map_err(bad_counter(None))?;
     let found = p.u32("tile count")?;
     if found != tile_count {
         return Err(RelogError::BadTileCount {
@@ -701,40 +823,18 @@ fn decode_frame(payload: &[u8], frame: u32, tile_count: u32) -> Result<FrameLog,
     }
     let mut tiles = Vec::with_capacity((tile_count as usize).min(1 << 20));
     for tile in 0..tile_count {
-        let t = TileLog {
-            events: p.events("tile events")?,
-            hashes: p.u32s("fragment hashes")?,
-            stats: p.tile_stats()?,
+        let mut totals = EventTotals::default();
+        let events = p.events("tile events", &mut totals)?;
+        let hashes = p.u32s("fragment hashes")?;
+        let stats = complete_tile_stats(p.tile_stats()?, &totals, hashes.len(), tile_area)
+            .map_err(bad_counter(Some(tile)))?;
+        tiles.push(TileLog {
+            events,
+            hashes,
+            stats,
             color_id: p.u32("color id")?,
             te_sig: p.u32("te signature")?,
-            color_bytes: p.u64("color bytes")?,
-        };
-        let hashes = t.hashes.len() as u64;
-        if hashes != t.stats.fragments_shaded {
-            return Err(RelogError::BadHashCount {
-                frame,
-                tile,
-                expected: t.stats.fragments_shaded,
-                found: hashes,
-            });
-        }
-        let fetches = t
-            .events
-            .iter()
-            .map(|e| match *e {
-                Event::Texel { count, .. } => u64::from(count),
-                _ => 0,
-            })
-            .sum();
-        if fetches != t.stats.texel_fetches {
-            return Err(RelogError::BadTexelFetches {
-                frame,
-                tile,
-                expected: t.stats.texel_fetches,
-                found: fetches,
-            });
-        }
-        tiles.push(t);
+        });
     }
     if p.pos != payload.len() {
         return Err(RelogError::Truncated {
@@ -931,10 +1031,12 @@ impl<R: Read> RelogReader<R> {
         let frame = self.next;
         // The header's configuration passed `parse_header`'s bounds, so
         // its tile count fits a `u32`.
-        let tile_count = self.header.config.tile_count();
+        let config = self.header.config;
+        let tile_count = config.tile_count();
+        let tile_area = u64::from(config.tile_size).pow(2);
         match self.next_payload()? {
             None => Ok(None),
-            Some(payload) => Ok(Some(decode_frame(payload, frame, tile_count)?)),
+            Some(payload) => Ok(Some(decode_frame(payload, frame, tile_count, tile_area)?)),
         }
     }
 
@@ -1125,11 +1227,11 @@ mod tests {
         // A future revision (different magic digits) is rejected, not
         // misparsed.
         let mut vnext = bytes.clone();
-        vnext[7] = b'5';
+        vnext[7] = b'6';
         assert_eq!(decode(&vnext), Err(RelogError::BadMagic));
         // So are the retired revisions: an old cache file is a miss, not
         // a misparse.
-        for old in [b'1', b'2', b'3'] {
+        for old in [b'1', b'2', b'3', b'4'] {
             let mut vold = bytes.clone();
             vold[7] = old;
             assert_eq!(decode(&vold), Err(RelogError::BadMagic));

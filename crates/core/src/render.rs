@@ -115,15 +115,16 @@ pub struct TileLog {
     /// shading order (fragment-memoization probes): one per shaded
     /// fragment.
     pub hashes: Vec<u32>,
-    /// The tile's raster activity counters.
+    /// The tile's raster activity counters. A `.relog` stores only the
+    /// four its record does not imply (see [`crate::relog`]); the decoder
+    /// derives the rest from `events` and `hashes`.
     pub stats: TileStats,
     /// Interned color id: two tiles (any frames, any tile index) have equal
     /// ids iff their exact pixel contents are equal.
     pub color_id: u32,
-    /// CRC32 of the tile's packed RGBA colors (Transaction Elimination).
+    /// CRC32 of the tile's packed RGBA colors (Transaction Elimination),
+    /// over `stats.color_bytes_flushed` bytes.
     pub te_sig: u32,
-    /// Bytes of color data the tile holds (`pixels × 4`).
-    pub color_bytes: u64,
 }
 
 /// Everything Stage A records about one frame.
@@ -219,7 +220,6 @@ impl Renderer {
         for (t, (stats, colors, record)) in results.into_iter().enumerate() {
             self.gpu.apply_tile_colors(t as u32, &colors);
             let te_sig = TransactionElimination::color_signature(&colors);
-            let color_bytes = colors.len() as u64 * 4;
             let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
             tiles.push(TileLog {
                 events: record.events,
@@ -227,7 +227,6 @@ impl Renderer {
                 stats,
                 color_id,
                 te_sig,
-                color_bytes,
             });
         }
         self.gpu.end_frame();
@@ -582,6 +581,9 @@ mod tests {
             );
         }
         assert!(frame.tiles.iter().any(|t| !t.hashes.is_empty()));
-        assert!(frame.tiles.iter().all(|t| t.color_bytes == 16 * 16 * 4));
+        assert!(frame
+            .tiles
+            .iter()
+            .all(|t| t.stats.color_bytes_flushed == 16 * 16 * 4));
     }
 }

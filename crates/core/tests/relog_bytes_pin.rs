@@ -1,5 +1,5 @@
 //! Pins the exact compressed `.relog` bytes of one small rendered suite
-//! key. The `RELOG004` encoder is a pure function of the log, and cached
+//! key. The `RELOG005` encoder is a pure function of the log, and cached
 //! artifacts written by one build are replayed by another, so any change
 //! to the LZSS parse (match finder, hash, chain order, tie-breaking) or to
 //! the frame framing shows up here as a different digest — even when the
@@ -27,8 +27,8 @@ fn compressed_relog_bytes_of_a_rendered_key_are_pinned() {
     let packed = relog::encode_with(&log, Compression::Lzss);
     assert_eq!(
         (packed.len(), Crc32::digest(&packed)),
-        (266_743, 0x5BC9_311A),
-        "RELOG004 bytes changed"
+        (265_344, 0x140D_130E),
+        "RELOG005 bytes changed"
     );
     // The pinned stream is a valid one: it decodes to the rendered log.
     assert_eq!(relog::decode(&packed).expect("decodes"), log);

@@ -1,13 +1,16 @@
 //! Round-trip property of the `.relog` codec: `decode(encode(log)) == log`
 //! for arbitrary [`RenderLog`]s — not just ones a well-behaved render
 //! produces. The generator below fills every field (events of every kind,
-//! texel runs, fragment-hash columns, stats counters, recorded geometry,
+//! texel runs, fragment-hash columns, stored counters, recorded geometry,
 //! flags) from a seeded stream, so the property covers extreme values (0,
-//! `u64::MAX` addresses, `u32::MAX` runs, empty and non-empty vectors) the
-//! renderer itself would never emit. Only what the reader checks is kept
-//! consistent: a tile's hash count is its `fragments_shaded`, its run
-//! counts sum to its `texel_fetches`, and every overlapped tile lies in
-//! the frame.
+//! `u64::MAX` addresses, `u32::MAX` runs, counters at their bounds, empty
+//! and non-empty vectors) the renderer itself would never emit. Only what
+//! the reader derives or checks is kept consistent: the counters a record
+//! implies are computed from it here ([`implied_tile_stats`],
+//! [`implied_geometry_stats`]), the stored ones stay inside their bounds,
+//! and every overlapped tile lies in the frame. A real-render test pins the
+//! same derivation against Stage A's own counters over every built-in
+//! scene.
 //!
 //! A second property pins the reason the codec exists: a report evaluated
 //! from a decoded log is bit-identical to one evaluated from the in-memory
@@ -18,9 +21,8 @@
 //! [`RelogReader::into_log`] agree (same log or same error) and never
 //! panic. Forged frames with valid CRCs but the wrong tile count, a
 //! primitive overlapping a tile outside the frame, an empty texel run, a
-//! texel unit no render uses, or a tile whose hash column or texel runs
-//! disagree with its counters, and headers with degenerate
-//! configurations, are errors too.
+//! texel unit no render uses, or a counter past its bound, and headers
+//! with degenerate configurations, are errors too.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression, RelogError, RelogReader};
@@ -34,15 +36,65 @@ use re_gpu::stats::{GeometryStats, TileStats};
 use re_gpu::{BinningMode, Event, GpuConfig};
 use re_math::{Mat4, Vec4};
 
-/// Fetches the texel runs among `events` hold.
-fn texel_fetches(events: &[Event]) -> u64 {
-    events
-        .iter()
-        .map(|e| match *e {
-            Event::Texel { count, .. } => u64::from(count),
-            _ => 0,
-        })
-        .sum()
+/// A tile's counters as its record implies them: `stored`'s four
+/// (`attr_interpolations`, `early_z_killed`, `fs_instr_slots`,
+/// `depth_accesses`) and the rest from its events and hash count.
+fn implied_tile_stats(stored: TileStats, events: &[Event], hashes: usize) -> TileStats {
+    let sum = |f: fn(&Event) -> Option<u32>| events.iter().filter_map(f).map(u64::from).sum();
+    let fragments_shaded = hashes as u64;
+    let color_bytes_flushed: u64 = sum(|e| match *e {
+        Event::ColorFlush { bytes, .. } => Some(bytes),
+        _ => None,
+    });
+    TileStats {
+        prims_processed: sum(|e| matches!(e, Event::ParamRead { .. }).then_some(1)),
+        param_bytes_read: sum(|e| match *e {
+            Event::ParamRead { bytes, .. } => Some(bytes),
+            _ => None,
+        }),
+        fragments_rasterized: fragments_shaded + stored.early_z_killed,
+        fragments_shaded,
+        texel_fetches: sum(|e| match *e {
+            Event::Texel { count, .. } => Some(count),
+            _ => None,
+        }),
+        blend_ops: fragments_shaded,
+        pixels_flushed: color_bytes_flushed / 4,
+        color_bytes_flushed,
+        ..stored
+    }
+}
+
+/// A frame's geometry counters as its record implies them: `stored`'s two
+/// (`vs_instr_slots`, `prims_from_clipping`) and the rest from its
+/// geometry events and recorded primitives.
+fn implied_geometry_stats(
+    stored: GeometryStats,
+    drawcalls: &[DrawcallGeometry],
+    events: &[Event],
+) -> GeometryStats {
+    let sum = |f: fn(&Event) -> Option<u32>| events.iter().filter_map(f).map(u64::from).sum();
+    let vertices_fetched: u64 = sum(|e| matches!(e, Event::VertexFetch { .. }).then_some(1));
+    let prims = || drawcalls.iter().flat_map(|dc| &dc.prims);
+    let prims_in = vertices_fetched / 3;
+    let prims_binned = prims().count() as u64;
+    GeometryStats {
+        vertices_fetched,
+        vertices_shaded: vertices_fetched,
+        prims_in,
+        prims_culled: prims_in + stored.prims_from_clipping - prims_binned,
+        prims_binned,
+        prim_tile_pairs: prims().map(|p| p.overlapped_tiles.len() as u64).sum(),
+        param_bytes_written: sum(|e| match *e {
+            Event::ParamWrite { bytes, .. } => Some(bytes),
+            _ => None,
+        }),
+        vertex_bytes_fetched: sum(|e| match *e {
+            Event::VertexFetch { bytes, .. } => Some(bytes),
+            _ => None,
+        }),
+        ..stored
+    }
 }
 
 /// Deterministic value stream (splitmix64) for building arbitrary logs.
@@ -61,6 +113,14 @@ impl Stream {
     }
     fn below(&mut self, n: u64) -> u64 {
         self.u64() % n.max(1)
+    }
+    /// A value in `0..=max`, often one of the two ends.
+    fn upto(&mut self, max: u64) -> u64 {
+        match self.below(4) {
+            0 => 0,
+            1 => max,
+            _ => self.below(max.saturating_add(1)),
+        }
     }
     /// Mixes ordinary magnitudes with boundary values.
     fn wild(&mut self) -> u64 {
@@ -115,86 +175,104 @@ impl Stream {
     fn bytes(&mut self, max: u64) -> Vec<u8> {
         (0..self.below(max)).map(|_| self.u64() as u8).collect()
     }
-    /// Recorded geometry whose primitives overlap tiles of a `tiles`-tile
-    /// frame, as the reader requires; every other field is arbitrary.
-    fn geometry(&mut self, tiles: usize) -> FrameGeometry {
-        FrameGeometry {
-            drawcalls: (0..self.below(3))
-                .map(|_| DrawcallGeometry {
-                    constants_bytes: self.bytes(48),
-                    prims: (0..self.below(4))
-                        .map(|_| PrimGeometry {
-                            param_bytes: self.bytes(64),
-                            overlapped_tiles: (0..self.below(8))
-                                .map(|_| self.below(tiles as u64) as u32)
-                                .collect(),
-                        })
-                        .collect(),
-                })
-                .collect(),
-            stats: self.geometry_stats(),
-        }
+    /// Drawcalls whose primitives overlap tiles of a `tiles`-tile frame, as
+    /// the reader requires; every other field is arbitrary.
+    fn drawcalls(&mut self, tiles: usize) -> Vec<DrawcallGeometry> {
+        (0..self.below(3))
+            .map(|_| DrawcallGeometry {
+                constants_bytes: self.bytes(48),
+                prims: (0..self.below(4))
+                    .map(|_| PrimGeometry {
+                        param_bytes: self.bytes(64),
+                        overlapped_tiles: (0..self.below(8))
+                            .map(|_| self.below(tiles as u64) as u32)
+                            .collect(),
+                    })
+                    .collect(),
+            })
+            .collect()
     }
-    fn geometry_stats(&mut self) -> GeometryStats {
-        GeometryStats {
-            vertices_fetched: self.wild(),
-            vertices_shaded: self.wild(),
-            vs_instr_slots: self.wild(),
-            prims_in: self.wild(),
-            prims_culled: self.wild(),
-            prims_from_clipping: self.wild(),
-            prims_binned: self.wild(),
-            prim_tile_pairs: self.wild(),
-            param_bytes_written: self.wild(),
-            vertex_bytes_fetched: self.wild(),
+    /// A tile of at most `area` pixels: arbitrary events whose color
+    /// flushes cover at most `area` pixels, at most as many hashes as its
+    /// primitives can shade, and stored counters inside their bounds.
+    fn tile(&mut self, area: u64) -> TileLog {
+        let mut events = self.events(16);
+        let mut flushed = 0;
+        for e in &mut events {
+            if let Event::ColorFlush { bytes, .. } = e {
+                *bytes = u64::from(*bytes).min(4 * area - flushed) as u32;
+                flushed += u64::from(*bytes);
+            }
         }
-    }
-    fn tile_stats(&mut self) -> TileStats {
-        TileStats {
-            prims_processed: self.wild(),
-            param_bytes_read: self.wild(),
-            fragments_rasterized: self.wild(),
-            attr_interpolations: self.wild(),
-            early_z_killed: self.wild(),
-            fragments_shaded: self.wild(),
-            fs_instr_slots: self.wild(),
-            texel_fetches: self.wild(),
-            blend_ops: self.wild(),
-            depth_accesses: self.wild(),
-            pixels_flushed: self.wild(),
-            color_bytes_flushed: self.wild(),
-        }
-    }
-    /// A tile whose hash column and texel runs agree with its counters,
-    /// as the reader requires; every other field is arbitrary.
-    fn tile(&mut self) -> TileLog {
-        let events = self.events(16);
-        let hashes: Vec<u32> = (0..self.below(24)).map(|_| self.u32()).collect();
-        let mut stats = self.tile_stats();
-        stats.fragments_shaded = hashes.len() as u64;
-        stats.texel_fetches = texel_fetches(&events);
+        let prims = events
+            .iter()
+            .filter(|e| matches!(e, Event::ParamRead { .. }))
+            .count() as u64;
+        let room = prims * area;
+        let hashes: Vec<u32> = (0..self.below(24.min(room) + 1))
+            .map(|_| self.u32())
+            .collect();
+        let shaded = hashes.len() as u64;
+        let early_z_killed = self.upto(room - shaded);
+        let rasterized = shaded + early_z_killed;
+        let stored = TileStats {
+            attr_interpolations: self.upto(256 * rasterized),
+            early_z_killed,
+            fs_instr_slots: self.upto(u64::from(u32::MAX) * shaded),
+            depth_accesses: self.upto(2 * rasterized),
+            ..TileStats::default()
+        };
         TileLog {
+            stats: implied_tile_stats(stored, &events, hashes.len()),
             events,
             hashes,
-            stats,
             color_id: self.u32(),
             te_sig: self.u32(),
-            color_bytes: self.wild(),
         }
     }
-    fn frame(&mut self, tiles: usize) -> FrameLog {
+    /// A frame of `tiles` tiles of at most `area` pixels: enough vertex
+    /// fetches among its geometry events to have assembled its recorded
+    /// primitives, and stored counters inside their bounds.
+    fn frame(&mut self, tiles: usize, area: u64) -> FrameLog {
+        let drawcalls = self.drawcalls(tiles);
+        let binned = drawcalls
+            .iter()
+            .map(|dc| dc.prims.len() as u64)
+            .sum::<u64>();
+        let mut geo_events = self.events(12);
+        let fetched = |es: &[Event]| {
+            es.iter()
+                .filter(|e| matches!(e, Event::VertexFetch { .. }))
+                .count() as u64
+        };
+        while fetched(&geo_events) < 3 * binned.div_ceil(3) {
+            let (addr, bytes) = self.extent();
+            geo_events.push(Event::VertexFetch { addr, bytes });
+        }
+        let vertices = fetched(&geo_events);
+        let prims_in = vertices / 3;
+        let clipped = binned.saturating_sub(prims_in);
+        let stored = GeometryStats {
+            vs_instr_slots: self.upto(u64::from(u32::MAX) * vertices),
+            prims_from_clipping: clipped + self.upto(2 * prims_in - clipped),
+            ..GeometryStats::default()
+        };
         FrameLog {
             re_unsafe: self.below(2) == 1,
-            geo: self.geometry(tiles),
-            geo_events: self.events(12),
-            tiles: (0..tiles).map(|_| self.tile()).collect(),
+            geo: FrameGeometry {
+                stats: implied_geometry_stats(stored, &drawcalls, &geo_events),
+                drawcalls,
+            },
+            geo_events,
+            tiles: (0..tiles).map(|_| self.tile(area)).collect(),
         }
     }
 }
 
 /// An arbitrary log: the geometry/tile structure need not be mutually
-/// consistent — the codec must carry it regardless. Only the tile count
-/// follows the configuration, because the reader checks it: each frame
+/// consistent — the codec must carry it regardless. Besides the counters
+/// ([`Stream::frame`], [`Stream::tile`]), only the tile count follows the
+/// configuration, because the reader checks it: each frame
 /// holds `tiles` tiles (at least one), a row of `tile_size` tiles whose
 /// last one may be partial, and its primitives overlap only those.
 fn arbitrary_log(seed: u64, frames: usize, tiles: usize) -> RenderLog {
@@ -211,7 +289,9 @@ fn arbitrary_log(seed: u64, frames: usize, tiles: usize) -> RenderLog {
     RenderLog {
         name: names[s.below(names.len() as u64) as usize].to_owned(),
         config,
-        frames: (0..frames).map(|_| s.frame(tiles)).collect(),
+        frames: (0..frames)
+            .map(|_| s.frame(tiles, u64::from(tile_size).pow(2)))
+            .collect(),
     }
 }
 
@@ -310,11 +390,12 @@ fn primitives_overlapping_a_tile_outside_the_frame_are_rejected() {
         assert_eq!(whole, expected);
         assert_eq!(streamed, expected);
     }
-    // The last tile in the frame is a valid one.
+    // The last tile in the frame is a valid one (and one more pair).
     let mut last = log.clone();
     last.frames[2].geo.drawcalls[0].prims[0]
         .overlapped_tiles
         .push(7);
+    last.frames[2].geo.stats.prim_tile_pairs += 1;
     assert_eq!(relog::decode(&relog::encode(&last)).expect("decode"), last);
 }
 
@@ -357,23 +438,35 @@ fn accesses_ending_at_the_top_of_the_address_space_decode_and_evaluate() {
         ..Default::default()
     };
     let mut log = render_scene(&mut Wob(2), cfg, 3);
+    // A tile's last color flush and a frame's last vertex fetch move to
+    // the top of the address space (keeping their byte counts, so the
+    // counters they imply), and a texel run reads the top byte.
     let tile = &mut log.frames[1].tiles[3];
-    tile.events.extend([
-        Event::ColorFlush {
-            addr: u64::MAX - 64,
-            bytes: 64,
-        },
-        Event::Texel {
-            unit: 0,
-            count: 3,
-            addr: u64::MAX,
-        },
-    ]);
-    tile.stats.texel_fetches += 3;
-    log.frames[1].geo_events.push(Event::VertexFetch {
-        addr: u64::MAX - 10,
-        bytes: 10,
+    let last = |e: &&mut Event, flush: bool| {
+        matches!(
+            (e, flush),
+            (Event::ColorFlush { .. }, true) | (Event::VertexFetch { .. }, false)
+        )
+    };
+    if let Some(Event::ColorFlush { addr, bytes }) =
+        tile.events.iter_mut().rev().find(|e| last(e, true))
+    {
+        *addr = u64::MAX - u64::from(*bytes);
+    }
+    tile.events.push(Event::Texel {
+        unit: 0,
+        count: 3,
+        addr: u64::MAX,
     });
+    tile.stats.texel_fetches += 3;
+    if let Some(Event::VertexFetch { addr, bytes }) = log.frames[1]
+        .geo_events
+        .iter_mut()
+        .rev()
+        .find(|e| last(e, false))
+    {
+        *addr = u64::MAX - u64::from(*bytes);
+    }
     let back = relog::decode(&relog::encode(&log)).expect("decode");
     assert_eq!(back, log);
     let opts = SimOptions {
@@ -454,48 +547,33 @@ fn first_run(log: &mut RenderLog) -> &mut Event {
 #[test]
 fn forged_texel_runs_and_hash_columns_are_rejected() {
     let log = textured_log();
-    let tile = &log.frames[1].tiles[2];
-    let (shaded, fetched) = (tile.stats.fragments_shaded, tile.stats.texel_fetches);
 
-    // A run of no fetches, with the tile's count kept consistent.
+    // A run of no fetches.
     let mut empty = log.clone();
     if let Event::Texel { count, .. } = first_run(&mut empty) {
-        let n = u64::from(std::mem::replace(count, 0));
-        empty.frames[1].tiles[2].stats.texel_fetches -= n;
+        *count = 0;
     }
     // A fifth texture unit.
     let mut unit = log.clone();
     if let Event::Texel { unit: u, .. } = first_run(&mut unit) {
         *u = TEXEL_UNITS;
     }
-    // One hash too many.
+    // One hash more than the tile's primitives can shade in its 256
+    // pixels.
     let mut hashes = log.clone();
-    hashes.frames[1].tiles[2].hashes.push(7);
-    // One fetch more in a run than the tile counts.
-    let mut fetches = log.clone();
-    if let Event::Texel { count, .. } = first_run(&mut fetches) {
-        *count += 1;
-    }
+    let tile = &mut hashes.frames[1].tiles[2];
+    let room = tile.stats.prims_processed * 256 - tile.stats.fragments_rasterized;
+    tile.hashes.extend((0..=room).map(|h| h as u32));
 
     for (forged, expected) in [
         (empty, RelogError::EmptyTexelRun),
         (unit, RelogError::BadTexelUnit { unit: TEXEL_UNITS }),
         (
             hashes,
-            RelogError::BadHashCount {
+            RelogError::BadCounter {
                 frame: 1,
-                tile: 2,
-                expected: shaded,
-                found: shaded + 1,
-            },
-        ),
-        (
-            fetches,
-            RelogError::BadTexelFetches {
-                frame: 1,
-                tile: 2,
-                expected: fetched,
-                found: fetched + 1,
+                tile: Some(2),
+                counter: "fragments_rasterized",
             },
         ),
     ] {
@@ -507,11 +585,136 @@ fn forged_texel_runs_and_hash_columns_are_rejected() {
     assert_eq!(relog::decode(&relog::encode(&log)).expect("decode"), log);
 }
 
+/// Both entry points' log for `bytes`, which must agree.
+fn decoded(bytes: &[u8]) -> RenderLog {
+    let whole = relog::decode(bytes).expect("decode");
+    let streamed = RelogReader::new(bytes)
+        .and_then(RelogReader::into_log)
+        .expect("stream");
+    assert_eq!(whole, streamed);
+    whole
+}
+
+/// Sets one bounded counter of a [`textured_log`] (frame 1, tile 2 for a
+/// tile counter) to its bound plus the second argument, keeping every
+/// counter derived from it consistent.
+type BoundEdit = fn(&mut RenderLog, u64);
+
+#[test]
+fn counters_are_accepted_at_their_bound_and_rejected_past_it() {
+    // 16-pixel tiles: 256 pixels each.
+    const AREA: u64 = 256;
+    const SLOTS: u64 = u32::MAX as u64;
+    let log = textured_log();
+    let rows: [(&str, Option<u32>, BoundEdit); 8] = [
+        // The four stored tile counters; `early_z_killed` is bounded
+        // through the fragments it adds to the rasterized ones.
+        ("fragments_rasterized", Some(2), |log, past| {
+            let s = &mut log.frames[1].tiles[2].stats;
+            s.early_z_killed = s.prims_processed * AREA - s.fragments_shaded + past;
+            s.fragments_rasterized = s.fragments_shaded + s.early_z_killed;
+        }),
+        ("depth_accesses", Some(2), |log, past| {
+            let s = &mut log.frames[1].tiles[2].stats;
+            s.depth_accesses = 2 * s.fragments_rasterized + past;
+        }),
+        ("attr_interpolations", Some(2), |log, past| {
+            let s = &mut log.frames[1].tiles[2].stats;
+            s.attr_interpolations = 256 * s.fragments_rasterized + past;
+        }),
+        ("fs_instr_slots", Some(2), |log, past| {
+            let s = &mut log.frames[1].tiles[2].stats;
+            s.fs_instr_slots = SLOTS * s.fragments_shaded + past;
+        }),
+        // The two stored geometry counters.
+        ("vs_instr_slots", None, |log, past| {
+            let g = &mut log.frames[1].geo.stats;
+            g.vs_instr_slots = SLOTS * g.vertices_shaded + past;
+        }),
+        ("prims_from_clipping", None, |log, past| {
+            let g = &mut log.frames[1].geo.stats;
+            g.prims_from_clipping = 2 * g.prims_in + past;
+            g.prims_culled = (g.prims_in + g.prims_from_clipping).saturating_sub(g.prims_binned);
+        }),
+        // Two derived counters the record could push past their bounds:
+        // flushed pixels (the tile is full) and binned primitives.
+        ("pixels_flushed", Some(2), |log, past| {
+            let t = &mut log.frames[1].tiles[2];
+            assert_eq!(t.stats.pixels_flushed, AREA);
+            t.events.push(Event::ColorFlush {
+                addr: 0,
+                bytes: 4 * past as u32,
+            });
+            t.stats.pixels_flushed += past;
+            t.stats.color_bytes_flushed += 4 * past;
+        }),
+        ("prims_binned", None, |log, past| {
+            let frame = &mut log.frames[1];
+            let g = &mut frame.geo.stats;
+            g.prims_from_clipping = g.prims_binned - g.prims_in;
+            g.prims_culled = 0;
+            g.prims_binned += past;
+            let prims = &mut frame.geo.drawcalls[0].prims;
+            let prim = prims[0].clone();
+            g.prim_tile_pairs += past * prim.overlapped_tiles.len() as u64;
+            prims.extend((0..past).map(|_| prim.clone()));
+        }),
+    ];
+    for (counter, tile, edit) in rows {
+        let mut at = log.clone();
+        edit(&mut at, 0);
+        assert_eq!(decoded(&relog::encode(&at)), at, "{counter} at its bound");
+        let mut past = log.clone();
+        edit(&mut past, 1);
+        let expected = RelogError::BadCounter {
+            frame: 1,
+            tile,
+            counter,
+        };
+        let (whole, streamed) = errors(&relog::encode(&past));
+        assert_eq!(whole, expected, "{counter} past its bound");
+        assert_eq!(streamed, expected, "{counter} past its bound");
+    }
+}
+
+#[test]
+fn every_built_in_scene_implies_the_counters_it_does_not_store() {
+    // Stage A's own counters against the decoder's derivation, over every
+    // suite and vector scene at two tile sizes and both binnings.
+    let aliases = re_workloads::ALIASES
+        .iter()
+        .chain(&re_workloads::source::VECTOR_ALIASES);
+    for alias in aliases {
+        for tile_size in [16, 32] {
+            for binning in [BinningMode::BoundingBox, BinningMode::ExactCoverage] {
+                let cfg = GpuConfig {
+                    width: 96,
+                    height: 64,
+                    tile_size,
+                    binning,
+                };
+                let mut scene = re_workloads::source::builtin_scene(alias).expect("built in");
+                let log = render_scene(scene.as_mut(), cfg, 4);
+                let label = format!("{alias} tile {tile_size} {binning:?}");
+                let back =
+                    relog::decode(&relog::encode(&log)).unwrap_or_else(|e| panic!("{label}: {e}"));
+                for (f, (a, b)) in back.frames.iter().zip(&log.frames).enumerate() {
+                    assert_eq!(a.geo.stats, b.geo.stats, "{label} frame {f}");
+                    for (t, (x, y)) in a.tiles.iter().zip(&b.tiles).enumerate() {
+                        assert_eq!(x.stats, y.stats, "{label} frame {f} tile {t}");
+                    }
+                }
+                assert!(back == log, "{label}");
+            }
+        }
+    }
+}
+
 #[test]
 fn a_retired_revision_is_rejected_by_its_magic() {
     let mut bytes = relog::encode(&textured_log());
-    assert_eq!(&bytes[..8], b"RELOG004");
-    for old in [b'2', b'3'] {
+    assert_eq!(&bytes[..8], b"RELOG005");
+    for old in [b'2', b'3', b'4'] {
         bytes[7] = old;
         let (whole, streamed) = errors(&bytes);
         assert_eq!(whole, RelogError::BadMagic);

@@ -438,10 +438,10 @@ mod tests {
         let key3 = key_of(3);
 
         // Retired format revisions: the same artifact under the old
-        // `RELOG001`, `RELOG002` or `RELOG003` magic is a miss. (A
-        // frame-corrupt artifact still hits here; its decode fails and the
-        // key re-renders, see `tests/render_once.rs`.)
-        for old in [b'1', b'2', b'3'] {
+        // `RELOG001` to `RELOG004` magic is a miss. (A frame-corrupt
+        // artifact still hits here; its decode fails and the key
+        // re-renders, see `tests/render_once.rs`.)
+        for old in [b'1', b'2', b'3', b'4'] {
             let path = cache
                 .store(&key3, &log_for(&key3))
                 .expect("store")

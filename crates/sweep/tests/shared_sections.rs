@@ -273,7 +273,7 @@ fn a_forged_texel_run_or_hash_column_is_re_rendered() {
             ("an empty texel run", |log| {
                 let (tile, at) = first_run(log);
                 if let re_gpu::Event::Texel { count, .. } = &mut tile.events[at] {
-                    tile.stats.texel_fetches -= u64::from(std::mem::replace(count, 0));
+                    *count = 0;
                 }
             }),
             ("a fifth texture unit", |log| {
@@ -282,20 +282,29 @@ fn a_forged_texel_run_or_hash_column_is_re_rendered() {
                     *unit = 4;
                 }
             }),
-            ("a missing fragment hash", |log| {
+            ("more hashes than a tile's primitives can shade", |log| {
+                let area = u64::from(log.config.tile_size).pow(2);
                 let tile = log.frames[1]
                     .tiles
                     .iter_mut()
                     .find(|t| !t.hashes.is_empty())
                     .expect("ccs shades fragments");
-                tile.hashes.pop();
-            }),
-            ("a run longer than the tile's fetches", |log| {
-                let (tile, at) = first_run(log);
-                if let re_gpu::Event::Texel { count, .. } = &mut tile.events[at] {
-                    *count += 1;
-                }
+                let room = tile.stats.prims_processed * area - tile.stats.fragments_rasterized;
+                tile.hashes.extend((0..=room).map(|h| h as u32));
             }),
         ],
+    );
+}
+
+#[test]
+fn a_forged_counter_is_re_rendered() {
+    // Every tile of frame 1 claims `u64::MAX` fragment-shader slots.
+    assert_forgeries_re_render(
+        "counter",
+        &[("u64::MAX fragment-shader slots in every tile", |log| {
+            for tile in &mut log.frames[1].tiles {
+                tile.stats.fs_instr_slots = u64::MAX;
+            }
+        })],
     );
 }
