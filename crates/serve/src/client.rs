@@ -1,13 +1,13 @@
 //! The daemon client: `sweep client --addr HOST:PORT <verb> …`, plus the
-//! library calls (`submit`/`status`/`cells`/[`watch_job`]) other drivers
-//! — the `sweep fleet` daemon backend — build on.
+//! library calls (`submit`/`status`/`watch`/`cells`/[`watch_job`]) other
+//! drivers — the `sweep fleet` daemon backend — build on.
 //!
 //! A thin cover over the wire protocol (see [`crate::proto`]): each verb
 //! sends one request frame and prints the response. `submit` reuses the
 //! `sweep run` flag grammar — everything `re_sweep::cli` accepts for a
 //! one-shot run describes the grid here (`--shard K/N` included) — and
-//! `--wait` blocks until the daemon finishes the job, exiting nonzero if
-//! it failed.
+//! `--wait` follows the job's `watch` stream on the submit connection
+//! until the daemon finishes it, exiting nonzero if it failed.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::TcpStream;
@@ -17,7 +17,7 @@ use std::time::Duration;
 use re_sweep::json::Json;
 use re_sweep::{CellRecord, ExperimentGrid, ShardSpec};
 
-use crate::proto::{read_frame, write_frame, Request, Response};
+use crate::proto::{low_latency, read_frame, write_frame, Request, Response};
 
 /// What a successful `submit` returned.
 #[derive(Debug, Clone)]
@@ -63,6 +63,7 @@ impl Client {
     /// Connection failures.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        low_latency(&stream)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
@@ -187,6 +188,54 @@ impl Client {
             }
         }
     }
+
+    /// Follows job `job`'s `watch` stream on this connection, handing
+    /// each event to `sink`, until the daemon's `done` trailer (the job
+    /// has finished, failed or not: ask `status` which). The connection
+    /// stays frame-aligned and reusable afterwards.
+    ///
+    /// # Errors
+    /// I/O failures (a connection closed before the trailer is
+    /// [`io::ErrorKind::UnexpectedEof`]); a daemon error frame (unknown
+    /// job) surfaces as [`io::ErrorKind::Other`] with its message.
+    pub fn watch(&mut self, job: u64, sink: &mut dyn FnMut(&Json)) -> io::Result<()> {
+        match self.follow_watch(job, sink) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("watch: daemon closed job {job}'s stream before it was done"),
+            )),
+            Err(WatchFailure::Daemon(e)) => Err(io::Error::other(format!("watch: {e}"))),
+            Err(WatchFailure::Stream(e)) => Err(e),
+        }
+    }
+
+    /// Sends `watch` and delivers the stream's events to `sink`:
+    /// `Ok(true)` on the `done` trailer, `Ok(false)` on a quiet EOF
+    /// (connection closed with the job still going).
+    fn follow_watch(
+        &mut self,
+        job: u64,
+        sink: &mut dyn FnMut(&Json),
+    ) -> Result<bool, WatchFailure> {
+        write_frame(&mut self.writer, &Request::Watch { job }.to_json())
+            .map_err(WatchFailure::Stream)?;
+        loop {
+            match self.read_response() {
+                Ok(Response::Ok(fields)) => {
+                    if fields.iter().any(|(k, _)| k == "done") {
+                        return Ok(true);
+                    }
+                    if let Some((_, event)) = fields.iter().find(|(k, _)| k == "event") {
+                        sink(event);
+                    }
+                }
+                Ok(Response::Err(e)) => return Err(WatchFailure::Daemon(e)),
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+                Err(e) => return Err(WatchFailure::Stream(e)),
+            }
+        }
+    }
 }
 
 /// How long [`watch_job`] sleeps between reconnect attempts.
@@ -221,7 +270,7 @@ pub fn watch_job(addr: &str, job: u64, sink: &mut dyn FnMut(&Json)) -> Result<()
             Ok(true) => return Ok(()),
             Ok(false) => {}
             Err(WatchFailure::Daemon(e)) => return Err(e),
-            Err(WatchFailure::Stream(e)) => last_error = e,
+            Err(WatchFailure::Stream(e)) => last_error = e.to_string(),
         }
         quiet = if seen > before { 0 } else { quiet + 1 };
         if quiet >= WATCH_MAX_QUIET {
@@ -238,7 +287,7 @@ enum WatchFailure {
     /// The daemon rejected the watch (unknown job) — not retryable.
     Daemon(String),
     /// The connection failed or closed early — reconnect and resume.
-    Stream(String),
+    Stream(io::Error),
 }
 
 /// One watch connection: delivers events past `*seen` to `sink`,
@@ -250,32 +299,18 @@ fn watch_attempt(
     seen: &mut usize,
     sink: &mut dyn FnMut(&Json),
 ) -> Result<bool, WatchFailure> {
-    let stream = |e: io::Error| WatchFailure::Stream(e.to_string());
-    let mut client = Client::connect(addr).map_err(stream)?;
-    write_frame(&mut client.writer, &Request::Watch { job }.to_json()).map_err(stream)?;
+    let mut client = Client::connect(addr).map_err(WatchFailure::Stream)?;
     // The daemon replays the buffer from the start on every connection;
     // `index` counts this connection's frames so replayed events are
     // delivered to `sink` only once across reconnects.
     let mut index = 0usize;
-    loop {
-        match client.read_response() {
-            Ok(Response::Ok(fields)) => {
-                if fields.iter().any(|(k, _)| k == "done") {
-                    return Ok(true);
-                }
-                if let Some((_, event)) = fields.iter().find(|(k, _)| k == "event") {
-                    if index >= *seen {
-                        sink(event);
-                        *seen = index + 1;
-                    }
-                    index += 1;
-                }
-            }
-            Ok(Response::Err(e)) => return Err(WatchFailure::Daemon(e)),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
-            Err(e) => return Err(stream(e)),
+    client.follow_watch(job, &mut |event| {
+        if index >= *seen {
+            sink(event);
+            *seen = index + 1;
         }
-    }
+        index += 1;
+    })
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -400,35 +435,48 @@ fn submit(addr: &str, args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Poll until the daemon finishes the job.
-    loop {
-        std::thread::sleep(Duration::from_millis(100));
-        let status = match client.request(&Request::Status { job }) {
-            Ok(Response::Ok(fields)) => Response::Ok(fields),
-            Ok(Response::Err(e)) => return fail(&e),
-            Err(e) => return fail(&format!("status: {e}")),
-        };
-        match status.field("state").and_then(Json::as_str) {
-            Some("done") => {
-                // A done job always carries its count; a missing one must
-                // not read as 0, which would pass CI's warm-dedup grep.
-                let Some(rasters) = status.field("rasters").and_then(Json::as_u64) else {
-                    return fail(&format!("job {job} is done but reports no raster count"));
-                };
-                // The daemon-side analog of the one-shot CLI's raster
-                // line (CI greps for it to pin warm-cache dedup).
-                eprintln!("[sweep client] job {job} raster invocations: {rasters}");
-                println!("{job}");
-                return ExitCode::SUCCESS;
-            }
-            Some("failed") => {
-                let why = status
-                    .field("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error");
-                return fail(&format!("job {job} failed: {why}"));
-            }
-            _ => {}
+    // The watch stream ends once the daemon has set the job's final
+    // state, so one `status` afterwards reads it.
+    if let Err(e) = client.watch(job, &mut |_| {}) {
+        return fail(&e.to_string());
+    }
+    let status = match client.status(job) {
+        Ok(s) => s,
+        Err(e) => return fail(&e.to_string()),
+    };
+    match status.state.as_str() {
+        "done" => {
+            // A done job always carries its count; a missing one must
+            // not read as 0, which would pass CI's warm-dedup grep.
+            let Some(rasters) = status.rasters else {
+                return fail(&format!("job {job} is done but reports no raster count"));
+            };
+            // The daemon-side analog of the one-shot CLI's raster
+            // line (CI greps for it to pin warm-cache dedup).
+            eprintln!("[sweep client] job {job} raster invocations: {rasters}");
+            println!("{job}");
+            ExitCode::SUCCESS
         }
+        "failed" => fail(&format!(
+            "job {job} failed: {}",
+            status.error.as_deref().unwrap_or("unknown error")
+        )),
+        other => fail(&format!(
+            "job {job} is {other} after its watch stream ended"
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_connected_client_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client =
+            Client::connect(&listener.local_addr().expect("addr").to_string()).expect("connect");
+        assert!(client.writer.get_ref().nodelay().expect("read nodelay"));
     }
 }

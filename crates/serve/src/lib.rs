@@ -16,7 +16,7 @@
 //!   stores under one root, graceful drain;
 //! * [`client`] — the `sweep client` verbs (`submit`, `status`, `watch`,
 //!   `report`, `csv`, `metrics`, `ping`, `shutdown`) and the library
-//!   calls (`Client::submit`/`status`/`cells`, [`client::watch_job`])
+//!   calls (`Client::submit`/`status`/`watch`/`cells`, [`client::watch_job`])
 //!   the `sweep fleet` daemon backend drives;
 //! * [`sig`] — SIGINT/SIGTERM to a clean flush, shared with `sweep run`.
 //!

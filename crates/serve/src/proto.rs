@@ -12,6 +12,12 @@
 //! crash or a silent drop. The full schema lives in `docs/SERVING.md` and
 //! `docs/FORMATS.md`.
 //!
+//! Both ends set `TCP_NODELAY` (`low_latency`) and write every frame
+//! whole: a reply is flushed at once, a stream once per batch. Without
+//! it, Nagle's algorithm would hold each later frame of a stream until
+//! the peer's delayed ACK (about 40 ms on Linux), since the peer sends
+//! nothing back mid-stream.
+//!
 //! Grids travel as `{"frames","width","height","axes":{name: "list"}}`,
 //! with each axis list in the exact string form its CLI flag takes
 //! ([`re_sweep::axis`] `parse_list`/`format_value`), so a grid
@@ -19,6 +25,7 @@
 //! fingerprint the client's one-shot run would.
 
 use std::io::{self, BufRead};
+use std::net::TcpStream;
 
 use re_sweep::axis::{self, AXES};
 use re_sweep::json::Json;
@@ -329,13 +336,52 @@ fn lossy(buf: Vec<u8>) -> String {
     String::from_utf8_lossy(&buf).into_owned()
 }
 
-/// Writes `json` as one frame.
+/// Writes `json` as one frame and flushes it.
 ///
 /// # Errors
 /// I/O errors.
 pub fn write_frame(dst: &mut impl io::Write, json: &Json) -> io::Result<()> {
+    write_frame_unflushed(dst, json)?;
+    dst.flush()
+}
+
+/// Writes `json` as one frame without flushing: a stream writes a batch
+/// of frames and flushes once, so the batch leaves in as few segments as
+/// it fits.
+///
+/// # Errors
+/// I/O errors.
+pub(crate) fn write_frame_unflushed(dst: &mut impl io::Write, json: &Json) -> io::Result<()> {
     let mut line = json.to_string();
     line.push('\n');
-    dst.write_all(line.as_bytes())?;
-    dst.flush()
+    dst.write_all(line.as_bytes())
+}
+
+/// Sets `TCP_NODELAY` on `stream`, so a flushed frame leaves at once
+/// instead of waiting for the peer's ACK of the previous one (see the
+/// module docs). Every frame is written whole, so Nagle's coalescing has
+/// nothing to save. The client and the daemon call this on every
+/// connection before its first frame.
+///
+/// # Errors
+/// Socket option failures.
+pub(crate) fn low_latency(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn low_latency_sets_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connected = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        for stream in [&connected, &accepted] {
+            low_latency(stream).expect("set nodelay");
+            assert!(stream.nodelay().expect("read nodelay"));
+        }
+    }
 }

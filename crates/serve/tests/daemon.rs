@@ -10,7 +10,6 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use re_serve::proto::{read_frame, write_frame};
 use re_serve::{Client, Daemon, Request, Response, ServeConfig, MAX_LINE};
@@ -51,8 +50,9 @@ fn small_grid() -> ExperimentGrid {
     grid
 }
 
-/// Submits `grid` and polls until the job completes; returns
-/// `(job id, raster invocations the daemon attributed to it)`.
+/// Submits `grid` and follows its `watch` stream until the job
+/// completes; returns `(job id, raster invocations the daemon attributed
+/// to it)`.
 fn submit_and_wait(addr: &str, grid: &ExperimentGrid) -> (u64, u64) {
     let mut client = Client::connect(addr).expect("connect");
     let response = client
@@ -65,23 +65,19 @@ fn submit_and_wait(addr: &str, grid: &ExperimentGrid) -> (u64, u64) {
         .field("job")
         .and_then(Json::as_u64)
         .expect("job id in submit response");
-    loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let status = client.request(&Request::Status { job }).expect("status");
-        match status.field("state").and_then(Json::as_str) {
-            Some("done") => {
-                let rasters = status
-                    .field("rasters")
-                    .and_then(Json::as_u64)
-                    .expect("done job reports rasters");
-                return (job, rasters);
-            }
-            Some("failed") => panic!(
-                "job {job} failed: {:?}",
-                status.field("error").and_then(Json::as_str)
-            ),
-            _ => {}
-        }
+    client.watch(job, &mut |_| {}).expect("watch");
+    let status = client.request(&Request::Status { job }).expect("status");
+    match status.field("state").and_then(Json::as_str) {
+        Some("done") => status
+            .field("rasters")
+            .and_then(Json::as_u64)
+            .map(|rasters| (job, rasters))
+            .expect("done job reports rasters"),
+        Some("failed") => panic!(
+            "job {job} failed: {:?}",
+            status.field("error").and_then(Json::as_str)
+        ),
+        other => panic!("job {job} is {other:?} after its watch stream ended"),
     }
 }
 
@@ -282,15 +278,15 @@ fn sharded_submissions_merge_to_the_unsharded_csv() {
             shard_plan.cell_count(),
             "daemon must accept the shard, not the whole grid"
         );
-        let snapshot = loop {
-            std::thread::sleep(Duration::from_millis(20));
-            let s = client.status(outcome.job).expect("status");
-            match s.state.as_str() {
-                "done" => break s,
-                "failed" => panic!("shard job failed: {:?}", s.error),
-                _ => {}
-            }
-        };
+        client
+            .watch(outcome.job, &mut |_| {})
+            .expect("watch shard job");
+        let snapshot = client.status(outcome.job).expect("status");
+        assert_eq!(
+            snapshot.state, "done",
+            "shard job failed: {:?}",
+            snapshot.error
+        );
         assert_eq!(
             snapshot.done as usize,
             shard_plan.cell_count(),
@@ -360,14 +356,15 @@ fn draining_daemon_rejects_new_submissions() {
 fn submit_wait_fails_on_a_done_job_without_a_raster_count() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
-    // A fake daemon: accepts the submission, then reports it done with no
-    // `rasters` field.
+    // A fake daemon: accepts the submission, ends its watch stream, then
+    // reports it done with no `rasters` field.
     let fake = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
         for reply in [
             r#"{"ok":true,"job":7,"cells":1,"render_jobs":1,"cached_jobs":0}"#,
+            r#"{"ok":true,"done":true}"#,
             r#"{"ok":true,"job":7,"state":"done","cells":1,"done":1}"#,
         ] {
             read_frame(&mut reader).expect("read").expect("a request");
