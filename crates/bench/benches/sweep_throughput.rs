@@ -105,7 +105,9 @@ fn bench_render_grouping(c: &mut Criterion) {
 /// The interesting number is the speedup at each budget relative to 1 —
 /// chunking is embarrassingly parallel across frames, so the curve should
 /// approach linear until memory bandwidth or the serial stitch tail
-/// dominates (Amdahl: stitching re-interns every tile record).
+/// dominates (Amdahl: stitching re-interns every tile record). Frame
+/// chunks are Stage A's only fan-out, so a budget past the key's 16
+/// frames adds no threads.
 ///
 /// CI caveat: shared runners virtualize cores and throttle unpredictably,
 /// so the absolute cells/s and even the scaling ratio are only meaningful

@@ -25,7 +25,7 @@
 //!  Stage A — render + record                Stage B — evaluate
 //!  ┌─────────────────────────┐   RenderLog  ┌──────────────────────────┐
 //!  │ render::render_chunk    │  ──────────▸ │ share::evaluate_shared   │
-//!  │  functional GPU, once   │  (Send+Sync, │  sections: Baseline, RE  │
+//!  │  raster every tile, once│  (Send+Sync, │  sections: Baseline, RE  │
 //!  │  per (screen, tile,     │   replayable │  decision (+ Redundancy),│
 //!  │  binning) render key    │   N times)   │  RE replay, TE, Memo     │
 //!  └─────────────────────────┘              └──────────────────────────┘
@@ -42,10 +42,9 @@
 //! # Modules
 //!
 //! * [`render`] — Stage A: the recorded [`render::RenderLog`] artifact.
-//!   Every render is frame chunks ([`render::render_chunk`], each
-//!   rasterizing its tiles in bands) stitched back by
-//!   [`render::stitch_chunks`]; [`render::render_scene`] is the one-chunk,
-//!   one-band case on the calling thread.
+//!   Every render is frame chunks ([`render::render_chunk`]) stitched
+//!   back by [`render::stitch_chunks`]; [`render::render_scene`] is the
+//!   one-chunk case on the calling thread.
 //! * [`passes`] — Stage B: the built-in technique passes and
 //!   [`passes::evaluate`].
 //! * [`share`] — Stage B sections: each pass section computed once per

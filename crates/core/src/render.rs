@@ -2,8 +2,8 @@
 //!
 //! The paper's techniques (RE, TE, fragment memoization) never change the
 //! rendered pixels — they only decide, from signatures, whether work can be
-//! skipped. Stage A exploits that: the functional GPU renders a scene
-//! exactly once per (screen, tile size, binning) point and records, into a
+//! skipped. Stage A exploits that: it renders a scene exactly once per
+//! (screen, tile size, binning) point and records, into a
 //! self-contained `Send + Sync` [`RenderLog`], every artifact the evaluate
 //! stage ([`crate::passes`]) needs:
 //!
@@ -23,12 +23,14 @@
 //! * the per-frame `re_unsafe` flags.
 //!
 //! There is one render path. A render is a list of contiguous frame ranges
-//! ([`chunk_ranges`]), each rendered by its own renderer with its tiles
-//! rasterized in bands ([`render_chunk`]), then stitched into one log
-//! ([`stitch_chunks`]). Tiles rasterize from tile-local state, so neither
-//! the chunk count nor the band count changes a byte of the log; a single
-//! chunk or band simply runs on the calling thread, and [`render_scene`] is
-//! the one-chunk, one-band render.
+//! ([`chunk_ranges`]), each rendered by its own renderer ([`render_chunk`]),
+//! then stitched into one log ([`stitch_chunks`]). A renderer holds no
+//! frame buffer: each tile rasterizes in its own on-chip buffers
+//! ([`re_gpu::raster::rasterize_tile_detached`]) and flushes to the
+//! surface its frame's index selects ([`re_gpu::framebuffer::surface_base`]),
+//! so a recorded frame is a function of its description and its index, and
+//! the chunk count cannot change a byte of the log. A single chunk runs on
+//! the calling thread, and [`render_scene`] is the one-chunk render.
 //!
 //! Because a [`RenderLog`] is plain data, one log can be shared (`Arc`)
 //! across threads and replayed through any number of evaluation
@@ -42,8 +44,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use re_gpu::api::FrameDesc;
+use re_gpu::framebuffer::surface_base;
+use re_gpu::raster::rasterize_tile_detached;
 use re_gpu::stats::{GeometryStats, TileStats};
-use re_gpu::{Event, GeometryOutput, Gpu, GpuConfig, ParallelRaster};
+use re_gpu::{geometry, Event, GeometryOutput, GpuConfig, TextureStore, TileRecord};
 
 use crate::sim::Scene;
 use crate::te::TransactionElimination;
@@ -171,7 +175,8 @@ impl RenderLog {
     }
 }
 
-/// Stage A driver: a functional GPU plus the recording plumbing.
+/// Stage A driver: the screen geometry, the scene's textures and the
+/// recording plumbing.
 ///
 /// Owns the color-id interner, so ids are comparable across every frame it
 /// renders (and only within one `Renderer`'s output). Every distinct tile
@@ -179,46 +184,48 @@ impl RenderLog {
 /// compare distance later.
 #[derive(Debug)]
 pub(crate) struct Renderer {
-    gpu: Gpu,
+    config: GpuConfig,
+    textures: TextureStore,
     /// Packed tile colors → interned id.
     interner: HashMap<Vec<u32>, u32>,
-    /// Bands each frame's tiles are rasterized in (1 = on the calling
-    /// thread).
-    parallel: ParallelRaster,
 }
 
 impl Renderer {
-    /// Creates a renderer for `config`'s screen geometry that rasterizes
-    /// each frame's tiles in `parallel.bands` bands. The rendered output is
-    /// bit-identical at any band count — tiles are rasterized from
-    /// per-tile-local state and committed in tile-id order — so this is
-    /// purely a wall-clock knob.
-    pub(crate) fn new(config: GpuConfig, parallel: ParallelRaster) -> Self {
+    /// Creates a renderer for `config`'s screen geometry with an empty
+    /// texture store.
+    pub(crate) fn new(config: GpuConfig) -> Self {
+        assert!(config.width > 0 && config.height > 0 && config.tile_size > 0);
         Renderer {
-            gpu: Gpu::new(config),
+            config,
+            textures: TextureStore::new(),
             interner: HashMap::new(),
-            parallel,
         }
     }
 
     /// Runs `scene`'s one-time setup (texture uploads).
     pub(crate) fn init_scene(&mut self, scene: &mut dyn Scene) {
-        scene.init(self.gpu.textures_mut());
+        scene.init(&mut self.textures);
     }
 
-    /// Renders one frame, records everything, and swaps buffers.
-    pub(crate) fn render_frame(&mut self, desc: &FrameDesc) -> FrameLog {
+    /// Renders frame `index` of a render, described by `desc`, and records
+    /// everything. Tiles flush to the surface `index` selects, and their
+    /// colors are interned in tile-id order.
+    pub(crate) fn render_frame(&mut self, index: usize, desc: &FrameDesc) -> FrameLog {
         let mut geo_events = Vec::new();
-        let geo = self.gpu.run_geometry(desc, &mut geo_events);
-
-        // Tiles rasterize from tile-local state (band-parallel when there
-        // are several bands), then colors are committed and interned in
-        // tile-id order, so ids, signatures and recorded events do not
-        // depend on the band count.
-        let results = self.gpu.rasterize_bands(desc, &geo, self.parallel);
-        let mut tiles = Vec::with_capacity(results.len());
-        for (t, (stats, colors, record)) in results.into_iter().enumerate() {
-            self.gpu.apply_tile_colors(t as u32, &colors);
+        let geo = geometry::run_geometry(&self.config, desc, &mut geo_events);
+        let base_addr = surface_base(&self.config, index);
+        let mut tiles = Vec::with_capacity(self.config.tile_count() as usize);
+        for t in 0..self.config.tile_count() {
+            let mut record = TileRecord::default();
+            let (stats, colors) = rasterize_tile_detached(
+                &self.config,
+                desc,
+                &geo,
+                t,
+                &self.textures,
+                base_addr,
+                &mut record,
+            );
             let te_sig = TransactionElimination::color_signature(&colors);
             let color_id = self.intern(colors.iter().map(|c| c.to_u32()).collect());
             tiles.push(TileLog {
@@ -229,7 +236,6 @@ impl Renderer {
                 te_sig,
             });
         }
-        self.gpu.end_frame();
 
         FrameLog {
             re_unsafe: desc.re_unsafe,
@@ -262,13 +268,12 @@ impl Renderer {
 }
 
 /// Renders `frames` frames of `scene` under `config` into a [`RenderLog`]
-/// on the calling thread: one [`render_chunk`] over every frame, in one
-/// band.
+/// on the calling thread: one [`render_chunk`] over every frame.
 ///
 /// Stage A is the only place pixels are produced. The returned log replays
 /// through [`crate::passes::evaluate`] under any evaluation-side options.
 pub fn render_scene(scene: &mut dyn Scene, config: GpuConfig, frames: usize) -> RenderLog {
-    let chunk = render_chunk(scene, config, 0..frames, ParallelRaster { bands: 1 });
+    let chunk = render_chunk(scene, config, 0..frames);
     stitch_chunks(scene.name(), config, vec![chunk])
 }
 
@@ -309,34 +314,23 @@ pub fn chunk_ranges(frames: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Renders the frame range `range` of `scene` as an independent chunk,
-/// rasterizing each frame's tiles in `parallel.bands` bands (see
-/// [`re_gpu::Gpu::rasterize_bands`]; one band runs on the calling thread).
+/// Renders the frame range `range` of `scene` as an independent chunk.
 ///
-/// Frame rendering is a pure function of the frame's [`FrameDesc`] plus the
-/// double-buffer parity — tiles rasterize from tile-local state seeded with
-/// the frame's clear color, never reading the previous frame's surface, and
-/// the chunk GPU's parity is seeded to `range.start`
-/// ([`re_gpu::Gpu::seed_frame_parity`]) — so a chunk renderer starting cold
-/// at `range.start` produces exactly the frames a renderer starting at
-/// frame 0 would, at any band count.
-pub fn render_chunk(
-    scene: &mut dyn Scene,
-    config: GpuConfig,
-    range: Range<usize>,
-    parallel: ParallelRaster,
-) -> RenderChunk {
-    let mut renderer = Renderer::new(config, parallel);
+/// A recorded frame is a pure function of its [`FrameDesc`], the scene's
+/// textures and its index: tiles rasterize from tile-local state seeded
+/// with the frame's clear color, never reading an earlier frame's pixels,
+/// and flush to the surface the index selects
+/// ([`re_gpu::framebuffer::surface_base`]). So a chunk renderer starting
+/// cold at `range.start` produces exactly the frames a renderer starting
+/// at frame 0 would.
+pub fn render_chunk(scene: &mut dyn Scene, config: GpuConfig, range: Range<usize>) -> RenderChunk {
+    let mut renderer = Renderer::new(config);
     renderer.init_scene(scene);
-    // Rendering alternates the double-buffered surfaces every frame, and
-    // recorded flush addresses name the surface. Seed the parity a render
-    // from frame 0 would have at this chunk's first frame.
-    renderer.gpu.seed_frame_parity(range.start);
     let start = range.start;
     let frames = range
         .map(|f| {
             let desc = scene.frame(f);
-            renderer.render_frame(&desc)
+            renderer.render_frame(f, &desc)
         })
         .collect();
     RenderChunk {
@@ -518,12 +512,12 @@ mod tests {
         }
     }
 
-    /// `frames` frames of `scene` rendered as `chunks` frame ranges of
-    /// `bands` bands each, stitched back together.
-    fn render_chunked(scene: &mut Tri, frames: usize, chunks: usize, bands: usize) -> RenderLog {
+    /// `frames` frames of `scene` rendered as `chunks` frame ranges,
+    /// stitched back together.
+    fn render_chunked(scene: &mut Tri, frames: usize, chunks: usize) -> RenderLog {
         let parts = chunk_ranges(frames, chunks)
             .into_iter()
-            .map(|range| render_chunk(scene, cfg(), range, ParallelRaster { bands }))
+            .map(|range| render_chunk(scene, cfg(), range))
             .collect();
         stitch_chunks("tri", cfg(), parts)
     }
@@ -532,38 +526,15 @@ mod tests {
     fn chunked_render_is_bit_identical_to_serial() {
         let serial = render_scene(&mut Tri { period: 2 }, cfg(), 7);
         for chunks in [1usize, 2, 3, 7, 16] {
-            let chunked = render_chunked(&mut Tri { period: 2 }, 7, chunks, 1);
+            let chunked = render_chunked(&mut Tri { period: 2 }, 7, chunks);
             assert_eq!(serial, chunked, "chunks={chunks}");
         }
     }
 
     #[test]
-    fn band_parallel_render_is_bit_identical_to_serial() {
-        let serial = render_scene(&mut Tri { period: 1 }, cfg(), 4);
-        for bands in [2usize, 3, 4, 99] {
-            let mut scene = Tri { period: 1 };
-            let mut r = Renderer::new(cfg(), ParallelRaster { bands });
-            r.init_scene(&mut scene);
-            let frames: Vec<FrameLog> = (0..4).map(|f| r.render_frame(&scene.frame(f))).collect();
-            assert_eq!(serial.frames, frames, "bands={bands}");
-        }
-    }
-
-    #[test]
-    fn chunked_plus_band_parallel_matches_serial() {
-        let serial = render_scene(&mut Tri { period: 1 }, cfg(), 5);
-        assert_eq!(serial, render_chunked(&mut Tri { period: 1 }, 5, 2, 3));
-    }
-
-    #[test]
     #[should_panic(expected = "contiguous")]
     fn stitch_rejects_non_contiguous_chunks() {
-        let chunk = render_chunk(
-            &mut Tri { period: 1 },
-            cfg(),
-            1..2,
-            ParallelRaster { bands: 1 },
-        );
+        let chunk = render_chunk(&mut Tri { period: 1 }, cfg(), 1..2);
         let _ = stitch_chunks("tri", cfg(), vec![chunk]);
     }
 

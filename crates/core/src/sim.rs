@@ -2,8 +2,8 @@
 //!
 //! [`Simulator::run`] renders a scene once and evaluates the whole log:
 //!
-//! * **Stage A (render + record)** — [`crate::render::render_scene`] runs
-//!   the functional GPU once and records everything evaluation needs into
+//! * **Stage A (render + record)** — [`crate::render::render_scene`]
+//!   rasterizes every tile once and records everything evaluation needs into
 //!   a [`crate::render::RenderLog`]: access streams, signature-unit
 //!   inputs, tile color identities/hashes, activity counters.
 //! * **Stage B (evaluate)** — [`crate::passes::evaluate`] computes the

@@ -1,7 +1,7 @@
 //! Bit-identity of parallel Stage A and compressed `.relog` streams with
 //! the serial baseline, across random scenes and configurations.
 //!
-//! The determinism contract of the sweep layer rests on three claims
+//! The determinism contract of the sweep layer rests on two claims
 //! proved here property-style:
 //!
 //! 1. **Frame chunking is invisible**: splitting a render's frame range
@@ -9,16 +9,13 @@
 //!    fresh renderer ([`render_chunk`]), and stitching the logs back
 //!    ([`stitch_chunks`]) produces a [`RenderLog`] bit-identical to the
 //!    one-chunk [`render_scene`] — including color-id assignment order and
-//!    flush addresses (the double-buffer parity a chunk renderer seeds).
-//! 2. **Band-parallel rasterization is invisible**: rendering with the
-//!    tile grid split into bands yields the same log as one band on the
-//!    calling thread, for any band count.
-//! 3. **Compression is invisible**: a stream of LZSS frames decodes to
+//!    flush addresses (the surface each frame's index selects).
+//! 2. **Compression is invisible**: a stream of LZSS frames decodes to
 //!    the identical log (NaN bit patterns included) and replays to the
 //!    identical [`RunReport`] as one with every frame stored.
 //!
-//! `staged_equivalence.rs` ties the one-chunk, one-band render to an
-//! independent reference: a tile-by-tile loop over `Gpu::rasterize_tile`.
+//! `staged_equivalence.rs` ties the one-chunk render to an independent
+//! reference: a tile-by-tile loop over `Gpu::rasterize_tile`.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression};
@@ -28,7 +25,7 @@ use re_core::{
 };
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::texture::TextureStore;
-use re_gpu::{GpuConfig, ParallelRaster};
+use re_gpu::GpuConfig;
 use re_math::{Mat4, Vec4};
 
 /// A randomized scene of animated flat triangles; `nan_every > 0` injects
@@ -93,18 +90,12 @@ fn arb_tri() -> impl Strategy<Value = ([f32; 6], u32, [f32; 4])> {
     )
 }
 
-/// `frames` frames of `scene` rendered as `chunks` frame ranges of `bands`
-/// bands each, stitched back together.
-fn render_chunked(
-    scene: &RandomScene,
-    cfg: GpuConfig,
-    frames: usize,
-    chunks: usize,
-    bands: usize,
-) -> RenderLog {
+/// `frames` frames of `scene` rendered as `chunks` frame ranges, stitched
+/// back together.
+fn render_chunked(scene: &RandomScene, cfg: GpuConfig, frames: usize, chunks: usize) -> RenderLog {
     let parts = chunk_ranges(frames, chunks)
         .into_iter()
-        .map(|r| render_chunk(&mut scene.clone(), cfg, r, ParallelRaster { bands }))
+        .map(|r| render_chunk(&mut scene.clone(), cfg, r))
         .collect();
     stitch_chunks(scene.name(), cfg, parts)
 }
@@ -133,7 +124,7 @@ proptest! {
         let cfg = config(tile_pick);
         let scene = RandomScene { tris, nan_every: 0 };
         let serial = render_scene(&mut scene.clone(), cfg, frames);
-        let chunked = render_chunked(&scene, cfg, frames, chunks, 1);
+        let chunked = render_chunked(&scene, cfg, frames, chunks);
         prop_assert_eq!(&chunked, &serial);
         // The chunk partition itself is exact: contiguous from 0, total
         // length `frames`.
@@ -145,29 +136,6 @@ proptest! {
             next = r.end;
         }
         prop_assert_eq!(next, frames);
-    }
-
-    /// Band-parallel rasterization (any band count, alone or stacked under
-    /// frame chunking) produces the serial log bit for bit.
-    #[test]
-    fn band_parallel_render_matches_serial(
-        tris in proptest::collection::vec(arb_tri(), 1..5),
-        tile_pick in 0usize..2,
-        frames in 2usize..6,
-        bands in 2usize..9,
-        chunks in 1usize..4,
-    ) {
-        let cfg = config(tile_pick);
-        let scene = RandomScene { tris, nan_every: 0 };
-        let serial = render_scene(&mut scene.clone(), cfg, frames);
-
-        // Bands only: one chunk covering every frame.
-        let log = render_chunked(&scene, cfg, frames, 1, bands);
-        prop_assert_eq!(&log, &serial);
-
-        // Bands under frame chunking — the sweep executor's layered mode.
-        let log = render_chunked(&scene, cfg, frames, chunks, bands);
-        prop_assert_eq!(&log, &serial);
     }
 
     /// A compressed `.relog` stream round-trips losslessly — NaN and

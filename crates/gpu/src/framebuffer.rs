@@ -53,6 +53,7 @@ impl ColorSurface {
     /// is a pure function of this base and the surface width, which is what
     /// lets a detached rasterizer ([`crate::raster::rasterize_tile_detached`])
     /// report byte-identical flush addresses without holding the surface.
+    /// The base itself is [`surface_base`] of a frame the surface renders.
     #[inline]
     pub fn base_addr(&self) -> u64 {
         self.base_addr
@@ -79,6 +80,20 @@ impl ColorSurface {
     }
 }
 
+/// Simulated base address of the surface frame `frame_index` flushes to.
+///
+/// A render starting at frame 0 renders even frames into one surface and
+/// odd frames into the other, swapping at every frame end, so the surface
+/// is a function of the frame index alone. This is the one address map:
+/// [`Framebuffer::new`] places its two surfaces with it, and a renderer
+/// that keeps no frame buffer passes it to
+/// [`crate::raster::rasterize_tile_detached`] for flush addresses
+/// identical to a [`crate::Gpu`]'s.
+pub fn surface_base(config: &GpuConfig, frame_index: usize) -> u64 {
+    let size = (config.width as u64 * config.height as u64 * 4).next_multiple_of(4096);
+    FB_BASE + (frame_index % 2) as u64 * size
+}
+
 /// Front + back color surfaces with swap.
 #[derive(Debug)]
 pub struct Framebuffer {
@@ -88,14 +103,12 @@ pub struct Framebuffer {
 }
 
 impl Framebuffer {
-    /// Allocates both surfaces, cleared to black.
+    /// Allocates both surfaces, cleared to black. The back surface is
+    /// frame 0's ([`surface_base`]).
     pub fn new(config: GpuConfig) -> Self {
-        let size = (config.width as u64 * config.height as u64 * 4).next_multiple_of(4096);
         Framebuffer {
-            surfaces: [
-                ColorSurface::new(config.width, config.height, FB_BASE),
-                ColorSurface::new(config.width, config.height, FB_BASE + size),
-            ],
+            surfaces: [0, 1]
+                .map(|i| ColorSurface::new(config.width, config.height, surface_base(&config, i))),
             back_idx: 0,
         }
     }

@@ -21,12 +21,21 @@
 //! ```
 //!
 //! Crucially for Rendering Elimination, the two halves are exposed
-//! separately: [`Gpu::run_geometry`] bins a frame and returns a
+//! separately: [`geometry::run_geometry`] bins a frame and returns a
 //! [`GeometryOutput`] holding, per drawcall, the byte-exact constants block
 //! and, per primitive, the Parameter Buffer attribute bytes plus the list of
 //! overlapped tiles — exactly the stream the paper's Signature Unit taps.
-//! [`Gpu::rasterize_tile`] then renders any single tile on demand, so a
-//! technique driver can skip redundant tiles entirely.
+//! [`raster::rasterize_tile_detached`] then renders any single tile on
+//! demand in its own on-chip buffers and returns its colors, so a technique
+//! driver can skip redundant tiles entirely. Stage A (the `re-core` crate)
+//! calls these two directly and holds no frame buffer: a tile flushes to
+//! the surface its frame's index selects ([`framebuffer::surface_base`]).
+//!
+//! [`Gpu`] is the functional reference built on the same two calls: it
+//! owns a texture store and a double-buffered [`Framebuffer`], writes each
+//! tile's colors into the back surface ([`Gpu::rasterize_tile`]) and swaps
+//! at frame end ([`Gpu::end_frame`]). Stage A's recordings are tested
+//! against it bit for bit, and golden images read its pixels.
 //!
 //! Three cross-cutting facilities matter to consumers:
 //!
@@ -41,11 +50,11 @@
 //!   cycle and energy models consume.
 //! * **The raster-invocation counter** ([`raster_invocations`]) — a
 //!   process-wide count of tile rasterizations, incremented in
-//!   [`raster::rasterize_tile_detached`], which both
-//!   [`Gpu::rasterize_tile`] and [`Gpu::rasterize_bands`] run. It is the
-//!   total a metrics snapshot reports; the sweep pins its render-once
-//!   contract (each render key rasterized at most once, and *zero* times
-//!   when a cached render log covers it) on each execution's own count.
+//!   [`raster::rasterize_tile_detached`], which every tile rasterization
+//!   runs. It is the total a metrics snapshot reports; the sweep pins its
+//!   render-once contract (each render key rasterized at most once, and
+//!   *zero* times when a cached render log covers it) on each execution's
+//!   own count.
 //!
 //! The binning strategy is selectable per [`GpuConfig`] via
 //! [`BinningMode`]: conservative bounding-box (the paper's baseline) or
@@ -87,7 +96,7 @@ pub use access::Event;
 pub use api::{DrawCall, FrameDesc, PipelineState};
 pub use framebuffer::Framebuffer;
 pub use geometry::GeometryOutput;
-pub use raster::{raster_invocations, ParallelRaster, TileRecord};
+pub use raster::{raster_invocations, TileRecord};
 pub use shader::ShaderProgram;
 pub use stats::{GeometryStats, TileStats};
 pub use texture::{Texture, TextureStore};
@@ -165,9 +174,9 @@ impl GpuConfig {
     }
 }
 
-/// The simulated GPU: configuration, texture store and double-buffered
-/// frame buffer. Rendering is driven frame by frame by a technique driver
-/// (see the `re-core` crate).
+/// The functional reference GPU: configuration, texture store and
+/// double-buffered frame buffer, driven frame by frame. Stage A (the
+/// `re-core` crate) records the same tiles without it.
 #[derive(Debug)]
 pub struct Gpu {
     config: GpuConfig,
@@ -231,9 +240,8 @@ impl Gpu {
     /// `record`. Returns the tile's activity counters. Tiles may be
     /// rasterized in any order; a tile that is never rasterized keeps its
     /// previous back-buffer content (which is what Rendering Elimination
-    /// exploits). This is
-    /// [`raster::rasterize_tile_detached`] plus
-    /// [`apply_tile_colors`](Self::apply_tile_colors).
+    /// exploits). This is [`raster::rasterize_tile_detached`] at the back
+    /// surface's base, plus writing the returned colors into that surface.
     pub fn rasterize_tile(
         &mut self,
         frame: &FrameDesc,
@@ -251,87 +259,11 @@ impl Gpu {
             base_addr,
             record,
         );
-        self.apply_tile_colors(tile_id, &colors);
-        stats
-    }
-
-    /// Rasterizes every tile of the current frame with up to
-    /// [`ParallelRaster::bands`] band threads, returning per-tile results
-    /// **in tile-id order**: the tile's activity counters, its final colors
-    /// (row-major over the tile rect, ready for
-    /// [`apply_tile_colors`](Self::apply_tile_colors)), and its
-    /// [`TileRecord`]: memory accesses in pipeline order and fragment
-    /// hashes in shading order.
-    ///
-    /// The frame is split into row-aligned bands
-    /// ([`tiling::band_ranges`]) with exclusive tile ownership, so band
-    /// threads share nothing mutable — no locking anywhere on the raster
-    /// path. A single band runs on the calling thread. Each tile runs the
-    /// same detached pipeline [`rasterize_tile`](Self::rasterize_tile)
-    /// wraps ([`raster::rasterize_tile_detached`]), so counters, event
-    /// streams, flush addresses, colors and [`raster_invocations`]
-    /// accounting are exactly equal to rasterizing the tiles one by one.
-    ///
-    /// The back buffer is **not** written — commit each tile's colors with
-    /// [`apply_tile_colors`](Self::apply_tile_colors) (in any order) before
-    /// [`end_frame`](Self::end_frame).
-    pub fn rasterize_bands(
-        &self,
-        frame: &FrameDesc,
-        geo: &GeometryOutput,
-        parallel: ParallelRaster,
-    ) -> Vec<(TileStats, Vec<Color>, TileRecord)> {
-        let base_addr = self.framebuffer.back().base_addr();
-        let raster_band = |band: std::ops::Range<u32>| {
-            band.map(|t| {
-                let mut record = TileRecord::default();
-                let (stats, colors) = raster::rasterize_tile_detached(
-                    &self.config,
-                    frame,
-                    geo,
-                    t,
-                    &self.textures,
-                    base_addr,
-                    &mut record,
-                );
-                (stats, colors, record)
-            })
-            .collect::<Vec<_>>()
-        };
-        let bands = tiling::band_ranges(&self.config, parallel.bands);
-        if bands.len() <= 1 {
-            return raster_band(0..self.config.tile_count());
-        }
-        let per_band: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = bands
-                .into_iter()
-                .map(|band| s.spawn(|| raster_band(band)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("raster band thread panicked"))
-                .collect()
-        });
-        per_band.into_iter().flatten().collect()
-    }
-
-    /// Writes a tile's final colors (row-major over the tile rect, as
-    /// returned by [`rasterize_bands`](Self::rasterize_bands)) into the
-    /// back buffer — the commit half of detached rasterization.
-    ///
-    /// # Panics
-    /// Panics if `colors` does not cover the tile rect exactly.
-    pub fn apply_tile_colors(&mut self, tile_id: u32, colors: &[Color]) {
-        let rect = self.config.tile_rect(tile_id);
-        assert_eq!(
-            colors.len(),
-            rect.area() as usize,
-            "colors must cover tile {tile_id}'s rect exactly"
-        );
         let back = self.framebuffer.back_mut();
-        for (li, (x, y)) in rect.pixels().enumerate() {
-            back.put_pixel(x as u32, y as u32, colors[li]);
+        for ((x, y), c) in self.config.tile_rect(tile_id).pixels().zip(colors) {
+            back.put_pixel(x as u32, y as u32, c);
         }
+        stats
     }
 
     /// Reads back the color of pixel `(x, y)` from the back buffer (the
@@ -343,18 +275,6 @@ impl Gpu {
     /// Finishes the frame: swaps the front and back buffers.
     pub fn end_frame(&mut self) {
         self.framebuffer.swap();
-    }
-
-    /// Aligns the double-buffer parity of a **fresh** GPU as if
-    /// `frame_index` frames had already been rendered and swapped:
-    /// afterwards the back buffer is the surface a render from frame 0
-    /// would be writing for frame `frame_index`. Frame-chunked renders
-    /// (`re_core::render_chunk`) seed this before their first frame so
-    /// recorded color-flush addresses match such a render bit-for-bit.
-    pub fn seed_frame_parity(&mut self, frame_index: usize) {
-        if frame_index % 2 == 1 {
-            self.framebuffer.swap();
-        }
     }
 }
 

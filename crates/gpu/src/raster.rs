@@ -141,7 +141,7 @@ fn raster_counter() -> &'static re_obs::Counter {
 }
 
 /// Total [`rasterize_tile_detached`] calls made by this process so far
-/// (every tile rasterization, one at a time or banded, goes through it).
+/// (every tile rasterization goes through it).
 ///
 /// Reads the same atomic as the registry counter
 /// `gpu.raster_invocations`, so the two are consistent byte for byte.
@@ -158,39 +158,17 @@ fn edge_is_top_left(dx: f32, dy: f32) -> bool {
     (dy == 0.0 && dx < 0.0) || dy > 0.0
 }
 
-/// Tile-parallel rasterization settings: split the frame's tiles into up
-/// to [`bands`](Self::bands) row-aligned bands (see
-/// [`crate::tiling::band_ranges`]) and rasterize the bands on separate
-/// threads.
-///
-/// Every band owns its tiles exclusively — each tile rasterizes into its
-/// own on-chip buffers ([`rasterize_tile_detached`]) and no two bands
-/// touch the same output, so the hot path needs no locking. Per-tile
-/// activity counters, recorded event streams, flush addresses, final
-/// pixels and the [`raster_invocations`] count are all exactly equal to
-/// rasterizing the tiles one by one (pinned by proptest in `re-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelRaster {
-    /// Maximum band count (= worker threads). `0` or `1` rasterizes every
-    /// tile on the calling thread; the effective count is clamped to the
-    /// number of tile rows.
-    pub bands: usize,
-}
-
-/// Rasterizes tile `tile_id` of the current frame *detached* from the
+/// Rasterizes tile `tile_id` of the current frame *detached* from any
 /// frame buffer: the tile's final colors are returned (row-major over the
 /// tile rect) instead of written, and the flush addresses are computed from
-/// `back_base_addr`, the back surface's
-/// [`crate::framebuffer::ColorSurface::base_addr`]. See the module docs for
-/// the stage breakdown.
+/// `back_base_addr`, the base of the surface the frame flushes to
+/// ([`crate::framebuffer::surface_base`]). See the module docs for the
+/// stage breakdown.
 ///
-/// Taking no `&mut Framebuffer` makes the call safe to run concurrently
-/// for different tiles — the foundation of band-parallel rasterization
-/// ([`ParallelRaster`], [`crate::Gpu::rasterize_bands`]). The caller
-/// commits the colors to the back buffer
-/// ([`crate::Gpu::apply_tile_colors`]); [`crate::Gpu::rasterize_tile`] is
-/// this function plus that commit. The tile's events and fragment hashes
-/// are appended to `record`.
+/// Stage A records every tile with this call alone.
+/// [`crate::Gpu::rasterize_tile`] is this call plus writing the colors into
+/// its back buffer. The tile's events and fragment hashes are appended to
+/// `record`.
 pub fn rasterize_tile_detached(
     config: &GpuConfig,
     frame: &FrameDesc,
@@ -380,6 +358,7 @@ pub fn rasterize_tile_detached(
 mod tests {
     use super::*;
     use crate::api::{DrawCall, PipelineState, Vertex};
+    use crate::framebuffer::surface_base;
     use crate::{Gpu, GpuConfig};
     use re_math::Mat4;
 
@@ -660,111 +639,71 @@ mod tests {
         assert!(hashes.iter().all(|&h| h == first));
     }
 
+    /// Stage A's address map and the functional GPU agree: frame `i`
+    /// flushes to [`surface_base`]`(cfg, i)`, the GPU's back surface after
+    /// `i` swaps, and a detached raster there records exactly what
+    /// [`Gpu::rasterize_tile`] does, colors included.
     #[test]
-    fn band_parallel_matches_serial_exactly() {
-        let build_frame = |gpu: &mut Gpu| {
-            let tex = gpu.textures_mut().upload_with(8, 8, |x, y| {
-                if (x + y) % 2 == 0 {
-                    Color::WHITE
-                } else {
-                    Color::BLACK
-                }
-            });
-            let mut frame = FrameDesc::new();
-            frame.clear_color = Color::new(12, 34, 56, 255);
-            frame.drawcalls.push(flat_tri(
-                [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
-                Vec4::new(0.8, 0.1, 0.2, 0.7),
-            ));
-            let vertices = [
-                ((-0.9, -0.2), (0.0, 0.0)),
-                ((0.4, -0.9), (1.0, 0.0)),
-                ((0.9, 0.9), (1.0, 1.0)),
-            ]
-            .iter()
-            .map(|&((x, y), (u, v))| {
-                Vertex::new(vec![
-                    Vec4::new(x, y, 0.3, 1.0),
-                    Vec4::splat(1.0),
-                    Vec4::new(u, v, 0.0, 0.0),
-                ])
-            })
-            .collect();
-            frame.drawcalls.push(DrawCall {
-                state: PipelineState::sprite_2d(tex),
-                constants: Mat4::IDENTITY.cols.to_vec(),
-                vertices,
-            });
-            frame
-        };
-
-        let mut serial = Gpu::new(cfg());
-        let frame = build_frame(&mut serial);
-        let geo = serial.run_geometry(&frame, &mut Vec::new());
-        let mut serial_tiles = Vec::new();
-        for t in 0..serial.tile_count() {
-            let mut record = TileRecord::default();
-            let stats = serial.rasterize_tile(&frame, &geo, t, &mut record);
-            let colors = serial
-                .framebuffer()
-                .back()
-                .read_rect(serial.config().tile_rect(t));
-            serial_tiles.push((stats, colors, record));
-        }
-
-        let mut parallel = Gpu::new(cfg());
-        let frame2 = build_frame(&mut parallel);
-        assert_eq!(frame, frame2);
-        let geo2 = parallel.run_geometry(&frame2, &mut Vec::new());
-        assert_eq!(geo, geo2);
-        // `rasterize_bands` returns one result per tile it rasterizes, so
-        // the result count is this call's exact raster count. The
-        // process-global counter also moves with sibling tests rasterizing
-        // on other threads, so only a lower bound holds there.
-        let before = raster_invocations();
-        let results = parallel.rasterize_bands(&frame2, &geo2, ParallelRaster { bands: 3 });
-        assert_eq!(
-            results.len(),
-            parallel.tile_count() as usize,
-            "one invocation per tile, exactly"
-        );
-        assert!(raster_invocations() >= before + parallel.tile_count() as u64);
-        for (t, (stats, colors, record)) in results.into_iter().enumerate() {
-            let (ref s_stats, ref s_colors, ref s_record) = serial_tiles[t];
-            assert_eq!(&stats, s_stats, "tile {t} stats");
-            assert_eq!(&colors, s_colors, "tile {t} colors");
-            assert_eq!(&record, s_record, "tile {t} events and hashes");
-            parallel.apply_tile_colors(t as u32, &colors);
-        }
-        for y in 0..32 {
-            for x in 0..32 {
-                assert_eq!(
-                    serial.back_pixel(x, y),
-                    parallel.back_pixel(x, y),
-                    "({x},{y})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_band_raster_needs_no_threads() {
+    fn detached_raster_at_surface_base_matches_the_gpu_over_two_frames() {
         let mut gpu = Gpu::new(cfg());
+        let tex = gpu.textures_mut().upload_with(8, 8, |x, y| {
+            if (x + y) % 2 == 0 {
+                Color::WHITE
+            } else {
+                Color::BLACK
+            }
+        });
         let mut frame = FrameDesc::new();
+        frame.clear_color = Color::new(12, 34, 56, 255);
         frame.drawcalls.push(flat_tri(
             [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
-            Vec4::splat(1.0),
+            Vec4::new(0.8, 0.1, 0.2, 0.7),
         ));
+        let vertices = [
+            ((-0.9, -0.2), (0.0, 0.0)),
+            ((0.4, -0.9), (1.0, 0.0)),
+            ((0.9, 0.9), (1.0, 1.0)),
+        ]
+        .iter()
+        .map(|&((x, y), (u, v))| {
+            Vertex::new(vec![
+                Vec4::new(x, y, 0.3, 1.0),
+                Vec4::splat(1.0),
+                Vec4::new(u, v, 0.0, 0.0),
+            ])
+        })
+        .collect();
+        frame.drawcalls.push(DrawCall {
+            state: PipelineState::sprite_2d(tex),
+            constants: Mat4::IDENTITY.cols.to_vec(),
+            vertices,
+        });
         let geo = gpu.run_geometry(&frame, &mut Vec::new());
-        let results = gpu.rasterize_bands(&frame, &geo, ParallelRaster { bands: 1 });
-        assert_eq!(results.len(), gpu.tile_count() as usize);
-        let agg = results
-            .iter()
-            .fold(TileStats::default(), |mut a, (s, _, _)| {
-                a.merge(s);
-                a
-            });
-        assert_eq!(agg.fragments_rasterized, 528);
+
+        assert_ne!(surface_base(&cfg(), 0), surface_base(&cfg(), 1));
+        for i in 0..2 {
+            let base = surface_base(&cfg(), i);
+            assert_eq!(base, gpu.framebuffer().back().base_addr(), "frame {i}");
+            for t in 0..gpu.tile_count() {
+                let mut detached = TileRecord::default();
+                let (stats, colors) = rasterize_tile_detached(
+                    &cfg(),
+                    &frame,
+                    &geo,
+                    t,
+                    gpu.textures(),
+                    base,
+                    &mut detached,
+                );
+                let mut record = TileRecord::default();
+                let gpu_stats = gpu.rasterize_tile(&frame, &geo, t, &mut record);
+                let gpu_colors = gpu.framebuffer().back().read_rect(cfg().tile_rect(t));
+                assert_eq!(stats, gpu_stats, "frame {i} tile {t} stats");
+                assert_eq!(colors, gpu_colors, "frame {i} tile {t} colors");
+                assert_eq!(detached, record, "frame {i} tile {t} events and hashes");
+            }
+            gpu.end_frame();
+        }
     }
 
     #[test]

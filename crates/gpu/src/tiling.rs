@@ -19,32 +19,6 @@ use crate::geometry::{AssembledPrim, ShadedVertex};
 use crate::stats::GeometryStats;
 use crate::{BinningMode, GpuConfig};
 
-/// Partitions the frame's tile ids into up to `bands` contiguous,
-/// non-empty, tile-row-aligned ranges covering `0..tile_count` exactly.
-///
-/// Because bins are stored row-major per tile id, a band is both a
-/// contiguous tile-id range *and* a contiguous horizontal strip of the
-/// framebuffer, giving each band-parallel raster worker
-/// ([`crate::raster::ParallelRaster`]) exclusive ownership of its strip:
-/// geometry is already binned per tile, so a band only ever reads its own
-/// tiles' bins and writes its own tiles' pixels. Rows are spread as evenly
-/// as possible (counts differ by at most one); the effective band count is
-/// `min(bands.max(1), tiles_y)`.
-pub fn band_ranges(config: &GpuConfig, bands: usize) -> Vec<std::ops::Range<u32>> {
-    let rows = config.tiles_y();
-    let tiles_x = config.tiles_x();
-    let n = bands.clamp(1, rows as usize) as u32;
-    let (base, rem) = (rows / n, rows % n);
-    let mut out = Vec::with_capacity(n as usize);
-    let mut row = 0;
-    for b in 0..n {
-        let take = base + u32::from(b < rem);
-        out.push(row * tiles_x..(row + take) * tiles_x);
-        row += take;
-    }
-    out
-}
-
 /// Tiles overlapped by a screen-space rectangle, in row-major order.
 pub fn tiles_overlapping(config: &GpuConfig, bbox: Rect) -> Vec<u32> {
     if bbox.is_empty() {
@@ -212,44 +186,6 @@ mod tests {
             height: 64,
             tile_size: 16,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn band_ranges_partition_exactly_row_aligned() {
-        for (w, h, ts, bands) in [
-            (64u32, 64u32, 16u32, 2usize),
-            (64, 64, 16, 3),
-            (64, 64, 16, 99),
-            (1196, 768, 16, 8),
-            (16, 16, 16, 4),
-            (64, 64, 16, 0),
-        ] {
-            let c = GpuConfig {
-                width: w,
-                height: h,
-                tile_size: ts,
-                ..Default::default()
-            };
-            let ranges = band_ranges(&c, bands);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= bands.max(1).min(c.tiles_y() as usize));
-            // Contiguous, non-empty, row-aligned, covering 0..tile_count.
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start);
-                assert_eq!(r.start % c.tiles_x(), 0, "band starts on a tile row");
-                assert_eq!(r.end % c.tiles_x(), 0, "band ends on a tile row");
-                next = r.end;
-            }
-            assert_eq!(next, c.tile_count());
-            // Even spread: row counts differ by at most one.
-            let rows: Vec<u32> = ranges
-                .iter()
-                .map(|r| (r.end - r.start) / c.tiles_x())
-                .collect();
-            assert!(rows.iter().max().unwrap() - rows.iter().min().unwrap() <= 1);
         }
     }
 

@@ -6,7 +6,7 @@
 //! and a single point of truth for cross-crate tests, not a closed set.
 
 /// Counter: total tile rasterizations — Stage A work, incremented once
-/// per [`rasterize_tile_detached`] call (banded or not). The
+/// per [`rasterize_tile_detached`] call. The
 /// render/evaluate split's contract is that a sweep rasterizes each
 /// render-key group exactly once (and zero times under a warm `.relog`
 /// cache). This is the process-wide total, which `re_gpu::raster_invocations()`
@@ -31,8 +31,8 @@ pub const TRACE_HITS: &str = "sweep.trace.hits";
 /// Counter: `.retrace` trace-cache misses (live capture ran).
 pub const TRACE_MISSES: &str = "sweep.trace.misses";
 
-/// Counter: cells whose Stage B streamed a cached `.relog` artifact
-/// instead of rendering (one per replayed cell, not per job).
+/// Counter: cached `.relog` artifacts decoded instead of rendered (one
+/// per render key decoded, however many cells then evaluate its log).
 pub const RELOG_REPLAYS: &str = "sweep.relog.replays";
 
 /// Counter: freshly rendered `.relog` artifacts persisted to the cache.

@@ -449,7 +449,7 @@ OPTIONS:
     --workers N         worker threads (default: all hardware threads, or
                         the RE_SWEEP_WORKERS environment override); Stage A
                         splits them among the renders in flight, spreading
-                        one render's frames and tiles over its share
+                        one render's frames over its share
                         (results are bit-identical at any setting)
     --shard K/N         run only shard K of N (1-based; partitioned by
                         render key, so each shard rasterizes its keys once)

@@ -34,7 +34,6 @@ use std::sync::{Arc, Mutex};
 
 use re_core::render::RenderLog;
 use re_core::{RunReport, Simulator};
-use re_gpu::ParallelRaster;
 use re_trace::{Trace, TraceScene};
 
 use crate::artifacts::TraceCache;
@@ -285,31 +284,25 @@ pub struct ParallelRender {
 /// returns a log **bit-identical** at any budget.
 ///
 /// The key's frame range is split into up to `budget` contiguous
-/// chunks ([`re_core::chunk_ranges`]), each rendered against a fresh
-/// [`TraceScene`] view of the shared trace, then stitched back in frame
-/// order with color ids re-interned globally ([`re_core::stitch_chunks`]).
-/// The budget left over when there are fewer frames than threads moves
-/// inside the frame: each chunk renderer splits its tile grid into
-/// `budget / chunks` bands ([`ParallelRaster`]). Both levels are
-/// exact — same pixels, same logs, same [`re_gpu::raster_invocations`]
-/// count — so callers may pick any budget, including per-run adaptive
-/// ones, without perturbing results. A lone chunk renders on the calling
-/// thread, and so does a lone band; a budget of 0 counts as 1.
+/// chunks ([`re_core::chunk_ranges`]; never more than one per frame),
+/// each rendered against a fresh [`TraceScene`] view of the shared trace,
+/// then stitched back in frame order with color ids re-interned globally
+/// ([`re_core::stitch_chunks`]). A recorded frame is a function of its
+/// description and its index, so the split is exact — same logs, same
+/// [`re_gpu::raster_invocations`] count — and callers may pick any
+/// budget, including per-run adaptive ones, without perturbing results.
+/// A lone chunk renders on the calling thread; a budget of 0 counts as 1.
 pub fn render_key_log_parallel(
     trace: &Arc<Trace>,
     key: &RenderKey,
     budget: usize,
 ) -> ParallelRender {
-    let budget = budget.max(1);
-    let ranges = re_core::chunk_ranges(key.frames(), budget);
-    let parallel = ParallelRaster {
-        bands: budget / ranges.len().max(1),
-    };
+    let ranges = re_core::chunk_ranges(key.frames(), budget.max(1));
     let config = key.gpu_config();
     let render = |range| {
         let sw = re_obs::Stopwatch::start();
         let mut scene = TraceScene::with_name(Arc::clone(trace), key.scene());
-        let chunk = re_core::render_chunk(&mut scene, config, range, parallel);
+        let chunk = re_core::render_chunk(&mut scene, config, range);
         (chunk, sw.elapsed())
     };
     let rendered: Vec<(re_core::RenderChunk, std::time::Duration)> = if ranges.len() <= 1 {
@@ -538,7 +531,7 @@ mod tests {
         let mut one_frame = tiny_grid();
         one_frame.frames = 1;
         // Budgets below, at, and above the frame count (3), including the
-        // degenerate 0 and 1; a 1-frame key bands its tiles at budget 4.
+        // degenerate 0 and 1; a 1-frame key renders one chunk at budget 4.
         for (grid, budgets) in [(tiny_grid(), &[0, 1, 2, 3, 8][..]), (one_frame, &[1, 4])] {
             let plan = SweepPlan::compile(&grid);
             let traces = capture_plan_traces(&plan, &quiet()).expect("capture");

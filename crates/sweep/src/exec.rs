@@ -838,7 +838,8 @@ pub struct Execution {
 ///
 /// Stage A's parallelism budget is the worker count, divided among the
 /// renders in flight ([`render_key_log_parallel`]): a lone key spreads its
-/// frames and tiles over every worker, many keys split the workers.
+/// frames over up to every worker (one chunk per frame at most), many keys
+/// split the workers.
 ///
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
 pub fn execute(
@@ -1030,7 +1031,7 @@ mod tests {
         let run = |workers| {
             let recorder = Arc::new(Recorder::default());
             let run = execute(&plan, &traces, &observed(workers, &recorder), &|_, _| {});
-            // Chunking and banding are raster-exact: 6 frames × 32 tiles.
+            // Chunking is raster-exact: 6 frames × 32 tiles.
             assert_eq!(run.rasters, 6 * 32, "{workers} workers");
             (run.outcomes, recorder.take())
         };

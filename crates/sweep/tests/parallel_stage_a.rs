@@ -1,13 +1,13 @@
 //! Determinism and raster-accounting contract of parallel Stage A and
-//! compressed render logs (ISSUE acceptance criteria):
+//! compressed render logs:
 //!
 //! * the same grid run under every `--workers` × `--relog-compress`
 //!   combination produces a byte-identical `results.csv` (the worker count
-//!   is Stage A's budget: one worker renders each key as one chunk in one
-//!   band, four split a key's frames into chunks and its tiles into bands);
-//! * frame chunking and band parallelism never change the number of
-//!   raster invocations — each render key still rasterizes exactly
-//!   frames × tiles, regardless of how the work was split;
+//!   is Stage A's budget: one worker renders each key as one chunk, four
+//!   split a key's frames into chunks);
+//! * frame chunking never changes the number of raster invocations —
+//!   each render key still rasterizes exactly frames × tiles, regardless
+//!   of how the frames were split;
 //! * compressed `.relog` artifacts are strictly smaller than stored ones
 //!   and replay raster-free with identical results.
 //!
@@ -41,8 +41,8 @@ fn render_worker_and_compression_matrix_is_byte_identical_and_raster_exact() {
     let plan = SweepPlan::compile(&grid);
 
     // The RE_SWEEP_WORKERS={1,4} × --relog-compress={on,off} matrix: every
-    // combination renders each key exactly once (chunking and banding are
-    // raster-exact) and produces the identical CSV.
+    // combination renders each key exactly once (chunking is raster-exact)
+    // and produces the identical CSV.
     let mut csvs = Vec::new();
     for (workers, compress) in [(1, false), (4, false), (1, true), (4, true)] {
         let store = base.join(format!("store-w{workers}-c{compress}"));

@@ -47,8 +47,8 @@ use std::sync::Arc;
 
 use re_core::Scene;
 use re_gpu::api::FrameDesc;
-use re_gpu::texture::TextureId;
-use re_gpu::{Gpu, GpuConfig};
+use re_gpu::texture::{TextureId, TextureStore};
+use re_gpu::GpuConfig;
 use re_math::Color;
 
 /// A snapshot of one uploaded texture.
@@ -112,11 +112,11 @@ impl Trace {
 /// Captures `frames` frames of `scene` under `config`, snapshotting its
 /// textures, and returns the self-contained trace.
 pub fn capture(scene: &mut dyn Scene, config: GpuConfig, frames: usize) -> Trace {
-    let mut gpu = Gpu::new(config);
-    scene.init(gpu.textures_mut());
-    let textures = (0..gpu.textures().len() as u32)
+    let mut store = TextureStore::new();
+    scene.init(&mut store);
+    let textures = (0..store.len() as u32)
         .map(|id| {
-            let t = gpu.textures().get(TextureId(id));
+            let t = store.get(TextureId(id));
             let texels = (0..t.height())
                 .flat_map(|y| (0..t.width()).map(move |x| (x, y)))
                 .map(|(x, y)| t.texel(x as i32, y as i32))
@@ -169,7 +169,7 @@ impl TraceScene {
 }
 
 impl Scene for TraceScene {
-    fn init(&mut self, textures: &mut re_gpu::texture::TextureStore) {
+    fn init(&mut self, textures: &mut TextureStore) {
         for img in &self.trace.textures {
             let w = img.width;
             let texels = &img.texels;
@@ -199,7 +199,7 @@ mod tests {
 
     struct TwoFrames;
     impl Scene for TwoFrames {
-        fn init(&mut self, textures: &mut re_gpu::texture::TextureStore) {
+        fn init(&mut self, textures: &mut TextureStore) {
             textures.upload_with(4, 4, |x, y| Color::new(x as u8 * 10, y as u8 * 10, 7, 255));
         }
         fn frame(&mut self, index: usize) -> FrameDesc {
@@ -253,9 +253,9 @@ mod tests {
     fn replay_restores_texture_content() {
         let t = capture(&mut TwoFrames, cfg(), 1);
         let mut replay = TraceScene::new(t);
-        let mut gpu = Gpu::new(cfg());
-        replay.init(gpu.textures_mut());
-        let tex = gpu.textures().get(TextureId(0));
+        let mut store = TextureStore::new();
+        replay.init(&mut store);
+        let tex = store.get(TextureId(0));
         assert_eq!(tex.texel(1, 1), Color::new(10, 10, 7, 255));
     }
 
